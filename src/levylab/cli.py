@@ -457,7 +457,7 @@ def _run_check_lsi(cfg: ExperimentConfig):
     return (["phi", "field", "entropy", "rhs", "ratio", "pass"], rows, summary)
 
 
-def _run_all(cfg: ExperimentConfig, out_dir: Path):
+def _run_all(cfg: ExperimentConfig):
     """Composite desk-scale suite: every experiment on capped grids."""
     cap = 512 if cfg.grid.d == 1 else 128
     grid = cfg.grid if cfg.grid.M <= cap else Grid(cfg.grid.d, cfg.grid.L, cap)
@@ -546,7 +546,7 @@ def run_experiment(cfg: ExperimentConfig) -> int:
         elif cfg.experiment == "check-lsi":
             header, rows, summary = _run_check_lsi(cfg)
         else:
-            header, rows, summary = _run_all(cfg, out_dir)
+            header, rows, summary = _run_all(cfg)
     except QuadratureFailure as exc:
         raise NumericalFailure(str(exc)) from exc
 

@@ -9,19 +9,39 @@ solved exactly by
 Its invariant measure is the infinitely divisible law with exponent
 Psi(xi) = int_0^1 psi(s xi) ds / s, whose Levy density is the radial tail
 average N_inf(z) = int_1^inf N(t z) t^{d-1} dt.
+
+Both exponents come from one radial antiderivative of the jump part a of
+psi.  With G(r) = int_0^r a(rho) / rho drho, the substitutions
+rho = exp(-s) |xi| and rho = s |xi| give
+
+    int_0^t a(exp(-s) xi) ds = G(|xi|) - G(exp(-t) |xi|),
+    int_0^1 a(s xi) ds / s   = G(|xi|).
+
+This holds because a depends on |xi| alone: in d=2 the symbol is radial,
+and in d=1 a(-xi) = conj a(xi), so G(-r) = conj G(r) covers non-even
+densities.  The stable family has G(r) = -r^alpha / alpha in closed form;
+any other density is tabulated once per call on Chebyshev points in
+log r and integrated exactly.  The Gaussian and drift parts keep their
+closed forms.  No time quadrature enters the flow.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
+from numpy.polynomial import chebyshev
 
-from .errors import Con1Violation, InterpolationDegradation, NegativeDensity
-from .levy import LevyTriplet, characteristic_exponent
-from .quadrature import integrate_scaled, try_integrate
+from .errors import (
+    Con1Violation,
+    InterpolationDegradation,
+    NegativeDensity,
+    QuadratureFailure,
+)
+from .levy import LevyTriplet
+from .quadrature import _SLACK, integrate_scaled, try_integrate
 from .spectral import Grid, SpectralField
 
 __all__ = [
@@ -39,15 +59,9 @@ __all__ = [
     "RadialDecayReport",
 ]
 
-# fixed Gauss-Legendre rule for the smooth time integral in fp_evolve
-_GL_NODES = 32
-
-
-def _grid_freq_vectors(grid: Grid):
-    axes = grid.freqs()
-    if grid.d == 1:
-        return axes[0]
-    return np.stack(axes, axis=-1)
+# node counts of the Chebyshev table of a(e^u): 17, 33, 65, ... up to the cap
+_CHEB_NODES = 17
+_CHEB_MAX_NODES = 1025
 
 
 def _gauss_drift_exponent(triplet: LevyTriplet, grid: Grid):
@@ -65,28 +79,88 @@ def _gauss_drift_exponent(triplet: LevyTriplet, grid: Grid):
     return gauss, drift
 
 
-def _jump_exponent_mesh(triplet: LevyTriplet, grid: Grid, tol):
-    """a(xi) on the frequency mesh, exploiting radial symmetry when possible."""
-    if triplet.nu is None:
-        return np.zeros(grid.shape, dtype=complex)
-    r = grid.freq_norm()
-    if triplet.is_stable_jump:
-        return (-(r**triplet.nu.alpha)).astype(complex)
-    if triplet.nu.is_even and (grid.d == 1 or triplet.nu.kind == "stable"):
-        # even 1-D densities give an even, real symbol: evaluate per |xi|
-        uniq, inv = np.unique(np.round(np.abs(r), 14), return_inverse=True)
-        vals = np.array(
-            [triplet.jump_exponent(u, tol) for u in uniq], dtype=complex
+def _radial_freqs(grid: Grid):
+    """Signed frequencies in d=1, |xi| in d=2: the argument G needs."""
+    return grid.xi1 if grid.d == 1 else grid.freq_norm()
+
+
+def _cheb_coefficients(vals):
+    """Chebyshev coefficients of the interpolant through cos(pi j / n) nodes."""
+    n = len(vals) - 1
+    coeffs = np.fft.fft(np.concatenate([vals, vals[n - 1:0:-1]]))[: n + 1] / n
+    coeffs[0] /= 2.0
+    coeffs[n] /= 2.0
+    return coeffs
+
+
+def _log_chebyshev_integral(f, r_min, r_max, r, tol):
+    """int_{r_min}^r f(rho) drho / rho for r in [r_min, r_max].
+
+    Samples f(e^u) at Chebyshev points in u = log rho, doubling the node
+    count (and reusing the old samples) until the trailing quarter of the
+    coefficients falls below _SLACK * tol * scale; the interpolant is then
+    integrated in closed form.
+    """
+    a, b = np.log(r_min), np.log(r_max)
+    half = 0.5 * (b - a)
+
+    def sample(x):
+        return np.array([f(float(np.exp(a + half * (xj + 1.0)))) for xj in x],
+                        dtype=complex)
+
+    n = _CHEB_NODES - 1
+    vals = sample(np.cos(np.pi * np.arange(n + 1) / n))
+    while True:
+        coeffs = _cheb_coefficients(vals)
+        scale = max(1.0, float(np.max(np.abs(vals))))
+        tail = float(np.max(np.abs(coeffs[-(n // 4):])))
+        if tail <= _SLACK * tol * scale:
+            break
+        if 2 * n + 1 > _CHEB_MAX_NODES:
+            raise QuadratureFailure(
+                f"Chebyshev table of the jump exponent on [{r_min}, {r_max}] "
+                f"did not converge with {n + 1} nodes: trailing coefficient "
+                f"{tail:.2e} (scale {scale:.2e})",
+                achieved_error=tail,
+            )
+        odd = sample(np.cos(np.pi * np.arange(1, 2 * n, 2) / (2 * n)))
+        merged = np.empty(2 * n + 1, dtype=complex)
+        merged[0::2] = vals
+        merged[1::2] = odd
+        vals, n = merged, 2 * n
+    x = np.clip((np.log(r) - a) / half - 1.0, -1.0, 1.0)
+    return chebyshev.chebval(x, chebyshev.chebint(coeffs, lbnd=-1, scl=half))
+
+
+def _jump_antiderivative(triplet: LevyTriplet, k, tol, anchored=True):
+    """Jump part of G(k) = int_0^|k| a(rho) / rho drho at an array of k.
+
+    ``k`` holds signed frequencies in d=1 (G(-r) = conj G(r)) and radii in
+    d=2.  Unanchored values are offset by the unknown G(r_min) of the
+    smallest nonzero radius, which cancels in differences; anchoring adds
+    it by one adaptive quadrature.
+    """
+    k = np.asarray(k, dtype=float)
+    r = np.abs(k)
+    nu = triplet.nu
+    if nu is None:
+        return np.zeros(k.shape)
+    if nu.kind == "stable":
+        return -(r**nu.alpha) / nu.alpha
+    out = np.zeros(k.shape, dtype=complex)
+    pos = r > 0.0
+    if not np.any(pos):
+        return out
+    r_min, r_max = float(np.min(r[pos])), float(np.max(r[pos]))
+    if r_max > r_min:
+        out[pos] = _log_chebyshev_integral(
+            lambda rho: triplet.jump_exponent(rho, tol), r_min, r_max, r[pos], tol
         )
-        return vals[inv].reshape(grid.shape)
-    flat = _grid_freq_vectors(grid).reshape(-1, grid.d) if grid.d > 1 else None
-    if flat is not None:
-        return np.array(
-            [triplet.jump_exponent(v, tol) for v in flat], dtype=complex
-        ).reshape(grid.shape)
-    return np.array(
-        [triplet.jump_exponent(float(x), tol) for x in grid.xi1], dtype=complex
-    )
+    if anchored:
+        out[pos] += integrate_scaled(
+            lambda s: triplet.jump_exponent(s * r_min, tol) / s, (0.0, 1.0), tol
+        )
+    return np.where(k < 0.0, np.conj(out), out)
 
 
 def _nudft_coefficients(u0: SpectralField, scale: float):
@@ -139,66 +213,30 @@ def fp_evolve(
     scale = float(np.exp(-t))
     shifted = _nudft_coefficients(u0, scale)
 
+    k = _radial_freqs(g)
+    G = _jump_antiderivative(triplet, np.stack([k, scale * k]), tol, anchored=False)
     gauss, drift = _gauss_drift_exponent(triplet, g)
     J = gauss * (1.0 - np.exp(-2.0 * t)) / 2.0 + drift * (1.0 - np.exp(-t))
-    if triplet.nu is not None:
-        if triplet.is_stable_jump:
-            al = triplet.nu.alpha
-            r = g.freq_norm()
-            J = J - (r**al) * (1.0 - np.exp(-al * t)) / al
-        else:
-            nodes, wts = np.polynomial.legendre.leggauss(_GL_NODES)
-            s = 0.5 * t * (nodes + 1.0)
-            w = 0.5 * t * wts
-            acc = np.zeros(g.shape, dtype=complex)
-            for si, wi in zip(s, w):
-                mesh = _jump_exponent_mesh_scaled(triplet, g, float(np.exp(-si)), tol)
-                acc = acc + wi * mesh
-            J = J + acc
-    return SpectralField(g, coefficients=shifted * np.exp(J))
-
-
-def _jump_exponent_mesh_scaled(triplet, grid, scale, tol):
-    r = scale * grid.freq_norm()
-    if triplet.nu is not None and triplet.nu.is_even and grid.d == 1:
-        uniq, inv = np.unique(np.round(np.abs(r), 14), return_inverse=True)
-        vals = np.array([triplet.jump_exponent(u, tol) for u in uniq], dtype=complex)
-        return vals[inv].reshape(grid.shape)
-    flat = (scale * _grid_freq_vectors(grid)).reshape(-1, grid.d)
-    return np.array(
-        [triplet.jump_exponent(v if grid.d > 1 else float(v), tol) for v in flat],
-        dtype=complex,
-    ).reshape(grid.shape)
+    return SpectralField(g, coefficients=shifted * np.exp(J + (G[0] - G[1])))
 
 
 def steady_exponent(triplet: LevyTriplet, xi, tol: float = 1e-10):
     """Psi(xi) = int_0^1 psi(s xi) ds / s at a single frequency.
 
     The Gaussian and drift parts integrate in closed form (half and identity
-    respectively); the jump part uses adaptive quadrature, or the closed
-    form psi/alpha for the stable family.
+    respectively); the jump part is G(|xi|), one adaptive quadrature, or
+    -|xi|^alpha / alpha for the stable family.
     """
     xi_arr = np.atleast_1d(np.asarray(xi, dtype=float))
-    v = xi_arr if triplet.d > 1 else float(xi_arr[0])
     if triplet.d == 1:
-        gauss = -0.5 * triplet.sigma[0, 0] * v * v
-        drift = 1j * triplet.b[0] * v
+        k = float(xi_arr[0])
+        gauss = -0.5 * triplet.sigma[0, 0] * k * k
+        drift = 1j * triplet.b[0] * k
     else:
+        k = float(np.linalg.norm(xi_arr))
         gauss = -0.5 * float(xi_arr @ triplet.sigma @ xi_arr)
         drift = 1j * float(triplet.b @ xi_arr)
-    if triplet.nu is None:
-        return gauss + drift
-    if triplet.is_stable_jump:
-        al = triplet.nu.alpha
-        return gauss + drift + triplet.jump_exponent(v, tol) / al
-    jump = integrate_scaled(
-        lambda s: triplet.jump_exponent(
-            s * xi_arr if triplet.d > 1 else s * v, tol
-        ) / s,
-        (0.0, 1.0),
-        tol,
-    )
-    return gauss + drift + jump
+    return gauss + drift + _jump_antiderivative(triplet, [k], tol)[0]
 
 
 @dataclass(frozen=True)
@@ -302,38 +340,7 @@ def build_steady_state(
             "log-tail integral of the jump density diverges; no steady state"
         )
     gauss, drift = _gauss_drift_exponent(triplet, grid)
-    psi_jump = _jump_exponent_mesh(triplet, grid, tol)
-    if triplet.is_stable_jump:
-        jump = psi_jump / triplet.nu.alpha
-    elif triplet.nu is None:
-        jump = psi_jump
-    else:
-        r = grid.freq_norm()
-        if triplet.nu.is_even and grid.d == 1:
-            uniq, inv = np.unique(np.round(np.abs(r), 14), return_inverse=True)
-            vals = np.array(
-                [
-                    0.0
-                    if u == 0.0
-                    else integrate_scaled(
-                        lambda s, _u=u: triplet.jump_exponent(s * _u, tol) / s,
-                        (0.0, 1.0),
-                        tol,
-                    )
-                    for u in uniq
-                ],
-                dtype=complex,
-            )
-            jump = vals[inv].reshape(grid.shape)
-        else:
-            flat = _grid_freq_vectors(grid).reshape(-1, grid.d)
-            jump = np.array(
-                [
-                    steady_exponent(triplet, v, tol)
-                    for v in (flat if grid.d > 1 else flat.ravel())
-                ],
-                dtype=complex,
-            ).reshape(grid.shape) - (0.5 * gauss + drift).reshape(grid.shape)
+    jump = _jump_antiderivative(triplet, _radial_freqs(grid), tol)
     psi_mesh = 0.5 * gauss + drift + jump
     coeff = np.exp(psi_mesh)
     dens = SpectralField(grid, coefficients=coeff)

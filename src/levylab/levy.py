@@ -478,6 +478,8 @@ def _tabulated_density(path, d):
 
     def func(zz):
         zz = np.asarray(zz, dtype=float)
+        if radial and d > 1:
+            zz = np.sqrt(np.sum(zz**2, axis=-1))
         r = np.abs(zz) if radial else zz
         return np.interp(r, z, n, left=0.0 if radial else 0.0, right=0.0)
 

@@ -131,9 +131,7 @@ class SpectralField:
     @property
     def values(self):
         if self._values is None:
-            w = self.grid.inverse(self._coefficients)
-            self._values = w.real
-            self._imag_mass = np.max(np.abs(w.imag))
+            self._values = self.grid.inverse(self._coefficients).real
         return self._values
 
     @property
@@ -160,22 +158,6 @@ class SpectralField:
         for xi in self.grid.freqs():
             out.append(self.grid.inverse(-1j * xi * self.coefficients).real)
         return out
-
-    def resample(self, factor: int) -> "SpectralField":
-        """Band-limited resampling onto a grid refined by ``factor``.
-
-        Zero-pads the spectrum, so the result interpolates the field exactly
-        wherever it is band-limited.
-        """
-        if factor == 1:
-            return self
-        g = self.grid
-        fine = Grid(g.d, g.L, g.M * factor)
-        c = np.fft.fftshift(self.coefficients)
-        pad = (fine.M - g.M) // 2
-        widths = [(pad, pad)] * g.d
-        cf = np.fft.ifftshift(np.pad(c, widths))
-        return SpectralField(fine, coefficients=cf)
 
     def to_csv(self, path):
         """Write (coordinates, value) rows with 17 significant digits."""

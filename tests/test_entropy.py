@@ -14,11 +14,13 @@ from levylab import (
     decay_track,
     dissipation,
     entropy_production_check,
+    fp_evolve,
+    generate_test_fields,
     modified_lsi_check,
     phi_entropy,
     stable_density,
 )
-from levylab.entropy import _fd_gradient
+from levylab.entropy import ProductionReport, _fd_gradient, _ratio_field
 from levylab.errors import DomainError
 from levylab.spectral import Grid
 
@@ -259,15 +261,42 @@ class TestEntropyProduction:
         )
         assert rep.passed
         mu = WeightedMeasure.from_field(gauss_steady.density)
-        from levylab.entropy import _ratio_field
-        from levylab.fokker_planck import fp_evolve
-
         ent = phi_entropy(
             _ratio_field(fp_evolve(u0, diffusion_triplet(), 0.5), gauss_steady),
             mu, QUAD,
         )
         # rate 2 holds to O(shift^2) for a mean-shifted initial Gaussian
         assert rep.finite_difference == pytest.approx(-2.0 * ent, rel=5e-3)
+
+    def test_report_matches_separate_flows(self):
+        # criterion 9's heavy-tailed inputs at its fine step; the check
+        # reuses its tau = t flow for the dissipation, which must not change
+        # a single bit
+        g = Grid(1, 160.0, 4096)
+        tr = stable_triplet(1.0)
+        steady = build_steady_state(tr, g)
+        u0 = generate_test_fields(g, 7, "perturbed-steady", steady.density)[0]
+        t, dt = 0.5, 1e-3
+        rep = entropy_production_check(u0, tr, XLOGX, t, dt, steady)
+
+        mu = WeightedMeasure.from_field(steady.density)
+        ents = [
+            phi_entropy(_ratio_field(fp_evolve(u0, tr, tau), steady), mu, XLOGX)
+            for tau in (t - dt, t + dt)
+        ]
+        fd = (ents[1] - ents[0]) / (2.0 * dt)
+        v_t = SpectralField(g, values=_ratio_field(fp_evolve(u0, tr, t), steady))
+        gauss, jump = dissipation(v_t, mu, tr, XLOGX)
+        diss = gauss + jump
+        residual = abs(fd + diss) / (1.0 + diss)
+        scale = max(abs(fd), diss, 1.0)
+        assert rep == ProductionReport(
+            residual=residual,
+            finite_difference=fd,
+            gaussian_part=gauss,
+            jump_part=jump,
+            passed=residual < max(1e-4, 10.0 * dt**2 * scale),
+        )
 
 
 class TestDecayTrack:

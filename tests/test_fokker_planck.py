@@ -19,8 +19,15 @@ from levylab import (
     stable_density,
     steady_exponent,
 )
-from levylab.errors import Con1Violation, InterpolationDegradation
+from levylab import fokker_planck
+from levylab.errors import (
+    Con1Violation,
+    InterpolationDegradation,
+    QuadratureFailure,
+)
+from levylab.fokker_planck import _nudft_coefficients
 from levylab.levy import _stable_norm_constant
+from levylab.quadrature import integrate_scaled
 from levylab.spectral import Grid
 
 from conftest import gaussian
@@ -93,6 +100,76 @@ class TestFpEvolve:
         noisy = SpectralField(grid1, values=rng.standard_normal(grid1.shape))
         with pytest.warns(InterpolationDegradation):
             fp_evolve(noisy, diffusion_triplet(), 0.5)
+
+
+def opaque_cauchy_triplet(d=1):
+    # the Cauchy density behind an analytic wrapper takes the quadrature route
+    nu = LevyDensity(
+        kind="analytic", d=d, func=stable_density(1.0, d), is_even=True
+    )
+    return LevyTriplet(sigma=np.zeros((d, d)), b=np.zeros(d), nu=nu, d=d)
+
+
+@pytest.mark.filterwarnings("ignore::levylab.errors.InterpolationDegradation")
+class TestQuadratureRoute:
+    """Tabulated G(r) against the stable closed form and per-frequency oracles."""
+
+    def test_steady_state_1d(self):
+        g = Grid(1, 8.0, 16)
+        quad = build_steady_state(opaque_cauchy_triplet(), g)
+        exact = build_steady_state(stable_triplet(1.0), g)
+        np.testing.assert_allclose(
+            quad.density.values, exact.density.values, rtol=0, atol=1e-9
+        )
+
+    def test_flow_1d(self):
+        g = Grid(1, 8.0, 16)
+        u0 = gaussian(g, var=1.0, center=0.5)
+        quad = fp_evolve(u0, opaque_cauchy_triplet(), 0.5)
+        exact = fp_evolve(u0, stable_triplet(1.0), 0.5)
+        np.testing.assert_allclose(
+            quad.coefficients, exact.coefficients, rtol=0, atol=1e-9
+        )
+
+    def test_flow_2d(self):
+        g = Grid(2, 8.0, 16)
+        u0 = SpectralField.from_function(
+            g, lambda x, y: np.exp(-(x * x + y * y) / 2.0) / (2.0 * np.pi)
+        )
+        quad = fp_evolve(u0, opaque_cauchy_triplet(2), 0.5)
+        exact = fp_evolve(u0, stable_triplet(1.0, 2), 0.5)
+        np.testing.assert_allclose(
+            quad.coefficients, exact.coefficients, rtol=0, atol=1e-9
+        )
+
+    def test_non_even_flow_exponent_matches_time_integral(self):
+        # one-sided density: the exponent at -xi is the conjugate of +xi
+        nu = LevyDensity(
+            kind="analytic", d=1,
+            func=lambda z: np.exp(-z) if z > 0 else 0.0, is_even=False,
+        )
+        tr = LevyTriplet(sigma=np.zeros((1, 1)), b=np.zeros(1), nu=nu, d=1)
+        g = Grid(1, 8.0, 16)
+        t = 0.5
+        u0 = gaussian(g, var=0.3)
+        out = fp_evolve(u0, tr, t)
+        exponent = np.log(out.coefficients / _nudft_coefficients(u0, np.exp(-t)))
+        for k in (5, -5):
+            oracle = integrate_scaled(
+                lambda s: tr.jump_exponent(np.exp(-s) * g.xi1[k]), (0.0, t)
+            )
+            assert abs(exponent[k] - oracle) < 1e-8
+
+    def test_unconverged_table_raises(self, monkeypatch):
+        # the unit-box density needs 129 nodes on this grid
+        nu = LevyDensity(
+            kind="analytic", d=1,
+            func=lambda z: 1.0 if abs(z) <= 1.0 else 0.0, is_even=True,
+        )
+        tr = LevyTriplet(sigma=np.zeros((1, 1)), b=np.zeros(1), nu=nu, d=1)
+        monkeypatch.setattr(fokker_planck, "_CHEB_MAX_NODES", 33)
+        with pytest.raises(QuadratureFailure):
+            fp_evolve(gaussian(Grid(1, 20.0, 512)), tr, 0.5)
 
 
 class TestStationarity:

@@ -12,6 +12,7 @@ from levylab import (
     stable_density,
     stable_symbol,
     sum_symbols,
+    triplet_from_config,
     validate_levy_density,
 )
 from levylab.errors import InvalidAlpha, NonFiniteDensity
@@ -83,6 +84,28 @@ class TestJumpSymbol:
         xi = np.array([1.2, -0.7])
         val = jump_symbol(nu, xi, tol=1e-10)
         assert val == pytest.approx(-np.linalg.norm(xi) ** alpha, abs=1e-9)
+
+    def test_non_even_symbol_is_conjugate_symmetric(self):
+        # a(-xi) = conj a(xi) bitwise: the flow tabulates only xi > 0
+        nu = LevyDensity(
+            kind="analytic", d=1,
+            func=lambda z: np.exp(-z) if z > 0 else 0.0, is_even=False,
+        )
+        for xi in (0.3, 1.7, 2.9):
+            assert jump_symbol(nu, -xi) == np.conj(jump_symbol(nu, xi))
+
+
+class TestTabulatedDensity:
+    def test_radial_table_uses_euclidean_norm_in_2d(self, tmp_path):
+        table = tmp_path / "nu.csv"
+        table.write_text("z,N\n1,4\n5,2\n9,1\n")
+        tr = triplet_from_config(
+            {"d": 2, "nu": {"kind": "tabulated", "table_path": str(table)}}
+        )
+        assert tr.nu.is_even
+        np.testing.assert_array_equal(
+            tr.nu(np.array([[3.0, 4.0], [0.0, -1.0], [0.0, 7.0]])), [2.0, 4.0, 1.5]
+        )
 
 
 class TestCharacteristicExponent:
