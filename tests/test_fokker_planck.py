@@ -25,7 +25,6 @@ from levylab.errors import (
     InterpolationDegradation,
     QuadratureFailure,
 )
-from levylab.fokker_planck import _nudft_coefficients
 from levylab.levy import _stable_norm_constant
 from levylab.quadrature import integrate_scaled
 from levylab.spectral import Grid
@@ -153,7 +152,8 @@ class TestQuadratureRoute:
         t = 0.5
         u0 = gaussian(g, var=0.3)
         out = fp_evolve(u0, tr, t)
-        exponent = np.log(out.coefficients / _nudft_coefficients(u0, np.exp(-t)))
+        shifted = fokker_planck._nudft_coefficients(u0, np.exp(-t))
+        exponent = np.log(out.coefficients / shifted)
         for k in (5, -5):
             oracle = integrate_scaled(
                 lambda s: tr.jump_exponent(np.exp(-s) * g.xi1[k]), (0.0, t)
