@@ -102,12 +102,31 @@ def _fail(msg: str) -> ConfigError:
     return ConfigError(msg)
 
 
+def _finite(name: str, value) -> float:
+    """float(value), rejecting non-numbers, NaN and +-Infinity."""
+    try:
+        x = float(value)
+    except (TypeError, ValueError):
+        raise _fail(f"{name} must be a number, got {value!r}") from None
+    if not math.isfinite(x):
+        raise _fail(f"{name} must be finite, got {value!r}")
+    return x
+
+
+def _finite_list(name: str, values) -> list:
+    if not isinstance(values, (list, tuple)):
+        raise _fail(f"{name} must be a list of numbers, got {values!r}")
+    return [_finite(name, v) for v in values]
+
+
 def _parse_q(value):
     if isinstance(value, str):
         if value.lower() in ("inf", "infinity"):
             return math.inf
         raise _fail(f"exponent q must be numeric or 'inf', got {value!r}")
-    return float(value)
+    if value == math.inf:
+        return math.inf
+    return _finite("exponent q", value)
 
 
 def load_config(raw: dict, overrides: dict | None = None) -> ExperimentConfig:
@@ -139,8 +158,8 @@ def load_config(raw: dict, overrides: dict | None = None) -> ExperimentConfig:
     M = grid_spec.get("M", 512)
     if d not in (1, 2):
         raise _fail(f"grid.d must be 1 or 2, got {d!r}")
-    if not (isinstance(L, (int, float)) and L > 0):
-        raise _fail(f"grid.L must be positive, got {L!r}")
+    if not (isinstance(L, (int, float)) and math.isfinite(L) and L > 0):
+        raise _fail(f"grid.L must be positive and finite, got {L!r}")
     if not (isinstance(M, int) and M >= 8 and M & (M - 1) == 0):
         raise _fail(f"grid.M must be a power of two >= 8, got {M!r}")
     grid = Grid(d, float(L), M)
@@ -153,11 +172,13 @@ def load_config(raw: dict, overrides: dict | None = None) -> ExperimentConfig:
     if bad:
         raise _fail(f"unknown sweep keys: {sorted(bad)}")
     sweep.update(user_sweep)
-    sweep["alpha"] = [float(a) for a in sweep["alpha"]]
+    sweep["alpha"] = _finite_list("alpha", sweep["alpha"])
     for a in sweep["alpha"]:
         if not (0.0 < a <= 2.0):
             raise _fail(f"alpha must lie in (0, 2], got {a}")
-    sweep["p"] = [float(p) for p in sweep["p"]]
+    sweep["p"] = _finite_list("exponent p", sweep["p"])
+    if not isinstance(sweep["q"], (list, tuple)):
+        raise _fail(f"q must be a list, got {sweep['q']!r}")
     sweep["q"] = [_parse_q(q) for q in sweep["q"]]
     for p in sweep["p"]:
         if p < 1.0:
@@ -165,15 +186,15 @@ def load_config(raw: dict, overrides: dict | None = None) -> ExperimentConfig:
     for q in sweep["q"]:
         if q < 1.0:
             raise _fail(f"exponent q must be >= 1, got {q}")
-    sweep["t"] = [float(t) for t in sweep["t"]]
-    sweep["times"] = [float(t) for t in sweep["times"]]
+    sweep["t"] = _finite_list("t", sweep["t"])
+    sweep["times"] = _finite_list("times", sweep["times"])
     for t in sweep["t"] + sweep["times"]:
         if t < 0.0:
             raise _fail(f"times must be nonnegative, got {t}")
     for name in sweep["phi"]:
         if name not in ("xlogx", "quadratic"):
             raise _fail(f"phi must be xlogx or quadratic, got {name!r}")
-    sweep["C"] = float(sweep["C"])
+    sweep["C"] = _finite("C", sweep["C"])
     if sweep["C"] <= 0.0:
         raise _fail(f"C must be positive, got {sweep['C']}")
     if sweep["family"] not in FAMILIES:
@@ -183,7 +204,7 @@ def load_config(raw: dict, overrides: dict | None = None) -> ExperimentConfig:
     if not isinstance(seed, int) or seed < 0:
         raise _fail(f"seed must be a nonnegative integer, got {seed!r}")
     tol = merged.get("tol", 1e-10)
-    if not (isinstance(tol, (int, float)) and 0 < tol < 1):
+    if not (isinstance(tol, (int, float)) and math.isfinite(tol) and 0 < tol < 1):
         raise _fail(f"tol must lie in (0, 1), got {tol!r}")
     output = merged.get("output", "levylab-out")
     if not isinstance(output, str) or not output:

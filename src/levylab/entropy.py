@@ -4,20 +4,24 @@ For a convex Phi and a probability weight mu, the Phi-entropy of a
 nonnegative v is Ent(v) = int Phi(v) dmu - Phi(int v dmu).  Along the
 confined Levy flow the entropy of v = u / u_inf dissipates through a
 Gaussian Dirichlet term and a Bregman jump term; both are evaluated here on
-the grid, the jump term by a lattice double sum with a compensated
-small-jump exclusion.
+the grid.  The jump term sums the Bregman distance over every periodic
+lattice shift at once, as FFT cross-correlations weighted by the jump density
+folded onto the lattice, plus a compensated small-jump exclusion.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .errors import DomainError
 from .fokker_planck import SteadyState, fp_evolve
-from .levy import LevyTriplet
+from .levy import LevyDensity, LevyTriplet
 from .spectral import Grid, SpectralField
 
 __all__ = [
@@ -75,13 +79,16 @@ class PhiFunction:
         """D(a, b) = Phi(a) - Phi(b) - Phi'(b)(a - b), vectorized."""
         a = np.asarray(a, dtype=float)
         b = np.asarray(b, dtype=float)
+        self._check_base(b)
         if self.name == "xlogx":
-            if np.any(b <= 0):
-                raise DomainError("x log x Bregman distance needs b > 0")
             with np.errstate(divide="ignore", invalid="ignore"):
                 term = np.where(a > 0, a * np.log(np.where(a > 0, a, 1.0) / b), 0.0)
             return term - a + b
         return self.phi(a) - self.phi(b) - self.dphi(b) * (a - b)
+
+    def _check_base(self, b):
+        if self.name == "xlogx" and np.any(b <= 0):
+            raise DomainError("x log x Bregman distance needs b > 0")
 
     def check_admissible(self, a_samples=None, b_samples=None, h=1e-5):
         """Numerical convexity of (a, b) -> D(a+b, b) on the sampled quadrant.
@@ -184,6 +191,31 @@ def _fd_gradient(vals, grid):
     return out
 
 
+@lru_cache(maxsize=16)
+def _jump_kernel(nu: LevyDensity, grid: Grid, z_extent: int):
+    """Jump density folded onto the periodic lattice, and its small-ball moment.
+
+    W[s] sums N(k dx) over the lattice points 0 < |k|_inf <= z_extent M / 2
+    with k = s (mod M); W[0] = 0, since those shifts map v onto itself.  N is
+    called with a scalar in d=1 and a length-d array otherwise.
+    """
+    M, dx = grid.M, grid.dx
+    K = z_extent * M // 2
+    W = np.zeros(grid.shape)
+    for k in itertools.product(range(-K, K + 1), repeat=grid.d):
+        if any(k):
+            z = k[0] * dx if grid.d == 1 else np.array(k) * dx
+            W[tuple(i % M for i in k)] += float(nu(z))
+    W.flat[0] = 0.0
+    W.flags.writeable = False
+    return W, nu.small_ball_second_moment(0.5 * dx)
+
+
+def _correlate(f_hat, g_hat, shape):
+    """Circular cross-correlation sum_x f(x) g(x + s) from real FFTs."""
+    return np.fft.irfftn(np.conj(f_hat) * g_hat, s=shape, axes=range(len(shape)))
+
+
 def dissipation(
     v,
     mu: WeightedMeasure,
@@ -194,11 +226,20 @@ def dissipation(
 ):
     """Gaussian and jump dissipation magnitudes of the entropy flow.
 
-    gaussian = int Phi''(v) grad v . sigma grad v dmu (spectral gradient);
-    jump = int int D(v(x), v(x+z)) N(z) dz dmu(x), the z-integral on the
-    grid's own lattice out to |z| <= z_extent * L with periodic shifts, the
-    excluded half-cell at z = 0 compensated by the second-order Taylor proxy
-    (1/2) Phi''(v) (z . grad v)^2 against the small-ball moment of N.
+    gaussian = int Phi''(v) grad v . sigma grad v dmu (finite-difference
+    gradient); jump = int int D(v(x), v(x+z)) N(z) dz dmu(x), the z-integral
+    on the grid's own lattice out to |z|_inf <= z_extent * L with periodic
+    shifts.  Splitting D(a, b) = Phi(a) - [Phi(b) - b Phi'(b)] - a Phi'(b)
+    turns the x-sum at every shift s into sum mu Phi(v) minus the circular
+    cross-correlations corr(mu, Phi(v) - v Phi'(v))(s) and
+    corr(mu v, Phi'(v))(s), all shifts at once by FFT; these are dotted with
+    the jump density folded onto the lattice.  The split is applied to Phi
+    recentred at the mu-mean m of v, Phi(x) - Phi(m) - Phi'(m)(x - m) =
+    D(x, m), in the variable v - m: D is unchanged and every correlated
+    array is O(v - m) instead of O(1), which keeps the cancellation small.
+    The excluded half-cell at z = 0 is compensated by the second-order
+    Taylor proxy (1/2) Phi''(v) (z . grad v)^2 against the small-ball
+    moment of N.
     """
     field = v if isinstance(v, SpectralField) else SpectralField(mu.grid, values=v)
     g = field.grid
@@ -221,42 +262,21 @@ def dissipation(
     if nu is None:
         return gaussian, 0.0
 
-    K = z_extent * g.M // 2
-    jump = 0.0
+    phi._check_base(vals)
+    W, m2 = _jump_kernel(nu, g, z_extent)
     wmu = mu.weights
-    if g.d == 1:
-        for k in range(-K, K + 1):
-            if k == 0:
-                continue
-            z = k * g.dx
-            nz = float(nu(z))
-            if nz == 0.0:
-                continue
-            shifted = np.roll(vals, -k)
-            jump += nz * float(np.sum(phi.bregman(vals, shifted) * wmu)) * cell * g.dx
-        m2 = nu.small_ball_second_moment(0.5 * g.dx)
-        jump += 0.5 * m2 * float(np.sum(phi.d2phi(vals) * grads[0] ** 2 * wmu)) * cell
-    else:
-        for k1 in range(-K, K + 1):
-            for k2 in range(-K, K + 1):
-                if k1 == 0 and k2 == 0:
-                    continue
-                z = np.array([k1 * g.dx, k2 * g.dx])
-                nz = float(nu(z))
-                if nz == 0.0:
-                    continue
-                shifted = np.roll(vals, (-k1, -k2), axis=(0, 1))
-                jump += (
-                    nz
-                    * float(np.sum(phi.bregman(vals, shifted) * wmu))
-                    * cell
-                    * g.dx**2
-                )
-        m2 = nu.small_ball_second_moment(0.5 * g.dx)
-        # isotropic small-ball proxy: each direction carries half the moment
-        jump += 0.25 * m2 * float(
-            np.sum(phi.d2phi(vals) * (grads[0] ** 2 + grads[1] ** 2) * wmu)
-        ) * cell
+    m = float(np.sum(vals * wmu) * cell)
+    phi_v = phi.bregman(vals, m)
+    dphi = phi.dphi(vals) - phi.dphi(m)
+    fft = np.fft.rfftn
+    corr = _correlate(fft(wmu), fft(phi_v - (vals - m) * dphi), g.shape)
+    corr += _correlate(fft(wmu * (vals - m)), fft(dphi), g.shape)
+    per_shift = float(np.sum(phi_v * wmu)) - corr
+    jump = float(np.sum(W * per_shift)) * cell * g.dx**g.d
+    # isotropic small-ball proxy: each direction carries 1/d of the moment
+    jump += m2 / (2 * g.d) * float(
+        np.sum(phi.d2phi(vals) * sum(gr**2 for gr in grads) * wmu)
+    ) * cell
     return gaussian, jump
 
 
@@ -285,11 +305,18 @@ def modified_lsi_check(
 
 @dataclass(frozen=True)
 class ProductionReport:
+    """Entropy balance at one time.
+
+    ``residual`` is |fd + diss| / (1 + diss) and decides ``passed``;
+    ``relative_residual`` is |fd + diss| / diss (inf when only diss is 0).
+    """
+
     residual: float
     finite_difference: float
     gaussian_part: float
     jump_part: float
     passed: bool
+    relative_residual: float
 
 
 def _ratio_field(u: SpectralField, steady: SteadyState) -> np.ndarray:
@@ -312,8 +339,9 @@ def entropy_production_check(
 ) -> ProductionReport:
     """Centered finite difference of the entropy against its dissipation.
 
-    Returns |d/dt Ent + gaussian + jump| / (1 + dissipation), which passes
-    when below max(1e-4, 10 dt^2 scale).
+    The report's residual is |d/dt Ent + gaussian + jump| / (1 + dissipation),
+    which passes when below max(1e-4, 10 dt^2 scale); its relative residual
+    divides by the dissipation alone.
     """
     mu = WeightedMeasure.from_field(steady.density)
     ratio = {
@@ -326,7 +354,8 @@ def entropy_production_check(
     v_t = SpectralField(u0.grid, values=ratio[t])
     gauss, jump = dissipation(v_t, mu, triplet, phi, tol, z_extent)
     diss = gauss + jump
-    residual = abs(fd + diss) / (1.0 + diss)
+    imbalance = abs(fd + diss)
+    residual = imbalance / (1.0 + diss)
     scale = max(abs(fd), diss, 1.0)
     return ProductionReport(
         residual=residual,
@@ -334,6 +363,8 @@ def entropy_production_check(
         gaussian_part=gauss,
         jump_part=jump,
         passed=residual < max(1e-4, 10.0 * dt**2 * scale),
+        relative_residual=(imbalance / diss if diss
+                           else math.inf if imbalance else 0.0),
     )
 
 

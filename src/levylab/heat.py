@@ -185,7 +185,7 @@ def verify_hypercontractivity(
     ratio = lhs / rhs
     return HypercontractivityReport(
         alpha=alpha, p=p, q=q, t=t, lhs=lhs, rhs=rhs, ratio=ratio,
-        violated=ratio > 1.0 + 1e-6,
+        violated=not (ratio <= 1.0 + 1e-6),
     )
 
 

@@ -1,6 +1,7 @@
 """Experiment runner: config parsing, outputs, exit codes, determinism."""
 
 import json
+import math
 import os
 
 import pytest
@@ -19,6 +20,21 @@ def write_config(path, **overrides):
     cfg.update(overrides)
     path.write_text(json.dumps(cfg))
     return path
+
+
+# every numeric config field with the path that sets it
+NUMERIC_FIELDS = ["grid.L", "alpha", "p", "t", "times", "C", "tol"]
+
+
+def config_with(field, value):
+    cfg = {"experiment": "decay", "grid": {"d": 1, "L": 20.0, "M": 128}}
+    if field == "grid.L":
+        cfg["grid"]["L"] = value
+    elif field == "tol":
+        cfg["tol"] = value
+    else:
+        cfg["sweep"] = {field: value if field == "C" else [1.0, value]}
+    return cfg
 
 
 class TestLoadConfig:
@@ -45,11 +61,36 @@ class TestLoadConfig:
     def test_infinite_exponent_accepted(self):
         cfg = load_config({"experiment": "heat", "sweep": {"q": ["inf"]}})
         assert cfg.sweep["q"][0] == float("inf")
+        cfg = load_config({"experiment": "heat", "sweep": {"q": [math.inf]}})
+        assert cfg.sweep["q"][0] == math.inf
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf],
+                             ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("field", NUMERIC_FIELDS)
+    def test_non_finite_number_rejected(self, field, bad):
+        with pytest.raises(ConfigError):
+            load_config(config_with(field, bad))
+
+    def test_nan_exponent_q_rejected(self):
+        with pytest.raises(ConfigError):
+            load_config({"experiment": "heat", "sweep": {"q": [math.nan]}})
 
 
 class TestExitCodes:
     def test_malformed_config_exits_2_without_output(self, tmp_path):
         path = write_config(tmp_path / "c.json", grid={"d": 1, "L": 20.0, "M": -8})
+        out = tmp_path / "out"
+        rc = main(["--config", str(path), "--out", str(out)])
+        assert rc == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text", [
+        '{"experiment": "heat", "sweep": {"t": [NaN], "p": [NaN]}}',
+        '{"experiment": "decay", "sweep": {"C": NaN, "times": [NaN, Infinity]}}',
+    ], ids=["heat", "decay"])
+    def test_non_finite_config_exits_2_without_output(self, tmp_path, text):
+        path = tmp_path / "c.json"
+        path.write_text(text)
         out = tmp_path / "out"
         rc = main(["--config", str(path), "--out", str(out)])
         assert rc == 2

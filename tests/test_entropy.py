@@ -1,5 +1,8 @@
 """Phi-entropies, Bregman distances, dissipation, and decay tracking."""
 
+import itertools
+import math
+
 import numpy as np
 import pytest
 
@@ -127,6 +130,73 @@ class TestPhiEntropy:
                 assert phi_entropy(v, mu, phi) >= -1e-12
 
 
+# the one-sided density is defined in d=1 only
+ORACLE_CASES = [
+    (d, name)
+    for d in (1, 2)
+    for name in ("box", "stable-0.5", "stable-1", "stable-1.5", "one-sided")
+    if d == 1 or name != "one-sided"
+]
+
+
+def oracle_density(name, d):
+    if name == "box":
+        # compound Poisson: unit rate on the unit ball
+        if d == 1:
+            func = lambda z: 1.0 if abs(z) <= 1.0 else 0.0  # noqa: E731
+        else:
+            func = lambda z: np.where(  # noqa: E731
+                np.sum(np.square(z), axis=-1) <= 1.0, 1.0, 0.0
+            )
+        return LevyDensity(kind="analytic", d=d, func=func, is_even=True)
+    if name == "one-sided":
+        # jumps to the right only: catches an x + z / x - z mix-up
+        return LevyDensity(
+            kind="analytic", d=1,
+            func=lambda z: math.exp(-z) if z > 0 else 0.0, is_even=False,
+        )
+    return stable_density(float(name.split("-")[1]), d)
+
+
+def jump_triplet(nu):
+    d = nu.d
+    return LevyTriplet(sigma=np.zeros((d, d)), b=np.zeros(d), nu=nu, d=d)
+
+
+def oracle_field(d):
+    """A positive, non-symmetric ratio field against a non-uniform weight."""
+    g = Grid(1, 20.0, 64) if d == 1 else Grid(2, 4.0, 16)
+    x = np.meshgrid(*([g.x1] * d), indexing="ij")
+    vals = 1.5 + np.sin(np.pi * x[0] / g.L) * np.cos(0.5 * np.pi * x[-1] / g.L)
+    vals += 0.3 * np.exp(-sum((xi - 0.5) ** 2 for xi in x))
+    w = np.exp(-sum(xi**2 for xi in x) / (0.5 * g.L**2))
+    return SpectralField(g, values=vals), WeightedMeasure(g, w / (np.sum(w) * g.dx**d))
+
+
+def loop_jump_part(v, mu, nu, phi, z_extent=2):
+    """The per-shift lattice double sum the FFT path replaced, in d=1 and d=2."""
+    g = mu.grid
+    vals = v.values
+    cell = g.dx**g.d
+    K = z_extent * g.M // 2
+    jump = 0.0
+    for k in itertools.product(range(-K, K + 1), repeat=g.d):
+        if not any(k):
+            continue
+        nz = float(nu(k[0] * g.dx if g.d == 1 else np.array(k) * g.dx))
+        if nz == 0.0:
+            continue
+        shifted = np.roll(vals, [-i for i in k], axis=tuple(range(g.d)))
+        jump += nz * float(np.sum(phi.bregman(vals, shifted) * mu.weights)) * cell * cell
+    grads = _fd_gradient(vals, g)
+    m2 = nu.small_ball_second_moment(0.5 * g.dx)
+    # each of the d directions carries 1/d of the small-ball moment
+    jump += m2 / (2 * g.d) * float(
+        np.sum(phi.d2phi(vals) * sum(gr**2 for gr in grads) * mu.weights)
+    ) * cell
+    return jump
+
+
 class TestDissipation:
     def test_constant_ratio_field(self, cauchy_steady):
         mu = WeightedMeasure.from_field(cauchy_steady.density)
@@ -147,35 +217,34 @@ class TestDissipation:
         ref = float(np.sum(grad**2 * mu.weights) * g.dx)
         assert gauss == pytest.approx(ref, rel=1e-12)
 
-    def test_brute_force_jump_part(self):
-        # compound-Poisson density against an explicit double Riemann sum
-        g = Grid(1, 20.0, 64)
-        nu = LevyDensity(
-            kind="analytic", d=1,
-            func=lambda z: 1.0 if abs(z) <= 1.0 else 0.0, is_even=True,
-        )
-        tr = LevyTriplet(sigma=np.zeros((1, 1)), b=np.zeros(1), nu=nu, d=1)
-        mu = WeightedMeasure(g, np.full(g.shape, 1.0 / (2.0 * g.L)))
-        v = SpectralField(g, values=1.5 + np.sin(np.pi * g.x1 / g.L))
-        _, jump = dissipation(v, mu, tr, QUAD)
+    @pytest.mark.parametrize("phi", [QUAD, XLOGX], ids=["quadratic", "xlogx"])
+    @pytest.mark.parametrize(
+        "d, density", ORACLE_CASES, ids=[f"d{d}-{n}" for d, n in ORACLE_CASES]
+    )
+    def test_brute_force_jump_part(self, d, density, phi):
+        v, mu = oracle_field(d)
+        tr = jump_triplet(oracle_density(density, d))
+        _, jump = dissipation(v, mu, tr, phi)
+        assert jump == pytest.approx(loop_jump_part(v, mu, tr.nu, phi), rel=1e-10)
 
-        vals = v.values
-        K = g.M  # z extent 2L, matching the module's lattice
-        ref = 0.0
-        for k in range(-K, K + 1):
-            if k == 0:
-                continue
-            nz = nu(k * g.dx)
-            if nz == 0.0:
-                continue
-            for j in range(g.M):
-                a = vals[j]
-                b = vals[(j + k) % g.M]
-                ref += nz * 0.5 * (a - b) ** 2 * mu.weights[j] * g.dx * g.dx
-        grad = _fd_gradient(vals, g)[0]
-        m2 = nu.small_ball_second_moment(0.5 * g.dx)
-        ref += 0.5 * m2 * float(np.sum(grad**2 * mu.weights) * g.dx)
-        assert jump == pytest.approx(ref, abs=1e-6)
+    def test_memo_keeps_densities_apart(self):
+        # same grid, densities A, B, A: each result matches its own oracle
+        v, mu = oracle_field(1)
+        for name in ("box", "one-sided", "box"):
+            nu = oracle_density(name, 1)
+            _, jump = dissipation(v, mu, jump_triplet(nu), XLOGX)
+            assert jump == pytest.approx(
+                loop_jump_part(v, mu, nu, XLOGX), rel=1e-10
+            )
+
+    @pytest.mark.parametrize("bad", [0.0, -0.5])
+    @pytest.mark.parametrize("d", [1, 2], ids=["d1", "d2"])
+    def test_xlogx_rejects_nonpositive_ratio(self, d, bad):
+        v, mu = oracle_field(d)
+        vals = v.values.copy()
+        vals.flat[3] = bad
+        with np.errstate(all="ignore"), pytest.raises(DomainError):
+            dissipation(vals, mu, jump_triplet(oracle_density("box", d)), XLOGX)
 
     def test_even_density_shift_symmetry(self, cauchy_steady):
         # D(v(x), v(x+z)) integrates to the same value as D(v(x), v(x-z))
@@ -296,7 +365,35 @@ class TestEntropyProduction:
             gaussian_part=gauss,
             jump_part=jump,
             passed=residual < max(1e-4, 10.0 * dt**2 * scale),
+            relative_residual=abs(fd + diss) / diss,
         )
+
+    @pytest.mark.parametrize("dt", [1e-2, 1e-3])
+    def test_relative_residual(self, gauss_steady, grid1, dt):
+        # criterion 9's Gaussian inputs
+        u0 = generate_test_fields(
+            grid1, 7, "perturbed-steady", gauss_steady.density
+        )[0]
+        rep = entropy_production_check(
+            u0, diffusion_triplet(), QUAD, 0.5, dt, gauss_steady
+        )
+        diss = rep.gaussian_part + rep.jump_part
+        assert diss > 0.0
+        assert rep.relative_residual == abs(rep.finite_difference + diss) / diss
+        assert rep.residual == abs(rep.finite_difference + diss) / (1.0 + diss)
+
+    def test_relative_residual_without_dissipation(
+        self, gauss_steady, grid1, monkeypatch
+    ):
+        monkeypatch.setattr(
+            "levylab.entropy.dissipation", lambda *args: (0.0, 0.0)
+        )
+        u0 = gaussian(grid1, var=1.0, center=0.1)
+        rep = entropy_production_check(
+            u0, diffusion_triplet(), QUAD, 0.5, 1e-3, gauss_steady
+        )
+        assert rep.finite_difference != 0.0
+        assert rep.relative_residual == math.inf
 
 
 class TestDecayTrack:

@@ -174,6 +174,11 @@ class TestVerifyHypercontractivity:
         rep = verify_hypercontractivity(f, 1.0, 2.0, np.inf, 1.0)
         assert rep.ratio <= 1.0 + 1e-6
 
+    def test_nan_ratio_is_a_violation(self, grid1):
+        rep = verify_hypercontractivity(gaussian(grid1), 2.0, 2.0, 4.0, math.nan)
+        assert math.isnan(rep.ratio)
+        assert rep.violated
+
 
 class TestKato:
     def test_constant_field(self, coarse_grid):
