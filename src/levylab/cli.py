@@ -15,10 +15,8 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -111,6 +109,16 @@ def _finite(name: str, value) -> float:
     if not math.isfinite(x):
         raise _fail(f"{name} must be finite, got {value!r}")
     return x
+
+
+def _finite_array(name: str, value) -> None:
+    """Reject a scalar, vector or matrix unless every entry is a finite number."""
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise _fail(f"{name} must be numeric, got {value!r}") from None
+    if not np.all(np.isfinite(arr)):
+        raise _fail(f"{name} must be finite, got {value!r}")
 
 
 def _finite_list(name: str, values) -> list:
@@ -213,6 +221,9 @@ def load_config(raw: dict, overrides: dict | None = None) -> ExperimentConfig:
     triplet_spec = merged.get("triplet")
     if triplet_spec is not None and not isinstance(triplet_spec, dict):
         raise _fail("triplet must be an object")
+    for key in ("sigma", "b"):
+        if triplet_spec is not None and key in triplet_spec:
+            _finite_array(f"triplet.{key}", triplet_spec[key])
 
     io = overrides or {}
     return ExperimentConfig(
@@ -226,24 +237,6 @@ def load_config(raw: dict, overrides: dict | None = None) -> ExperimentConfig:
         input_csv=io.get("input_csv"),
         out_csv=io.get("out_csv"),
     )
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("LEVYLAB_THREADS", "")
-    try:
-        n = int(raw) if raw else 1
-    except ValueError as exc:
-        raise _fail(f"LEVYLAB_THREADS must be an integer, got {raw!r}") from exc
-    return max(1, n)
-
-
-def _pool_map(fn, tasks):
-    """Evaluate fn over tasks, preserving task order regardless of timing."""
-    workers = _thread_count()
-    if workers == 1 or len(tasks) <= 1:
-        return [fn(t) for t in tasks]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, tasks))
 
 
 def _phi_by_name(name: str) -> PhiFunction:
@@ -290,7 +283,7 @@ def _run_heat(cfg: ExperimentConfig):
         return [alpha, p, q, t, idx, rep.lhs, rep.rhs, rep.ratio,
                 int(not rep.violated)]
 
-    rows = _pool_map(work, tasks)
+    rows = [work(task) for task in tasks]
     fails = sum(1 for r in rows if not r[-1])
     summary = {
         "checked": len(rows),
@@ -314,7 +307,7 @@ def _run_euclidean_lsi(cfg: ExperimentConfig):
         ok = lhs <= rhs + 1e-10 * max(1.0, abs(rhs))
         return [alpha, idx, lhs, rhs, rhs - lhs, int(ok)]
 
-    rows = _pool_map(work, tasks)
+    rows = [work(task) for task in tasks]
     fails = sum(1 for r in rows if not r[-1])
     summary = {
         "checked": len(rows),
@@ -347,7 +340,7 @@ def _run_kato(cfg: ExperimentConfig):
         rep = kato_check(f, p, dp, alpha=alpha)
         return [alpha, name, idx, rep.max_violation, rep.scale, int(rep.passed)]
 
-    rows = _pool_map(work, tasks)
+    rows = [work(task) for task in tasks]
     fails = sum(1 for r in rows if not r[-1])
     summary = {
         "checked": len(rows),
@@ -590,7 +583,6 @@ def run_experiment(cfg: ExperimentConfig) -> int:
         fh.write(f"seed: {cfg.seed}\n")
         fh.write(f"tol: {cfg.tol}\n")
         fh.write(f"sweep: {json.dumps(cfg.sweep, sort_keys=True, default=str)}\n")
-        fh.write(f"threads: {_thread_count()}\n")
         fh.write(f"wall_seconds: {time.time() - start:.3f}\n")
     if failures:
         raise AssertionFailure(f"{failures} assertion failure(s); see {out_dir}")

@@ -245,7 +245,6 @@ class SteadyState:
 
     exponent: Callable
     density: SpectralField
-    limit_density: Callable
     drift_correction: np.ndarray
     mass_defect: float
     log_tail: float
@@ -361,13 +360,9 @@ def build_steady_state(
     def exponent(xi):
         return steady_exponent(triplet, xi, tol)
 
-    def n_inf(z, _tol=tol):
-        return limit_levy_density(nu, z, _tol)
-
     return SteadyState(
         exponent=exponent,
         density=dens,
-        limit_density=n_inf if nu is not None else (lambda z: 0.0),
         drift_correction=b_corr,
         mass_defect=defect,
         log_tail=tail.value,

@@ -8,20 +8,21 @@ with int min(1, |z|^2) N(z) dz finite.  Its characteristic exponent is
     a(xi) = int (exp(i z.xi) - 1 - i (z.xi) h(z)) N(z) dz,  h(z) = 1/(1+|z|^2).
 
 The alpha-stable family is normalized so that psi(xi) = -|xi|^alpha exactly
-(decaying sign: the heat multiplier is exp(t psi)); the density constant
-c(d, alpha) is attached lazily by matching the jump quadrature to the closed
-symbol at xi = e_1.
+(decaying sign: the heat multiplier is exp(t psi)); the density constant is
+the closed form c(d, alpha) = 2^alpha Gamma((d+alpha)/2) / (pi^{d/2}
+|Gamma(-alpha/2)|) (Kwasnicki, "Ten equivalent definitions of the fractional
+Laplace operator", Fract. Calc. Appl. Anal. 20, 2017).
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 from .errors import InvalidAlpha, NonFiniteDensity
 from .quadrature import integrate_scaled, try_integrate
@@ -58,29 +59,23 @@ def _j0m1p(x):
     return out if out.ndim else float(out)
 
 
-def _j0_tail(g, q, tol, n_zeros=100):
+def _j0_tail(g, q, tol):
     """int_1^inf J0(q r) g(r) dr for decaying g.
 
     The interval is segmented at the zeros of J0(q r); the alternating
-    segment series is resummed by repeated averaging of partial sums.
+    segment series is resummed by repeated averaging of partial sums.  At
+    most int(q/pi) + 1 of the zeros lie below r = 1, so at least 99 segments
+    remain.
     """
     if q <= 0.0:
         raise ValueError("oscillation frequency must be positive")
-    cuts = special.jn_zeros(0, n_zeros + int(q / np.pi)) / q
-    cuts = cuts[cuts > 1.0]
-    a = 1.0
-    terms = []
-    for b in cuts:
-        val, _ = integrate.quad(
-            lambda r: special.j0(q * r) * g(r), a, b, epsabs=tol, limit=200
-        )
-        terms.append(val)
-        a = b
-    if len(terms) < 4:
-        extra, _ = integrate.quad(
-            lambda r: special.j0(q * r) * g(r), a, np.inf, epsabs=tol, limit=400
-        )
-        return float(np.sum(terms)) + extra
+    cuts = special.jn_zeros(0, 100 + int(q / np.pi)) / q
+    edges = np.concatenate(([1.0], cuts[cuts > 1.0]))
+
+    def f(r):
+        return special.j0(q * r) * g(r)
+
+    terms = [integrate_scaled(f, (a, b), tol) for a, b in zip(edges[:-1], edges[1:])]
     lead, rest = terms[0], np.asarray(terms[1:])
     row = np.cumsum(rest)
     for _ in range(min(12, len(row) - 1)):
@@ -99,33 +94,10 @@ def _checked(density, z):
 @lru_cache(maxsize=None)
 def _stable_norm_constant(d: int, alpha: float) -> float:
     """c(d, alpha) such that the density c |z|^{-d-alpha} has symbol -|xi|^alpha."""
-    if d == 1:
-        # -a(1) with unnormalized density: 2 int_0^inf (1 - cos u) u^{-1-a} du;
-        # the algebraic endpoint singularity goes to QAWS via the smooth factor
-        # (1 - cos u)/u^2 against the weight u^{1-a}
-        head, _ = integrate.quad(
-            lambda u: (1.0 - np.cos(u)) / u**2 if u > 0 else 0.5,
-            0.0, 1.0, weight="alg", wvar=(1.0 - alpha, 0.0),
-            epsabs=1e-14, limit=400,
-        )
-        tail_const = 1.0 / alpha  # int_1^inf u^{-1-a} du
-        tail_cos, _ = integrate.quad(
-            lambda u: u ** (-1.0 - alpha), 1.0, np.inf, weight="cos", wvar=1.0,
-            epsabs=1e-13, limit=400,
-        )
-        total = 2.0 * (head + tail_const - tail_cos)
-        return 1.0 / total
-    # d == 2: angular average of cos(r cos(theta)) is J0(r); the endpoint
-    # singularity goes to QAWS with the smooth factor (1 - J0(r))/r^2
-    head, _ = integrate.quad(
-        lambda r: (1.0 - special.j0(r)) / r**2 if r > 0 else 0.25,
-        0.0, 1.0, weight="alg", wvar=(1.0 - alpha, 0.0),
-        epsabs=1e-14, limit=400,
+    return float(
+        2.0**alpha * special.gamma(0.5 * (d + alpha))
+        / (np.pi ** (0.5 * d) * abs(special.gamma(-0.5 * alpha)))
     )
-    tail_const = 1.0 / alpha
-    tail_j0 = _j0_tail(lambda r: r ** (-1.0 - alpha), 1.0, 1e-13)
-    total = 2.0 * np.pi * (head + tail_const - tail_j0)
-    return 1.0 / total
 
 
 @dataclass(frozen=True)
@@ -167,22 +139,6 @@ class LevyDensity:
         if self.d == 1 or z.ndim == 0:
             return np.abs(z)
         return np.sqrt(np.sum(z**2, axis=-1))
-
-    def radial(self, r, direction=None):
-        """Evaluate along a ray: N(r * direction) for r > 0.
-
-        ``direction`` defaults to +e_1; in d=1 with an even density the two
-        rays agree.
-        """
-        if self.d == 1:
-            return self(np.asarray(r, dtype=float))
-        if direction is None:
-            direction = np.zeros(self.d)
-            direction[0] = 1.0
-        direction = np.asarray(direction, dtype=float)
-        direction = direction / np.linalg.norm(direction)
-        r = np.asarray(r, dtype=float)
-        return self(r[..., None] * direction if r.ndim else r * direction)
 
     def small_ball_second_moment(self, eps, tol=1e-12):
         """int_{|z| <= eps} |z|^2 N(z) dz (closed form for the stable kind)."""
@@ -311,8 +267,8 @@ def jump_symbol(nu: LevyDensity, xi, tol: float = 1e-10):
         )
         moment = -0.5 * s * s * nu.small_ball_second_moment(1.0)
         tail_flat = integrate_scaled(n_sum, (1.0, np.inf), tol)
-        tail_cos, _ = integrate.quad(
-            n_sum, 1.0, np.inf, weight="cos", wvar=abs(s), epsabs=tol, limit=400
+        tail_cos = integrate_scaled(
+            n_sum, (1.0, np.inf), tol, weight="cos", wvar=abs(s)
         )
         real = head + moment + tail_cos - tail_flat
         if nu.is_even:
@@ -324,8 +280,8 @@ def jump_symbol(nu: LevyDensity, xi, tol: float = 1e-10):
             tol,
         )
         sgn = 1.0 if s > 0 else -1.0
-        tail_sin, _ = integrate.quad(
-            n_diff, 1.0, np.inf, weight="sin", wvar=abs(s), epsabs=tol, limit=400
+        tail_sin = integrate_scaled(
+            n_diff, (1.0, np.inf), tol, weight="sin", wvar=abs(s)
         )
         tail_h = integrate_scaled(
             lambda z: s * z * _h(z * z) * n_diff(z), (1.0, np.inf), tol

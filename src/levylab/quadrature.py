@@ -1,9 +1,11 @@
 """Adaptive 1-D quadrature shared by all modules.
 
-Thin wrapper around scipy's QUADPACK routines: complex integrands are split
-into real and imaginary parts, semi-infinite intervals are handled natively,
-and failure to reach the requested tolerance raises instead of silently
-returning a bad estimate.
+The only module that calls QUADPACK (Piessens et al., 1983), so every
+integral in the package follows one tolerance and escalation policy:
+complex integrands are split into real and imaginary parts, semi-infinite
+intervals are handled natively, oscillatory weights (QAWO/QAWF) are passed
+through, and failure to reach the requested tolerance raises instead of
+silently returning a bad estimate.
 """
 
 import warnings
@@ -21,12 +23,13 @@ __all__ = ["integrate_scaled", "try_integrate"]
 _SLACK = 50.0
 
 
-def _quad_real(g, a, b, tol, points=None):
+def _quad_real(g, a, b, tol, points=None, weight=None, wvar=None):
     with warnings.catch_warnings():
         warnings.simplefilter("error", integrate.IntegrationWarning)
         try:
             val, err = integrate.quad(
-                g, a, b, epsabs=tol, epsrel=tol, limit=400, points=points
+                g, a, b, epsabs=tol, epsrel=tol, limit=400, points=points,
+                weight=weight, wvar=wvar,
             )
         except integrate.IntegrationWarning as exc:
             # retry once without escalating round-off warnings: slowly
@@ -34,7 +37,8 @@ def _quad_real(g, a, b, tol, points=None):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", integrate.IntegrationWarning)
                 val, err = integrate.quad(
-                    g, a, b, epsabs=tol, epsrel=tol, limit=400, points=points
+                    g, a, b, epsabs=tol, epsrel=tol, limit=400, points=points,
+                    weight=weight, wvar=wvar,
                 )
             if not np.isfinite(val) or err > _SLACK * max(tol, tol * abs(val)):
                 raise QuadratureFailure(
@@ -52,12 +56,14 @@ def _quad_real(g, a, b, tol, points=None):
     return val
 
 
-def integrate_scaled(g, interval, tol=1e-10, points=None):
+def integrate_scaled(g, interval, tol=1e-10, points=None, weight=None, wvar=None):
     """Adaptive quadrature of ``g`` over ``interval`` with error <= tol.
 
     ``interval`` is a pair (a, b); ``a = -inf`` and/or ``b = inf`` are
     allowed (QUADPACK applies a tail change of variables internally).
-    Complex-valued integrands are integrated componentwise.
+    Complex-valued integrands are integrated componentwise.  ``weight`` and
+    ``wvar`` are scipy's QUADPACK weight functions: ``weight="cos"`` with
+    ``wvar=w`` integrates g(x) cos(w x), by QAWF on a semi-infinite interval.
 
     Raises QuadratureFailure (carrying the achieved error) when the adaptive
     scheme cannot reach the tolerance.
@@ -67,10 +73,10 @@ def integrate_scaled(g, interval, tol=1e-10, points=None):
         a + 1.0 if np.isfinite(a) else (b - 1.0 if np.isfinite(b) else 0.0)
     )
     if np.iscomplexobj(probe) or isinstance(probe, complex):
-        re = _quad_real(lambda s: np.real(g(s)), a, b, tol, points)
-        im = _quad_real(lambda s: np.imag(g(s)), a, b, tol, points)
+        re = _quad_real(lambda s: np.real(g(s)), a, b, tol, points, weight, wvar)
+        im = _quad_real(lambda s: np.imag(g(s)), a, b, tol, points, weight, wvar)
         return re + 1j * im
-    return _quad_real(g, a, b, tol, points)
+    return _quad_real(g, a, b, tol, points, weight, wvar)
 
 
 def try_integrate(g, interval, tol=1e-10):

@@ -140,24 +140,11 @@ class SpectralField:
             self._coefficients = self.grid.forward(self._values)
         return self._coefficients
 
-    def with_coefficients(self, coefficients):
-        return SpectralField(self.grid, coefficients=coefficients)
-
     def with_values(self, values):
         return SpectralField(self.grid, values=values)
 
     def mass(self):
         return self.grid.integrate(self.values)
-
-    def gradient(self):
-        """Spectral gradient, one array per dimension.
-
-        Under the + forward kernel, F(dw/dx_j) = -i xi_j F(w).
-        """
-        out = []
-        for xi in self.grid.freqs():
-            out.append(self.grid.inverse(-1j * xi * self.coefficients).real)
-        return out
 
     def to_csv(self, path):
         """Write (coordinates, value) rows with 17 significant digits."""

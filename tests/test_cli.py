@@ -87,7 +87,11 @@ class TestExitCodes:
     @pytest.mark.parametrize("text", [
         '{"experiment": "heat", "sweep": {"t": [NaN], "p": [NaN]}}',
         '{"experiment": "decay", "sweep": {"C": NaN, "times": [NaN, Infinity]}}',
-    ], ids=["heat", "decay"])
+        '{"experiment": "fp", "grid": {"d": 1, "L": 20, "M": 128}, "triplet": '
+        '{"d": 1, "sigma": NaN, "b": 0.0}, "sweep": {"times": [0.5]}}',
+        '{"experiment": "fp", "grid": {"d": 1, "L": 20, "M": 128}, "triplet": '
+        '{"d": 1, "sigma": 0.5, "b": Infinity}, "sweep": {"times": [0.5]}}',
+    ], ids=["heat", "decay", "fp-sigma-nan", "fp-b-inf"])
     def test_non_finite_config_exits_2_without_output(self, tmp_path, text):
         path = tmp_path / "c.json"
         path.write_text(text)
@@ -133,17 +137,6 @@ class TestOutputs:
             assert main(["--config", str(path), "--out", str(out)]) == 0
             outs.append((out / "results.csv").read_bytes())
         assert outs[0] == outs[1]
-
-    def test_thread_pool_is_deterministic(self, tmp_path, monkeypatch):
-        path = write_config(tmp_path / "c.json")
-        serial = tmp_path / "serial"
-        pooled = tmp_path / "pooled"
-        assert main(["--config", str(path), "--out", str(serial)]) == 0
-        monkeypatch.setenv("LEVYLAB_THREADS", "4")
-        assert main(["--config", str(path), "--out", str(pooled)]) == 0
-        assert (serial / "results.csv").read_bytes() == (
-            pooled / "results.csv"
-        ).read_bytes()
 
     def test_steady_report(self, tmp_path):
         trip = tmp_path / "trip.json"

@@ -15,7 +15,8 @@ from levylab import (
     triplet_from_config,
     validate_levy_density,
 )
-from levylab.errors import InvalidAlpha, NonFiniteDensity
+from levylab import quadrature
+from levylab.errors import InvalidAlpha, NonFiniteDensity, QuadratureFailure
 from levylab.levy import _stable_norm_constant
 
 
@@ -27,6 +28,13 @@ def exp_over_abs(d=1):
 
 
 class TestValidateDensity:
+    def test_stable_constant_closed_form_at_alpha_one(self):
+        # the Cauchy densities 1/(pi z^2) in d=1 and 1/(2 pi |z|^3) in d=2
+        assert _stable_norm_constant(1, 1.0) == pytest.approx(1 / np.pi, rel=1e-15)
+        assert _stable_norm_constant(2, 1.0) == pytest.approx(
+            1 / (2 * np.pi), rel=1e-15
+        )
+
     def test_stable_alpha_one(self):
         rep = validate_levy_density(stable_density(1.0, 1))
         c = _stable_norm_constant(1, 1.0)
@@ -68,7 +76,7 @@ class TestJumpSymbol:
     def test_zero_frequency(self):
         assert jump_symbol(exp_over_abs(), 0.0) == 0.0
 
-    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 1.9])
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 1.0, 1.5, 1.9])
     @pytest.mark.parametrize("xi", [0.1, 1.0, 2.0, 10.0])
     def test_stable_quadrature_matches_symbol(self, alpha, xi):
         # analytic wrapper forces the quadrature route
@@ -77,13 +85,26 @@ class TestJumpSymbol:
         val = jump_symbol(nu, xi, tol=1e-10)
         assert val == pytest.approx(-abs(xi) ** alpha, abs=1e-9)
 
-    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 1.0, 1.5, 1.9])
     def test_stable_quadrature_matches_symbol_2d(self, alpha):
         stable = stable_density(alpha, 2)
         nu = LevyDensity(kind="analytic", d=2, func=stable, is_even=True)
         xi = np.array([1.2, -0.7])
         val = jump_symbol(nu, xi, tol=1e-10)
         assert val == pytest.approx(-np.linalg.norm(xi) ** alpha, abs=1e-9)
+
+    def test_oscillatory_tail_escalates(self, monkeypatch):
+        # the QAWF cosine tail goes through the shared tolerance policy, so
+        # an error estimate far above tol raises instead of being dropped
+        real_quad = quadrature.integrate.quad
+
+        def inaccurate(*args, **kwargs):
+            val, err = real_quad(*args, **kwargs)
+            return (val, 1.0) if kwargs.get("weight") == "cos" else (val, err)
+
+        monkeypatch.setattr(quadrature.integrate, "quad", inaccurate)
+        with pytest.raises(QuadratureFailure):
+            jump_symbol(exp_over_abs(), 1.0)
 
     def test_non_even_symbol_is_conjugate_symmetric(self):
         # a(-xi) = conj a(xi) bitwise: the flow tabulates only xi > 0
