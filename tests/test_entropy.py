@@ -405,6 +405,18 @@ class TestDecayTrack:
         assert rep.violations == []
         assert all(e < 1e-12 for e in rep.entropies)
 
+    def test_steady_initial_data_xlogx(self, gauss_steady):
+        # Ent(0) = 0 exactly; the x log x entropies of the flowed steady
+        # state sit at round-off (~1e-16), which is neither a violation nor
+        # a rate
+        rep = decay_track(
+            gauss_steady.density, diffusion_triplet(), XLOGX,
+            [0.25, 0.5, 1.0], 0.5, gauss_steady,
+        )
+        assert rep.entropies[0] == 0.0
+        assert rep.violations == []
+        assert math.isnan(rep.fitted_rate)
+
     def test_gaussian_fitted_rate(self, gauss_steady, grid1):
         u0 = gaussian(grid1, var=1.0, center=0.1)
         rep = decay_track(
