@@ -6,7 +6,11 @@ solved exactly by
 
     u^(t, xi) = u0^(exp(-t) xi) * exp( int_0^t psi(exp(-s) xi) ds ).
 
-Its invariant measure is the infinitely divisible law with exponent
+u0^ at the contracted frequencies exp(-t) xi_k is the trigonometric
+interpolant of the grid coefficients, evaluated by a chirp-z transform per
+axis.
+
+The flow's invariant measure is the infinitely divisible law with exponent
 Psi(xi) = int_0^1 psi(s xi) ds / s, whose Levy density is the radial tail
 average N_inf(z) = int_1^inf N(t z) t^{d-1} dt.
 
@@ -163,26 +167,44 @@ def _jump_antiderivative(triplet: LevyTriplet, k, tol, anchored=True):
     return np.where(k < 0.0, np.conj(out), out)
 
 
-def _nudft_coefficients(u0: SpectralField, scale: float):
-    """Continuum-transform values of u0 at the scaled frequencies scale*xi_k.
+def _chirp(M: int, scale: float):
+    """exp(i pi scale m^2 / M) for m = 1 - M, ..., M - 1.
 
-    Separable non-uniform DFT: exact trigonometric interpolation of the grid
-    coefficients, valid because |scale| <= 1 keeps the targets inside the
-    resolved band.
+    The phase reaches pi M, so a float64 product would carry an absolute
+    error of about pi M eps.  It is formed from the exact integer m^2 and
+    reduced mod 2 pi in extended precision before the exponential.
+    """
+    m = np.arange(1 - M, M)
+    half_turns = np.longdouble(scale) * (m * m) / M
+    half_turns -= 2 * np.rint(half_turns / 2)
+    return np.exp(1j * np.pi * half_turns.astype(float))
+
+
+def _nudft_coefficients(u0: SpectralField, scale: float):
+    """Continuum-transform values of u0 at the contracted frequencies scale*xi_k.
+
+    With centred indices k, n in [-M/2, M/2) per axis, x_n = n dx and
+    scale xi_k x_n = theta k n with theta = 2 pi scale / M, so the values are
+    dx^d sum_n exp(i theta k.n) u_n: the exact trigonometric interpolant of
+    the grid coefficients, valid because |scale| <= 1 keeps the targets
+    inside the resolved band.  The kernel factors over the axes, and on
+    each axis k n = (k^2 + n^2 - (k - n)^2) / 2 turns the sum into a
+    convolution with the chirp exp(-i theta m^2 / 2), computed by FFTs of
+    length 2M (Bluestein's chirp-z transform): O(M^d log M) per call.
     """
     g = u0.grid
-    x = g.x1
-    xi_t = scale * g.xi1
-    if g.d == 1:
-        # row blocks keep the dense M x M kernel out of memory on big grids
-        out = np.empty(g.M, dtype=complex)
-        block = max(1, int(2**22 // g.M))
-        for i in range(0, g.M, block):
-            E = np.exp(1j * np.outer(xi_t[i:i + block], x)) * g.dx
-            out[i:i + block] = E @ u0.values
-        return out
-    E = np.exp(1j * np.outer(xi_t, x)) * g.dx
-    return E @ u0.values @ E.T
+    M = g.M
+    w = _chirp(M, scale)
+    w_grid = w[M // 2 - 1:M // 2 - 1 + M]
+    # conj(w_m) at m mod 2M; slot M lies outside |k - n| <= M - 1
+    kernel = np.fft.fft(np.concatenate([np.conj(w[M - 1:]), [0.0],
+                                        np.conj(w[:M - 1])]))
+    out = u0.values
+    for _ in range(g.d):
+        # transform the last axis, then move it to the front
+        conv = np.fft.ifft(np.fft.fft(out * w_grid, 2 * M) * kernel)
+        out = (conv[..., :M] * w_grid).T
+    return np.fft.ifftshift(out) * g.dx**g.d
 
 
 def fp_evolve(

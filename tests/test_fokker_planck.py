@@ -101,6 +101,54 @@ class TestFpEvolve:
             fp_evolve(noisy, diffusion_triplet(), 0.5)
 
 
+def dense_nudft(u0, scale):
+    """The dense O(M^2) / O(M^3) contracted-frequency kernel, as an oracle."""
+    g = u0.grid
+    E = np.exp(1j * np.outer(scale * g.xi1, g.x1)) * g.dx
+    if g.d == 1:
+        return E @ u0.values
+    return E @ u0.values @ E.T
+
+
+def non_even_field(g):
+    """A smooth, localized field with no symmetry about any axis."""
+    X = g.coords()
+    bump = np.exp(-sum((x - c) ** 2 for x, c in zip(X, (0.7, -1.1))) / 3.0)
+    return SpectralField(g, values=bump * (1.0 + 0.3 * X[0] - 0.2 * X[-1] ** 2))
+
+
+class TestContractedTransform:
+    @pytest.mark.parametrize("t", [0.01, 0.5, 2.0])
+    @pytest.mark.parametrize("d, M", [(1, 16), (1, 512), (1, 1024), (2, 16), (2, 64)])
+    def test_matches_dense_kernel(self, d, M, t):
+        u0 = non_even_field(Grid(d, 20.0, M))
+        want = dense_nudft(u0, np.exp(-t))
+        got = fokker_planck._nudft_coefficients(u0, np.exp(-t))
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("t", [0.25, 1.0])
+    def test_ou_closed_form_2d(self, t):
+        # anisotropic sigma with a nonzero off-diagonal, a drift and an
+        # off-centre u0: the flow stays Gaussian, with mean
+        # e^{-t} m0 + b (1 - e^{-t}) and covariance e^{-2t} V0 + sigma (1 - e^{-2t})
+        g = Grid(2, 10.0, 64)
+        sigma = np.array([[1.0, 0.3], [0.3, 0.6]])
+        b = np.array([0.4, -0.2])
+        m0 = np.array([1.0, -0.5])
+        V0 = np.array([[0.8, 0.2], [0.2, 1.0]])
+
+        def normal(mean, cov):
+            x = np.stack(g.coords(), axis=-1) - mean
+            q = np.einsum("...i,ij,...j->...", x, np.linalg.inv(cov), x)
+            return np.exp(-0.5 * q) / (2.0 * np.pi * np.sqrt(np.linalg.det(cov)))
+
+        tr = LevyTriplet(sigma=sigma, b=b, nu=None, d=2)
+        out = fp_evolve(SpectralField(g, values=normal(m0, V0)), tr, t)
+        s = np.exp(-t)
+        exact = normal(s * m0 + b * (1.0 - s), s * s * V0 + sigma * (1.0 - s * s))
+        assert np.max(np.abs(out.values - exact)) < 1e-12
+
+
 def opaque_cauchy_triplet(d=1):
     # the Cauchy density behind an analytic wrapper takes the quadrature route
     nu = LevyDensity(
