@@ -172,7 +172,9 @@ def _chirp(M: int, scale: float):
 
     The phase reaches pi M, so a float64 product would carry an absolute
     error of about pi M eps.  It is formed from the exact integer m^2 and
-    reduced mod 2 pi in extended precision before the exponential.
+    reduced mod 2 pi in np.longdouble before the exponential (on platforms
+    where that is float64, the transform's error grows to about 2e-14 of
+    max|coef| at M = 8192).
     """
     m = np.arange(1 - M, M)
     half_turns = np.longdouble(scale) * (m * m) / M
@@ -195,7 +197,7 @@ def _nudft_coefficients(u0: SpectralField, scale: float):
     g = u0.grid
     M = g.M
     w = _chirp(M, scale)
-    w_grid = w[M // 2 - 1:M // 2 - 1 + M]
+    w_grid = w[M // 2 - 1:M // 2 - 1 + M]     # m = -M/2, ..., M/2 - 1
     # conj(w_m) at m mod 2M; slot M lies outside |k - n| <= M - 1
     kernel = np.fft.fft(np.concatenate([np.conj(w[M - 1:]), [0.0],
                                         np.conj(w[:M - 1])]))
