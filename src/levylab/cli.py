@@ -327,11 +327,12 @@ _KATO_PHIS = {
 
 
 def _run_kato(cfg: ExperimentConfig):
+    fields = _battery(cfg)
     tasks = [
         (alpha, name, idx, f)
         for alpha in cfg.sweep["alpha"]
         for name in sorted(_KATO_PHIS)
-        for idx, f in _battery(cfg)
+        for idx, f in fields
     ]
 
     def work(task):

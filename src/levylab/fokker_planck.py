@@ -322,6 +322,27 @@ def limit_levy_density(nu, z, tol: float = 1e-10) -> float:
     return float(integrate_scaled(integrand, (0.0, np.inf), tol))
 
 
+# (-1)^{k+1} 2k / (2k + 1) for k = 1, ..., 10: the series of _tau_factor
+_TAU_SERIES = tuple((-1) ** (k + 1) * 2 * k / (2 * k + 1) for k in range(1, 11))
+
+
+def _tau_factor(z):
+    """int_0^1 (1 - tau^2) z^2 / ((1 + tau^2 z^2)(1 + z^2)) dtau, z >= 0.
+
+    Equal to arctan(z)/z - 1/(1 + z^2).  That difference cancels for small
+    z (1e-12 relative at z = 1e-2, 1e-14 at z = 0.1), so below z = 0.1 the
+    series sum_k (-1)^{k+1} 2k z^{2k} / (2k + 1) is summed to k = 10, where
+    its truncation error is below z^18 relative.
+    """
+    z2 = z * z
+    if z < 0.1:
+        acc = 0.0
+        for c in reversed(_TAU_SERIES):
+            acc = c + z2 * acc
+        return z2 * acc
+    return np.arctan(z) / z - 1.0 / (1.0 + z2)
+
+
 def drift_correction(nu, tol: float = 1e-8) -> np.ndarray:
     """b_A: the drift shift between the flow's exponent and its Levy form.
 
@@ -333,17 +354,8 @@ def drift_correction(nu, tol: float = 1e-8) -> np.ndarray:
         return np.zeros(nu.d)
     if nu.d != 1:
         raise NotImplementedError("drift correction implemented for d = 1")
-
-    def tau_factor(z):
-        z2 = z * z
-        return integrate_scaled(
-            lambda tau: (1.0 - tau**2) * z2 / ((1.0 + tau**2 * z2) * (1.0 + z2)),
-            (0.0, 1.0),
-            tol * 1e-2,
-        )
-
     val = integrate_scaled(
-        lambda z: z * tau_factor(z) * (nu(z) - nu(-z)), (0.0, np.inf), tol
+        lambda z: z * _tau_factor(z) * (nu(z) - nu(-z)), (0.0, np.inf), tol
     )
     return np.array([val])
 

@@ -46,6 +46,12 @@ __all__ = [
 # second-order Taylor term -xi^2/2 * int_{|z|<eps} z^2 N dz
 _EPS_BALL = 1e-8
 
+# midpoint-rule nodes of the angular average in d=2: (cos th, sin th) rows
+_theta = 2.0 * np.pi * (np.arange(64) + 0.5) / 64
+_CIRCLE = np.stack([np.cos(_theta), np.sin(_theta)], axis=-1)
+_CIRCLE.flags.writeable = False
+del _theta
+
 
 def _j0m1p(x):
     """J0(x) - 1 + x^2/4, evaluated without cancellation near x = 0."""
@@ -84,9 +90,18 @@ def _j0_tail(g, q, tol):
 
 
 def _checked(density, z):
+    """density(z), raising NonFiniteDensity unless every value lies in [0, inf).
+
+    QUADPACK evaluates integrands one float node at a time, so a float value
+    (np.float64 included) is checked by comparison; NaN fails it too.
+    """
     v = density(z)
-    arr = np.asarray(v, dtype=float)
-    if np.any(~np.isfinite(arr)) or np.any(arr < 0):
+    if isinstance(v, float):
+        ok = 0.0 <= v < np.inf
+    else:
+        arr = np.asarray(v, dtype=float)
+        ok = bool(np.all((arr >= 0.0) & (arr < np.inf)))
+    if not ok:
         raise NonFiniteDensity(f"density returned {v!r} at z={z!r}")
     return v
 
@@ -135,6 +150,8 @@ class LevyDensity:
         return self.func(z)
 
     def _radius(self, z):
+        if isinstance(z, float):
+            return np.float64(abs(z))
         z = np.asarray(z, dtype=float)
         if self.d == 1 or z.ndim == 0:
             return np.abs(z)
@@ -159,11 +176,9 @@ class LevyDensity:
             raise NonFiniteDensity("second moment diverges inside the unit ball")
         return val
 
-    def _angular_average(self, r, nodes=64):
+    def _angular_average(self, r):
         """(1/2pi-free) angular integral int_0^{2pi} N(r e_theta) dtheta, d=2."""
-        th = 2.0 * np.pi * (np.arange(nodes) + 0.5) / nodes
-        pts = np.stack([r * np.cos(th), r * np.sin(th)], axis=-1)
-        return float(np.mean(_checked(self, pts))) * 2.0 * np.pi
+        return float(np.mean(_checked(self, r * _CIRCLE))) * 2.0 * np.pi
 
 
 def stable_density(alpha: float, d: int = 1) -> LevyDensity:
@@ -274,11 +289,11 @@ def jump_symbol(nu: LevyDensity, xi, tol: float = 1e-10):
         if nu.is_even:
             return real
         # imaginary part: int sin(zs) dN - s int z h(z) dN with dN = N(z) - N(-z)
-        imag_head = integrate_scaled(
-            lambda z: np.sin(z * s) * n_diff(z) - s * z * _h(z * z) * n_diff(z),
-            (eps, 1.0),
-            tol,
-        )
+        def imag_head_integrand(z):
+            dn = n_diff(z)
+            return np.sin(z * s) * dn - s * z * _h(z * z) * dn
+
+        imag_head = integrate_scaled(imag_head_integrand, (eps, 1.0), tol)
         sgn = 1.0 if s > 0 else -1.0
         tail_sin = integrate_scaled(
             n_diff, (1.0, np.inf), tol, weight="sin", wvar=abs(s)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -73,31 +74,41 @@ class Grid:
         return np.meshgrid(self.x1, self.x1, indexing="ij")
 
     def freqs(self):
-        """Meshgrid frequency arrays in FFT order, one per dimension."""
+        """Meshgrid frequency arrays in FFT order, one per dimension (read-only)."""
+        return self._freq_mesh
+
+    @cached_property
+    def _freq_mesh(self):
         if self.d == 1:
-            return (self.xi1,)
-        return np.meshgrid(self.xi1, self.xi1, indexing="ij")
+            axes = (self.xi1,)
+        else:
+            axes = tuple(np.meshgrid(self.xi1, self.xi1, indexing="ij"))
+        for a in axes:
+            a.flags.writeable = False
+        return axes
 
     def freq_norm(self):
         axes = self.freqs()
         return np.sqrt(sum(a**2 for a in axes))
 
+    @cached_property
     def _phase(self):
         # exp(-i L xi_k) = (-1)^k per axis; outer product over dimensions
         p = (-1.0) ** np.arange(self.M)
-        if self.d == 1:
-            return p
-        return np.multiply.outer(p, p)
+        if self.d == 2:
+            p = np.multiply.outer(p, p)
+        p.flags.writeable = False
+        return p
 
     def forward(self, values):
         """Discrete approximation of int exp(+i x.xi) w(x) dx at grid freqs."""
         c = np.fft.ifftn(values) * (self.M**self.d)
-        return c * self._phase() * (self.dx**self.d)
+        return c * self._phase * (self.dx**self.d)
 
     def inverse(self, coefficients):
         """Exact inverse of :meth:`forward` on the grid."""
         scale = (self.dxi / (2.0 * np.pi)) ** self.d
-        return np.fft.fftn(coefficients * self._phase()) * scale
+        return np.fft.fftn(coefficients * self._phase) * scale
 
     def integrate(self, values):
         """Riemann sum of a grid function (exact = trapezoid, periodic)."""

@@ -6,6 +6,7 @@ import os
 
 import pytest
 
+from levylab import cli, generate_test_fields, kato_check
 from levylab.cli import load_config, main
 from levylab.errors import ConfigError
 
@@ -126,6 +127,37 @@ class TestExitCodes:
         assert rc == 1
         summary = json.loads((out / "summary.json").read_text())
         assert summary["results"]["quadratic"]["violations"]
+
+
+def _kato_rows_per_pair(cfg):
+    """Kato rows with the field battery rebuilt for every (alpha, phi) pair."""
+    rows = []
+    for alpha in cfg.sweep["alpha"]:
+        for name in sorted(cli._KATO_PHIS):
+            battery = generate_test_fields(cfg.grid, cfg.seed, cfg.sweep["family"])
+            for idx, f in enumerate(battery):
+                p, dp = cli._KATO_PHIS[name]
+                rep = kato_check(f, p, dp, alpha=alpha)
+                rows.append([alpha, name, idx, rep.max_violation, rep.scale,
+                             int(rep.passed)])
+    return rows
+
+
+class TestKato:
+    @pytest.mark.parametrize("d, M", [(1, 64), (2, 16)])
+    def test_battery_built_once(self, d, M, monkeypatch):
+        cfg = load_config({"experiment": "kato", "grid": {"d": d, "L": 10.0, "M": M},
+                           "sweep": {"family": "bumps"}, "seed": 5})
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return generate_test_fields(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "generate_test_fields", counting)
+        _, rows, _ = cli._run_kato(cfg)
+        assert len(calls) == 1
+        assert rows == _kato_rows_per_pair(cfg)
 
 
 class TestOutputs:

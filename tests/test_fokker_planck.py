@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy import integrate
 from scipy.special import exp1
 
 from levylab import (
@@ -317,7 +318,39 @@ class TestLimitLevyDensity:
         )
 
 
+def _drift_nested(nu, tol=1e-8):
+    """drift_correction with its tau-integral done by quadrature too."""
+
+    def tau_factor(z):
+        z2 = z * z
+        return integrate_scaled(
+            lambda tau: (1.0 - tau**2) * z2 / ((1.0 + tau**2 * z2) * (1.0 + z2)),
+            (0.0, 1.0), tol * 1e-2,
+        )
+
+    return integrate_scaled(
+        lambda z: z * tau_factor(z) * (nu(z) - nu(-z)), (0.0, np.inf), tol
+    )
+
+
 class TestDriftCorrection:
+    @pytest.mark.parametrize(
+        "z", [*np.logspace(-4.0, 4.0, 33), 0.0999999, 0.1000001]
+    )
+    def test_tau_factor_matches_quadrature(self, z):
+        want, _ = integrate.quad(
+            lambda tau: (1.0 - tau**2) * z * z / ((1.0 + tau**2 * z * z) * (1.0 + z * z)),
+            0.0, 1.0, epsabs=0.0, epsrel=2e-14, limit=200,
+        )
+        assert fokker_planck._tau_factor(float(z)) == pytest.approx(want, rel=1e-13)
+
+    def test_matches_nested_quadrature(self):
+        nu = LevyDensity(
+            kind="analytic", d=1,
+            func=lambda z: np.exp(-z) if z > 0 else 0.0, is_even=False,
+        )
+        assert drift_correction(nu)[0] == pytest.approx(_drift_nested(nu), rel=1e-9)
+
     def test_even_density(self):
         assert drift_correction(stable_density(1.3, 1)) == pytest.approx(0.0)
 

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from levylab import (
     LevyDensity,
@@ -17,7 +19,7 @@ from levylab import (
 )
 from levylab import quadrature
 from levylab.errors import InvalidAlpha, NonFiniteDensity, QuadratureFailure
-from levylab.levy import _stable_norm_constant
+from levylab.levy import _checked, _stable_norm_constant
 
 
 def exp_over_abs(d=1):
@@ -62,6 +64,43 @@ class TestValidateDensity:
         )
         with pytest.raises(NonFiniteDensity):
             validate_levy_density(nu)
+
+
+def _checked_reference(density, z):
+    """The array-reduction check that _checked must agree with."""
+    v = density(z)
+    arr = np.asarray(v, dtype=float)
+    if np.any(~np.isfinite(arr)) or np.any(arr < 0):
+        raise NonFiniteDensity(f"density returned {v!r} at z={z!r}")
+    return v
+
+
+_DENSITY_FLOATS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, np.inf, -np.inf, np.nan]),
+)
+_DENSITY_VALUES = st.one_of(
+    _DENSITY_FLOATS,
+    _DENSITY_FLOATS.map(np.float64),
+    _DENSITY_FLOATS.map(np.array),
+    st.lists(_DENSITY_FLOATS, min_size=1, max_size=5).map(np.array),
+)
+
+
+class TestCheckedDensity:
+    @settings(max_examples=400, deadline=None)
+    @given(_DENSITY_VALUES)
+    def test_matches_array_reduction(self, value):
+        def density(z):
+            return value
+
+        try:
+            want = _checked_reference(density, 0.5)
+        except NonFiniteDensity:
+            with pytest.raises(NonFiniteDensity):
+                _checked(density, 0.5)
+        else:
+            assert _checked(density, 0.5) is want
 
 
 class TestJumpSymbol:

@@ -21,6 +21,16 @@ class TestGrid:
         with pytest.raises(ValueError):
             Grid(d, L, M)
 
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_cached_meshes_are_read_only(self, d):
+        # every caller shares one frequency mesh and one phase array per grid
+        g = Grid(d, 5.0, 16)
+        assert g.freqs() is g.freqs()
+        for a in (*g.freqs(), g._phase):
+            with pytest.raises(ValueError):
+                a[(0,) * d] = 1.0
+        assert g == Grid(d, 5.0, 16) and hash(g) == hash(Grid(d, 5.0, 16))
+
 
 class TestForwardTransform:
     def test_gaussian_oracle(self):
