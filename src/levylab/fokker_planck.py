@@ -44,7 +44,7 @@ from .errors import (
     NegativeDensity,
     QuadratureFailure,
 )
-from .levy import LevyTriplet
+from .levy import LevyTriplet, _checked
 from .quadrature import _SLACK, integrate_scaled, try_integrate
 from .spectral import Grid, SpectralField
 
@@ -304,22 +304,32 @@ def check_log_tail(nu, tol: float = 1e-10) -> LogTailReport:
 
 
 def limit_levy_density(nu, z, tol: float = 1e-10) -> float:
-    """N_inf(z) = int_1^inf N(t z) t^{d-1} dt by adaptive quadrature."""
+    """N_inf(z) = int_1^inf N(t z) t^{d-1} dt.
+
+    The stable family has N_inf = N / alpha in closed form.  Any other
+    density is integrated in s = ln t, relative to N(z) so that the
+    tolerance is relative even where N(z) is tiny.
+    """
     z_arr = np.atleast_1d(np.asarray(z, dtype=float))
     if np.all(z_arr == 0.0):
         raise ValueError("N_inf is undefined at z = 0")
     d = nu.d
+    point = z_arr if d > 1 else float(z_arr[0])
+    if nu.kind == "stable":
+        return float(nu(point)) / nu.alpha
+    scale = float(_checked(nu, point)) or 1.0
 
     # substitute t = e^s: the integrand becomes smoothly exponentially
     # decaying, which keeps the adaptive error estimate trustworthy across
-    # many decades of |z| (the raw power-law tail does not)
+    # many decades of |z| (the raw power-law tail does not); e^{sd}
+    # overflows past s = 709 / d
     def integrand(s):
-        if s > 690.0:
+        if s > 690.0 / d:
             return 0.0
         t = np.exp(s)
-        return nu(t * z_arr if d > 1 else t * float(z_arr[0])) * t**d
+        return nu(t * point) / scale * t**d
 
-    return float(integrate_scaled(integrand, (0.0, np.inf), tol))
+    return scale * float(integrate_scaled(integrand, (0.0, np.inf), tol))
 
 
 # (-1)^{k+1} 2k / (2k + 1) for k = 1, ..., 10: the series of _tau_factor

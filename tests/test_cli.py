@@ -101,6 +101,15 @@ class TestExitCodes:
         assert rc == 2
         assert not out.exists()
 
+    def test_check_conditions_d2_exits_0(self, tmp_path):
+        # the alpha = 1 stable density: N_inf / N = 1 / alpha exactly
+        path = write_config(tmp_path / "c.json", experiment="check-conditions",
+                            grid={"d": 2, "L": 10.0, "M": 64})
+        out = tmp_path / "out"
+        assert main(["--config", str(path), "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["results"] == {"C_est": 1.0, "unbounded": False}
+
     def test_heat_sweep_passes(self, tmp_path):
         path = write_config(tmp_path / "c.json")
         out = tmp_path / "out"

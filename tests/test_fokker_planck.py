@@ -307,6 +307,19 @@ class TestLimitLevyDensity:
         )
         assert limit_levy_density(nu, 2.0) == 0.0
 
+    @pytest.mark.parametrize("r", [1e-2, 1.0, 1e3])
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_stable_closed_form(self, d, alpha, r):
+        # N_inf = N / alpha, by the closed form and by the quadrature route
+        # for the same density given as analytic
+        nu = stable_density(alpha, d)
+        opaque = LevyDensity(kind="analytic", d=d, func=nu, is_even=True)
+        z = r if d == 1 else r * np.array([0.6, 0.8])
+        want = float(nu(z)) / alpha
+        assert limit_levy_density(nu, z) == pytest.approx(want, rel=1e-12)
+        assert limit_levy_density(opaque, z) == pytest.approx(want, rel=1e-12)
+
     def test_exponential_density(self):
         nu = LevyDensity(
             kind="analytic", d=1,
