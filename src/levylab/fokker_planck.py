@@ -332,7 +332,6 @@ def limit_levy_density(nu, z, tol: float = 1e-10) -> float:
     return scale * float(integrate_scaled(integrand, (0.0, np.inf), tol))
 
 
-# (-1)^{k+1} 2k / (2k + 1) for k = 1, ..., 10: the series of _tau_factor
 _TAU_SERIES = tuple((-1) ** (k + 1) * 2 * k / (2 * k + 1) for k in range(1, 11))
 
 
