@@ -6,7 +6,9 @@ tuple and metric), ``summary.json`` (pass/fail counts and headline
 figures), and ``run.log`` (parameters, grid, tolerances, wall time).
 
 Exit codes: 0 success, 1 assertion failure (an inequality violated),
-2 malformed configuration, 3 numerical failure (quadrature breakdown).
+2 malformed configuration, 3 numerical failure (quadrature breakdown, or a
+non-finite number bound for ``summary.json``, which is strict JSON; decay's
+undefined fitted rate is written as null).
 """
 
 from __future__ import annotations
@@ -416,7 +418,9 @@ def _run_decay(cfg: ExperimentConfig):
             rows.append([name, t, ent, bound, int(t not in rep.violations)])
         violations_total += len(rep.violations)
         summaries[name] = {
-            "fitted_rate": rep.fitted_rate,
+            # NaN when fewer than two entropies are usable: written as null
+            "fitted_rate": (None if math.isnan(rep.fitted_rate)
+                            else rep.fitted_rate),
             "bound_rate": rep.bound_rate,
             "violations": rep.violations,
         }
@@ -565,19 +569,23 @@ def run_experiment(cfg: ExperimentConfig) -> int:
     except QuadratureFailure as exc:
         raise NumericalFailure(str(exc)) from exc
 
-    results_path = _write_results(out_dir, header, rows)
-    if cfg.out_csv is not None:
-        Path(cfg.out_csv).parent.mkdir(parents=True, exist_ok=True)
-        Path(cfg.out_csv).write_bytes(results_path.read_bytes())
     failures = _count_failures(summary)
     summary_doc = {
         "experiment": cfg.experiment,
         "failures": failures,
         "results": summary,
     }
+    try:
+        summary_text = json.dumps(summary_doc, indent=2, sort_keys=True,
+                                  default=str, allow_nan=False)
+    except ValueError as exc:
+        raise NumericalFailure(f"non-finite value in the summary: {exc}") from exc
+    results_path = _write_results(out_dir, header, rows)
+    if cfg.out_csv is not None:
+        Path(cfg.out_csv).parent.mkdir(parents=True, exist_ok=True)
+        Path(cfg.out_csv).write_bytes(results_path.read_bytes())
     with open(out_dir / "summary.json", "w") as fh:
-        json.dump(summary_doc, fh, indent=2, sort_keys=True, default=str)
-        fh.write("\n")
+        fh.write(summary_text + "\n")
     with open(out_dir / "run.log", "w") as fh:
         fh.write(f"experiment: {cfg.experiment}\n")
         fh.write(f"grid: d={cfg.grid.d} L={cfg.grid.L} M={cfg.grid.M}\n")

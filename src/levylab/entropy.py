@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import DomainError
 from .fokker_planck import SteadyState, fp_evolve
-from .levy import LevyDensity, LevyTriplet
+from .levy import LevyDensity, LevyTriplet, _quadratic_form
 from .spectral import Grid, SpectralField
 
 __all__ = [
@@ -276,15 +276,7 @@ def dissipation(
     cell = g.dx**g.d
     grads = _fd_gradient(vals, g)
 
-    sig = triplet.sigma
-    if g.d == 1:
-        quad = sig[0, 0] * grads[0] ** 2
-    else:
-        quad = (
-            sig[0, 0] * grads[0] ** 2
-            + 2.0 * sig[0, 1] * grads[0] * grads[1]
-            + sig[1, 1] * grads[1] ** 2
-        )
+    quad = _quadratic_form(triplet.sigma, grads)
     gaussian = float(np.sum(phi.d2phi(vals) * quad * mu.weights) * cell)
 
     nu = triplet.nu
@@ -423,7 +415,8 @@ def decay_track(
     entropies (``_entropy_roundoff``, about 1e-14 for v near 1).  Steady
     initial data has Ent(0) = 0 and later entropies at round-off level; they
     violate nothing and, like every entropy below 1e-12 Ent(0) or its own
-    round-off, are left out of the rate fit.
+    round-off, are left out of the rate fit.  A NaN entropy violates the
+    bound.  ``fitted_rate`` is NaN when fewer than two entropies are usable.
     """
     mu = WeightedMeasure.from_field(steady.density)
     times = [0.0] + [t for t in times if t > 0.0]
@@ -434,10 +427,11 @@ def decay_track(
         ents.append(phi_entropy(v, mu, phi))
         floors.append(_entropy_roundoff(v, mu, phi))
     ent0 = ents[0]
+    # phrased so that a NaN entropy (at t or at 0) is a violation
     violations = [
         t
         for t, e, f in zip(times[1:], ents[1:], floors[1:])
-        if e - f > np.exp(-t / C) * (ent0 + floors[0]) * (1.0 + rel_tol)
+        if not e - f <= np.exp(-t / C) * (ent0 + floors[0]) * (1.0 + rel_tol)
     ]
     usable = [
         (t, e) for t, e, f in zip(times, ents, floors)

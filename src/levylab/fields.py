@@ -12,18 +12,15 @@ FAMILIES = ("gaussians", "bumps", "mixtures", "perturbed-steady")
 
 
 def gaussian_field(grid: Grid, variance=1.0, center=0.0) -> SpectralField:
-    """Normalized Gaussian density on the grid."""
-    if grid.d == 1:
-        (x,) = grid.coords()
-        vals = np.exp(-((x - center) ** 2) / (2.0 * variance)) / np.sqrt(
-            2.0 * np.pi * variance
-        )
-    else:
-        x, y = grid.coords()
-        c = np.broadcast_to(np.asarray(center, dtype=float), (2,))
-        vals = np.exp(
-            -((x - c[0]) ** 2 + (y - c[1]) ** 2) / (2.0 * variance)
-        ) / (2.0 * np.pi * variance)
+    """Normalized isotropic Gaussian density on the grid.
+
+    ``center`` is a number (the same on every axis) or one number per axis.
+    """
+    c = np.broadcast_to(np.asarray(center, dtype=float), (grid.d,))
+    r2 = sum((x - ci) ** 2 for x, ci in zip(grid.coords(), c))
+    # sqrt of the d-th power, not a (d/2)-th power: exactly sqrt(2 pi v) in
+    # d=1 and 2 pi v in d=2, which pow(x, 0.5) is not always
+    vals = np.exp(-r2 / (2.0 * variance)) / np.sqrt((2.0 * np.pi * variance) ** grid.d)
     return SpectralField(grid, values=vals)
 
 
@@ -84,14 +81,8 @@ def generate_test_fields(grid: Grid, seed: int, family: str, steady=None):
         for _ in range(6):
             center = float(rng.uniform(-2.0, 2.0))
             width = float(rng.uniform(0.8, 2.0))
-            if grid.d == 1:
-                (x,) = grid.coords()
-                bump = np.exp(-((x - center) ** 2) / (2.0 * width**2))
-            else:
-                x, y = grid.coords()
-                bump = np.exp(
-                    -((x - center) ** 2 + (y - center) ** 2) / (2.0 * width**2)
-                )
+            r2 = sum((x - center) ** 2 for x in grid.coords())
+            bump = np.exp(-r2 / (2.0 * width**2))
             vals = steady.values * (1.0 + 0.3 * bump)
             vals = vals / (np.sum(vals) * grid.dx**grid.d)
             fields.append(SpectralField(grid, values=vals))

@@ -44,7 +44,13 @@ from .errors import (
     NegativeDensity,
     QuadratureFailure,
 )
-from .levy import LevyTriplet, _checked
+from .levy import (
+    LevyTriplet,
+    _checked,
+    _gauss_drift_exponent,
+    _radial_argument,
+    _stable_radial_constant,
+)
 from .quadrature import _SLACK, integrate_scaled, try_integrate
 from .spectral import Grid, SpectralField
 
@@ -66,26 +72,6 @@ __all__ = [
 # node counts of the Chebyshev table of a(e^u): 17, 33, 65, ... up to the cap
 _CHEB_NODES = 17
 _CHEB_MAX_NODES = 1025
-
-
-def _gauss_drift_exponent(triplet: LevyTriplet, grid: Grid):
-    """-xi.sigma xi and i b.xi on the frequency mesh."""
-    axes = grid.freqs()
-    if grid.d == 1:
-        xi = axes[0]
-        gauss = -triplet.sigma[0, 0] * xi**2
-        drift = 1j * triplet.b[0] * xi
-    else:
-        x0, x1 = axes
-        s = triplet.sigma
-        gauss = -(s[0, 0] * x0**2 + 2.0 * s[0, 1] * x0 * x1 + s[1, 1] * x1**2)
-        drift = 1j * (triplet.b[0] * x0 + triplet.b[1] * x1)
-    return gauss, drift
-
-
-def _radial_freqs(grid: Grid):
-    """Signed frequencies in d=1, |xi| in d=2: the argument G needs."""
-    return grid.xi1 if grid.d == 1 else grid.freq_norm()
 
 
 def _cheb_coefficients(vals):
@@ -225,9 +211,9 @@ def fp_evolve(
     c0 = u0.coefficients
     cmax = np.max(np.abs(c0)) or 1.0
     edge = np.abs(np.fft.fftshift(c0))
-    edge_mass = max(float(edge[0]), float(edge[-1])) if g.d == 1 else max(
-        np.max(edge[0, :]), np.max(edge[-1, :]), np.max(edge[:, 0]), np.max(edge[:, -1])
-    )
+    # the first and last slab along every axis
+    edge_mass = max(float(np.max(np.take(edge, [0, -1], axis=ax)))
+                    for ax in range(g.d))
     if edge_mass > 1e-12 * cmax:
         warnings.warn(
             f"coefficients at the Nyquist edge are {edge_mass / cmax:.2e} of max; "
@@ -237,9 +223,10 @@ def fp_evolve(
     scale = float(np.exp(-t))
     shifted = _nudft_coefficients(u0, scale)
 
-    k = _radial_freqs(g)
+    axes = g.freqs()
+    k = _radial_argument(axes)
     G = _jump_antiderivative(triplet, np.stack([k, scale * k]), tol, anchored=False)
-    gauss, drift = _gauss_drift_exponent(triplet, g)
+    gauss, drift = _gauss_drift_exponent(triplet, axes)
     J = gauss * (1.0 - np.exp(-2.0 * t)) / 2.0 + drift * (1.0 - np.exp(-t))
     return SpectralField(g, coefficients=shifted * np.exp(J + (G[0] - G[1])))
 
@@ -251,16 +238,10 @@ def steady_exponent(triplet: LevyTriplet, xi, tol: float = 1e-10):
     respectively); the jump part is G(|xi|), one adaptive quadrature, or
     -|xi|^alpha / alpha for the stable family.
     """
-    xi_arr = np.atleast_1d(np.asarray(xi, dtype=float))
-    if triplet.d == 1:
-        k = float(xi_arr[0])
-        gauss = -0.5 * triplet.sigma[0, 0] * k * k
-        drift = 1j * triplet.b[0] * k
-    else:
-        k = float(np.linalg.norm(xi_arr))
-        gauss = -0.5 * float(xi_arr @ triplet.sigma @ xi_arr)
-        drift = 1j * float(triplet.b @ xi_arr)
-    return gauss + drift + _jump_antiderivative(triplet, [k], tol)[0]
+    axes = np.atleast_1d(np.asarray(xi, dtype=float))
+    gauss, drift = _gauss_drift_exponent(triplet, axes)
+    k = _radial_argument(axes)
+    return 0.5 * gauss + drift + _jump_antiderivative(triplet, [k], tol)[0]
 
 
 @dataclass(frozen=True)
@@ -281,25 +262,19 @@ class LogTailReport:
 
 
 def check_log_tail(nu, tol: float = 1e-10) -> LogTailReport:
-    """int_{|z| > 1} ln|z| N(z) dz; divergence is a flag, not an error."""
+    """int_{|z| > 1} ln|z| N(z) dz; divergence is a flag, not an error.
+
+    One integral of the radial density, int_1^inf ln(r) rho(r) dr; raises
+    NonFiniteDensity if N returns NaN or negative values.
+    """
     if nu is None:
         return LogTailReport(0.0, False)
     if nu.kind == "stable":
-        # 2 c int_1^inf ln(z) z^{-1-a} dz = 2 c / a^2 (d=1); polar analogue in d=2
-        from .levy import _stable_norm_constant
-
-        c = _stable_norm_constant(nu.d, nu.alpha)
-        surf = 2.0 if nu.d == 1 else 2.0 * np.pi
-        return LogTailReport(surf * c / nu.alpha**2, False)
-    if nu.d == 1:
-        val, div = try_integrate(
-            lambda z: np.log(z) * (nu(z) + nu(-z)), (1.0, np.inf), tol
-        )
-    else:
-        val, div = try_integrate(
-            lambda r: np.log(r) * r * nu._angular_average(r), (1.0, np.inf),
-            max(tol, 1e-8),
-        )
+        # C int_1^inf ln(r) r^{-1-a} dr = C / a^2 for the radial density
+        return LogTailReport(_stable_radial_constant(nu.d, nu.alpha) / nu.alpha**2,
+                             False)
+    rho = nu.radial_density
+    val, div = try_integrate(lambda r: np.log(r) * rho(r), (1.0, np.inf), tol)
     return LogTailReport(float(val) if val is not None else np.inf, div)
 
 
@@ -383,8 +358,9 @@ def build_steady_state(
         raise Con1Violation(
             "log-tail integral of the jump density diverges; no steady state"
         )
-    gauss, drift = _gauss_drift_exponent(triplet, grid)
-    jump = _jump_antiderivative(triplet, _radial_freqs(grid), tol)
+    axes = grid.freqs()
+    gauss, drift = _gauss_drift_exponent(triplet, axes)
+    jump = _jump_antiderivative(triplet, _radial_argument(axes), tol)
     psi_mesh = 0.5 * gauss + drift + jump
     coeff = np.exp(psi_mesh)
     dens = SpectralField(grid, coefficients=coeff)

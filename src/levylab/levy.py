@@ -12,6 +12,15 @@ The alpha-stable family is normalized so that psi(xi) = -|xi|^alpha exactly
 the closed form c(d, alpha) = 2^alpha Gamma((d+alpha)/2) / (pi^{d/2}
 |Gamma(-alpha/2)|) (Kwasnicki, "Ten equivalent definitions of the fractional
 Laplace operator", Fract. Calc. Appl. Anal. 20, 2017).
+
+Every radial integral of N is one integral of the radial density of |z|,
+rho(r) = r^{d-1} int_{|theta|=1} N(r theta) dtheta (the polar form of a Levy
+measure; Sato, "Levy Processes and Infinitely Divisible Distributions",
+1999): the small-jump moment, the big-jump mass, the log tail and the even
+part of a(xi).  The dimension enters a(xi) only through the spherical mean
+of exp(i z.xi), cos(r |xi|) in d=1 and J0(r |xi|) in d=2; for the stable
+family rho(r) = |S^{d-1}| c(d, alpha) r^{-1-alpha} gives every such integral
+in closed form.
 """
 
 from __future__ import annotations
@@ -46,11 +55,23 @@ __all__ = [
 # second-order Taylor term -xi^2/2 * int_{|z|<eps} z^2 N dz
 _EPS_BALL = 1e-8
 
-# midpoint-rule nodes of the angular average in d=2: (cos th, sin th) rows
+# midpoint-rule nodes of the circle integral in d=2: (cos th, sin th) rows
 _theta = 2.0 * np.pi * (np.arange(64) + 0.5) / 64
 _CIRCLE = np.stack([np.cos(_theta), np.sin(_theta)], axis=-1)
 _CIRCLE.flags.writeable = False
 del _theta
+
+
+def _cosm1p(u):
+    """cos(u) - 1 + u^2/2, evaluated without cancellation near u = 0."""
+    u = np.asarray(u, dtype=float)
+    small = np.abs(u) < 1e-2
+    u2 = u * u
+    series = u2 * u2 / 24.0 * (1.0 - u2 / 30.0 * (1.0 - u2 / 56.0))
+    with np.errstate(invalid="ignore"):
+        direct = np.cos(u) - 1.0 + 0.5 * u2
+    out = np.where(small, series, direct)
+    return out if out.ndim else float(out)
 
 
 def _j0m1p(x):
@@ -89,6 +110,17 @@ def _j0_tail(g, q, tol):
     return lead + float(row[-1])
 
 
+def _cos_tail(g, q, tol):
+    """int_1^inf cos(q r) g(r) dr for decaying g, by QAWF."""
+    return integrate_scaled(g, (1.0, np.inf), tol, weight="cos", wvar=q)
+
+
+# per dimension d: the spherical mean of exp(i r theta.xi) over |theta| = 1,
+# as a function of x = r |xi| with its Taylor polynomial 1 - x^2 / (2d)
+# removed, and the tail int_1^inf (spherical mean at q r) g(r) dr
+_SPHERICAL_MEAN = {1: (_cosm1p, _cos_tail), 2: (_j0m1p, _j0_tail)}
+
+
 def _checked(density, z):
     """density(z), raising NonFiniteDensity unless every value lies in [0, inf).
 
@@ -113,6 +145,16 @@ def _stable_norm_constant(d: int, alpha: float) -> float:
         2.0**alpha * special.gamma(0.5 * (d + alpha))
         / (np.pi ** (0.5 * d) * abs(special.gamma(-0.5 * alpha)))
     )
+
+
+def _stable_radial_constant(d: int, alpha: float) -> float:
+    """C with radial density C r^{-1-alpha} for c(d, alpha) |z|^{-d-alpha}.
+
+    C = |S^{d-1}| c(d, alpha), with |S^{d-1}| = 2 pi^{d/2} / Gamma(d/2),
+    exactly 2 in d=1 and 2 pi in d=2.
+    """
+    sphere = 2.0 * np.pi ** (0.5 * d) / special.gamma(0.5 * d)
+    return sphere * _stable_norm_constant(d, alpha)
 
 
 @dataclass(frozen=True)
@@ -157,28 +199,28 @@ class LevyDensity:
             return np.abs(z)
         return np.sqrt(np.sum(z**2, axis=-1))
 
+    def radial_density(self, r):
+        """rho(r) = r^{d-1} int_{|theta|=1} N(r theta) dtheta at a float r > 0.
+
+        The density of |z| under N: int f(|z|) N(z) dz = int_0^inf f(r) rho(r)
+        dr.  In d=1 it is N(r) + N(-r); in d=2 the circle integral is the
+        64-node midpoint rule, exact for radially symmetric densities.
+        Raises NonFiniteDensity unless N lies in [0, inf) at every node.
+        """
+        if self.d == 1:
+            return _checked(self, r) + _checked(self, -r)
+        return float(np.mean(_checked(self, r * _CIRCLE))) * 2.0 * np.pi * r
+
     def small_ball_second_moment(self, eps, tol=1e-12):
         """int_{|z| <= eps} |z|^2 N(z) dz (closed form for the stable kind)."""
         if self.kind == "stable":
-            c = _stable_norm_constant(self.d, self.alpha)
-            surf = 2.0 if self.d == 1 else 2.0 * np.pi
-            return surf * c * eps ** (2.0 - self.alpha) / (2.0 - self.alpha)
-        if self.d == 1:
-            val, div = try_integrate(
-                lambda z: z * z * (_checked(self, z) + _checked(self, -z)),
-                (0.0, eps), tol,
-            )
-        else:
-            val, div = try_integrate(
-                lambda r: r**3 * self._angular_average(r), (0.0, eps), max(tol, 1e-10)
-            )
+            C = _stable_radial_constant(self.d, self.alpha)
+            return C * eps ** (2.0 - self.alpha) / (2.0 - self.alpha)
+        rho = self.radial_density
+        val, div = try_integrate(lambda r: r * r * rho(r), (0.0, eps), tol)
         if div:
             raise NonFiniteDensity("second moment diverges inside the unit ball")
         return val
-
-    def _angular_average(self, r):
-        """(1/2pi-free) angular integral int_0^{2pi} N(r e_theta) dtheta, d=2."""
-        return float(np.mean(_checked(self, r * _CIRCLE))) * 2.0 * np.pi
 
 
 def stable_density(alpha: float, d: int = 1) -> LevyDensity:
@@ -204,29 +246,17 @@ def validate_levy_density(nu: LevyDensity, tol: float = 1e-10) -> DensityReport:
     NonFiniteDensity is raised if N returns NaN or negative values.
     """
     if nu.kind == "stable":
-        # closed forms for c |z|^{-d-alpha}
-        c = _stable_norm_constant(nu.d, nu.alpha)
-        surf = 2.0 if nu.d == 1 else 2.0 * np.pi
+        # closed forms for the radial density C r^{-1-alpha}
+        C = _stable_radial_constant(nu.d, nu.alpha)
         return DensityReport(
-            small_jump=surf * c / (2.0 - nu.alpha),
-            big_jump=surf * c / nu.alpha,
+            small_jump=C / (2.0 - nu.alpha),
+            big_jump=C / nu.alpha,
             small_jump_diverged=False,
             big_jump_diverged=False,
         )
-    if nu.d == 1:
-        small, sdiv = try_integrate(
-            lambda z: z * z * (_checked(nu, z) + _checked(nu, -z)), (0.0, 1.0), tol
-        )
-        big, bdiv = try_integrate(
-            lambda z: _checked(nu, z) + _checked(nu, -z), (1.0, np.inf), tol
-        )
-    else:
-        small, sdiv = try_integrate(
-            lambda r: r**3 * nu._angular_average(r), (0.0, 1.0), max(tol, 1e-8)
-        )
-        big, bdiv = try_integrate(
-            lambda r: r * nu._angular_average(r), (1.0, np.inf), max(tol, 1e-8)
-        )
+    rho = nu.radial_density
+    small, sdiv = try_integrate(lambda r: r * r * rho(r), (0.0, 1.0), tol)
+    big, bdiv = try_integrate(rho, (1.0, np.inf), tol)
     # the integrands are nonnegative, so a negative estimate can only be an
     # extrapolation artifact of a divergent endpoint singularity
     if small is not None and small < 0:
@@ -240,91 +270,54 @@ def _h(z2):
     return 1.0 / (1.0 + z2)
 
 
-def _cosm1p(u):
-    """cos(u) - 1 + u^2/2, evaluated without cancellation near u = 0."""
-    u = np.asarray(u, dtype=float)
-    small = np.abs(u) < 1e-2
-    u2 = u * u
-    series = u2 * u2 / 24.0 * (1.0 - u2 / 30.0 * (1.0 - u2 / 56.0))
-    with np.errstate(invalid="ignore"):
-        direct = np.cos(u) - 1.0 + 0.5 * u2
-    out = np.where(small, series, direct)
-    return out if out.ndim else float(out)
-
-
 def jump_symbol(nu: LevyDensity, xi, tol: float = 1e-10):
     """Quadrature value of a(xi) = int (e^{iz.xi} - 1 - i z.xi h(z)) N(z) dz.
 
-    For even densities the imaginary part vanishes and the integrand reduces
-    to (cos(z.xi) - 1) N(z).  The epsilon-ball around z = 0 is excluded and
-    compensated by the second-order Taylor term.
+    The real part is one integral against the radial density rho of |z|,
+    int_0^inf (m(r |xi|) - 1) rho(r) dr, where m is the spherical mean of
+    e^{iz.xi}: cos in d=1, J0 in d=2.  The epsilon-ball around z = 0 is
+    excluded; on (eps, 1) the Taylor term -(r |xi|)^2 / (2d) of m - 1 is
+    subtracted so the integrand stays bounded at the origin, and restored in
+    closed form through the unit-ball second moment.  The oscillatory tail
+    goes to QAWF with a cosine weight in d=1 and to a J0 zero-segmented
+    series in d=2.  For even densities the imaginary part vanishes; the odd
+    part of a non-even density is supported in d=1 only.
     """
-    xi = np.asarray(xi, dtype=float)
-    if nu.d == 1:
-        s = float(xi) if xi.ndim == 0 else float(xi[0])
-        if s == 0.0:
-            return 0.0 if nu.is_even else 0.0 + 0.0j
-        eps = _EPS_BALL
-
-        def n_sum(z):
-            return _checked(nu, z) + _checked(nu, -z)
-
-        def n_diff(z):
-            return _checked(nu, z) - _checked(nu, -z)
-
-        # real part: int (cos(zs) - 1) (N(z) + N(-z)) dz over (eps, inf).
-        # On (eps, 1) the -z^2 s^2 / 2 Taylor term is subtracted so the
-        # integrand stays bounded at the origin; it is restored in closed
-        # form via the second moment over the unit ball.  The oscillatory
-        # tail goes to QAWF with a cosine weight.
-        head = integrate_scaled(
-            lambda z: _cosm1p(z * s) * n_sum(z), (eps, 1.0), tol
-        )
-        moment = -0.5 * s * s * nu.small_ball_second_moment(1.0)
-        tail_flat = integrate_scaled(n_sum, (1.0, np.inf), tol)
-        tail_cos = integrate_scaled(
-            n_sum, (1.0, np.inf), tol, weight="cos", wvar=abs(s)
-        )
-        real = head + moment + tail_cos - tail_flat
-        if nu.is_even:
-            return real
-        # imaginary part: int sin(zs) dN - s int z h(z) dN with dN = N(z) - N(-z)
-        def imag_head_integrand(z):
-            dn = n_diff(z)
-            return np.sin(z * s) * dn - s * z * _h(z * z) * dn
-
-        imag_head = integrate_scaled(imag_head_integrand, (eps, 1.0), tol)
-        sgn = 1.0 if s > 0 else -1.0
-        tail_sin = integrate_scaled(
-            n_diff, (1.0, np.inf), tol, weight="sin", wvar=abs(s)
-        )
-        tail_h = integrate_scaled(
-            lambda z: s * z * _h(z * z) * n_diff(z), (1.0, np.inf), tol
-        )
-        return real + 1j * (imag_head + sgn * tail_sin - tail_h)
-    # d = 2, even densities only.  The angular integral of cos(r xi . theta)
-    # over the circle is 2 pi J0(r |xi|) once the density is replaced by its
-    # angular average, which is exact for radially symmetric densities.
-    if not nu.is_even:
+    xi = np.atleast_1d(np.asarray(xi, dtype=float))
+    if not nu.is_even and nu.d != 1:
         raise NotImplementedError("d=2 jump symbols require an even density")
-    nxi = float(np.linalg.norm(xi))
-    if nxi == 0.0:
-        return 0.0
-
-    def avg(r):
-        return nu._angular_average(r) * r / (2.0 * np.pi)
-
+    # |xi|; a one-axis reduction returns xi itself, so |xi| is exact in d=1
+    q = abs(float(np.hypot.reduce(xi)))
+    if q == 0.0:
+        return 0.0 if nu.is_even else 0.0 + 0.0j
+    kernel, tail = _SPHERICAL_MEAN[nu.d]
+    rho = nu.radial_density
     eps = _EPS_BALL
-    qtol = max(tol, 1e-11)
-    moment = -0.25 * nxi * nxi * nu.small_ball_second_moment(1.0)
-    # on (eps, 1) the Taylor term -(r nxi)^2/4 is subtracted pointwise and
-    # restored through the unit-ball second moment
-    head = integrate_scaled(
-        lambda r: _j0m1p(r * nxi) * avg(r), (eps, 1.0), qtol
+    head = integrate_scaled(lambda r: kernel(r * q) * rho(r), (eps, 1.0), tol)
+    moment = -0.5 / nu.d * q * q * nu.small_ball_second_moment(1.0)
+    tail_flat = integrate_scaled(rho, (1.0, np.inf), tol)
+    real = head + moment + tail(rho, q, tol) - tail_flat
+    if nu.is_even:
+        return real
+    # imaginary part: int sin(zs) dN - s int z h(z) dN with dN = N(z) - N(-z)
+    s = float(xi[0])
+
+    def n_diff(z):
+        return _checked(nu, z) - _checked(nu, -z)
+
+    def imag_head_integrand(z):
+        dn = n_diff(z)
+        return np.sin(z * s) * dn - s * z * _h(z * z) * dn
+
+    imag_head = integrate_scaled(imag_head_integrand, (eps, 1.0), tol)
+    sgn = 1.0 if s > 0 else -1.0
+    tail_sin = integrate_scaled(
+        n_diff, (1.0, np.inf), tol, weight="sin", wvar=abs(s)
     )
-    tail_flat = integrate_scaled(avg, (1.0, np.inf), qtol)
-    tail_j0 = _j0_tail(avg, nxi, qtol)
-    return 2.0 * np.pi * (head + tail_j0 - tail_flat) + moment
+    tail_h = integrate_scaled(
+        lambda z: s * z * _h(z * z) * n_diff(z), (1.0, np.inf), tol
+    )
+    return real + 1j * (imag_head + sgn * tail_sin - tail_h)
 
 
 @dataclass(frozen=True)
@@ -394,28 +387,52 @@ class LevyTriplet:
         return self.nu is not None and self.nu.kind == "stable"
 
     def jump_exponent(self, xi, tol=1e-10):
-        """a(xi); vectorized closed form for the stable family."""
+        """a(xi), given xi in d=1 and |xi| in d=2 (``_radial_argument``).
+
+        Vectorized closed form for the stable family.
+        """
         if self.nu is None:
-            xi = np.asarray(xi, dtype=float)
-            r = np.abs(xi) if self.d == 1 else np.sqrt(np.sum(np.asarray(xi) ** 2, axis=-1))
-            return np.zeros_like(np.asarray(r, dtype=float))
+            return np.zeros(np.shape(xi))
         if self.is_stable_jump:
             return stable_symbol(self.nu.alpha).eval(xi)
         return jump_symbol(self.nu, xi, tol)
 
 
+def _radial_argument(axes):
+    """What a(xi) depends on, from one array (or number) per axis.
+
+    xi itself in d=1, where a(-xi) = conj a(xi) covers non-even densities;
+    |xi| in d=2, where a is radial.
+    """
+    if len(axes) == 1:
+        return axes[0]
+    return np.sqrt(sum(a**2 for a in axes))
+
+
+def _quadratic_form(sigma, axes):
+    """xi.sigma xi for symmetric sigma, over one array (or number) per axis.
+
+    Summed row by row as sigma_ii xi_i^2 + 2 sigma_ij xi_i xi_j (j > i).
+    """
+    total = 0.0
+    for i, a in enumerate(axes):
+        total = total + sigma[i, i] * a**2
+        for j in range(i + 1, len(axes)):
+            total = total + 2.0 * sigma[i, j] * a * axes[j]
+    return total
+
+
+def _gauss_drift_exponent(triplet: LevyTriplet, axes):
+    """-xi.sigma xi and i b.xi, over one array (or number) per axis."""
+    drift = sum(bi * a for bi, a in zip(triplet.b, axes))
+    return -_quadratic_form(triplet.sigma, axes), 1j * drift
+
+
 def characteristic_exponent(triplet: LevyTriplet, xi, tol: float = 1e-10):
-    """psi(xi) = -xi.sigma xi + i b.xi + a(xi)."""
-    xi_arr = np.atleast_1d(np.asarray(xi, dtype=float))
-    if triplet.d == 1 and xi_arr.ndim == 1 and xi_arr.size == 1:
-        s = float(xi_arr[0])
-        gauss = -triplet.sigma[0, 0] * s * s
-        drift = 1j * triplet.b[0] * s
-        return gauss + drift + triplet.jump_exponent(s, tol)
-    v = np.asarray(xi, dtype=float)
-    gauss = -float(v @ triplet.sigma @ v)
-    drift = 1j * float(triplet.b @ v)
-    return gauss + drift + triplet.jump_exponent(v, tol)
+    """psi(xi) = -xi.sigma xi + i b.xi + a(xi) at one frequency xi."""
+    axes = np.atleast_1d(np.asarray(xi, dtype=float))
+    gauss, drift = _gauss_drift_exponent(triplet, axes)
+    return gauss + drift + triplet.jump_exponent(_radial_argument(axes), tol)
 
 
 def dual_triplet(triplet: LevyTriplet) -> LevyTriplet:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import warnings
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -69,9 +69,7 @@ class Grid:
 
     def coords(self):
         """Meshgrid coordinate arrays, one per dimension."""
-        if self.d == 1:
-            return (self.x1,)
-        return np.meshgrid(self.x1, self.x1, indexing="ij")
+        return np.meshgrid(*(self.x1,) * self.d, indexing="ij")
 
     def freqs(self):
         """Meshgrid frequency arrays in FFT order, one per dimension (read-only)."""
@@ -79,10 +77,7 @@ class Grid:
 
     @cached_property
     def _freq_mesh(self):
-        if self.d == 1:
-            axes = (self.xi1,)
-        else:
-            axes = tuple(np.meshgrid(self.xi1, self.xi1, indexing="ij"))
+        axes = np.meshgrid(*(self.xi1,) * self.d, indexing="ij")
         for a in axes:
             a.flags.writeable = False
         return axes
@@ -94,9 +89,8 @@ class Grid:
     @cached_property
     def _phase(self):
         # exp(-i L xi_k) = (-1)^k per axis; outer product over dimensions
-        p = (-1.0) ** np.arange(self.M)
-        if self.d == 2:
-            p = np.multiply.outer(p, p)
+        axis = (-1.0) ** np.arange(self.M)
+        p = reduce(np.multiply.outer, (axis,) * self.d)
         p.flags.writeable = False
         return p
 

@@ -137,6 +137,63 @@ class TestExitCodes:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["results"]["quadratic"]["violations"]
 
+    def _decay_from_csv(self, tmp_path, edit=None):
+        """decay from the steady density of a pure-diffusion triplet."""
+        path = write_config(
+            tmp_path / "c.json",
+            grid={"d": 1, "L": 20.0, "M": 128},
+            triplet={"d": 1, "sigma": 1.0, "b": 0.0},
+            sweep={"times": [0.25, 0.5]},
+        )
+        steady = tmp_path / "steady"
+        assert main(["--config", str(path), "--out", str(steady), "steady"]) == 0
+        u0 = steady / "steady_density.csv"
+        if edit is not None:
+            lines = u0.read_text().splitlines()
+            lines = edit(lines)
+            u0 = tmp_path / "u0.csv"
+            u0.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        rc = main(["--config", str(path), "--out", str(out), "decay",
+                   "--u0-csv", str(u0)])
+        return rc, strict_json((out / "summary.json").read_text())
+
+    def test_decay_from_steady_data_writes_null_rate(self, tmp_path):
+        # every entropy is at round-off: no rate can be fitted
+        rc, summary = self._decay_from_csv(tmp_path)
+        assert rc == 0
+        assert summary["results"]["xlogx"]["fitted_rate"] is None
+        assert summary["results"]["violation_count"] == 0
+
+    def test_decay_with_nan_cell_exits_1(self, tmp_path):
+        def poison(lines):
+            x, _ = lines[60].rsplit(",", 1)
+            lines[60] = f"{x},nan"
+            return lines
+
+        rc, summary = self._decay_from_csv(tmp_path, poison)
+        assert rc == 1
+        assert summary["results"]["violation_count"] == 2
+
+    def test_non_finite_summary_exits_3_without_summary(self, tmp_path, monkeypatch):
+        def runner(cfg):
+            return ["x"], [[1.0]], {"worst_ratio": math.inf}
+
+        monkeypatch.setattr(cli, "_run_heat", runner)
+        out = tmp_path / "out"
+        rc = main(["--config", str(write_config(tmp_path / "c.json")),
+                   "--out", str(out)])
+        assert rc == 3
+        assert not (out / "summary.json").exists()
+
+
+def strict_json(text):
+    """json.loads that rejects NaN and +-Infinity."""
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    return json.loads(text, parse_constant=reject)
+
 
 def _kato_rows_per_pair(cfg):
     """Kato rows with the field battery rebuilt for every (alpha, phi) pair."""

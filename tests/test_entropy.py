@@ -217,6 +217,19 @@ class TestDissipation:
         ref = float(np.sum(grad**2 * mu.weights) * g.dx)
         assert gauss == pytest.approx(ref, rel=1e-12)
 
+    def test_anisotropic_gaussian_part_2d(self):
+        # sigma with an off-diagonal entry against the hand-expanded form
+        v, mu = oracle_field(2)
+        g = mu.grid
+        sigma = np.array([[0.7, 0.3], [0.3, 0.4]])
+        tr = LevyTriplet(sigma=sigma, b=np.zeros(2), nu=None, d=2)
+        gauss, jump = dissipation(v, mu, tr, XLOGX)
+        g0, g1 = _fd_gradient(v.values, g)
+        form = sigma[0, 0] * g0**2 + 2.0 * sigma[0, 1] * g0 * g1 + sigma[1, 1] * g1**2
+        want = float(np.sum(form / v.values * mu.weights) * g.dx**2)
+        assert jump == 0.0
+        assert gauss == pytest.approx(want, rel=1e-14, abs=0.0)
+
     @pytest.mark.parametrize("phi", [QUAD, XLOGX], ids=["quadratic", "xlogx"])
     @pytest.mark.parametrize(
         "d, density", ORACLE_CASES, ids=[f"d{d}-{n}" for d, n in ORACLE_CASES]

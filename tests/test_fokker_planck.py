@@ -11,6 +11,7 @@ from levylab import (
     SpectralField,
     build_steady_state,
     check_domination,
+    gaussian_field,
     check_log_tail,
     check_radial_decay,
     drift_correction,
@@ -100,6 +101,21 @@ class TestFpEvolve:
         noisy = SpectralField(grid1, values=rng.standard_normal(grid1.shape))
         with pytest.warns(InterpolationDegradation):
             fp_evolve(noisy, diffusion_triplet(), 0.5)
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_nyquist_warning_2d(self, axis):
+        # a smooth bump times (-1)^j along one axis: all of its coefficient
+        # mass sits at that axis' Nyquist edge
+        g = Grid(2, 10.0, 64)
+        smooth = gaussian_field(g, 1.0)
+        sign = (-1.0) ** np.arange(g.M)
+        alternating = smooth.values * (1.0 + 0.5 * np.expand_dims(sign, 1 - axis))
+        with pytest.warns(InterpolationDegradation):
+            fp_evolve(SpectralField(g, values=alternating), diffusion_triplet(2), 0.5)
+
+    @pytest.mark.filterwarnings("error::levylab.errors.InterpolationDegradation")
+    def test_no_nyquist_warning_for_smooth_2d_field(self):
+        fp_evolve(gaussian_field(Grid(2, 10.0, 64), 1.0), diffusion_triplet(2), 0.5)
 
 
 def dense_nudft(u0, scale):
@@ -266,6 +282,22 @@ class TestBuildSteadyState:
         tr = LevyTriplet(sigma=np.zeros((1, 1)), b=np.zeros(1), nu=nu, d=1)
         for xi in (0.1, 1.0, 10.0):
             assert steady_exponent(tr, xi) == pytest.approx(-abs(xi), abs=1e-9)
+
+    def test_quadrature_exponent_matches_stable_route_2d(self):
+        # the d=2 radial route (J0 tail) at one frequency with |xi| = 1
+        got = steady_exponent(opaque_cauchy_triplet(2), np.array([0.6, -0.8]))
+        assert abs(got - (-1.0)) <= 1e-12
+
+    def test_anisotropic_gaussian_and_drift_2d(self):
+        # Psi = -xi.sigma xi / 2 + i b.xi without jumps
+        sigma = np.array([[0.7, 0.3], [0.3, 0.4]])
+        b = np.array([0.2, -0.5])
+        tr = LevyTriplet(sigma=sigma, b=b, nu=None, d=2)
+        x0, x1 = 1.3, -0.4
+        want = -0.5 * (sigma[0, 0] * x0**2 + 2.0 * sigma[0, 1] * x0 * x1
+                       + sigma[1, 1] * x1**2) + 1j * (b[0] * x0 + b[1] * x1)
+        got = steady_exponent(tr, np.array([x0, x1]))
+        assert got == pytest.approx(want, rel=1e-14, abs=0.0)
 
     def test_divergent_log_tail_rejected(self, coarse_grid):
         nu = LevyDensity(

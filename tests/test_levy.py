@@ -9,6 +9,7 @@ from levylab import (
     LevyDensity,
     LevyTriplet,
     characteristic_exponent,
+    check_log_tail,
     dual_triplet,
     jump_symbol,
     stable_density,
@@ -64,6 +65,70 @@ class TestValidateDensity:
         )
         with pytest.raises(NonFiniteDensity):
             validate_levy_density(nu)
+
+
+def opaque_stable(alpha, d):
+    """The stable density given as analytic: it takes the quadrature route."""
+    return LevyDensity(
+        kind="analytic", d=d, func=stable_density(alpha, d), is_even=True
+    )
+
+
+class TestRadialRoute:
+    """Radial integrals of N against the stable closed forms.
+
+    The stable radial density is C r^{-1-alpha} with C = |S^{d-1}| c(d, alpha),
+    so the small-jump moment is C / (2 - alpha), the big-jump mass C / alpha,
+    the log tail C / alpha^2 and the moment over |z| <= eps
+    C eps^{2-alpha} / (2 - alpha).
+    """
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_matches_closed_forms(self, d, alpha):
+        surface = {1: 2.0, 2: 2.0 * np.pi}[d]
+        C = surface * _stable_norm_constant(d, alpha)
+        want = {
+            "small": C / (2.0 - alpha),
+            "big": C / alpha,
+            "log_tail": C / alpha**2,
+            "ball": C * 0.05 ** (2.0 - alpha) / (2.0 - alpha),
+        }
+        for nu in (stable_density(alpha, d), opaque_stable(alpha, d)):
+            rep = validate_levy_density(nu)
+            assert rep.ok
+            got = {
+                "small": rep.small_jump,
+                "big": rep.big_jump,
+                "log_tail": check_log_tail(nu).value,
+                "ball": nu.small_ball_second_moment(0.05),
+            }
+            for key in want:
+                assert got[key] == pytest.approx(want[key], rel=1e-12, abs=0.0), (
+                    nu.kind, key
+                )
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_nan_density_raises_in_log_tail(self, d):
+        nu = LevyDensity(kind="analytic", d=d, func=lambda z: np.nan, is_even=True)
+        with pytest.raises(NonFiniteDensity):
+            check_log_tail(nu)
+
+    def test_radial_density_in_1d_sums_both_rays(self):
+        nu = LevyDensity(
+            kind="analytic", d=1,
+            func=lambda z: np.exp(-z) if z > 0 else 2.0 * np.exp(z), is_even=False,
+        )
+        assert nu.radial_density(0.7) == 3.0 * np.exp(-0.7)
+
+    def test_radial_density_in_2d_is_circle_mass(self):
+        # N(z) = exp(-|z|^2): rho(r) = 2 pi r exp(-r^2)
+        nu = LevyDensity(
+            kind="analytic", d=2,
+            func=lambda z: np.exp(-np.sum(np.square(z), axis=-1)), is_even=True,
+        )
+        want = 2.0 * np.pi * 0.7 * np.exp(-0.49)
+        assert nu.radial_density(0.7) == pytest.approx(want, rel=1e-14)
 
 
 def _checked_reference(density, z):
@@ -188,6 +253,27 @@ class TestCharacteristicExponent:
             sigma=np.eye(1), b=np.ones(1), nu=stable_density(0.7, 1), d=1
         )
         assert characteristic_exponent(tr, 0.0) == 0.0
+
+    def test_anisotropic_gaussian_and_drift_2d(self):
+        sigma = np.array([[0.7, 0.3], [0.3, 0.4]])
+        b = np.array([0.2, -0.5])
+        tr = LevyTriplet(sigma=sigma, b=b, nu=None, d=2)
+        x0, x1 = 1.3, -0.4
+        want = -(sigma[0, 0] * x0**2 + 2.0 * sigma[0, 1] * x0 * x1
+                 + sigma[1, 1] * x1**2) + 1j * (b[0] * x0 + b[1] * x1)
+        got = characteristic_exponent(tr, [x0, x1])
+        assert got == pytest.approx(want, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_stable_symbol_is_radial(self, d):
+        # -|xi|^alpha at one frequency, a number in every dimension
+        tr = LevyTriplet(
+            sigma=np.zeros((d, d)), b=np.zeros(d), nu=stable_density(1.5, d), d=d
+        )
+        xi = [0.6, 0.8][:d] if d == 2 else -1.0
+        got = characteristic_exponent(tr, xi)
+        assert np.shape(got) == ()
+        assert got == pytest.approx(-1.0, rel=1e-15)
 
     @pytest.mark.parametrize("xi", [-3.0, 0.3, 5.0])
     def test_real_part_nonpositive(self, xi):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import exp1
 
-from levylab import Grid, SpectralField, apply_multiplier, lp_norm
+from levylab import Grid, SpectralField, apply_multiplier, gaussian_field, lp_norm
 from levylab.errors import InvalidExponent, QuadratureFailure
 from levylab.quadrature import integrate_scaled
 
@@ -30,6 +30,32 @@ class TestGrid:
             with pytest.raises(ValueError):
                 a[(0,) * d] = 1.0
         assert g == Grid(d, 5.0, 16) and hash(g) == hash(Grid(d, 5.0, 16))
+
+    def test_meshes_are_tensor_products_2d(self):
+        g = Grid(2, 5.0, 16)
+        x, y = g.coords()
+        np.testing.assert_array_equal(x, np.repeat(g.x1[:, None], 16, axis=1))
+        np.testing.assert_array_equal(y, np.repeat(g.x1[None, :], 16, axis=0))
+        k0, k1 = g.freqs()
+        np.testing.assert_array_equal(k0, np.repeat(g.xi1[:, None], 16, axis=1))
+        np.testing.assert_array_equal(k1, np.repeat(g.xi1[None, :], 16, axis=0))
+        j = np.arange(16)
+        np.testing.assert_array_equal(g._phase, (-1.0) ** np.add.outer(j, j))
+
+
+class TestGaussianField:
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("variance, center", [(0.5, 0.0), (2.0, 1.5)])
+    def test_unit_mass(self, d, variance, center):
+        f = gaussian_field(Grid(d, 20.0, 128), variance, center)
+        assert f.mass() == pytest.approx(1.0, rel=1e-13)
+
+    def test_center_per_axis_2d(self):
+        g = Grid(2, 10.0, 64)
+        f = gaussian_field(g, 0.8, (1.25, -2.5))
+        x, y = g.coords()
+        assert np.sum(x * f.values) * g.dx**2 == pytest.approx(1.25, rel=1e-12)
+        assert np.sum(y * f.values) * g.dx**2 == pytest.approx(-2.5, rel=1e-12)
 
 
 class TestForwardTransform:
