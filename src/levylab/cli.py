@@ -19,7 +19,8 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -48,18 +49,6 @@ from .heat import kato_check, lsi_gap, verify_hypercontractivity
 from .levy import LevyDensity, LevyTriplet, stable_density, triplet_from_config
 from .spectral import Grid, SpectralField
 
-EXPERIMENTS = (
-    "heat",
-    "fp",
-    "steady",
-    "decay",
-    "check-lsi",
-    "check-conditions",
-    "euclidean-lsi",
-    "kato",
-    "all",
-)
-
 _FMT = "%.17g"
 
 
@@ -69,18 +58,13 @@ class ExperimentConfig:
 
     experiment: str
     grid: Grid
-    triplet_spec: dict | None
+    triplet: LevyTriplet | None
     sweep: dict
     output: str
     seed: int
     tol: float
     input_csv: str | None = None
     out_csv: str | None = None
-
-    def triplet(self) -> LevyTriplet | None:
-        if self.triplet_spec is None:
-            return None
-        return triplet_from_config(self.triplet_spec)
 
 
 _TOP_KEYS = {"experiment", "grid", "triplet", "sweep", "output", "seed", "tol"}
@@ -98,18 +82,14 @@ _DEFAULT_SWEEP = {
 }
 
 
-def _fail(msg: str) -> ConfigError:
-    return ConfigError(msg)
-
-
 def _finite(name: str, value) -> float:
     """float(value), rejecting non-numbers, NaN and +-Infinity."""
     try:
         x = float(value)
     except (TypeError, ValueError):
-        raise _fail(f"{name} must be a number, got {value!r}") from None
+        raise ConfigError(f"{name} must be a number, got {value!r}") from None
     if not math.isfinite(x):
-        raise _fail(f"{name} must be finite, got {value!r}")
+        raise ConfigError(f"{name} must be finite, got {value!r}")
     return x
 
 
@@ -118,14 +98,14 @@ def _finite_array(name: str, value) -> None:
     try:
         arr = np.asarray(value, dtype=float)
     except (TypeError, ValueError):
-        raise _fail(f"{name} must be numeric, got {value!r}") from None
+        raise ConfigError(f"{name} must be numeric, got {value!r}") from None
     if not np.all(np.isfinite(arr)):
-        raise _fail(f"{name} must be finite, got {value!r}")
+        raise ConfigError(f"{name} must be finite, got {value!r}")
 
 
 def _finite_list(name: str, values) -> list:
     if not isinstance(values, (list, tuple)):
-        raise _fail(f"{name} must be a list of numbers, got {values!r}")
+        raise ConfigError(f"{name} must be a list of numbers, got {values!r}")
     return [_finite(name, v) for v in values]
 
 
@@ -133,7 +113,7 @@ def _parse_q(value):
     if isinstance(value, str):
         if value.lower() in ("inf", "infinity"):
             return math.inf
-        raise _fail(f"exponent q must be numeric or 'inf', got {value!r}")
+        raise ConfigError(f"exponent q must be numeric or 'inf', got {value!r}")
     if value == math.inf:
         return math.inf
     return _finite("exponent q", value)
@@ -147,10 +127,10 @@ def load_config(raw: dict, overrides: dict | None = None) -> ExperimentConfig:
     replace the corresponding config entries.
     """
     if not isinstance(raw, dict):
-        raise _fail("config must be a JSON object")
+        raise ConfigError("config must be a JSON object")
     unknown = set(raw) - _TOP_KEYS
     if unknown:
-        raise _fail(f"unknown config keys: {sorted(unknown)}")
+        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     merged = dict(raw)
     for key, val in (overrides or {}).items():
         if val is not None:
@@ -158,80 +138,93 @@ def load_config(raw: dict, overrides: dict | None = None) -> ExperimentConfig:
 
     experiment = merged.get("experiment")
     if experiment not in EXPERIMENTS:
-        raise _fail(f"experiment must be one of {EXPERIMENTS}, got {experiment!r}")
+        raise ConfigError(
+            f"experiment must be one of {EXPERIMENTS}, got {experiment!r}"
+        )
 
     grid_spec = merged.get("grid", {"d": 1, "L": 20.0, "M": 512})
     if not isinstance(grid_spec, dict) or set(grid_spec) - {"d", "L", "M"}:
-        raise _fail(f"grid must be an object with keys d, L, M; got {grid_spec!r}")
+        raise ConfigError(
+            f"grid must be an object with keys d, L, M; got {grid_spec!r}"
+        )
     d = grid_spec.get("d", 1)
     L = grid_spec.get("L", 20.0)
     M = grid_spec.get("M", 512)
     if d not in (1, 2):
-        raise _fail(f"grid.d must be 1 or 2, got {d!r}")
+        raise ConfigError(f"grid.d must be 1 or 2, got {d!r}")
     if not (isinstance(L, (int, float)) and math.isfinite(L) and L > 0):
-        raise _fail(f"grid.L must be positive and finite, got {L!r}")
+        raise ConfigError(f"grid.L must be positive and finite, got {L!r}")
     if not (isinstance(M, int) and M >= 8 and M & (M - 1) == 0):
-        raise _fail(f"grid.M must be a power of two >= 8, got {M!r}")
+        raise ConfigError(f"grid.M must be a power of two >= 8, got {M!r}")
     grid = Grid(d, float(L), M)
 
     sweep = dict(_DEFAULT_SWEEP)
     user_sweep = merged.get("sweep", {})
     if not isinstance(user_sweep, dict):
-        raise _fail("sweep must be an object")
+        raise ConfigError("sweep must be an object")
     bad = set(user_sweep) - _SWEEP_KEYS
     if bad:
-        raise _fail(f"unknown sweep keys: {sorted(bad)}")
+        raise ConfigError(f"unknown sweep keys: {sorted(bad)}")
     sweep.update(user_sweep)
     sweep["alpha"] = _finite_list("alpha", sweep["alpha"])
     for a in sweep["alpha"]:
         if not (0.0 < a <= 2.0):
-            raise _fail(f"alpha must lie in (0, 2], got {a}")
+            raise ConfigError(f"alpha must lie in (0, 2], got {a}")
     sweep["p"] = _finite_list("exponent p", sweep["p"])
     if not isinstance(sweep["q"], (list, tuple)):
-        raise _fail(f"q must be a list, got {sweep['q']!r}")
+        raise ConfigError(f"q must be a list, got {sweep['q']!r}")
     sweep["q"] = [_parse_q(q) for q in sweep["q"]]
     for p in sweep["p"]:
         if p < 1.0:
-            raise _fail(f"exponent p must be >= 1, got {p}")
+            raise ConfigError(f"exponent p must be >= 1, got {p}")
     for q in sweep["q"]:
         if q < 1.0:
-            raise _fail(f"exponent q must be >= 1, got {q}")
+            raise ConfigError(f"exponent q must be >= 1, got {q}")
     sweep["t"] = _finite_list("t", sweep["t"])
     sweep["times"] = _finite_list("times", sweep["times"])
     for t in sweep["t"] + sweep["times"]:
         if t < 0.0:
-            raise _fail(f"times must be nonnegative, got {t}")
+            raise ConfigError(f"times must be nonnegative, got {t}")
     for name in sweep["phi"]:
         if name not in ("xlogx", "quadratic"):
-            raise _fail(f"phi must be xlogx or quadratic, got {name!r}")
+            raise ConfigError(f"phi must be xlogx or quadratic, got {name!r}")
     sweep["C"] = _finite("C", sweep["C"])
     if sweep["C"] <= 0.0:
-        raise _fail(f"C must be positive, got {sweep['C']}")
+        raise ConfigError(f"C must be positive, got {sweep['C']}")
     if sweep["family"] not in FAMILIES:
-        raise _fail(f"family must be one of {FAMILIES}, got {sweep['family']!r}")
+        raise ConfigError(f"family must be one of {FAMILIES}, got {sweep['family']!r}")
 
     seed = merged.get("seed", 7)
     if not isinstance(seed, int) or seed < 0:
-        raise _fail(f"seed must be a nonnegative integer, got {seed!r}")
+        raise ConfigError(f"seed must be a nonnegative integer, got {seed!r}")
     tol = merged.get("tol", 1e-10)
     if not (isinstance(tol, (int, float)) and math.isfinite(tol) and 0 < tol < 1):
-        raise _fail(f"tol must lie in (0, 1), got {tol!r}")
+        raise ConfigError(f"tol must lie in (0, 1), got {tol!r}")
     output = merged.get("output", "levylab-out")
     if not isinstance(output, str) or not output:
-        raise _fail(f"output must be a nonempty path, got {output!r}")
+        raise ConfigError(f"output must be a nonempty path, got {output!r}")
 
-    triplet_spec = merged.get("triplet")
-    if triplet_spec is not None and not isinstance(triplet_spec, dict):
-        raise _fail("triplet must be an object")
-    for key in ("sigma", "b"):
-        if triplet_spec is not None and key in triplet_spec:
-            _finite_array(f"triplet.{key}", triplet_spec[key])
+    triplet = merged.get("triplet")
+    if triplet is not None:
+        if not isinstance(triplet, dict):
+            raise ConfigError("triplet must be an object")
+        for key in ("sigma", "b"):
+            if key in triplet:
+                _finite_array(f"triplet.{key}", triplet[key])
+        try:
+            triplet = triplet_from_config(triplet)
+        except (LevyLabError, LookupError, OSError, TypeError, ValueError) as exc:
+            raise ConfigError(f"invalid triplet: {exc}") from exc
+        if triplet.d != grid.d:
+            raise ConfigError(f"triplet.d is {triplet.d} but grid.d is {grid.d}")
+    if experiment == "check-conditions" and triplet is not None and triplet.nu is None:
+        raise ConfigError("check-conditions needs a triplet with a jump density")
 
     io = overrides or {}
     return ExperimentConfig(
         experiment=experiment,
         grid=grid,
-        triplet_spec=triplet_spec,
+        triplet=triplet,
         sweep=sweep,
         output=output,
         seed=seed,
@@ -246,9 +239,8 @@ def _phi_by_name(name: str) -> PhiFunction:
 
 
 def _default_triplet(cfg: ExperimentConfig) -> LevyTriplet:
-    tr = cfg.triplet()
-    if tr is not None:
-        return tr
+    if cfg.triplet is not None:
+        return cfg.triplet
     alpha = cfg.sweep["alpha"][0]
     d = cfg.grid.d
     return LevyTriplet(
@@ -257,66 +249,48 @@ def _default_triplet(cfg: ExperimentConfig) -> LevyTriplet:
 
 
 def _battery(cfg: ExperimentConfig, steady=None):
-    fields = generate_test_fields(cfg.grid, cfg.seed, cfg.sweep["family"], steady)
-    return list(enumerate(fields))
+    return generate_test_fields(cfg.grid, cfg.seed, cfg.sweep["family"], steady)
+
+
+def _verdicts(rows, worst_key: str, column: int, worst=max) -> dict:
+    """Summary of rows whose last cell is the 0/1 verdict."""
+    return {
+        "checked": len(rows),
+        "failures": sum(1 for r in rows if not r[-1]),
+        worst_key: worst(r[column] for r in rows) if rows else 0.0,
+    }
 
 
 # ---------------------------------------------------------------------------
-# experiment bodies: each returns (header, rows, summary)
+# experiment bodies: each takes the config and returns (header, rows, summary)
 
 
 def _run_heat(cfg: ExperimentConfig):
     if cfg.input_csv is not None:
-        fields = [(0, SpectralField.from_csv(cfg.grid, cfg.input_csv))]
+        fields = [SpectralField.from_csv(cfg.grid, cfg.input_csv)]
     else:
         fields = _battery(cfg)
-    tasks = [
-        (alpha, p, q, t, idx, f)
-        for alpha in cfg.sweep["alpha"]
-        for p in cfg.sweep["p"]
-        for q in cfg.sweep["q"]
-        for t in cfg.sweep["t"]
-        for idx, f in fields
-    ]
-
-    def work(task):
-        alpha, p, q, t, idx, f = task
-        rep = verify_hypercontractivity(f, alpha=alpha, p=p, q=q, t=t)
-        return [alpha, p, q, t, idx, rep.lhs, rep.rhs, rep.ratio,
-                int(not rep.violated)]
-
-    rows = [work(task) for task in tasks]
-    fails = sum(1 for r in rows if not r[-1])
-    summary = {
-        "checked": len(rows),
-        "failures": fails,
-        "worst_ratio": max(r[7] for r in rows) if rows else 0.0,
-    }
+    sweep = cfg.sweep
+    rows = []
+    for alpha, p, q, t in product(sweep["alpha"], sweep["p"], sweep["q"], sweep["t"]):
+        for idx, f in enumerate(fields):
+            rep = verify_hypercontractivity(f, alpha=alpha, p=p, q=q, t=t)
+            rows.append([alpha, p, q, t, idx, rep.lhs, rep.rhs, rep.ratio,
+                         int(not rep.violated)])
     return (["alpha", "p", "q", "t", "field", "lhs", "rhs", "ratio", "pass"],
-            rows, summary)
+            rows, _verdicts(rows, "worst_ratio", 7))
 
 
 def _run_euclidean_lsi(cfg: ExperimentConfig):
-    tasks = [
-        (alpha, idx, f)
-        for alpha in cfg.sweep["alpha"]
-        for idx, f in _battery(cfg)
-    ]
-
-    def work(task):
-        alpha, idx, f = task
-        lhs, rhs = lsi_gap(f, alpha)
-        ok = lhs <= rhs + 1e-10 * max(1.0, abs(rhs))
-        return [alpha, idx, lhs, rhs, rhs - lhs, int(ok)]
-
-    rows = [work(task) for task in tasks]
-    fails = sum(1 for r in rows if not r[-1])
-    summary = {
-        "checked": len(rows),
-        "failures": fails,
-        "smallest_gap": min(r[4] for r in rows) if rows else 0.0,
-    }
-    return (["alpha", "field", "lhs", "rhs", "gap", "pass"], rows, summary)
+    fields = _battery(cfg)
+    rows = []
+    for alpha in cfg.sweep["alpha"]:
+        for idx, f in enumerate(fields):
+            lhs, rhs = lsi_gap(f, alpha)
+            ok = lhs <= rhs + 1e-10 * max(1.0, abs(rhs))
+            rows.append([alpha, idx, lhs, rhs, rhs - lhs, int(ok)])
+    return (["alpha", "field", "lhs", "rhs", "gap", "pass"],
+            rows, _verdicts(rows, "smallest_gap", 4, worst=min))
 
 
 _KATO_PHIS = {
@@ -330,35 +304,23 @@ _KATO_PHIS = {
 
 def _run_kato(cfg: ExperimentConfig):
     fields = _battery(cfg)
-    tasks = [
-        (alpha, name, idx, f)
-        for alpha in cfg.sweep["alpha"]
-        for name in sorted(_KATO_PHIS)
-        for idx, f in fields
-    ]
-
-    def work(task):
-        alpha, name, idx, f = task
-        p, dp = _KATO_PHIS[name]
-        rep = kato_check(f, p, dp, alpha=alpha)
-        return [alpha, name, idx, rep.max_violation, rep.scale, int(rep.passed)]
-
-    rows = [work(task) for task in tasks]
-    fails = sum(1 for r in rows if not r[-1])
-    summary = {
-        "checked": len(rows),
-        "failures": fails,
-        "worst_violation": max(r[3] for r in rows) if rows else 0.0,
-    }
+    rows = []
+    for alpha in cfg.sweep["alpha"]:
+        for name in sorted(_KATO_PHIS):
+            p, dp = _KATO_PHIS[name]
+            for idx, f in enumerate(fields):
+                rep = kato_check(f, p, dp, alpha=alpha)
+                rows.append([alpha, name, idx, rep.max_violation, rep.scale,
+                             int(rep.passed)])
     return (["alpha", "phi", "field", "max_violation", "scale", "pass"],
-            rows, summary)
+            rows, _verdicts(rows, "worst_violation", 3))
 
 
 def _run_fp(cfg: ExperimentConfig):
     tr = _default_triplet(cfg)
     steady = build_steady_state(tr, cfg.grid, cfg.tol)
     u0 = _battery(cfg, steady.density if cfg.sweep["family"] ==
-                  "perturbed-steady" else None)[0][1]
+                  "perturbed-steady" else None)[0]
     cell = cfg.grid.dx**cfg.grid.d
     rows = []
     for t in sorted(cfg.sweep["times"]):
@@ -370,10 +332,10 @@ def _run_fp(cfg: ExperimentConfig):
     return (["t", "mass", "l1_distance_to_steady"], rows, summary)
 
 
-def _run_steady(cfg: ExperimentConfig, out_dir: Path):
+def _run_steady(cfg: ExperimentConfig):
     tr = _default_triplet(cfg)
     steady = build_steady_state(tr, cfg.grid, cfg.tol)
-    steady.density.to_csv(out_dir / "steady_density.csv")
+    steady.density.to_csv(Path(cfg.output) / "steady_density.csv")
     dom = check_domination(tr.nu, tol=cfg.tol) if tr.nu is not None else None
     tail = check_log_tail(tr.nu, cfg.tol)
     report = {
@@ -389,10 +351,7 @@ def _run_steady(cfg: ExperimentConfig, out_dir: Path):
 
 
 def _run_check_conditions(cfg: ExperimentConfig):
-    tr = _default_triplet(cfg)
-    if tr.nu is None:
-        raise _fail("check-conditions needs a triplet with a jump density")
-    rep = check_domination(tr.nu, tol=cfg.tol)
+    rep = check_domination(_default_triplet(cfg).nu, tol=cfg.tol)
     rows = [[z, ratio] for z, ratio in rep.table]
     summary = {"C_est": rep.C_est, "unbounded": rep.unbounded}
     return (["z", "ratio"], rows, summary)
@@ -404,7 +363,9 @@ def _run_decay(cfg: ExperimentConfig):
     if cfg.input_csv is not None:
         u0 = SpectralField.from_csv(cfg.grid, cfg.input_csv)
     else:
-        u0 = _battery_steady_field(cfg, steady)
+        u0 = generate_test_fields(
+            cfg.grid, cfg.seed, "perturbed-steady", steady.density
+        )[0]
     C = cfg.sweep["C"]
     rows = []
     summaries = {}
@@ -426,13 +387,6 @@ def _run_decay(cfg: ExperimentConfig):
         }
     summaries["violation_count"] = violations_total
     return (["phi", "t", "entropy", "bound", "pass"], rows, summaries)
-
-
-def _battery_steady_field(cfg: ExperimentConfig, steady) -> SpectralField:
-    fields = generate_test_fields(
-        cfg.grid, cfg.seed, "perturbed-steady", steady.density
-    )
-    return fields[0]
 
 
 def _run_check_lsi(cfg: ExperimentConfig):
@@ -467,63 +421,48 @@ def _run_check_lsi(cfg: ExperimentConfig):
             )
             ent, rhs, ratio = modified_lsi_check(v, mu, mu_triplet, phi)
             rows.append([name, idx, ent, rhs, ratio, int(ratio <= 1.0 + 1e-6)])
-    fails = sum(1 for r in rows if not r[-1])
-    summary = {
-        "checked": len(rows),
-        "failures": fails,
-        "worst_ratio": max(r[4] for r in rows) if rows else 0.0,
-    }
-    return (["phi", "field", "entropy", "rhs", "ratio", "pass"], rows, summary)
+    return (["phi", "field", "entropy", "rhs", "ratio", "pass"],
+            rows, _verdicts(rows, "worst_ratio", 4))
 
 
 def _run_all(cfg: ExperimentConfig):
     """Composite desk-scale suite: every experiment on capped grids."""
     cap = 512 if cfg.grid.d == 1 else 128
     grid = cfg.grid if cfg.grid.M <= cap else Grid(cfg.grid.d, cfg.grid.L, cap)
-    triplet_spec = cfg.triplet_spec
-    if triplet_spec is None:
-        # pure-diffusion default: its steady state and flow are resolved
-        # exactly at desk-scale grids, so the suite's verdicts are honest
-        triplet_spec = {"d": grid.d, "sigma": 1.0, "b": [0.0] * grid.d}
-    sub = ExperimentConfig(
-        experiment="all",
-        grid=grid,
-        triplet_spec=triplet_spec,
-        sweep=cfg.sweep,
-        output=cfg.output,
-        seed=cfg.seed,
-        tol=cfg.tol,
-    )
-    jump_sub = ExperimentConfig(
-        experiment="all",
-        grid=grid,
-        triplet_spec={
-            "d": grid.d,
-            "sigma": 0.0,
-            "b": [0.0] * grid.d,
-            "nu": {"kind": "stable", "alpha": 1.0},
-        },
-        sweep=cfg.sweep,
-        output=cfg.output,
-        seed=cfg.seed,
-        tol=cfg.tol,
-    )
+    d = grid.d
+    # pure-diffusion default: its steady state and flow are resolved
+    # exactly at desk-scale grids, so the suite's verdicts are honest
+    triplet = cfg.triplet
+    if triplet is None:
+        triplet = LevyTriplet(sigma=np.eye(d), b=np.zeros(d), d=d)
+    sub = replace(cfg, grid=grid, triplet=triplet, input_csv=None, out_csv=None)
+    jump_sub = replace(sub, triplet=LevyTriplet(
+        sigma=np.zeros((d, d)), b=np.zeros(d), nu=stable_density(1.0, d), d=d
+    ))
     rows = []
     summary = {}
-    for name, runner, config in (
-        ("heat", _run_heat, sub),
-        ("euclidean-lsi", _run_euclidean_lsi, sub),
-        ("kato", _run_kato, sub),
-        ("fp", _run_fp, sub),
-        ("check-conditions", _run_check_conditions, jump_sub),
-        ("decay", _run_decay, sub),
-        ("check-lsi", _run_check_lsi, sub),
-    ):
-        header, sub_rows, sub_summary = runner(config)
+    for name in ("heat", "euclidean-lsi", "kato", "fp", "check-conditions",
+                 "decay", "check-lsi"):
+        config = jump_sub if name == "check-conditions" else sub
+        header, sub_rows, sub_summary = _RUNNERS[name](config)
         for r in sub_rows:
             rows.append([name] + [f"{h}={_cell(v)}" for h, v in zip(header, r)])
         summary[name] = sub_summary
     return (["experiment", *(f"kv{i}" for i in range(9))], rows, summary)
+
+
+_RUNNERS = {
+    "heat": _run_heat,
+    "fp": _run_fp,
+    "steady": _run_steady,
+    "decay": _run_decay,
+    "check-lsi": _run_check_lsi,
+    "check-conditions": _run_check_conditions,
+    "euclidean-lsi": _run_euclidean_lsi,
+    "kato": _run_kato,
+    "all": _run_all,
+}
+EXPERIMENTS = tuple(_RUNNERS)
 
 
 def _cell(value):
@@ -548,24 +487,7 @@ def run_experiment(cfg: ExperimentConfig) -> int:
     out_dir = Path(cfg.output)
     out_dir.mkdir(parents=True, exist_ok=True)
     try:
-        if cfg.experiment == "heat":
-            header, rows, summary = _run_heat(cfg)
-        elif cfg.experiment == "euclidean-lsi":
-            header, rows, summary = _run_euclidean_lsi(cfg)
-        elif cfg.experiment == "kato":
-            header, rows, summary = _run_kato(cfg)
-        elif cfg.experiment == "fp":
-            header, rows, summary = _run_fp(cfg)
-        elif cfg.experiment == "steady":
-            header, rows, summary = _run_steady(cfg, out_dir)
-        elif cfg.experiment == "check-conditions":
-            header, rows, summary = _run_check_conditions(cfg)
-        elif cfg.experiment == "decay":
-            header, rows, summary = _run_decay(cfg)
-        elif cfg.experiment == "check-lsi":
-            header, rows, summary = _run_check_lsi(cfg)
-        else:
-            header, rows, summary = _run_all(cfg)
+        header, rows, summary = _RUNNERS[cfg.experiment](cfg)
     except QuadratureFailure as exc:
         raise NumericalFailure(str(exc)) from exc
 
@@ -647,6 +569,23 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _read_json(path: str, what: str):
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"cannot read {what}: {exc}") from exc
+
+
+def _number_list(flag: str, text: str) -> list:
+    try:
+        return [float(s) for s in text.split(",") if s]
+    except ValueError:
+        raise ConfigError(
+            f"{flag} must be a comma-separated list of numbers, got {text!r}"
+        ) from None
+
+
 def _apply_subcommand_flags(args, raw: dict) -> dict:
     sweep = dict(raw.get("sweep", {}))
     if getattr(args, "alpha", None) is not None:
@@ -658,9 +597,9 @@ def _apply_subcommand_flags(args, raw: dict) -> dict:
     if getattr(args, "q", None) is not None:
         sweep["q"] = [args.q]
     if getattr(args, "t_list", None) is not None:
-        sweep["times"] = [float(s) for s in args.t_list.split(",") if s]
+        sweep["times"] = _number_list("--t-list", args.t_list)
     if getattr(args, "times", None) is not None:
-        sweep["times"] = [float(s) for s in args.times.split(",") if s]
+        sweep["times"] = _number_list("--times", args.times)
     if getattr(args, "phi", None) is not None:
         sweep["phi"] = [args.phi]
     if getattr(args, "C", None) is not None:
@@ -670,8 +609,7 @@ def _apply_subcommand_flags(args, raw: dict) -> dict:
         raw["sweep"] = sweep
     triplet_path = getattr(args, "triplet_config", None)
     if triplet_path is not None:
-        with open(triplet_path) as fh:
-            raw["triplet"] = json.load(fh)
+        raw["triplet"] = _read_json(triplet_path, "triplet config")
     return raw
 
 
@@ -681,11 +619,7 @@ def main(argv=None) -> int:
     try:
         raw = {}
         if args.config is not None:
-            try:
-                with open(args.config) as fh:
-                    raw = json.load(fh)
-            except (OSError, json.JSONDecodeError) as exc:
-                raise ConfigError(f"cannot read config: {exc}") from exc
+            raw = _read_json(args.config, "config")
         if args.experiment is None and "experiment" not in raw:
             parser.print_usage(sys.stderr)
             raise ConfigError("no experiment selected")

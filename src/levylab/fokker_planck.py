@@ -50,6 +50,7 @@ from .levy import (
     _gauss_drift_exponent,
     _radial_argument,
     _stable_radial_constant,
+    jump_symbol,
 )
 from .quadrature import _SLACK, integrate_scaled, try_integrate
 from .spectral import Grid, SpectralField
@@ -144,11 +145,11 @@ def _jump_antiderivative(triplet: LevyTriplet, k, tol, anchored=True):
     r_min, r_max = float(np.min(r[pos])), float(np.max(r[pos]))
     if r_max > r_min:
         out[pos] = _log_chebyshev_integral(
-            lambda rho: triplet.jump_exponent(rho, tol), r_min, r_max, r[pos], tol
+            lambda rho: jump_symbol(nu, rho, tol), r_min, r_max, r[pos], tol
         )
     if anchored:
         out[pos] += integrate_scaled(
-            lambda s: triplet.jump_exponent(s * r_min, tol) / s, (0.0, 1.0), tol
+            lambda s: jump_symbol(nu, s * r_min, tol) / s, (0.0, 1.0), tol
         )
     return np.where(k < 0.0, np.conj(out), out)
 
@@ -463,23 +464,22 @@ def check_radial_decay(
     if t_grid is None:
         t_grid = np.logspace(-1.0, 1.0, 21)
     d = 1
-    worst_mono = 0.0
-    worst_ident = 0.0
+    # np.max, unlike the built-in max, carries a NaN through to the report
+    mono = [0.0]
+    ident = [0.0]
     for x in np.atleast_1d(np.asarray(points, dtype=float)):
         prof = np.array([n_inf(t * x) for t in t_grid])
         weighted = prof * t_grid ** (d + 1.0 / C)
         scale = np.max(np.abs(weighted)) or 1.0
-        lower = t_grid <= 1.0
-        upper = t_grid >= 1.0
-        if np.any(lower):
-            worst_mono = max(worst_mono, float(np.max(-np.diff(weighted[lower]) / scale, initial=0.0)))
-        if np.any(upper):
-            worst_mono = max(worst_mono, float(np.max(np.diff(weighted[upper]) / scale, initial=0.0)))
+        mono.extend(-np.diff(weighted[t_grid <= 1.0]) / scale)
+        mono.extend(np.diff(weighted[t_grid >= 1.0]) / scale)
         h = 1e-4 * abs(x)
         grad = (n_inf(x + h) - n_inf(x - h)) / (2.0 * h)
         lhs = -d * n_inf(x) - x * grad
         rhs = float(n_density(x))
-        worst_ident = max(worst_ident, abs(lhs - rhs) / (1.0 + abs(rhs)))
+        ident.append(abs(lhs - rhs) / (1.0 + abs(rhs)))
+    worst_mono = float(np.max(mono))
+    worst_ident = float(np.max(ident))
     return RadialDecayReport(
         monotone_ok=worst_mono <= 1e-9,
         max_monotone_violation=worst_mono,

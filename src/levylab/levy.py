@@ -382,21 +382,6 @@ class LevyTriplet:
         if np.min(eigs) < -1e-12:
             raise ValueError(f"sigma is not positive semi-definite: eigs {eigs}")
 
-    @property
-    def is_stable_jump(self):
-        return self.nu is not None and self.nu.kind == "stable"
-
-    def jump_exponent(self, xi, tol=1e-10):
-        """a(xi), given xi in d=1 and |xi| in d=2 (``_radial_argument``).
-
-        Vectorized closed form for the stable family.
-        """
-        if self.nu is None:
-            return np.zeros(np.shape(xi))
-        if self.is_stable_jump:
-            return stable_symbol(self.nu.alpha).eval(xi)
-        return jump_symbol(self.nu, xi, tol)
-
 
 def _radial_argument(axes):
     """What a(xi) depends on, from one array (or number) per axis.
@@ -432,7 +417,14 @@ def characteristic_exponent(triplet: LevyTriplet, xi, tol: float = 1e-10):
     """psi(xi) = -xi.sigma xi + i b.xi + a(xi) at one frequency xi."""
     axes = np.atleast_1d(np.asarray(xi, dtype=float))
     gauss, drift = _gauss_drift_exponent(triplet, axes)
-    return gauss + drift + triplet.jump_exponent(_radial_argument(axes), tol)
+    nu, r = triplet.nu, _radial_argument(axes)
+    if nu is None:
+        jump = 0.0
+    elif nu.kind == "stable":
+        jump = -(np.abs(r) ** nu.alpha)
+    else:
+        jump = jump_symbol(nu, r, tol)
+    return gauss + drift + jump
 
 
 def dual_triplet(triplet: LevyTriplet) -> LevyTriplet:
@@ -474,12 +466,19 @@ def _tabulated_density(path, d):
     return LevyDensity(kind="tabulated", d=d, func=func, is_even=radial)
 
 
+_TRIPLET_KEYS = {"d", "sigma", "b", "nu"}
+_NU_KEYS = {"kind", "alpha", "table_path"}
+
+
 def triplet_from_config(cfg: dict) -> LevyTriplet:
     """Build a triplet from a structured configuration.
 
     Keys: ``sigma`` (scalar or matrix), ``b`` (scalar or vector), ``d``,
-    ``nu`` (null, or {kind, alpha, table_path, even}).
+    ``nu`` (null, or {kind, alpha, table_path}).  Other keys raise ValueError.
     """
+    unknown = set(cfg) - _TRIPLET_KEYS
+    if unknown:
+        raise ValueError(f"unknown triplet keys: {sorted(unknown)}")
     d = int(cfg.get("d", 1))
     sigma = np.asarray(cfg.get("sigma", np.zeros((d, d))), dtype=float)
     if sigma.ndim == 0:
@@ -488,6 +487,9 @@ def triplet_from_config(cfg: dict) -> LevyTriplet:
     nu_cfg = cfg.get("nu")
     nu = None
     if nu_cfg:
+        unknown = set(nu_cfg) - _NU_KEYS
+        if unknown:
+            raise ValueError(f"unknown nu keys: {sorted(unknown)}")
         kind = nu_cfg["kind"]
         if kind == "stable":
             nu = stable_density(float(nu_cfg["alpha"]), d)

@@ -3,10 +3,17 @@
 import json
 import math
 import os
+from itertools import product
 
 import pytest
 
-from levylab import cli, generate_test_fields, kato_check
+from levylab import (
+    cli,
+    generate_test_fields,
+    kato_check,
+    lsi_gap,
+    verify_hypercontractivity,
+)
 from levylab.cli import load_config, main
 from levylab.errors import ConfigError
 
@@ -101,6 +108,53 @@ class TestExitCodes:
         assert rc == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("grid_d, triplet", [
+        (1, {"d": 3, "sigma": 1.0}),
+        (2, {"d": 3, "sigma": 1.0}),
+        (1, {"d": 2, "sigma": 1.0, "b": [0, 0]}),
+        (2, {"sigma": 1.0}),
+        (1, {"d": 1, "nu": {"kind": "gauss"}}),
+        (1, {"d": 1, "nu": {"kind": "stable", "alpha": 2.5}}),
+        (1, {"d": 1, "sigma": 1.0, "bogus": 1}),
+        (1, {"d": 1, "nu": {"kind": "stable", "alpha": 1.0, "whatever": 1}}),
+    ], ids=["d3-on-d1", "d3-on-d2", "d2-on-d1", "no-d-on-d2", "unknown-kind",
+            "alpha-2.5", "unknown-key", "unknown-nu-key"])
+    def test_invalid_triplet_exits_2_without_output(self, tmp_path, capsys,
+                                                     grid_d, triplet):
+        trip = tmp_path / "trip.json"
+        trip.write_text(json.dumps(triplet))
+        path = write_config(tmp_path / "c.json",
+                            grid={"d": grid_d, "L": 10.0, "M": 32})
+        out = tmp_path / "out"
+        rc = main(["--config", str(path), "--out", str(out), "fp",
+                   "--triplet-config", str(trip)])
+        assert rc == 2
+        assert "config error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_check_conditions_without_jumps_exits_2_without_output(self, tmp_path):
+        path = write_config(tmp_path / "c.json", experiment="check-conditions",
+                            triplet={"d": 1, "sigma": 1.0, "b": 0.0})
+        out = tmp_path / "out"
+        assert main(["--config", str(path), "--out", str(out)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [
+        ["decay", "--times", "0.5,abc"],
+        ["fp", "--t-list", "0.5,abc"],
+        ["fp", "--triplet-config", "missing.json"],
+        ["fp", "--triplet-config", "malformed.json"],
+    ], ids=["times", "t-list", "missing-triplet", "malformed-triplet"])
+    def test_bad_flag_value_exits_2_without_output(self, tmp_path, capsys,
+                                                   monkeypatch, flags):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "malformed.json").write_text('{"d": 1,')
+        path = write_config(tmp_path / "c.json")
+        rc = main(["--config", str(path), "--out", "out", *flags])
+        assert rc == 2
+        assert "config error:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_check_conditions_d2_exits_0(self, tmp_path):
         # the alpha = 1 stable density: N_inf / N = 1 / alpha exactly
         path = write_config(tmp_path / "c.json", experiment="check-conditions",
@@ -179,7 +233,7 @@ class TestExitCodes:
         def runner(cfg):
             return ["x"], [[1.0]], {"worst_ratio": math.inf}
 
-        monkeypatch.setattr(cli, "_run_heat", runner)
+        monkeypatch.setitem(cli._RUNNERS, "heat", runner)
         out = tmp_path / "out"
         rc = main(["--config", str(write_config(tmp_path / "c.json")),
                    "--out", str(out)])
@@ -195,24 +249,49 @@ def strict_json(text):
     return json.loads(text, parse_constant=reject)
 
 
-def _kato_rows_per_pair(cfg):
-    """Kato rows with the field battery rebuilt for every (alpha, phi) pair."""
+def _heat_row(pair, idx, f):
+    alpha, p, q, t = pair
+    rep = verify_hypercontractivity(f, alpha=alpha, p=p, q=q, t=t)
+    return [alpha, p, q, t, idx, rep.lhs, rep.rhs, rep.ratio, int(not rep.violated)]
+
+
+def _lsi_row(alpha, idx, f):
+    lhs, rhs = lsi_gap(f, alpha)
+    ok = lhs <= rhs + 1e-10 * max(1.0, abs(rhs))
+    return [alpha, idx, lhs, rhs, rhs - lhs, int(ok)]
+
+
+def _kato_row(pair, idx, f):
+    alpha, name = pair
+    p, dp = cli._KATO_PHIS[name]
+    rep = kato_check(f, p, dp, alpha=alpha)
+    return [alpha, name, idx, rep.max_violation, rep.scale, int(rep.passed)]
+
+
+# per experiment: the parameter tuples outside the battery loop, and one row
+_PAIRS = {
+    "heat": (lambda s: product(s["alpha"], s["p"], s["q"], s["t"]), _heat_row),
+    "euclidean-lsi": (lambda s: s["alpha"], _lsi_row),
+    "kato": (lambda s: product(s["alpha"], sorted(cli._KATO_PHIS)), _kato_row),
+}
+
+
+def _rows_per_pair(cfg):
+    """Rows with the field battery rebuilt for every outer parameter tuple."""
+    pairs, row = _PAIRS[cfg.experiment]
     rows = []
-    for alpha in cfg.sweep["alpha"]:
-        for name in sorted(cli._KATO_PHIS):
-            battery = generate_test_fields(cfg.grid, cfg.seed, cfg.sweep["family"])
-            for idx, f in enumerate(battery):
-                p, dp = cli._KATO_PHIS[name]
-                rep = kato_check(f, p, dp, alpha=alpha)
-                rows.append([alpha, name, idx, rep.max_violation, rep.scale,
-                             int(rep.passed)])
+    for pair in pairs(cfg.sweep):
+        battery = generate_test_fields(cfg.grid, cfg.seed, cfg.sweep["family"])
+        rows.extend(row(pair, idx, f) for idx, f in enumerate(battery))
     return rows
 
 
 class TestKato:
+    @pytest.mark.parametrize("experiment", sorted(_PAIRS))
     @pytest.mark.parametrize("d, M", [(1, 64), (2, 16)])
-    def test_battery_built_once(self, d, M, monkeypatch):
-        cfg = load_config({"experiment": "kato", "grid": {"d": d, "L": 10.0, "M": M},
+    def test_battery_built_once(self, experiment, d, M, monkeypatch):
+        cfg = load_config({"experiment": experiment,
+                           "grid": {"d": d, "L": 10.0, "M": M},
                            "sweep": {"family": "bumps"}, "seed": 5})
         calls = []
 
@@ -221,9 +300,9 @@ class TestKato:
             return generate_test_fields(*args, **kwargs)
 
         monkeypatch.setattr(cli, "generate_test_fields", counting)
-        _, rows, _ = cli._run_kato(cfg)
+        _, rows, _ = cli._RUNNERS[experiment](cfg)
         assert len(calls) == 1
-        assert rows == _kato_rows_per_pair(cfg)
+        assert rows == _rows_per_pair(cfg)
 
 
 class TestOutputs:

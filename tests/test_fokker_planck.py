@@ -1,5 +1,7 @@
 """Confined Levy flow, invariant measures, and structural conditions."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy import integrate
@@ -221,7 +223,7 @@ class TestQuadratureRoute:
         exponent = np.log(out.coefficients / shifted)
         for k in (5, -5):
             oracle = integrate_scaled(
-                lambda s: tr.jump_exponent(np.exp(-s) * g.xi1[k]), (0.0, t)
+                lambda s: jump_symbol(nu, np.exp(-s) * g.xi1[k]), (0.0, t)
             )
             assert abs(exponent[k] - oracle) < 1e-8
 
@@ -486,3 +488,11 @@ class TestRadialDecay:
             t_grid=np.linspace(1.0, 10.0, 10),
         )
         assert rep.monotone_ok
+
+    def test_nan_limit_density_fails(self):
+        rep = check_radial_decay(
+            lambda x: math.nan, lambda x: 1.0, points=[0.5, 2.0], C=1.0
+        )
+        assert not rep.monotone_ok
+        assert math.isnan(rep.max_monotone_violation)
+        assert math.isnan(rep.max_identity_error)
