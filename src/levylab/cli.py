@@ -63,7 +63,7 @@ class ExperimentConfig:
     output: str
     seed: int
     tol: float
-    input_csv: str | None = None
+    input_field: SpectralField | None = None
     out_csv: str | None = None
 
 
@@ -150,7 +150,7 @@ def load_config(raw: dict, overrides: dict | None = None) -> ExperimentConfig:
     d = grid_spec.get("d", 1)
     L = grid_spec.get("L", 20.0)
     M = grid_spec.get("M", 512)
-    if d not in (1, 2):
+    if type(d) is not int or d not in (1, 2):
         raise ConfigError(f"grid.d must be 1 or 2, got {d!r}")
     if not (isinstance(L, (int, float)) and math.isfinite(L) and L > 0):
         raise ConfigError(f"grid.L must be positive and finite, got {L!r}")
@@ -174,12 +174,10 @@ def load_config(raw: dict, overrides: dict | None = None) -> ExperimentConfig:
     if not isinstance(sweep["q"], (list, tuple)):
         raise ConfigError(f"q must be a list, got {sweep['q']!r}")
     sweep["q"] = [_parse_q(q) for q in sweep["q"]]
-    for p in sweep["p"]:
-        if p < 1.0:
-            raise ConfigError(f"exponent p must be >= 1, got {p}")
-    for q in sweep["q"]:
-        if q < 1.0:
-            raise ConfigError(f"exponent q must be >= 1, got {q}")
+    for name in ("p", "q"):
+        for v in sweep[name]:
+            if v < 1.0:
+                raise ConfigError(f"exponent {name} must be >= 1, got {v}")
     sweep["t"] = _finite_list("t", sweep["t"])
     sweep["times"] = _finite_list("times", sweep["times"])
     for t in sweep["t"] + sweep["times"]:
@@ -221,6 +219,12 @@ def load_config(raw: dict, overrides: dict | None = None) -> ExperimentConfig:
         raise ConfigError("check-conditions needs a triplet with a jump density")
 
     io = overrides or {}
+    input_field = None
+    if io.get("input_csv") is not None:
+        try:
+            input_field = SpectralField.from_csv(grid, io["input_csv"])
+        except (OSError, IndexError, ValueError) as exc:
+            raise ConfigError(f"cannot read input field: {exc}") from exc
     return ExperimentConfig(
         experiment=experiment,
         grid=grid,
@@ -229,7 +233,7 @@ def load_config(raw: dict, overrides: dict | None = None) -> ExperimentConfig:
         output=output,
         seed=seed,
         tol=float(tol),
-        input_csv=io.get("input_csv"),
+        input_field=input_field,
         out_csv=io.get("out_csv"),
     )
 
@@ -266,10 +270,7 @@ def _verdicts(rows, worst_key: str, column: int, worst=max) -> dict:
 
 
 def _run_heat(cfg: ExperimentConfig):
-    if cfg.input_csv is not None:
-        fields = [SpectralField.from_csv(cfg.grid, cfg.input_csv)]
-    else:
-        fields = _battery(cfg)
+    fields = [cfg.input_field] if cfg.input_field is not None else _battery(cfg)
     sweep = cfg.sweep
     rows = []
     for alpha, p, q, t in product(sweep["alpha"], sweep["p"], sweep["q"], sweep["t"]):
@@ -282,11 +283,11 @@ def _run_heat(cfg: ExperimentConfig):
 
 
 def _run_euclidean_lsi(cfg: ExperimentConfig):
-    fields = _battery(cfg)
+    alphas = cfg.sweep["alpha"]
+    gaps = [lsi_gap(f, alphas) for f in _battery(cfg)]
     rows = []
-    for alpha in cfg.sweep["alpha"]:
-        for idx, f in enumerate(fields):
-            lhs, rhs = lsi_gap(f, alpha)
+    for alpha, per_field in zip(alphas, zip(*gaps)):
+        for idx, (lhs, rhs) in enumerate(per_field):
             ok = lhs <= rhs + 1e-10 * max(1.0, abs(rhs))
             rows.append([alpha, idx, lhs, rhs, rhs - lhs, int(ok)])
     return (["alpha", "field", "lhs", "rhs", "gap", "pass"],
@@ -303,13 +304,14 @@ _KATO_PHIS = {
 
 
 def _run_kato(cfg: ExperimentConfig):
-    fields = _battery(cfg)
+    alphas = cfg.sweep["alpha"]
+    names = sorted(_KATO_PHIS)
+    phis, dphis = zip(*(_KATO_PHIS[name] for name in names))
+    reports = [kato_check(f, phis, dphis, alphas) for f in _battery(cfg)]
     rows = []
-    for alpha in cfg.sweep["alpha"]:
-        for name in sorted(_KATO_PHIS):
-            p, dp = _KATO_PHIS[name]
-            for idx, f in enumerate(fields):
-                rep = kato_check(f, p, dp, alpha=alpha)
+    for alpha, per_field in zip(alphas, zip(*reports)):
+        for j, name in enumerate(names):
+            for idx, rep in enumerate(row[j] for row in per_field):
                 rows.append([alpha, name, idx, rep.max_violation, rep.scale,
                              int(rep.passed)])
     return (["alpha", "phi", "field", "max_violation", "scale", "pass"],
@@ -360,9 +362,8 @@ def _run_check_conditions(cfg: ExperimentConfig):
 def _run_decay(cfg: ExperimentConfig):
     tr = _default_triplet(cfg)
     steady = build_steady_state(tr, cfg.grid, cfg.tol)
-    if cfg.input_csv is not None:
-        u0 = SpectralField.from_csv(cfg.grid, cfg.input_csv)
-    else:
+    u0 = cfg.input_field
+    if u0 is None:
         u0 = generate_test_fields(
             cfg.grid, cfg.seed, "perturbed-steady", steady.density
         )[0]
@@ -435,7 +436,7 @@ def _run_all(cfg: ExperimentConfig):
     triplet = cfg.triplet
     if triplet is None:
         triplet = LevyTriplet(sigma=np.eye(d), b=np.zeros(d), d=d)
-    sub = replace(cfg, grid=grid, triplet=triplet, input_csv=None, out_csv=None)
+    sub = replace(cfg, grid=grid, triplet=triplet, input_field=None, out_csv=None)
     jump_sub = replace(sub, triplet=LevyTriplet(
         sigma=np.zeros((d, d)), b=np.zeros(d), nu=stable_density(1.0, d), d=d
     ))

@@ -26,17 +26,8 @@ def gaussian_field(grid: Grid, variance=1.0, center=0.0) -> SpectralField:
 
 def band_limit(f: SpectralField, fraction: float = 0.8) -> SpectralField:
     """Zero coefficients beyond fraction * Nyquist so differentiation is exact."""
-    cut = fraction * np.pi / f.grid.dx
-
-    def mask(*axes):
-        r = np.sqrt(sum(a**2 for a in axes))
-        return (r <= cut).astype(float)
-
-    return apply_multiplier(f, mask)
-
-
-def _nonneg(f: SpectralField) -> SpectralField:
-    return f.with_values(np.clip(f.values, 0.0, None))
+    mask = (f.grid.symbol(1.0) <= fraction * np.pi / f.grid.dx).astype(float)
+    return apply_multiplier(f, lambda *axes: mask)
 
 
 def generate_test_fields(grid: Grid, seed: int, family: str, steady=None):
@@ -86,4 +77,5 @@ def generate_test_fields(grid: Grid, seed: int, family: str, steady=None):
             vals = steady.values * (1.0 + 0.3 * bump)
             vals = vals / (np.sum(vals) * grid.dx**grid.d)
             fields.append(SpectralField(grid, values=vals))
-    return [_nonneg(band_limit(f)) for f in fields]
+    limited = [band_limit(f) for f in fields]
+    return [f.with_values(np.clip(f.values, 0.0, None)) for f in limited]

@@ -45,32 +45,21 @@ def heat_evolve(f: SpectralField, alpha: float, t: float) -> SpectralField:
         raise ValueError("time must be nonnegative")
     if t == 0:
         return f
-
-    def mult(*axes):
-        r = np.sqrt(sum(a**2 for a in axes))
-        return np.exp(-t * r**alpha)
-
-    return apply_multiplier(f, mult)
+    return apply_multiplier(f, lambda *axes: np.exp(-t * f.grid.symbol(alpha)))
 
 
 def fractional_laplacian(f: SpectralField, alpha: float) -> SpectralField:
     """g_alpha[f], the multiplier |xi|^alpha (so that -g_alpha generates P_t)."""
     _check_alpha(alpha)
-
-    def mult(*axes):
-        r = np.sqrt(sum(a**2 for a in axes))
-        return r**alpha
-
-    return apply_multiplier(f, mult)
+    return apply_multiplier(f, lambda *axes: f.grid.symbol(alpha))
 
 
 def half_operator_norm(f: SpectralField, alpha: float) -> float:
     """int (g_{alpha/2}[f])^2 dx = sum |xi|^alpha |f^(xi)|^2 dxi^d / (2 pi)^d."""
     _check_alpha(alpha)
     g = f.grid
-    r = g.freq_norm()
     w = (g.dxi / (2.0 * np.pi)) ** g.d
-    return float(np.sum(r**alpha * np.abs(f.coefficients) ** 2) * w)
+    return float(np.sum(g.symbol(alpha) * np.abs(f.coefficients) ** 2) * w)
 
 
 def lsi_constant(n: int, alpha: float) -> float:
@@ -94,29 +83,33 @@ def lsi_constant(n: int, alpha: float) -> float:
     return math.exp(log_a)
 
 
-def lsi_gap(f: SpectralField, alpha: float):
+def lsi_gap(f: SpectralField, alpha):
     """Both sides of the Euclidean log-Sobolev inequality at unit L2 norm.
 
     Returns (lhs, rhs) with lhs = Ent_dx(f^2) and
     rhs = (n/alpha) log(A * int (g_{alpha/2}[f])^2 dx); the caller asserts
-    lhs <= rhs.  The field is renormalized to unit L2 norm if needed.
+    lhs <= rhs.  The field is renormalized to unit L2 norm if needed.  For a
+    sequence of exponents the result is one pair per exponent, from one
+    renormalized field, one transform and one lhs.
     """
-    _check_alpha(alpha)
+    one_alpha = np.ndim(alpha) == 0
+    alphas = [alpha] if one_alpha else alpha
     n = f.grid.d
     nrm = lp_norm(f, 2)
     if nrm == 0.0:
         raise DegenerateField("cannot renormalize the zero field")
     if abs(nrm - 1.0) > 1e-8:
         f = f.with_values(f.values / nrm)
-    energy = half_operator_norm(f, alpha)
-    if energy <= 0.0:
+    energies = [half_operator_norm(f, a) for a in alphas]
+    if any(e <= 0.0 for e in energies):
         raise DegenerateField("field has no Dirichlet energy")
     v2 = f.values**2
     # f^2 log f^2 -> 0 continuously at zeros of f
     logs = np.where(v2 > 1e-300, np.log(np.where(v2 > 1e-300, v2, 1.0)), 0.0)
     lhs = float(np.sum(v2 * logs) * f.grid.dx**n)
-    rhs = (n / alpha) * math.log(lsi_constant(n, alpha) * energy)
-    return lhs, rhs
+    gaps = [(lhs, (n / a) * math.log(lsi_constant(n, a) * e))
+            for a, e in zip(alphas, energies)]
+    return gaps[0] if one_alpha else gaps
 
 
 @dataclass(frozen=True)
@@ -196,15 +189,27 @@ class KatoReport:
     passed: bool
 
 
-def kato_check(u: SpectralField, phi, dphi, alpha: float) -> KatoReport:
+def kato_check(u: SpectralField, phi, dphi, alpha):
     """Pointwise check of g_alpha[phi(u)] <= phi'(u) g_alpha[u].
 
     ``phi`` and ``dphi`` are the convex function and its derivative,
     evaluated at the grid values of u.  Passes when the largest pointwise
-    excess stays below 1e-8 * (1 + max |rhs|).
+    excess stays below 1e-8 * (1 + max |rhs|).  Sequences of functions and
+    of exponents give reports[i][j] for alpha[i] and phi[j], transforming
+    each phi(u) once and evaluating g_alpha[u] once per exponent.
     """
-    lhs = fractional_laplacian(u.with_values(phi(u.values)), alpha).values
-    rhs = dphi(u.values) * fractional_laplacian(u, alpha).values
-    viol = float(np.max(lhs - rhs))
-    scale = 1.0 + float(np.max(np.abs(rhs)))
-    return KatoReport(max_violation=viol, scale=scale, passed=viol <= 1e-8 * scale)
+    one_phi, one_alpha = callable(phi), np.ndim(alpha) == 0
+    phis, dphis = ([phi], [dphi]) if one_phi else (phi, dphi)
+    composed = [u.with_values(p(u.values)) for p in phis]
+    slopes = [dp(u.values) for dp in dphis]
+    reports = []
+    for a in [alpha] if one_alpha else alpha:
+        lap_u = fractional_laplacian(u, a).values
+        row = []
+        for w, slope in zip(composed, slopes):
+            rhs = slope * lap_u
+            viol = float(np.max(fractional_laplacian(w, a).values - rhs))
+            scale = 1.0 + float(np.max(np.abs(rhs)))
+            row.append(KatoReport(viol, scale, viol <= 1e-8 * scale))
+        reports.append(row[0] if one_phi else row)
+    return reports[0] if one_alpha else reports

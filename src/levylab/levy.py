@@ -20,7 +20,7 @@ measure; Sato, "Levy Processes and Infinitely Divisible Distributions",
 part of a(xi).  The dimension enters a(xi) only through the spherical mean
 of exp(i z.xi), cos(r |xi|) in d=1 and J0(r |xi|) in d=2; for the stable
 family rho(r) = |S^{d-1}| c(d, alpha) r^{-1-alpha} gives every such integral
-in closed form.
+in closed form.  ``scipy.special`` is imported only where it is called.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import special
 
 from .errors import InvalidAlpha, NonFiniteDensity
 from .quadrature import integrate_scaled, try_integrate
@@ -76,6 +75,7 @@ def _cosm1p(u):
 
 def _j0m1p(x):
     """J0(x) - 1 + x^2/4, evaluated without cancellation near x = 0."""
+    from scipy import special
     x = np.asarray(x, dtype=float)
     small = np.abs(x) < 1e-2
     x2 = x * x
@@ -94,6 +94,7 @@ def _j0_tail(g, q, tol):
     most int(q/pi) + 1 of the zeros lie below r = 1, so at least 99 segments
     remain.
     """
+    from scipy import special
     if q <= 0.0:
         raise ValueError("oscillation frequency must be positive")
     cuts = special.jn_zeros(0, 100 + int(q / np.pi)) / q
@@ -141,6 +142,7 @@ def _checked(density, z):
 @lru_cache(maxsize=None)
 def _stable_norm_constant(d: int, alpha: float) -> float:
     """c(d, alpha) such that the density c |z|^{-d-alpha} has symbol -|xi|^alpha."""
+    from scipy import special
     return float(
         2.0**alpha * special.gamma(0.5 * (d + alpha))
         / (np.pi ** (0.5 * d) * abs(special.gamma(-0.5 * alpha)))
@@ -153,6 +155,7 @@ def _stable_radial_constant(d: int, alpha: float) -> float:
     C = |S^{d-1}| c(d, alpha), with |S^{d-1}| = 2 pi^{d/2} / Gamma(d/2),
     exactly 2 in d=1 and 2 pi in d=2.
     """
+    from scipy import special
     sphere = 2.0 * np.pi ** (0.5 * d) / special.gamma(0.5 * d)
     return sphere * _stable_norm_constant(d, alpha)
 
@@ -473,13 +476,15 @@ _NU_KEYS = {"kind", "alpha", "table_path"}
 def triplet_from_config(cfg: dict) -> LevyTriplet:
     """Build a triplet from a structured configuration.
 
-    Keys: ``sigma`` (scalar or matrix), ``b`` (scalar or vector), ``d``,
-    ``nu`` (null, or {kind, alpha, table_path}).  Other keys raise ValueError.
+    Keys: ``sigma`` (scalar or matrix), ``b`` (scalar or vector), ``d`` (an
+    int), ``nu`` (null, or {kind, alpha, table_path}).  Other keys raise ValueError.
     """
     unknown = set(cfg) - _TRIPLET_KEYS
     if unknown:
         raise ValueError(f"unknown triplet keys: {sorted(unknown)}")
-    d = int(cfg.get("d", 1))
+    d = cfg.get("d", 1)
+    if type(d) is not int:
+        raise ValueError(f"triplet d must be an integer, got {d!r}")
     sigma = np.asarray(cfg.get("sigma", np.zeros((d, d))), dtype=float)
     if sigma.ndim == 0:
         sigma = sigma * np.eye(d)

@@ -5,13 +5,13 @@ integral in the package follows one tolerance and escalation policy:
 complex integrands are split into real and imaginary parts, semi-infinite
 intervals are handled natively, oscillatory weights (QAWO/QAWF) are passed
 through, and failure to reach the requested tolerance raises instead of
-silently returning a bad estimate.
+silently returning a bad estimate.  ``scipy.integrate`` is imported on
+the first call, so a run that never integrates never loads it.
 """
 
 import warnings
 
 import numpy as np
-from scipy import integrate
 
 from .errors import QuadratureFailure
 
@@ -24,22 +24,19 @@ _SLACK = 50.0
 
 
 def _quad_real(g, a, b, tol, points=None, weight=None, wvar=None):
+    from scipy import integrate
+    opts = dict(epsabs=tol, epsrel=tol, limit=400, points=points, weight=weight,
+                wvar=wvar)
     with warnings.catch_warnings():
         warnings.simplefilter("error", integrate.IntegrationWarning)
         try:
-            val, err = integrate.quad(
-                g, a, b, epsabs=tol, epsrel=tol, limit=400, points=points,
-                weight=weight, wvar=wvar,
-            )
+            val, err = integrate.quad(g, a, b, **opts)
         except integrate.IntegrationWarning as exc:
             # retry once without escalating round-off warnings: slowly
             # convergent but finite integrals often land within tolerance
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", integrate.IntegrationWarning)
-                val, err = integrate.quad(
-                    g, a, b, epsabs=tol, epsrel=tol, limit=400, points=points,
-                    weight=weight, wvar=wvar,
-                )
+                val, err = integrate.quad(g, a, b, **opts)
             if not np.isfinite(val) or err > _SLACK * max(tol, tol * abs(val)):
                 raise QuadratureFailure(
                     f"quadrature on [{a}, {b}] did not converge: "

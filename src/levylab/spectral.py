@@ -36,6 +36,7 @@ class Grid:
     d: int
     L: float
     M: int
+    _symbols: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.d not in (1, 2):
@@ -82,9 +83,14 @@ class Grid:
             a.flags.writeable = False
         return axes
 
-    def freq_norm(self):
-        axes = self.freqs()
-        return np.sqrt(sum(a**2 for a in axes))
+    def symbol(self, alpha):
+        """|xi|^alpha on the frequency mesh, cached read-only per alpha."""
+        alpha = float(alpha)
+        if alpha not in self._symbols:
+            s = np.sqrt(sum(a**2 for a in self._freq_mesh)) ** alpha
+            s.flags.writeable = False
+            self._symbols[alpha] = s
+        return self._symbols[alpha]
 
     @cached_property
     def _phase(self):
@@ -96,13 +102,17 @@ class Grid:
 
     def forward(self, values):
         """Discrete approximation of int exp(+i x.xi) w(x) dx at grid freqs."""
-        c = np.fft.ifftn(values) * (self.M**self.d)
-        return c * self._phase * (self.dx**self.d)
+        c = np.fft.ifftn(values)
+        c *= self.M**self.d
+        c *= self._phase
+        c *= self.dx**self.d
+        return c
 
     def inverse(self, coefficients):
         """Exact inverse of :meth:`forward` on the grid."""
-        scale = (self.dxi / (2.0 * np.pi)) ** self.d
-        return np.fft.fftn(coefficients * self._phase) * scale
+        w = np.fft.fftn(coefficients * self._phase)
+        w *= (self.dxi / (2.0 * np.pi)) ** self.d
+        return w
 
     def integrate(self, values):
         """Riemann sum of a grid function (exact = trapezoid, periodic)."""
@@ -136,7 +146,7 @@ class SpectralField:
     @property
     def values(self):
         if self._values is None:
-            self._values = self.grid.inverse(self._coefficients).real
+            self._values = self.grid.inverse(self._coefficients).real.copy()
         return self._values
 
     @property
@@ -190,7 +200,8 @@ def apply_multiplier(f: SpectralField, m) -> SpectralField:
             f"{np.max(np.abs(w.imag)):.3e} under a non-Hermitian multiplier",
             NonHermitianSymbol,
         )
-    out._values = w.real
+    # a copy, so the complex inverse is not kept alive behind a view
+    out._values = w.real.copy()
     return out
 
 

@@ -3,15 +3,23 @@
 import json
 import math
 import os
+import subprocess
+import sys
 from itertools import product
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import levylab
 from levylab import (
+    Grid,
+    apply_multiplier,
     cli,
+    gaussian_field,
     generate_test_fields,
-    kato_check,
-    lsi_gap,
+    lp_norm,
+    lsi_constant,
     verify_hypercontractivity,
 )
 from levylab.cli import load_config, main
@@ -56,7 +64,8 @@ class TestLoadConfig:
 
     @pytest.mark.parametrize(
         "grid", [{"d": 3, "L": 20.0, "M": 128}, {"d": 1, "L": 20.0, "M": -128},
-                 {"d": 1, "L": 0.0, "M": 128}]
+                 {"d": 1, "L": 0.0, "M": 128}, {"d": 1.0, "L": 20.0, "M": 128},
+                 {"d": True, "L": 20.0, "M": 128}]
     )
     def test_bad_grid_rejected(self, grid):
         with pytest.raises(ConfigError):
@@ -117,8 +126,12 @@ class TestExitCodes:
         (1, {"d": 1, "nu": {"kind": "stable", "alpha": 2.5}}),
         (1, {"d": 1, "sigma": 1.0, "bogus": 1}),
         (1, {"d": 1, "nu": {"kind": "stable", "alpha": 1.0, "whatever": 1}}),
+        (1, {"d": 1.5, "sigma": 1.0}),
+        (1, {"d": "1", "sigma": 1.0}),
+        (1, {"d": True, "sigma": 1.0}),
     ], ids=["d3-on-d1", "d3-on-d2", "d2-on-d1", "no-d-on-d2", "unknown-kind",
-            "alpha-2.5", "unknown-key", "unknown-nu-key"])
+            "alpha-2.5", "unknown-key", "unknown-nu-key", "d-1.5", "d-string",
+            "d-true"])
     def test_invalid_triplet_exits_2_without_output(self, tmp_path, capsys,
                                                      grid_d, triplet):
         trip = tmp_path / "trip.json"
@@ -154,6 +167,33 @@ class TestExitCodes:
         assert rc == 2
         assert "config error:" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("flags", [["heat", "--input-csv"],
+                                       ["decay", "--u0-csv"]],
+                             ids=["heat", "decay"])
+    @pytest.mark.parametrize("text", [None, "x0,value\n0.0,1.0\n"],
+                             ids=["missing", "two-lines"])
+    def test_unreadable_input_csv_exits_2_without_output(self, tmp_path, capsys,
+                                                         flags, text):
+        csv_path = tmp_path / "u0.csv"
+        if text is not None:
+            csv_path.write_text(text)
+        out = tmp_path / "out"
+        rc = main(["--config", str(write_config(tmp_path / "c.json")),
+                   "--out", str(out), *flags, str(csv_path)])
+        assert rc == 2
+        assert "config error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_heat_input_csv_is_the_battery(self, tmp_path):
+        path = write_config(tmp_path / "c.json")
+        u0 = tmp_path / "u0.csv"
+        gaussian_field(Grid(1, 20.0, 128)).to_csv(u0)
+        out = tmp_path / "out"
+        assert main(["--config", str(path), "--out", str(out), "heat",
+                     "--input-csv", str(u0)]) == 0
+        rows = (out / "results.csv").read_text().splitlines()
+        assert [r.split(",")[4] for r in rows[1:]] == ["0"]
 
     def test_check_conditions_d2_exits_0(self, tmp_path):
         # the alpha = 1 stable density: N_inf / N = 1 / alpha exactly
@@ -255,8 +295,38 @@ def _heat_row(pair, idx, f):
     return [alpha, p, q, t, idx, rep.lhs, rep.rhs, rep.ratio, int(not rep.violated)]
 
 
+# the Euclidean LSI and Kato checks as they stood before the sweep was
+# hoisted: one field, one alpha and one phi per call, the multiplier
+# |xi|^alpha rebuilt from the frequency mesh each time
+def _symbol(alpha):
+    return lambda *axes: np.sqrt(sum(a**2 for a in axes)) ** alpha
+
+
+def _lsi_gap_per_alpha(f, alpha):
+    n = f.grid.d
+    nrm = lp_norm(f, 2)
+    if abs(nrm - 1.0) > 1e-8:
+        f = f.with_values(f.values / nrm)
+    g = f.grid
+    r = np.sqrt(sum(a**2 for a in g.freqs()))
+    w = (g.dxi / (2.0 * np.pi)) ** g.d
+    energy = float(np.sum(r**alpha * np.abs(f.coefficients) ** 2) * w)
+    v2 = f.values**2
+    logs = np.where(v2 > 1e-300, np.log(np.where(v2 > 1e-300, v2, 1.0)), 0.0)
+    lhs = float(np.sum(v2 * logs) * g.dx**n)
+    return lhs, (n / alpha) * math.log(lsi_constant(n, alpha) * energy)
+
+
+def _kato_per_pair(u, phi, dphi, alpha):
+    lhs = apply_multiplier(u.with_values(phi(u.values)), _symbol(alpha)).values
+    rhs = dphi(u.values) * apply_multiplier(u, _symbol(alpha)).values
+    viol = float(np.max(lhs - rhs))
+    scale = 1.0 + float(np.max(np.abs(rhs)))
+    return viol, scale, viol <= 1e-8 * scale
+
+
 def _lsi_row(alpha, idx, f):
-    lhs, rhs = lsi_gap(f, alpha)
+    lhs, rhs = _lsi_gap_per_alpha(f, alpha)
     ok = lhs <= rhs + 1e-10 * max(1.0, abs(rhs))
     return [alpha, idx, lhs, rhs, rhs - lhs, int(ok)]
 
@@ -264,8 +334,8 @@ def _lsi_row(alpha, idx, f):
 def _kato_row(pair, idx, f):
     alpha, name = pair
     p, dp = cli._KATO_PHIS[name]
-    rep = kato_check(f, p, dp, alpha=alpha)
-    return [alpha, name, idx, rep.max_violation, rep.scale, int(rep.passed)]
+    viol, scale, passed = _kato_per_pair(f, p, dp, alpha)
+    return [alpha, name, idx, viol, scale, int(passed)]
 
 
 # per experiment: the parameter tuples outside the battery loop, and one row
@@ -303,6 +373,51 @@ class TestKato:
         _, rows, _ = cli._RUNNERS[experiment](cfg)
         assert len(calls) == 1
         assert rows == _rows_per_pair(cfg)
+
+    # per battery of F fields and A exponents: the battery itself costs F
+    # forward and F inverse transforms; kato transforms each field and each
+    # phi(u) once, LSI each renormalized field once
+    @pytest.mark.parametrize("experiment, forward, inverse", [
+        ("kato", lambda F, A: 4 * F, lambda F, A: F * (1 + 3 * A)),
+        ("euclidean-lsi", lambda F, A: 2 * F, lambda F, A: F),
+    ], ids=["kato", "euclidean-lsi"])
+    def test_transform_counts(self, experiment, forward, inverse, monkeypatch):
+        cfg = load_config({"experiment": experiment,
+                           "grid": {"d": 2, "L": 10.0, "M": 16},
+                           "sweep": {"family": "bumps"}, "seed": 5})
+        F = len(generate_test_fields(cfg.grid, cfg.seed, "bumps"))
+        A = len(cfg.sweep["alpha"])
+        counts = {"forward": 0, "inverse": 0}
+        for name in counts:
+            def counting(grid, arr, _real=getattr(Grid, name), _name=name):
+                counts[_name] += 1
+                return _real(grid, arr)
+
+            monkeypatch.setattr(Grid, name, counting)
+        cli._RUNNERS[experiment](cfg)
+        assert counts["forward"] <= forward(F, A)
+        assert counts["inverse"] <= inverse(F, A)
+
+
+def test_heat_lane_loads_no_quadpack(tmp_path):
+    # a fresh interpreter: pytest's IntegrationWarning filter has already
+    # imported scipy.integrate into this one
+    path = write_config(tmp_path / "c.json", grid={"d": 2, "L": 10.0, "M": 16})
+    runs = [["--config", str(path), "--out", str(tmp_path / name), name]
+            for name in ("heat", "euclidean-lsi", "kato")]
+    code = (
+        "import sys, levylab, levylab.cli\n"
+        f"codes = [levylab.cli.main(argv) for argv in {runs!r}]\n"
+        "print(*codes, *(m in sys.modules for m in "
+        "('scipy.integrate', 'scipy.special')))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(levylab.__file__).parents[1])}
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=env, timeout=300, check=True)
+    *codes, integrate, special = res.stdout.split()
+    # kato's verdict fails on this coarse grid (exit 1); none may exit 2 or 3
+    assert codes == ["0", "0", "1"]
+    assert (integrate, special) == ("False", "False")
 
 
 class TestOutputs:

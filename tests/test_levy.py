@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.integrate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,7 +19,6 @@ from levylab import (
     triplet_from_config,
     validate_levy_density,
 )
-from levylab import quadrature
 from levylab.errors import InvalidAlpha, NonFiniteDensity, QuadratureFailure
 from levylab.levy import _checked, _stable_norm_constant
 
@@ -200,13 +200,13 @@ class TestJumpSymbol:
     def test_oscillatory_tail_escalates(self, monkeypatch):
         # the QAWF cosine tail goes through the shared tolerance policy, so
         # an error estimate far above tol raises instead of being dropped
-        real_quad = quadrature.integrate.quad
+        real_quad = scipy.integrate.quad
 
         def inaccurate(*args, **kwargs):
             val, err = real_quad(*args, **kwargs)
             return (val, 1.0) if kwargs.get("weight") == "cos" else (val, err)
 
-        monkeypatch.setattr(quadrature.integrate, "quad", inaccurate)
+        monkeypatch.setattr(scipy.integrate, "quad", inaccurate)
         with pytest.raises(QuadratureFailure):
             jump_symbol(exp_over_abs(), 1.0)
 
