@@ -85,7 +85,6 @@ class Grid:
 
     def symbol(self, alpha):
         """|xi|^alpha on the frequency mesh, cached read-only per alpha."""
-        alpha = float(alpha)
         if alpha not in self._symbols:
             s = np.sqrt(sum(a**2 for a in self._freq_mesh)) ** alpha
             s.flags.writeable = False
