@@ -39,12 +39,7 @@ from .errors import (
     QuadratureFailure,
 )
 from .fields import FAMILIES, generate_test_fields
-from .fokker_planck import (
-    build_steady_state,
-    check_domination,
-    check_log_tail,
-    fp_evolve,
-)
+from .fokker_planck import build_steady_state, check_domination, fp_evolve
 from .heat import kato_check, lsi_gap, verify_hypercontractivity
 from .levy import LevyDensity, LevyTriplet, stable_density, triplet_from_config
 from .spectral import Grid, SpectralField
@@ -83,7 +78,9 @@ _DEFAULT_SWEEP = {
 
 
 def _finite(name: str, value) -> float:
-    """float(value), rejecting non-numbers, NaN and +-Infinity."""
+    """float(value), rejecting non-numbers, booleans, NaN and +-Infinity."""
+    if isinstance(value, bool):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
     try:
         x = float(value)
     except (TypeError, ValueError):
@@ -98,7 +95,10 @@ def _finite_array(name: str, value) -> None:
     try:
         arr = np.asarray(value, dtype=float)
     except (TypeError, ValueError):
-        raise ConfigError(f"{name} must be numeric, got {value!r}") from None
+        arr = None
+    # dtype=float reads true and false as 1 and 0; a boolean is not a number
+    if arr is None or any(type(v) is bool for v in np.array(value, object).flat):
+        raise ConfigError(f"{name} must be numeric, got {value!r}")
     if not np.all(np.isfinite(arr)):
         raise ConfigError(f"{name} must be finite, got {value!r}")
 
@@ -152,7 +152,7 @@ def load_config(raw: dict, overrides: dict | None = None) -> ExperimentConfig:
     M = grid_spec.get("M", 512)
     if type(d) is not int or d not in (1, 2):
         raise ConfigError(f"grid.d must be 1 or 2, got {d!r}")
-    if not (isinstance(L, (int, float)) and math.isfinite(L) and L > 0):
+    if not (type(L) in (int, float) and math.isfinite(L) and L > 0):
         raise ConfigError(f"grid.L must be positive and finite, got {L!r}")
     if not (isinstance(M, int) and M >= 8 and M & (M - 1) == 0):
         raise ConfigError(f"grid.M must be a power of two >= 8, got {M!r}")
@@ -193,7 +193,7 @@ def load_config(raw: dict, overrides: dict | None = None) -> ExperimentConfig:
         raise ConfigError(f"family must be one of {FAMILIES}, got {sweep['family']!r}")
 
     seed = merged.get("seed", 7)
-    if not isinstance(seed, int) or seed < 0:
+    if type(seed) is not int or seed < 0:
         raise ConfigError(f"seed must be a nonnegative integer, got {seed!r}")
     tol = merged.get("tol", 1e-10)
     if not (isinstance(tol, (int, float)) and math.isfinite(tol) and 0 < tol < 1):
@@ -339,10 +339,10 @@ def _run_steady(cfg: ExperimentConfig):
     steady = build_steady_state(tr, cfg.grid, cfg.tol)
     steady.density.to_csv(Path(cfg.output) / "steady_density.csv")
     dom = check_domination(tr.nu, tol=cfg.tol) if tr.nu is not None else None
-    tail = check_log_tail(tr.nu, cfg.tol)
+    # build_steady_state raises Con1Violation when the log tail diverges
     report = {
-        "con1": tail.value,
-        "con1_diverged": tail.diverged,
+        "con1": steady.log_tail,
+        "con1_diverged": False,
         "con2_C": (dom.C_est if dom is not None else 0.0),
         "con2_unbounded": (dom.unbounded if dom is not None else False),
         "bA": [float(b) for b in np.atleast_1d(steady.drift_correction)],

@@ -250,7 +250,6 @@ def dissipation(
     mu: WeightedMeasure,
     triplet: LevyTriplet,
     phi: PhiFunction,
-    tol: float = 1e-10,
     z_extent: int = 2,
 ):
     """Gaussian and jump dissipation magnitudes of the entropy flow.
@@ -306,7 +305,6 @@ def modified_lsi_check(
     mu: WeightedMeasure,
     triplet_of_mu: LevyTriplet,
     phi: PhiFunction,
-    tol: float = 1e-10,
     z_extent: int = 2,
 ):
     """Entropy against its dissipation bound for an infinitely divisible mu.
@@ -318,7 +316,7 @@ def modified_lsi_check(
     if isinstance(mu, SteadyState):
         mu = WeightedMeasure.from_field(mu.density)
     ent = phi_entropy(v, mu, phi)
-    gauss, jump = dissipation(v, mu, triplet_of_mu, phi, tol, z_extent)
+    gauss, jump = dissipation(v, mu, triplet_of_mu, phi, z_extent)
     rhs = gauss + jump
     ratio = 0.0 if ent <= 1e-14 and rhs <= 1e-14 else ent / rhs
     return ent, rhs, ratio
@@ -373,7 +371,7 @@ def entropy_production_check(
           - phi_entropy(ratio[t - dt], mu, phi)) / (2.0 * dt)
 
     v_t = SpectralField(u0.grid, values=ratio[t])
-    gauss, jump = dissipation(v_t, mu, triplet, phi, tol, z_extent)
+    gauss, jump = dissipation(v_t, mu, triplet, phi, z_extent)
     diss = gauss + jump
     imbalance = abs(fd + diss)
     residual = imbalance / (1.0 + diss)

@@ -58,10 +58,6 @@ class AssertionFailure(LevyLabError):
     """An inequality assertion failed during an experiment.  CLI exit code 1."""
 
 
-class NonHermitianSymbol(UserWarning):
-    """A real field picked up non-negligible imaginary mass under a multiplier."""
-
-
 class InterpolationDegradation(UserWarning):
     """Initial coefficients not decayed at the Nyquist edge; off-grid
     frequency interpolation may be inaccurate."""

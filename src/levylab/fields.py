@@ -27,7 +27,7 @@ def gaussian_field(grid: Grid, variance=1.0, center=0.0) -> SpectralField:
 def band_limit(f: SpectralField, fraction: float = 0.8) -> SpectralField:
     """Zero coefficients beyond fraction * Nyquist so differentiation is exact."""
     mask = (f.grid.symbol(1.0) <= fraction * np.pi / f.grid.dx).astype(float)
-    return apply_multiplier(f, lambda *axes: mask)
+    return apply_multiplier(f, mask)
 
 
 def generate_test_fields(grid: Grid, seed: int, family: str, steady=None):

@@ -45,13 +45,13 @@ def heat_evolve(f: SpectralField, alpha: float, t: float) -> SpectralField:
         raise ValueError("time must be nonnegative")
     if t == 0:
         return f
-    return apply_multiplier(f, lambda *axes: np.exp(-t * f.grid.symbol(alpha)))
+    return apply_multiplier(f, np.exp(-t * f.grid.symbol(alpha)))
 
 
 def fractional_laplacian(f: SpectralField, alpha: float) -> SpectralField:
     """g_alpha[f], the multiplier |xi|^alpha (so that -g_alpha generates P_t)."""
     _check_alpha(alpha)
-    return apply_multiplier(f, lambda *axes: f.grid.symbol(alpha))
+    return apply_multiplier(f, f.grid.symbol(alpha))
 
 
 def half_operator_norm(f: SpectralField, alpha: float) -> float:

@@ -10,13 +10,12 @@ single place.
 from __future__ import annotations
 
 import csv
-import warnings
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
 
 import numpy as np
 
-from .errors import InvalidExponent, NonHermitianSymbol
+from .errors import InvalidExponent
 
 __all__ = ["Grid", "SpectralField", "apply_multiplier", "lp_norm"]
 
@@ -118,10 +117,6 @@ class Grid:
         return np.sum(values) * self.dx**self.d
 
 
-# relative imaginary mass above which a real-input multiplier result warns
-_HERMITIAN_TOL = 1e-8
-
-
 class SpectralField:
     """A function on a periodic grid with lazily synchronized Fourier data."""
 
@@ -179,28 +174,19 @@ class SpectralField:
 
 
 def apply_multiplier(f: SpectralField, m) -> SpectralField:
-    """Apply the Fourier multiplier ``m(xi)`` to a field.
+    """Apply the real Fourier multiplier ``m`` to a field.
 
-    ``m`` is called with the grid frequency meshes (one array per dimension)
-    and must return a complex array of the grid shape.  When the input is
-    real and ``m`` is Hermitian the result is real up to round-off; a real
-    input producing imaginary mass above 1e-8 (relative) triggers a
-    NonHermitianSymbol warning, and the real part is returned regardless.
+    ``m`` is a real array on the grid's frequency mesh, such as a function
+    of ``Grid.symbol``.  A real multiplier that depends on |xi| alone is
+    Hermitian, so a real field stays real; the real part of the inverse is
+    returned.  A complex ``m`` raises TypeError.
     """
+    if np.iscomplexobj(m):
+        raise TypeError("the multiplier must be a real array")
     g = f.grid
-    mult = np.asarray(m(*g.freqs()), dtype=complex)
-    new_coeff = f.coefficients * mult
-    out = SpectralField(g, coefficients=new_coeff)
-    w = g.inverse(new_coeff)
-    scale = np.max(np.abs(w.real)) or 1.0
-    if np.max(np.abs(w.imag)) > _HERMITIAN_TOL * scale:
-        warnings.warn(
-            "real field acquired imaginary mass "
-            f"{np.max(np.abs(w.imag)):.3e} under a non-Hermitian multiplier",
-            NonHermitianSymbol,
-        )
+    out = SpectralField(g, coefficients=f.coefficients * m)
     # a copy, so the complex inverse is not kept alive behind a view
-    out._values = w.real.copy()
+    out._values = g.inverse(out.coefficients).real.copy()
     return out
 
 

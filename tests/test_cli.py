@@ -117,6 +117,20 @@ class TestExitCodes:
         assert rc == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("text", [
+        '{"experiment": "heat", "seed": true}',
+        '{"experiment": "heat", "grid": {"d": 1, "L": true, "M": 128}}',
+        '{"experiment": "heat", "sweep": {"alpha": [true]}}',
+        '{"experiment": "decay", "sweep": {"C": true}}',
+    ], ids=["seed", "grid-L", "alpha", "C"])
+    def test_boolean_number_exits_2_without_output(self, tmp_path, text):
+        path = tmp_path / "c.json"
+        path.write_text(text)
+        out = tmp_path / "out"
+        rc = main(["--config", str(path), "--out", str(out)])
+        assert rc == 2
+        assert not out.exists()
+
     @pytest.mark.parametrize("grid_d, triplet", [
         (1, {"d": 3, "sigma": 1.0}),
         (2, {"d": 3, "sigma": 1.0}),
@@ -298,8 +312,8 @@ def _heat_row(pair, idx, f):
 # the Euclidean LSI and Kato checks as they stood before the sweep was
 # hoisted: one field, one alpha and one phi per call, the multiplier
 # |xi|^alpha rebuilt from the frequency mesh each time
-def _symbol(alpha):
-    return lambda *axes: np.sqrt(sum(a**2 for a in axes)) ** alpha
+def _symbol(grid, alpha):
+    return np.sqrt(sum(a**2 for a in grid.freqs())) ** alpha
 
 
 def _lsi_gap_per_alpha(f, alpha):
@@ -318,8 +332,8 @@ def _lsi_gap_per_alpha(f, alpha):
 
 
 def _kato_per_pair(u, phi, dphi, alpha):
-    lhs = apply_multiplier(u.with_values(phi(u.values)), _symbol(alpha)).values
-    rhs = dphi(u.values) * apply_multiplier(u, _symbol(alpha)).values
+    lhs = apply_multiplier(u.with_values(phi(u.values)), _symbol(u.grid, alpha)).values
+    rhs = dphi(u.values) * apply_multiplier(u, _symbol(u.grid, alpha)).values
     viol = float(np.max(lhs - rhs))
     scale = 1.0 + float(np.max(np.abs(rhs)))
     return viol, scale, viol <= 1e-8 * scale

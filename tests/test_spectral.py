@@ -6,6 +6,8 @@ from scipy.special import exp1
 
 from levylab import Grid, SpectralField, apply_multiplier, gaussian_field, lp_norm
 from levylab.errors import InvalidExponent, QuadratureFailure
+from levylab.fields import band_limit
+from levylab.heat import fractional_laplacian, heat_evolve
 from levylab.quadrature import integrate_scaled
 
 from conftest import gaussian
@@ -99,28 +101,77 @@ class TestForwardTransform:
 class TestApplyMultiplier:
     def test_identity(self, coarse_grid):
         f = gaussian(coarse_grid)
-        out = apply_multiplier(f, lambda xi: np.ones_like(xi))
+        xi = coarse_grid.freqs()[0]
+        out = apply_multiplier(f, np.ones_like(xi))
         np.testing.assert_allclose(out.values, f.values, atol=1e-14)
 
     def test_laplacian_on_gaussian(self, grid1):
         f = gaussian(grid1)
-        out = apply_multiplier(f, lambda xi: -(xi**2))
+        xi = grid1.freqs()[0]
+        out = apply_multiplier(f, -(xi**2))
         x = grid1.x1
         exact = (x**2 - 1.0) * np.exp(-(x**2) / 2.0) / np.sqrt(2 * np.pi)
         assert np.max(np.abs(out.values - exact)) < 1e-10
 
     def test_heat_multiplier_at_zero_time(self, coarse_grid):
         f = gaussian(coarse_grid)
-        out = apply_multiplier(f, lambda xi: np.exp(-0.0 * xi**2))
+        xi = coarse_grid.freqs()[0]
+        out = apply_multiplier(f, np.exp(-0.0 * xi**2))
         np.testing.assert_allclose(out.values, f.values, atol=1e-14)
 
     def test_composition(self, coarse_grid):
         f = gaussian(coarse_grid)
-        m1 = lambda xi: np.exp(-np.abs(xi))  # noqa: E731
-        m2 = lambda xi: 1.0 / (1.0 + xi**2)  # noqa: E731
+        xi = coarse_grid.freqs()[0]
+        m1 = np.exp(-np.abs(xi))
+        m2 = 1.0 / (1.0 + xi**2)
         once = apply_multiplier(apply_multiplier(f, m1), m2)
-        both = apply_multiplier(f, lambda xi: m1(xi) * m2(xi))
+        both = apply_multiplier(f, m1 * m2)
         np.testing.assert_allclose(once.coefficients, both.coefficients, atol=1e-14)
+
+    def test_complex_multiplier_rejected(self, coarse_grid):
+        f = gaussian(coarse_grid)
+        with pytest.raises(TypeError):
+            apply_multiplier(f, 1j * coarse_grid.freqs()[0])
+        with pytest.raises(TypeError):
+            apply_multiplier(f, np.ones(coarse_grid.shape, dtype=complex))
+
+
+# the package's multipliers, rebuilt here from the frequency mesh: the heat
+# semigroup exp(-t |xi|^alpha), the fractional Laplacian |xi|^alpha and the
+# band limit at 0.8 of Nyquist, each with the library call that applies it
+def _abs_xi(g):
+    return np.sqrt(sum(a**2 for a in g.freqs()))
+
+
+_MULTIPLIERS = {
+    **{f"heat-{a}": (lambda f, a=a: heat_evolve(f, a, 0.7),
+                     lambda g, a=a: np.exp(-0.7 * _abs_xi(g) ** a))
+       for a in (0.5, 1.3, 2.0)},
+    **{f"frac-laplacian-{a}": (lambda f, a=a: fractional_laplacian(f, a),
+                               lambda g, a=a: _abs_xi(g) ** a)
+       for a in (0.5, 1.3, 2.0)},
+    "band-limit": (band_limit,
+                   lambda g: (_abs_xi(g) <= 0.8 * np.pi / g.dx).astype(float)),
+}
+
+
+def _complex_inverse(f, m):
+    """The complex inverse of f^ m, with m cast to complex as apply_multiplier
+    once did for every multiplier it was given."""
+    return f.grid.inverse(f.coefficients * np.asarray(m, dtype=complex))
+
+
+@pytest.mark.parametrize("name", sorted(_MULTIPLIERS))
+@pytest.mark.parametrize("d, L, M", [(1, 20.0, 512), (2, 10.0, 64)])
+def test_real_multiplier_matches_complex_cast(name, d, L, M):
+    g = Grid(d, L, M)
+    apply, multiplier = _MULTIPLIERS[name]
+    noise = np.random.default_rng(4).standard_normal(g.shape)
+    for f in (gaussian_field(g, 1.5, 0.5), SpectralField(g, values=noise)):
+        w = _complex_inverse(f, multiplier(g))
+        assert np.array_equal(apply(f).values, w.real)
+        # the multiplier is Hermitian: a real field stays real to round-off
+        assert np.max(np.abs(w.imag)) <= 1e-8 * np.max(np.abs(w.real))
 
 
 class TestLpNorm:
