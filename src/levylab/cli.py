@@ -77,6 +77,10 @@ _DEFAULT_SWEEP = {
 }
 
 
+# experiments whose field battery is built without a steady state
+_NO_STEADY_BATTERY = ("heat", "euclidean-lsi", "kato", "all")
+
+
 def _finite(name: str, value) -> float:
     """float(value), rejecting non-numbers, booleans, NaN and +-Infinity."""
     if isinstance(value, bool):
@@ -191,6 +195,9 @@ def load_config(raw: dict, overrides: dict | None = None) -> ExperimentConfig:
         raise ConfigError(f"C must be positive, got {sweep['C']}")
     if sweep["family"] not in FAMILIES:
         raise ConfigError(f"family must be one of {FAMILIES}, got {sweep['family']!r}")
+    if sweep["family"] == "perturbed-steady" and experiment in _NO_STEADY_BATTERY:
+        raise ConfigError(f"{experiment} builds no steady state to perturb; "
+                          "family perturbed-steady serves fp and decay")
 
     seed = merged.get("seed", 7)
     if type(seed) is not int or seed < 0:
@@ -527,6 +534,10 @@ def _count_failures(summary) -> int:
         for key, val in summary.items():
             if key in ("failures", "violation_count") and isinstance(val, int):
                 total += val
+            # an undominated density (an infinite or runaway ratio) fails
+            # the domination condition
+            elif key == "unbounded" and val is True:
+                total += 1
             elif isinstance(val, dict):
                 total += _count_failures(val)
     return total

@@ -266,7 +266,8 @@ def check_log_tail(nu, tol: float = 1e-10) -> LogTailReport:
     """int_{|z| > 1} ln|z| N(z) dz; divergence is a flag, not an error.
 
     One integral of the radial density, int_1^inf ln(r) rho(r) dr; raises
-    NonFiniteDensity if N returns NaN or negative values.
+    NonFiniteDensity if N returns NaN or negative values.  A table's
+    integral ends at its last knot, with the knots as breakpoints.
     """
     if nu is None:
         return LogTailReport(0.0, False)
@@ -275,7 +276,8 @@ def check_log_tail(nu, tol: float = 1e-10) -> LogTailReport:
         return LogTailReport(_stable_radial_constant(nu.d, nu.alpha) / nu.alpha**2,
                              False)
     rho = nu.radial_density
-    val, div = try_integrate(lambda r: np.log(r) * rho(r), (1.0, np.inf), tol)
+    interval, points = nu.radial_interval(1.0, np.inf)
+    val, div = try_integrate(lambda r: np.log(r) * rho(r), interval, tol, points)
     return LogTailReport(float(val) if val is not None else np.inf, div)
 
 
@@ -305,7 +307,13 @@ def limit_levy_density(nu, z, tol: float = 1e-10) -> float:
         t = np.exp(s)
         return nu(t * point) / scale * t**d
 
-    return scale * float(integrate_scaled(integrand, (0.0, np.inf), tol))
+    # t |z| runs over the radial interval (|z|, inf), cut at a table's end
+    # and knots, which map to s = ln(r / |z|)
+    rz = float(np.hypot.reduce(z_arr))
+    (_, end), radii = nu.radial_interval(rz, np.inf)
+    points = None if radii is None else np.log(radii / rz)
+    return scale * float(integrate_scaled(integrand, (0.0, np.log(end / rz)), tol,
+                                          points))
 
 
 _TAU_SERIES = tuple((-1) ** (k + 1) * 2 * k / (2 * k + 1) for k in range(1, 11))

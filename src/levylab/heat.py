@@ -55,11 +55,17 @@ def fractional_laplacian(f: SpectralField, alpha: float) -> SpectralField:
 
 
 def half_operator_norm(f: SpectralField, alpha: float) -> float:
-    """int (g_{alpha/2}[f])^2 dx = sum |xi|^alpha |f^(xi)|^2 dxi^d / (2 pi)^d."""
+    """int (g_{alpha/2}[f])^2 dx = sum |xi|^alpha |f^(xi)|^2 dxi^d / (2 pi)^d.
+
+    Summed over the half spectrum: |f^| is even for a real field, so the
+    columns k = 1, ..., M/2 - 1 of the last axis stand for two frequencies
+    each and the columns 0 and M/2 for one; |f^|^2 = dx^{2d} |rfftn f|^2.
+    """
     _check_alpha(alpha)
     g = f.grid
-    w = (g.dxi / (2.0 * np.pi)) ** g.d
-    return float(np.sum(g.symbol(alpha) * np.abs(f.coefficients) ** 2) * w)
+    p = g.symbol(alpha) * np.abs(f.half_spectrum) ** 2
+    total = 2.0 * np.sum(p) - np.sum(p[..., 0]) - np.sum(p[..., -1])
+    return float(total * g.dx ** (2 * g.d) * (g.dxi / (2.0 * np.pi)) ** g.d)
 
 
 def lsi_constant(n: int, alpha: float) -> float:

@@ -167,7 +167,8 @@ class LevyDensity:
     ``kind`` is one of "stable", "analytic", "tabulated".  For the stable
     kind the density is c(d, alpha) |z|^{-d-alpha} with the family constant
     fixed by the symbol normalization.  ``func`` maps |z|-vectors (or scalars
-    in d=1) to density values.
+    in d=1) to density values.  A tabulated density keeps the sorted radii
+    |z| of its table's ``knots``; it is zero beyond the last.
     """
 
     kind: str
@@ -175,6 +176,7 @@ class LevyDensity:
     func: Optional[Callable] = None
     alpha: Optional[float] = None
     is_even: bool = True
+    knots: Optional[tuple] = None
 
     def __post_init__(self):
         if self.kind not in ("stable", "analytic", "tabulated"):
@@ -214,13 +216,27 @@ class LevyDensity:
             return _checked(self, r) + _checked(self, -r)
         return float(np.mean(_checked(self, r * _CIRCLE))) * 2.0 * np.pi * r
 
+    def radial_interval(self, a, b):
+        """The interval of a radial integral over (a, b), and its breakpoints.
+
+        A table is zero past its last knot radius R: the interval ends at
+        min(b, R) (at least a), and the knot radii inside it are the QUADPACK
+        breakpoints.  Any other density keeps (a, b), with none.
+        """
+        if self.knots is None:
+            return (a, b), None
+        r = np.asarray(self.knots)
+        b = max(a, min(b, r[-1]))
+        return (a, b), r[(r > a) & (r < b)]
+
     def small_ball_second_moment(self, eps, tol=1e-12):
         """int_{|z| <= eps} |z|^2 N(z) dz (closed form for the stable kind)."""
         if self.kind == "stable":
             C = _stable_radial_constant(self.d, self.alpha)
             return C * eps ** (2.0 - self.alpha) / (2.0 - self.alpha)
         rho = self.radial_density
-        val, div = try_integrate(lambda r: r * r * rho(r), (0.0, eps), tol)
+        interval, points = self.radial_interval(0.0, eps)
+        val, div = try_integrate(lambda r: r * r * rho(r), interval, tol, points)
         if div:
             raise NonFiniteDensity("second moment diverges inside the unit ball")
         return val
@@ -258,8 +274,10 @@ def validate_levy_density(nu: LevyDensity, tol: float = 1e-10) -> DensityReport:
             big_jump_diverged=False,
         )
     rho = nu.radial_density
-    small, sdiv = try_integrate(lambda r: r * r * rho(r), (0.0, 1.0), tol)
-    big, bdiv = try_integrate(rho, (1.0, np.inf), tol)
+    interval, points = nu.radial_interval(0.0, 1.0)
+    small, sdiv = try_integrate(lambda r: r * r * rho(r), interval, tol, points)
+    interval, points = nu.radial_interval(1.0, np.inf)
+    big, bdiv = try_integrate(rho, interval, tol, points)
     # the integrands are nonnegative, so a negative estimate can only be an
     # extrapolation artifact of a divergent endpoint singularity
     if small is not None and small < 0:
@@ -296,10 +314,20 @@ def jump_symbol(nu: LevyDensity, xi, tol: float = 1e-10):
     kernel, tail = _SPHERICAL_MEAN[nu.d]
     rho = nu.radial_density
     eps = _EPS_BALL
-    head = integrate_scaled(lambda r: kernel(r * q) * rho(r), (eps, 1.0), tol)
+    interval, points = nu.radial_interval(eps, 1.0)
+    head = integrate_scaled(lambda r: kernel(r * q) * rho(r), interval, tol, points)
     moment = -0.5 / nu.d * q * q * nu.small_ball_second_moment(1.0)
-    tail_flat = integrate_scaled(rho, (1.0, np.inf), tol)
-    real = head + moment + tail(rho, q, tol) - tail_flat
+    if nu.knots is None:
+        far = tail(rho, q, tol) - integrate_scaled(rho, (1.0, np.inf), tol)
+    else:
+        # a table is zero past its last knot: one finite integral of
+        # (m - 1) rho, split at the knots
+        from scipy import special
+        mean = np.cos if nu.d == 1 else special.j0
+        interval, points = nu.radial_interval(1.0, np.inf)
+        far = integrate_scaled(lambda r: (mean(r * q) - 1.0) * rho(r), interval,
+                               tol, points)
+    real = head + moment + far
     if nu.is_even:
         return real
     # imaginary part: int sin(zs) dN - s int z h(z) dN with dN = N(z) - N(-z)
@@ -441,6 +469,7 @@ def dual_triplet(triplet: LevyTriplet) -> LevyTriplet:
             func=lambda z, _f=orig: _f(-np.asarray(z, dtype=float)),
             alpha=orig.alpha,
             is_even=False,
+            knots=orig.knots,
         )
     return LevyTriplet(sigma=triplet.sigma, b=-triplet.b, nu=nu, d=triplet.d)
 
@@ -466,7 +495,8 @@ def _tabulated_density(path, d):
         r = np.abs(zz) if radial else zz
         return np.interp(r, z, n, left=0.0 if radial else 0.0, right=0.0)
 
-    return LevyDensity(kind="tabulated", d=d, func=func, is_even=radial)
+    return LevyDensity(kind="tabulated", d=d, func=func, is_even=radial,
+                       knots=tuple(np.unique(np.abs(z)).tolist()))
 
 
 _TRIPLET_KEYS = {"d", "sigma", "b", "nu"}

@@ -25,7 +25,9 @@ _SLACK = 50.0
 
 def _quad_real(g, a, b, tol, points=None, weight=None, wvar=None):
     from scipy import integrate
-    opts = dict(epsabs=tol, epsrel=tol, limit=400, points=points, weight=weight,
+    # QUADPACK needs more subintervals than breakpoints
+    limit = 400 + (0 if points is None else len(points))
+    opts = dict(epsabs=tol, epsrel=tol, limit=limit, points=points, weight=weight,
                 wvar=wvar)
     with warnings.catch_warnings():
         warnings.simplefilter("error", integrate.IntegrationWarning)
@@ -76,13 +78,13 @@ def integrate_scaled(g, interval, tol=1e-10, points=None, weight=None, wvar=None
     return _quad_real(g, a, b, tol, points, weight, wvar)
 
 
-def try_integrate(g, interval, tol=1e-10):
+def try_integrate(g, interval, tol=1e-10, points=None):
     """Like integrate_scaled but returns (value, diverged) instead of raising.
 
     Used by validation routines where divergence is an expected, reportable
     outcome rather than an error.
     """
     try:
-        return integrate_scaled(g, interval, tol), False
+        return integrate_scaled(g, interval, tol, points), False
     except QuadratureFailure as exc:
         return exc.value, True

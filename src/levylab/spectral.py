@@ -82,10 +82,23 @@ class Grid:
             a.flags.writeable = False
         return axes
 
+    @property
+    def half_shape(self):
+        """Shape of the ``rfftn`` half spectrum: (M,)*(d-1) + (M//2+1,)."""
+        return (self.M,) * (self.d - 1) + (self.M // 2 + 1,)
+
     def symbol(self, alpha):
-        """|xi|^alpha on the frequency mesh, cached read-only per alpha."""
+        """|xi|^alpha on the ``rfftn`` half-spectrum mesh, cached read-only per alpha.
+
+        The last axis holds the frequencies pi k / L for k = 0, ..., M/2; its
+        last column, k = M/2, takes |xi| from ``xi1``, whose entry there is
+        -M/2 (the same magnitude).  Every multiplier of the heat lane is built
+        from this array; ``freqs`` stays on the full mesh for the flow.
+        """
         if alpha not in self._symbols:
-            s = np.sqrt(sum(a**2 for a in self._freq_mesh)) ** alpha
+            half = self.xi1[: self.M // 2 + 1]
+            axes = np.meshgrid(*(self.xi1,) * (self.d - 1), half, indexing="ij")
+            s = np.sqrt(sum(a**2 for a in axes)) ** alpha
             s.flags.writeable = False
             self._symbols[alpha] = s
         return self._symbols[alpha]
@@ -118,12 +131,19 @@ class Grid:
 
 
 class SpectralField:
-    """A function on a periodic grid with lazily synchronized Fourier data."""
+    """A function on a periodic grid with lazily synchronized Fourier data.
+
+    Two transforms of the values are cached on first use: ``half_spectrum``,
+    the unscaled ``rfftn`` that every Fourier multiplier reads, and
+    ``coefficients``, the full complex coefficients of ``Grid.forward``,
+    which serve only the Fokker-Planck flow and the entropy code.
+    """
 
     def __init__(self, grid: Grid, values=None, coefficients=None):
         if values is None and coefficients is None:
             raise ValueError("need values or coefficients")
         self.grid = grid
+        self._half = None
         self._values = None if values is None else np.asarray(values, dtype=float)
         self._coefficients = (
             None if coefficients is None else np.asarray(coefficients, dtype=complex)
@@ -148,6 +168,13 @@ class SpectralField:
         if self._coefficients is None:
             self._coefficients = self.grid.forward(self._values)
         return self._coefficients
+
+    @property
+    def half_spectrum(self):
+        """Unscaled ``rfftn`` of the values, on the mesh of ``Grid.symbol``."""
+        if self._half is None:
+            self._half = np.fft.rfftn(self.values)
+        return self._half
 
     def with_values(self, values):
         return SpectralField(self.grid, values=values)
@@ -176,18 +203,24 @@ class SpectralField:
 def apply_multiplier(f: SpectralField, m) -> SpectralField:
     """Apply the real Fourier multiplier ``m`` to a field.
 
-    ``m`` is a real array on the grid's frequency mesh, such as a function
-    of ``Grid.symbol``.  A real multiplier that depends on |xi| alone is
-    Hermitian, so a real field stays real; the real part of the inverse is
-    returned.  A complex ``m`` raises TypeError.
+    ``m`` is a real array on the ``rfftn`` half-spectrum mesh of
+    ``Grid.symbol``, such as a function of it; it is taken as even,
+    m(-xi) = m(xi), so a real field stays real by construction.  The result
+    is ``irfftn`` of the field's cached half spectrum times ``m``: the phase
+    and the dx, dxi scalings of ``Grid.forward`` and ``Grid.inverse`` cancel
+    between the two transforms.  A complex ``m`` raises TypeError, one of
+    any other shape (a full-mesh array, say) ValueError.
     """
     if np.iscomplexobj(m):
         raise TypeError("the multiplier must be a real array")
     g = f.grid
-    out = SpectralField(g, coefficients=f.coefficients * m)
-    # a copy, so the complex inverse is not kept alive behind a view
-    out._values = g.inverse(out.coefficients).real.copy()
-    return out
+    if np.shape(m) != g.half_shape:
+        raise ValueError(
+            f"the multiplier must have the rfftn half-spectrum shape "
+            f"{g.half_shape}, got {np.shape(m)}"
+        )
+    return SpectralField(g, values=np.fft.irfftn(
+        f.half_spectrum * m, s=g.shape, axes=range(g.d)))
 
 
 def lp_norm(f: SpectralField, p) -> float:

@@ -1,15 +1,19 @@
 """Experiment runner: config parsing, outputs, exit codes, determinism."""
 
+import csv
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from itertools import product
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import levylab
 from levylab import (
@@ -18,12 +22,16 @@ from levylab import (
     cli,
     gaussian_field,
     generate_test_fields,
+    half_operator_norm,
     lp_norm,
     lsi_constant,
     verify_hypercontractivity,
 )
 from levylab.cli import load_config, main
 from levylab.errors import ConfigError
+from levylab.fields import FAMILIES
+
+from conftest import log_tail_table
 
 
 def write_config(path, **overrides):
@@ -126,6 +134,31 @@ class TestExitCodes:
     def test_boolean_number_exits_2_without_output(self, tmp_path, text):
         path = tmp_path / "c.json"
         path.write_text(text)
+        out = tmp_path / "out"
+        rc = main(["--config", str(path), "--out", str(out)])
+        assert rc == 2
+        assert not out.exists()
+
+    def test_undominated_table_exits_1(self, tmp_path):
+        # the table is zero below its first knot, where N_inf is not: the
+        # ratio column holds inf, so the run may not exit 0
+        trip = tmp_path / "trip.json"
+        trip.write_text(json.dumps({"d": 1, "nu": {
+            "kind": "tabulated",
+            "table_path": str(log_tail_table(tmp_path / "nu.csv"))}}))
+        path = write_config(tmp_path / "c.json", experiment="check-conditions")
+        out = tmp_path / "out"
+        rc = main(["--config", str(path), "--out", str(out), "check-conditions",
+                   "--triplet-config", str(trip)])
+        assert rc == 1
+        assert "inf" in (out / "results.csv").read_text()
+        assert strict_json((out / "summary.json").read_text())["results"]["unbounded"]
+
+    @pytest.mark.parametrize("experiment", ["heat", "euclidean-lsi", "kato", "all"])
+    def test_perturbed_steady_without_steady_state_exits_2_without_output(
+            self, tmp_path, experiment):
+        path = write_config(tmp_path / "c.json", experiment=experiment,
+                            sweep={"family": "perturbed-steady"})
         out = tmp_path / "out"
         rc = main(["--config", str(path), "--out", str(out)])
         assert rc == 2
@@ -295,6 +328,42 @@ class TestExitCodes:
         assert not (out / "summary.json").exists()
 
 
+def _numbers(cell):
+    """The numbers in a results.csv cell: a number, a ``key=number`` pair or
+    a JSON list of numbers; none for text or a boolean."""
+    text = cell.split("=", 1)[-1]
+    try:
+        value = json.loads(text)
+    except ValueError:
+        try:
+            return [float(text)]
+        except ValueError:
+            return []
+    values = value if isinstance(value, list) else [value]
+    return [v for v in values if type(v) in (int, float)]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(experiment=st.sampled_from(cli.EXPERIMENTS), d=st.sampled_from([1, 2]),
+       M=st.sampled_from([8, 16, 32, 64]),
+       L=st.sampled_from([2.0, 5.0, 10.0, 20.0, 40.0]), seed=st.integers(0, 20),
+       family=st.sampled_from(FAMILIES),
+       alpha=st.lists(st.sampled_from([0.25, 0.5, 1.0, 1.5, 1.9, 2.0]),
+                      min_size=1, max_size=2, unique=True))
+def test_exit_0_writes_only_finite_cells(tmp_path, experiment, d, M, L, seed,
+                                         family, alpha):
+    # one fixture directory serves every example
+    path = Path(tempfile.mkdtemp(dir=tmp_path))
+    config = write_config(path / "c.json", experiment=experiment,
+                          grid={"d": d, "L": L, "M": M}, seed=seed,
+                          sweep={"family": family, "alpha": alpha})
+    if main(["--config", str(config), "--out", str(path / "out")]) == 0:
+        with open(path / "out" / "results.csv", newline="") as fh:
+            cells = [c for row in list(csv.reader(fh))[1:] for c in row]
+        assert all(math.isfinite(v) for c in cells for v in _numbers(c))
+
+
 def strict_json(text):
     """json.loads that rejects NaN and +-Infinity."""
     def reject(name):
@@ -311,9 +380,10 @@ def _heat_row(pair, idx, f):
 
 # the Euclidean LSI and Kato checks as they stood before the sweep was
 # hoisted: one field, one alpha and one phi per call, the multiplier
-# |xi|^alpha rebuilt from the frequency mesh each time
+# |xi|^alpha rebuilt from the frequency mesh each time and cut to the rfftn
+# half spectrum
 def _symbol(grid, alpha):
-    return np.sqrt(sum(a**2 for a in grid.freqs())) ** alpha
+    return (np.sqrt(sum(a**2 for a in grid.freqs())) ** alpha)[..., : grid.M // 2 + 1]
 
 
 def _lsi_gap_per_alpha(f, alpha):
@@ -321,13 +391,10 @@ def _lsi_gap_per_alpha(f, alpha):
     nrm = lp_norm(f, 2)
     if abs(nrm - 1.0) > 1e-8:
         f = f.with_values(f.values / nrm)
-    g = f.grid
-    r = np.sqrt(sum(a**2 for a in g.freqs()))
-    w = (g.dxi / (2.0 * np.pi)) ** g.d
-    energy = float(np.sum(r**alpha * np.abs(f.coefficients) ** 2) * w)
+    energy = half_operator_norm(f, alpha)
     v2 = f.values**2
     logs = np.where(v2 > 1e-300, np.log(np.where(v2 > 1e-300, v2, 1.0)), 0.0)
-    lhs = float(np.sum(v2 * logs) * g.dx**n)
+    lhs = float(np.sum(v2 * logs) * f.grid.dx**n)
     return lhs, (n / alpha) * math.log(lsi_constant(n, alpha) * energy)
 
 
@@ -388,29 +455,35 @@ class TestKato:
         assert len(calls) == 1
         assert rows == _rows_per_pair(cfg)
 
-    # per battery of F fields and A exponents: the battery itself costs F
-    # forward and F inverse transforms; kato transforms each field and each
-    # phi(u) once, LSI each renormalized field once
+    # per battery of F fields, A exponents and P heat parameter tuples: the
+    # battery's band limit costs F rfftn and F irfftn; after that each field
+    # and each phi(u) is transformed once, and every multiplier application
+    # is one irfftn; the full complex transforms are never called
     @pytest.mark.parametrize("experiment, forward, inverse", [
-        ("kato", lambda F, A: 4 * F, lambda F, A: F * (1 + 3 * A)),
-        ("euclidean-lsi", lambda F, A: 2 * F, lambda F, A: F),
-    ], ids=["kato", "euclidean-lsi"])
+        ("heat", lambda F, A, P: 2 * F, lambda F, A, P: F * (1 + P)),
+        ("kato", lambda F, A, P: 4 * F, lambda F, A, P: F * (1 + 3 * A)),
+        ("euclidean-lsi", lambda F, A, P: 2 * F, lambda F, A, P: F),
+    ], ids=["heat", "kato", "euclidean-lsi"])
     def test_transform_counts(self, experiment, forward, inverse, monkeypatch):
         cfg = load_config({"experiment": experiment,
                            "grid": {"d": 2, "L": 10.0, "M": 16},
                            "sweep": {"family": "bumps"}, "seed": 5})
+        s = cfg.sweep
         F = len(generate_test_fields(cfg.grid, cfg.seed, "bumps"))
-        A = len(cfg.sweep["alpha"])
-        counts = {"forward": 0, "inverse": 0}
-        for name in counts:
-            def counting(grid, arr, _real=getattr(Grid, name), _name=name):
+        A = len(s["alpha"])
+        P = len(list(product(s["alpha"], s["p"], s["q"], s["t"])))
+        counts = {}
+        for owner, name in [(np.fft, "rfftn"), (np.fft, "irfftn"),
+                            (Grid, "forward"), (Grid, "inverse")]:
+            def counting(*args, _real=getattr(owner, name), _name=name, **kwargs):
                 counts[_name] += 1
-                return _real(grid, arr)
+                return _real(*args, **kwargs)
 
-            monkeypatch.setattr(Grid, name, counting)
+            counts[name] = 0
+            monkeypatch.setattr(owner, name, counting)
         cli._RUNNERS[experiment](cfg)
-        assert counts["forward"] <= forward(F, A)
-        assert counts["inverse"] <= inverse(F, A)
+        assert counts == {"rfftn": forward(F, A, P), "irfftn": inverse(F, A, P),
+                          "forward": 0, "inverse": 0}
 
 
 def test_heat_lane_loads_no_quadpack(tmp_path):
@@ -461,6 +534,19 @@ class TestOutputs:
         )
         assert json.loads(rows["bA"]) == [0.0]
         assert abs(json.loads(rows["normalization_defect"])) < 1e-6
+
+    def test_steady_on_a_table_with_finite_log_tail(self, tmp_path):
+        table = log_tail_table(tmp_path / "nu.csv")
+        trip = tmp_path / "trip.json"
+        trip.write_text(json.dumps({"d": 1, "sigma": 0.3, "b": 0.0, "nu": {
+            "kind": "tabulated", "table_path": str(table)}}))
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "steady", "--triplet-config", str(trip)]) == 0
+        rows = dict(
+            line.split(",", 1)
+            for line in (out / "results.csv").read_text().splitlines()[1:]
+        )
+        assert json.loads(rows["con1"]) == pytest.approx(0.1387228687516, abs=1e-12)
 
     def test_heat_subcommand_flags(self, tmp_path):
         out = tmp_path / "out"

@@ -29,11 +29,11 @@ from levylab.errors import (
     InterpolationDegradation,
     QuadratureFailure,
 )
-from levylab.levy import _stable_norm_constant
+from levylab.levy import _stable_norm_constant, triplet_from_config
 from levylab.quadrature import integrate_scaled
 from levylab.spectral import Grid
 
-from conftest import gaussian
+from conftest import gaussian, log_tail_table
 
 
 def stable_triplet(alpha, d=1):
@@ -440,6 +440,28 @@ class TestLogTail:
         )
         rep = check_log_tail(nu)
         assert rep.value == pytest.approx(0.0, abs=1e-12)
+
+
+    def test_tabulated_tail_ends_at_the_last_knot(self, tmp_path):
+        path = log_tail_table(tmp_path / "nu.csv")
+        nu = triplet_from_config(
+            {"d": 1, "nu": {"kind": "tabulated", "table_path": str(path)}}
+        ).nu
+        rep = check_log_tail(nu)
+        # rho = 2N is linear between knots, and int ln(r) (a + b r) dr is
+        # a (r ln r - r) + b (r^2 ln r / 2 - r^2 / 4)
+        z, n = np.loadtxt(path, delimiter=",").T
+        r = np.concatenate(([1.0], z[z > 1.0]))
+        rho = 2.0 * np.interp(r, z, n)
+        b = np.diff(rho) / np.diff(r)
+        a = rho[:-1] - b * r[:-1]
+
+        def antiderivative(x):
+            return a * (x * np.log(x) - x) + b * (x * x * np.log(x) / 2 - x * x / 4)
+
+        exact = float(np.sum(antiderivative(r[1:]) - antiderivative(r[:-1])))
+        assert not rep.diverged
+        assert rep.value == pytest.approx(exact, rel=0, abs=1e-10)
 
 
 class TestDomination:

@@ -1,5 +1,7 @@
 """Grid transforms, multipliers, norms, and shared quadrature."""
 
+import re
+
 import numpy as np
 import pytest
 from scipy.special import exp1
@@ -7,7 +9,7 @@ from scipy.special import exp1
 from levylab import Grid, SpectralField, apply_multiplier, gaussian_field, lp_norm
 from levylab.errors import InvalidExponent, QuadratureFailure
 from levylab.fields import band_limit
-from levylab.heat import fractional_laplacian, heat_evolve
+from levylab.heat import fractional_laplacian, half_operator_norm, heat_evolve
 from levylab.quadrature import integrate_scaled
 
 from conftest import gaussian
@@ -101,29 +103,25 @@ class TestForwardTransform:
 class TestApplyMultiplier:
     def test_identity(self, coarse_grid):
         f = gaussian(coarse_grid)
-        xi = coarse_grid.freqs()[0]
-        out = apply_multiplier(f, np.ones_like(xi))
+        out = apply_multiplier(f, np.ones_like(coarse_grid.symbol(1.0)))
         np.testing.assert_allclose(out.values, f.values, atol=1e-14)
 
     def test_laplacian_on_gaussian(self, grid1):
         f = gaussian(grid1)
-        xi = grid1.freqs()[0]
-        out = apply_multiplier(f, -(xi**2))
+        out = apply_multiplier(f, -grid1.symbol(2.0))
         x = grid1.x1
         exact = (x**2 - 1.0) * np.exp(-(x**2) / 2.0) / np.sqrt(2 * np.pi)
         assert np.max(np.abs(out.values - exact)) < 1e-10
 
     def test_heat_multiplier_at_zero_time(self, coarse_grid):
         f = gaussian(coarse_grid)
-        xi = coarse_grid.freqs()[0]
-        out = apply_multiplier(f, np.exp(-0.0 * xi**2))
+        out = apply_multiplier(f, np.exp(-0.0 * coarse_grid.symbol(2.0)))
         np.testing.assert_allclose(out.values, f.values, atol=1e-14)
 
     def test_composition(self, coarse_grid):
         f = gaussian(coarse_grid)
-        xi = coarse_grid.freqs()[0]
-        m1 = np.exp(-np.abs(xi))
-        m2 = 1.0 / (1.0 + xi**2)
+        m1 = np.exp(-coarse_grid.symbol(1.0))
+        m2 = 1.0 / (1.0 + coarse_grid.symbol(2.0))
         once = apply_multiplier(apply_multiplier(f, m1), m2)
         both = apply_multiplier(f, m1 * m2)
         np.testing.assert_allclose(once.coefficients, both.coefficients, atol=1e-14)
@@ -131,14 +129,26 @@ class TestApplyMultiplier:
     def test_complex_multiplier_rejected(self, coarse_grid):
         f = gaussian(coarse_grid)
         with pytest.raises(TypeError):
-            apply_multiplier(f, 1j * coarse_grid.freqs()[0])
+            apply_multiplier(f, 1j * coarse_grid.symbol(1.0))
         with pytest.raises(TypeError):
-            apply_multiplier(f, np.ones(coarse_grid.shape, dtype=complex))
+            apply_multiplier(f, np.ones(coarse_grid.half_shape, dtype=complex))
+
+    @pytest.mark.parametrize("d, half", [(1, "(9,)"), (2, "(16, 9)")])
+    def test_full_mesh_multiplier_rejected(self, d, half):
+        # a multiplier built from the full frequency mesh, or one that would
+        # broadcast against the half spectrum, fails closed
+        g = Grid(d, 5.0, 16)
+        f = SpectralField(g, values=np.ones(g.shape))
+        full = sum(a**2 for a in g.freqs())
+        expected = "half-spectrum shape " + re.escape(half)
+        for m in (full, full[..., :1], np.ones((1,) + g.half_shape), 1.0):
+            with pytest.raises(ValueError, match=expected):
+                apply_multiplier(f, m)
 
 
-# the package's multipliers, rebuilt here from the frequency mesh: the heat
-# semigroup exp(-t |xi|^alpha), the fractional Laplacian |xi|^alpha and the
-# band limit at 0.8 of Nyquist, each with the library call that applies it
+# the package's multipliers, rebuilt here from the full frequency mesh: the
+# heat semigroup exp(-t |xi|^alpha), the fractional Laplacian |xi|^alpha and
+# the band limit at 0.8 of Nyquist, each with the library call that applies it
 def _abs_xi(g):
     return np.sqrt(sum(a**2 for a in g.freqs()))
 
@@ -156,8 +166,8 @@ _MULTIPLIERS = {
 
 
 def _complex_inverse(f, m):
-    """The complex inverse of f^ m, with m cast to complex as apply_multiplier
-    once did for every multiplier it was given."""
+    """The full-mesh complex inverse of f^ m, as apply_multiplier computed it
+    before it moved onto the rfftn half spectrum."""
     return f.grid.inverse(f.coefficients * np.asarray(m, dtype=complex))
 
 
@@ -168,10 +178,36 @@ def test_real_multiplier_matches_complex_cast(name, d, L, M):
     apply, multiplier = _MULTIPLIERS[name]
     noise = np.random.default_rng(4).standard_normal(g.shape)
     for f in (gaussian_field(g, 1.5, 0.5), SpectralField(g, values=noise)):
-        w = _complex_inverse(f, multiplier(g))
-        assert np.array_equal(apply(f).values, w.real)
+        m = multiplier(g)
+        w = _complex_inverse(f, m)
+        # both paths round off at about eps * max|m| * max|f|; the worst
+        # measured difference is 4.6e-16 of that scale
+        scale = np.max(np.abs(m)) * np.max(np.abs(f.values))
+        assert np.max(np.abs(apply(f).values - w.real)) <= 1e-13 * scale
         # the multiplier is Hermitian: a real field stays real to round-off
         assert np.max(np.abs(w.imag)) <= 1e-8 * np.max(np.abs(w.real))
+
+
+@pytest.mark.parametrize("d, L, M", [(1, 20.0, 512), (2, 10.0, 64)])
+def test_half_operator_norm_matches_full_sum(d, L, M):
+    g = Grid(d, L, M)
+    noise = np.random.default_rng(5).standard_normal(g.shape)
+    w = (g.dxi / (2.0 * np.pi)) ** d
+    for f in (gaussian_field(g, 1.5, 0.5), SpectralField(g, values=noise)):
+        for alpha in (0.5, 1.3, 2.0):
+            full = np.sum(_abs_xi(g) ** alpha * np.abs(f.coefficients) ** 2) * w
+            assert half_operator_norm(f, alpha) == pytest.approx(full, rel=1e-13)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_symbol_is_the_half_of_the_full_mesh(d):
+    g = Grid(d, 5.0, 16)
+    for alpha in (0.5, 2.0):
+        s = g.symbol(alpha)
+        assert s.shape == g.half_shape and g.symbol(alpha) is s
+        np.testing.assert_array_equal(s, (_abs_xi(g) ** alpha)[..., :9])
+        with pytest.raises(ValueError):
+            s[(0,) * d] = 1.0
 
 
 class TestLpNorm:
