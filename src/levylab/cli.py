@@ -79,6 +79,8 @@ _DEFAULT_SWEEP = {
 
 # experiments whose field battery is built without a steady state
 _NO_STEADY_BATTERY = ("heat", "euclidean-lsi", "kato", "all")
+# experiments whose default triplet is stable_density(alpha[0])
+_STABLE_DEFAULT = ("fp", "steady", "decay", "check-lsi", "check-conditions")
 
 
 def _finite(name: str, value) -> float:
@@ -224,6 +226,9 @@ def load_config(raw: dict, overrides: dict | None = None) -> ExperimentConfig:
             raise ConfigError(f"triplet.d is {triplet.d} but grid.d is {grid.d}")
     if experiment == "check-conditions" and triplet is not None and triplet.nu is None:
         raise ConfigError("check-conditions needs a triplet with a jump density")
+    if triplet is None and experiment in _STABLE_DEFAULT and 2.0 in sweep["alpha"][:1]:
+        raise ConfigError(f"{experiment} without a triplet builds the stable density "
+                          "of alpha[0], which must lie in (0, 2), got 2.0")
 
     io = overrides or {}
     input_field = None
@@ -600,20 +605,13 @@ def _number_list(flag: str, text: str) -> list:
 
 def _apply_subcommand_flags(args, raw: dict) -> dict:
     sweep = dict(raw.get("sweep", {}))
-    if getattr(args, "alpha", None) is not None:
-        sweep["alpha"] = [args.alpha]
-    if getattr(args, "t", None) is not None:
-        sweep["t"] = [args.t]
-    if getattr(args, "p", None) is not None:
-        sweep["p"] = [args.p]
-    if getattr(args, "q", None) is not None:
-        sweep["q"] = [args.q]
+    for key in ("alpha", "t", "p", "q", "phi"):
+        if getattr(args, key, None) is not None:
+            sweep[key] = [getattr(args, key)]
     if getattr(args, "t_list", None) is not None:
         sweep["times"] = _number_list("--t-list", args.t_list)
     if getattr(args, "times", None) is not None:
         sweep["times"] = _number_list("--times", args.times)
-    if getattr(args, "phi", None) is not None:
-        sweep["phi"] = [args.phi]
     if getattr(args, "C", None) is not None:
         sweep["C"] = args.C
     if sweep:

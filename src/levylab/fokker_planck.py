@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -208,13 +209,13 @@ def fp_evolve(
         raise ValueError("time must be nonnegative")
     if t == 0:
         return u0
-    g = u0.grid
-    c0 = u0.coefficients
-    cmax = np.max(np.abs(c0)) or 1.0
-    edge = np.abs(np.fft.fftshift(c0))
-    # the first and last slab along every axis
-    edge_mass = max(float(np.max(np.take(edge, [0, -1], axis=ax)))
-                    for ax in range(g.d))
+    g, M = u0.grid, u0.grid.M
+    spec = np.abs(u0.half_spectrum)
+    cmax = np.max(spec) or 1.0
+    # the slabs k = -M/2 and M/2 - 1 of every axis; a full axis keeps
+    # the conjugate of slab M/2 - 1 at k = -(M/2 - 1), row M/2 + 1
+    edge_mass = max(float(np.max(spec[..., M // 2 - 1:])),
+                    float(np.max(spec[M // 2 - 1:M // 2 + 2])))
     if edge_mass > 1e-12 * cmax:
         warnings.warn(
             f"coefficients at the Nyquist edge are {edge_mass / cmax:.2e} of max; "
@@ -222,18 +223,24 @@ def fp_evolve(
             InterpolationDegradation,
         )
     scale = float(np.exp(-t))
-    shifted = _nudft_coefficients(u0, scale)
+    full = _nudft_coefficients(u0, scale)
+    shifted = full[..., : M // 2 + 1]
+    if g.d == 2:
+        # the row +M/2 of freqs(): u0 is real, so its transform there is
+        # the conjugate of row -M/2 at -k2
+        shifted = np.vstack([shifted, np.conj(full[M // 2, -np.arange(M // 2 + 1)])])
 
     axes = g.freqs()
     k = _radial_argument(axes)
     G = _jump_antiderivative(triplet, np.stack([k, scale * k]), tol, anchored=False)
     gauss, drift = _gauss_drift_exponent(triplet, axes)
     J = gauss * (1.0 - np.exp(-2.0 * t)) / 2.0 + drift * (1.0 - np.exp(-t))
-    return SpectralField(g, coefficients=shifted * np.exp(J + (G[0] - G[1])))
+    return SpectralField(g, g.synthesize(shifted * np.exp(J + (G[0] - G[1]))))
 
 
 def steady_exponent(triplet: LevyTriplet, xi, tol: float = 1e-10):
-    """Psi(xi) = int_0^1 psi(s xi) ds / s at a single frequency.
+    """Psi(xi) = int_0^1 psi(s xi) ds / s at one frequency, or on a mesh
+    given as one array per axis, such as ``Grid.freqs()``.
 
     The Gaussian and drift parts integrate in closed form (half and identity
     respectively); the jump part is G(|xi|), one adaptive quadrature, or
@@ -367,13 +374,7 @@ def build_steady_state(
         raise Con1Violation(
             "log-tail integral of the jump density diverges; no steady state"
         )
-    axes = grid.freqs()
-    gauss, drift = _gauss_drift_exponent(triplet, axes)
-    jump = _jump_antiderivative(triplet, _radial_argument(axes), tol)
-    psi_mesh = 0.5 * gauss + drift + jump
-    coeff = np.exp(psi_mesh)
-    dens = SpectralField(grid, coefficients=coeff)
-    vals = dens.values
+    vals = grid.synthesize(np.exp(steady_exponent(triplet, grid.freqs(), tol)))
     vmax = float(np.max(vals))
     if float(np.min(vals)) < -1e-6 * vmax:
         raise NegativeDensity(
@@ -381,20 +382,12 @@ def build_steady_state(
             "the grid under-resolves the invariant measure"
         )
     mass = grid.integrate(vals)
-    defect = abs(mass - 1.0)
-    dens = SpectralField(grid, values=np.clip(vals, 0.0, None) / mass)
-
     nu = triplet.nu
-    b_corr = drift_correction(nu) if nu is not None else np.zeros(triplet.d)
-
-    def exponent(xi):
-        return steady_exponent(triplet, xi, tol)
-
     return SteadyState(
-        exponent=exponent,
-        density=dens,
-        drift_correction=b_corr,
-        mass_defect=defect,
+        exponent=partial(steady_exponent, triplet, tol=tol),
+        density=SpectralField(grid, values=np.clip(vals, 0.0, None) / mass),
+        drift_correction=np.zeros(triplet.d) if nu is None else drift_correction(nu),
+        mass_defect=abs(mass - 1.0),
         log_tail=tail.value,
     )
 

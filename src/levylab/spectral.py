@@ -72,15 +72,15 @@ class Grid:
         return np.meshgrid(*(self.x1,) * self.d, indexing="ij")
 
     def freqs(self):
-        """Meshgrid frequency arrays in FFT order, one per dimension (read-only)."""
-        return self._freq_mesh
+        """Frequency arrays on the ``rfftn`` half-spectrum mesh, one per dimension.
 
-    @cached_property
-    def _freq_mesh(self):
-        axes = np.meshgrid(*(self.xi1,) * self.d, indexing="ij")
-        for a in axes:
-            a.flags.writeable = False
-        return axes
+        The last axis holds k = 0, ..., M/2 (k = M/2 as -M/2, from ``xi1``).
+        In d=2 the first axis, in FFT order, ends with an extra row k = +M/2:
+        the alias of row -M/2 that ``synthesize`` averages in.
+        """
+        rows = np.append(self.xi1, -self.xi1[self.M // 2])
+        return np.meshgrid(*(rows,) * (self.d - 1), self.xi1[: self.M // 2 + 1],
+                           indexing="ij")
 
     @property
     def half_shape(self):
@@ -90,15 +90,10 @@ class Grid:
     def symbol(self, alpha):
         """|xi|^alpha on the ``rfftn`` half-spectrum mesh, cached read-only per alpha.
 
-        The last axis holds the frequencies pi k / L for k = 0, ..., M/2; its
-        last column, k = M/2, takes |xi| from ``xi1``, whose entry there is
-        -M/2 (the same magnitude).  Every multiplier of the heat lane is built
-        from this array; ``freqs`` stays on the full mesh for the flow.
+        The mesh is that of ``freqs`` without its extra row.
         """
         if alpha not in self._symbols:
-            half = self.xi1[: self.M // 2 + 1]
-            axes = np.meshgrid(*(self.xi1,) * (self.d - 1), half, indexing="ij")
-            s = np.sqrt(sum(a**2 for a in axes)) ** alpha
+            s = np.sqrt(sum(a[: self.M] ** 2 for a in self.freqs())) ** alpha
             s.flags.writeable = False
             self._symbols[alpha] = s
         return self._symbols[alpha]
@@ -125,49 +120,51 @@ class Grid:
         w *= (self.dxi / (2.0 * np.pi)) ** self.d
         return w
 
+    def synthesize(self, spectrum):
+        """Real grid values whose continuum transform is ``spectrum`` on ``freqs()``.
+
+        The inverse of ``forward`` for a real field, by one ``irfftn``.  Like
+        the real part of a full inverse, it pairs each coefficient with the
+        conjugate of its mirror at -xi; but row -M/2 of a full axis stands for
+        both +-M/2, so in d=2 the extra row +M/2 is averaged into it for
+        k2 < M/2 (the column k2 = M/2 pairs within itself).
+        """
+        M = self.M
+        s = np.conj(spectrum)
+        if self.d == 2:
+            s[M // 2, :-1] = 0.5 * (s[M // 2, :-1] + s[M, :-1])
+            s = s[:M]
+        s *= self._phase[..., : M // 2 + 1]
+        return np.fft.irfftn(s, s=self.shape, axes=range(self.d)) / self.dx**self.d
+
     def integrate(self, values):
         """Riemann sum of a grid function (exact = trapezoid, periodic)."""
         return np.sum(values) * self.dx**self.d
 
 
 class SpectralField:
-    """A function on a periodic grid with lazily synchronized Fourier data.
+    """Values of a real function on a periodic grid.
 
-    Two transforms of the values are cached on first use: ``half_spectrum``,
-    the unscaled ``rfftn`` that every Fourier multiplier reads, and
-    ``coefficients``, the full complex coefficients of ``Grid.forward``,
-    which serve only the Fokker-Planck flow and the entropy code.
+    ``half_spectrum``, the unscaled ``rfftn`` that every Fourier multiplier
+    and the flow read, is cached on first use.  ``coefficients`` is
+    ``Grid.forward`` of the values on the full mesh, recomputed per call: a
+    view for tests and diagnostics that no code path of the package reads.
     """
 
-    def __init__(self, grid: Grid, values=None, coefficients=None):
-        if values is None and coefficients is None:
-            raise ValueError("need values or coefficients")
+    def __init__(self, grid: Grid, values):
         self.grid = grid
-        self._half = None
-        self._values = None if values is None else np.asarray(values, dtype=float)
-        self._coefficients = (
-            None if coefficients is None else np.asarray(coefficients, dtype=complex)
-        )
-        if self._values is not None and self._values.shape != grid.shape:
+        self.values = np.asarray(values, dtype=float)
+        if self.values.shape != grid.shape:
             raise ValueError("values shape does not match grid")
-        if self._coefficients is not None and self._coefficients.shape != grid.shape:
-            raise ValueError("coefficient shape does not match grid")
+        self._half = None
 
     @classmethod
     def from_function(cls, grid: Grid, f):
         return cls(grid, values=f(*grid.coords()))
 
     @property
-    def values(self):
-        if self._values is None:
-            self._values = self.grid.inverse(self._coefficients).real.copy()
-        return self._values
-
-    @property
     def coefficients(self):
-        if self._coefficients is None:
-            self._coefficients = self.grid.forward(self._values)
-        return self._coefficients
+        return self.grid.forward(self.values)
 
     @property
     def half_spectrum(self):
@@ -194,10 +191,17 @@ class SpectralField:
 
     @classmethod
     def from_csv(cls, grid: Grid, path):
+        """Read the rows of ``to_csv``; ValueError unless each has d + 1
+        columns and the coordinates lie within 1e-12 L of ``grid.coords()``."""
         with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-        vals = np.array([float(r[-1]) for r in rows[1:]])
-        return cls(grid, values=vals.reshape(grid.shape))
+            rows = list(csv.reader(fh))[1:]
+        coords = np.stack([c.ravel() for c in grid.coords()], axis=1)
+        if [len(r) for r in rows] != [grid.d + 1] * len(coords):
+            raise ValueError(f"{grid} takes {len(coords)} rows of {grid.d + 1} columns")
+        table = np.array(rows, dtype=float)
+        if not np.all(np.abs(table[:, :-1] - coords) <= 1e-12 * grid.L):
+            raise ValueError(f"the coordinates are not those of {grid}")
+        return cls(grid, values=table[:, -1].reshape(grid.shape))
 
 
 def apply_multiplier(f: SpectralField, m) -> SpectralField:

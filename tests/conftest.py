@@ -39,6 +39,11 @@ def gaussian(grid, var=1.0, center=0.0):
     )
 
 
+def full_freqs(grid):
+    """The full frequency mesh in FFT order, one array per dimension, from xi1."""
+    return np.meshgrid(*(grid.xi1,) * grid.d, indexing="ij")
+
+
 def log_tail_table(path):
     """Write e^{-z} z^{-1.5} at 400 even knots on [0.01, 30] as a density table.
 

@@ -31,7 +31,7 @@ from levylab.cli import load_config, main
 from levylab.errors import ConfigError
 from levylab.fields import FAMILIES
 
-from conftest import log_tail_table
+from conftest import full_freqs, log_tail_table
 
 
 def write_config(path, **overrides):
@@ -192,6 +192,18 @@ class TestExitCodes:
         assert "config error:" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("experiment", cli._STABLE_DEFAULT)
+    def test_default_stable_alpha_2_exits_2_without_output(self, tmp_path, capsys,
+                                                           experiment):
+        # the default triplet is the stable density of alpha[0]; alpha = 2
+        # is a Gaussian, which the stable family does not take
+        path = write_config(tmp_path / "c.json", experiment=experiment,
+                            sweep={"alpha": [2.0, 1.0]})
+        out = tmp_path / "out"
+        assert main(["--config", str(path), "--out", str(out)]) == 2
+        assert "alpha[0]" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_check_conditions_without_jumps_exits_2_without_output(self, tmp_path):
         path = write_config(tmp_path / "c.json", experiment="check-conditions",
                             triplet={"d": 1, "sigma": 1.0, "b": 0.0})
@@ -228,6 +240,21 @@ class TestExitCodes:
         out = tmp_path / "out"
         rc = main(["--config", str(write_config(tmp_path / "c.json")),
                    "--out", str(out), *flags, str(csv_path)])
+        assert rc == 2
+        assert "config error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("written, grid", [
+        (Grid(1, 10.0, 128), {"d": 1, "L": 20.0, "M": 128}),
+        (Grid(1, 20.0, 64), {"d": 2, "L": 20.0, "M": 8}),
+    ], ids=["other-box", "other-dimension"])
+    def test_input_csv_from_another_grid_exits_2_without_output(
+            self, tmp_path, capsys, written, grid):
+        u0 = tmp_path / "u0.csv"
+        gaussian_field(written).to_csv(u0)
+        out = tmp_path / "out"
+        rc = main(["--config", str(write_config(tmp_path / "c.json", grid=grid)),
+                   "--out", str(out), "heat", "--input-csv", str(u0)])
         assert rc == 2
         assert "config error:" in capsys.readouterr().err
         assert not out.exists()
@@ -343,6 +370,8 @@ def _numbers(cell):
     return [v for v in values if type(v) in (int, float)]
 
 
+# small grids put mass at the Nyquist edge of the fp and decay flows on purpose
+@pytest.mark.filterwarnings("ignore::levylab.errors.InterpolationDegradation")
 @settings(max_examples=40, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(experiment=st.sampled_from(cli.EXPERIMENTS), d=st.sampled_from([1, 2]),
@@ -383,7 +412,7 @@ def _heat_row(pair, idx, f):
 # |xi|^alpha rebuilt from the frequency mesh each time and cut to the rfftn
 # half spectrum
 def _symbol(grid, alpha):
-    return (np.sqrt(sum(a**2 for a in grid.freqs())) ** alpha)[..., : grid.M // 2 + 1]
+    return (np.sqrt(sum(a**2 for a in full_freqs(grid))) ** alpha)[..., : grid.M // 2 + 1]
 
 
 def _lsi_gap_per_alpha(f, alpha):

@@ -115,6 +115,16 @@ class TestFpEvolve:
         with pytest.warns(InterpolationDegradation):
             fp_evolve(SpectralField(g, values=alternating), diffusion_triplet(2), 0.5)
 
+    def test_nyquist_warning_for_a_slab_outside_the_half_spectrum(self):
+        # a plane wave at k = (M/2 + 1, 3) = (-(M/2 - 1), 3): its mirror in
+        # slab M/2 - 1 sits at (M/2 - 1, -3), outside the rfftn half
+        # spectrum, so only the half spectrum's row M/2 + 1 shows it
+        g = Grid(2, 10.0, 64)
+        x, y = g.coords()
+        wave = np.cos(g.dxi * ((g.M // 2 + 1 - g.M) * x + 3 * y))
+        with pytest.warns(InterpolationDegradation):
+            fp_evolve(SpectralField(g, values=wave), diffusion_triplet(2), 0.5)
+
     @pytest.mark.filterwarnings("error::levylab.errors.InterpolationDegradation")
     def test_no_nyquist_warning_for_smooth_2d_field(self):
         fp_evolve(gaussian_field(Grid(2, 10.0, 64), 1.0), diffusion_triplet(2), 0.5)

@@ -9,15 +9,20 @@ exactly.
 
 import csv
 import json
+from contextlib import nullcontext
 from pathlib import Path
 
 import pytest
 
 from levylab.cli import main
+from levylab.errors import InterpolationDegradation
 
 GOLDEN = Path(__file__).parent / "golden"
 RTOL = 1e-12
 ATOL = 1e-15
+# runs whose initial field has not decayed at the Nyquist edge of the flow:
+# the warning is part of the recorded behaviour
+WARNS = {"fp_d2_stable15": InterpolationDegradation}
 
 
 def _numeric(text):
@@ -66,7 +71,9 @@ def _read_csv(path):
 def test_golden_cli_run(name, tmp_path):
     ref = GOLDEN / name
     out = tmp_path / "out"
-    rc = main(["--config", str(ref / "config.json"), "--out", str(out)])
+    warning = WARNS.get(name)
+    with pytest.warns(warning) if warning else nullcontext():
+        rc = main(["--config", str(ref / "config.json"), "--out", str(out)])
     assert rc == int((ref / "exit_code").read_text())
 
     got_rows = _read_csv(out / "results.csv")

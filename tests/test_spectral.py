@@ -6,13 +6,22 @@ import numpy as np
 import pytest
 from scipy.special import exp1
 
-from levylab import Grid, SpectralField, apply_multiplier, gaussian_field, lp_norm
+from levylab import (
+    Grid,
+    LevyTriplet,
+    SpectralField,
+    apply_multiplier,
+    gaussian_field,
+    lp_norm,
+    stable_density,
+    steady_exponent,
+)
 from levylab.errors import InvalidExponent, QuadratureFailure
 from levylab.fields import band_limit
 from levylab.heat import fractional_laplacian, half_operator_norm, heat_evolve
 from levylab.quadrature import integrate_scaled
 
-from conftest import gaussian
+from conftest import full_freqs, gaussian
 
 
 class TestGrid:
@@ -27,10 +36,10 @@ class TestGrid:
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_cached_meshes_are_read_only(self, d):
-        # every caller shares one frequency mesh and one phase array per grid
+        # every caller shares one phase array and one symbol per exponent
         g = Grid(d, 5.0, 16)
-        assert g.freqs() is g.freqs()
-        for a in (*g.freqs(), g._phase):
+        assert g.symbol(1.0) is g.symbol(1.0)
+        for a in (g.symbol(1.0), g._phase):
             with pytest.raises(ValueError):
                 a[(0,) * d] = 1.0
         assert g == Grid(d, 5.0, 16) and hash(g) == hash(Grid(d, 5.0, 16))
@@ -40,9 +49,13 @@ class TestGrid:
         x, y = g.coords()
         np.testing.assert_array_equal(x, np.repeat(g.x1[:, None], 16, axis=1))
         np.testing.assert_array_equal(y, np.repeat(g.x1[None, :], 16, axis=0))
+        # freqs() is the rfftn half of the full mesh, plus the row k = +M/2
         k0, k1 = g.freqs()
-        np.testing.assert_array_equal(k0, np.repeat(g.xi1[:, None], 16, axis=1))
-        np.testing.assert_array_equal(k1, np.repeat(g.xi1[None, :], 16, axis=0))
+        full0, full1 = full_freqs(g)
+        np.testing.assert_array_equal(k0[:16], full0[:, :9])
+        np.testing.assert_array_equal(k1[:16], full1[:, :9])
+        np.testing.assert_array_equal(k0[16], np.full(9, np.pi / g.dx))
+        np.testing.assert_array_equal(k1[16], g.xi1[:9])
         j = np.arange(16)
         np.testing.assert_array_equal(g._phase, (-1.0) ** np.add.outer(j, j))
 
@@ -139,7 +152,7 @@ class TestApplyMultiplier:
         # broadcast against the half spectrum, fails closed
         g = Grid(d, 5.0, 16)
         f = SpectralField(g, values=np.ones(g.shape))
-        full = sum(a**2 for a in g.freqs())
+        full = sum(a**2 for a in full_freqs(g))
         expected = "half-spectrum shape " + re.escape(half)
         for m in (full, full[..., :1], np.ones((1,) + g.half_shape), 1.0):
             with pytest.raises(ValueError, match=expected):
@@ -150,7 +163,7 @@ class TestApplyMultiplier:
 # heat semigroup exp(-t |xi|^alpha), the fractional Laplacian |xi|^alpha and
 # the band limit at 0.8 of Nyquist, each with the library call that applies it
 def _abs_xi(g):
-    return np.sqrt(sum(a**2 for a in g.freqs()))
+    return np.sqrt(sum(a**2 for a in full_freqs(g)))
 
 
 _MULTIPLIERS = {
@@ -210,6 +223,35 @@ def test_symbol_is_the_half_of_the_full_mesh(d):
             s[(0,) * d] = 1.0
 
 
+def _on_freqs(g, full):
+    """A full-mesh spectrum of a grid function on the mesh of ``Grid.freqs``;
+    on the grid, the extra d=2 row k = +M/2 is row -M/2 again."""
+    half = full[..., : g.M // 2 + 1]
+    return half if g.d == 1 else np.vstack([half, half[g.M // 2]])
+
+
+def _alias_triplet(d):
+    # drift and a tilted covariance: the continuum spectrum differs between
+    # the aliases +-M/2 of a full axis
+    sigma, b = ([[0.3]], [0.7]) if d == 1 else ([[0.3, 0.1], [0.1, 0.2]], [0.7, -0.4])
+    return LevyTriplet(sigma=np.array(sigma), b=np.array(b),
+                       nu=stable_density(1.5, d), d=d)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_synthesize_is_the_real_part_of_the_full_inverse(d):
+    g = Grid(d, 10.0, 32)
+    noise = np.random.default_rng(6).standard_normal(g.shape)
+    tr = _alias_triplet(d)
+    cases = [(_on_freqs(g, g.forward(noise)), g.forward(noise)),
+             (np.exp(steady_exponent(tr, g.freqs())),
+              np.exp(steady_exponent(tr, full_freqs(g))))]
+    for half, full in cases:
+        ref = g.inverse(full).real
+        assert np.max(np.abs(g.synthesize(half) - ref)) <= 1e-14 * np.max(np.abs(ref))
+    np.testing.assert_allclose(g.synthesize(cases[0][0]), noise, rtol=0, atol=1e-14)
+
+
 class TestLpNorm:
     def test_gaussian_l2(self, grid1):
         f = SpectralField.from_function(grid1, lambda x: np.exp(-(x**2)))
@@ -254,6 +296,19 @@ class TestIntegrateScaled:
     def test_divergent_integrand_raises(self):
         with pytest.raises(QuadratureFailure):
             integrate_scaled(lambda t: 1.0 / t, (1.0, np.inf))
+
+
+@pytest.mark.parametrize("written, read", [
+    (Grid(1, 10.0, 64), Grid(1, 20.0, 64)),
+    (Grid(1, 20.0, 64), Grid(2, 20.0, 8)),
+    (Grid(2, 20.0, 8), Grid(1, 20.0, 64)),
+], ids=["other-box", "1d-as-2d", "2d-as-1d"])
+def test_csv_from_another_grid_rejected(tmp_path, written, read):
+    # the same number of cells, but not the same coordinates
+    path = tmp_path / "field.csv"
+    gaussian_field(written, 1.0).to_csv(path)
+    with pytest.raises(ValueError):
+        SpectralField.from_csv(read, path)
 
 
 def test_csv_round_trip(tmp_path, coarse_grid):
