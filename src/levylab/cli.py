@@ -171,6 +171,9 @@ def load_config(raw: dict, overrides: dict | None = None) -> ExperimentConfig:
     bad = set(user_sweep) - _SWEEP_KEYS
     if bad:
         raise ConfigError(f"unknown sweep keys: {sorted(bad)}")
+    for key, val in user_sweep.items():
+        if isinstance(val, (list, tuple)) and not val:
+            raise ConfigError(f"sweep.{key} must not be empty")
     sweep.update(user_sweep)
     sweep["alpha"] = _finite_list("alpha", sweep["alpha"])
     for a in sweep["alpha"]:

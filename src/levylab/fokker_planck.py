@@ -23,21 +23,23 @@ rho = exp(-s) |xi| and rho = s |xi| give
 
 This holds because a depends on |xi| alone: in d=2 the symbol is radial,
 and in d=1 a(-xi) = conj a(xi), so G(-r) = conj G(r) covers non-even
-densities.  The stable family has G(r) = -r^alpha / alpha in closed form;
-any other density is tabulated once per call on Chebyshev points in
-log r and integrated exactly.  The Gaussian and drift parts keep their
-closed forms.  No time quadrature enters the flow.
+densities.  The stable family has G(r) = -r^alpha / alpha in closed form.
+Otherwise a is tabulated once per call on Chebyshev points in log r and
+integrated exactly from the smallest radius r_min, and G(r_min) is one
+integral of the radial density against a closed-form kernel.  The Gaussian
+and drift parts keep their closed forms.  No time quadrature enters the flow.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable
 
 import numpy as np
-from numpy.polynomial import chebyshev
+from numpy.polynomial import chebyshev, polynomial
 
 from .errors import (
     Con1Violation,
@@ -49,9 +51,11 @@ from .levy import (
     LevyTriplet,
     _checked,
     _gauss_drift_exponent,
+    _jump_moments,
+    _jump_symbols,
     _radial_argument,
+    _segmented_tail,
     _stable_radial_constant,
-    jump_symbol,
 )
 from .quadrature import _SLACK, integrate_scaled, try_integrate
 from .spectral import Grid, SpectralField
@@ -88,17 +92,16 @@ def _cheb_coefficients(vals):
 def _log_chebyshev_integral(f, r_min, r_max, r, tol):
     """int_{r_min}^r f(rho) drho / rho for r in [r_min, r_max].
 
-    Samples f(e^u) at Chebyshev points in u = log rho, doubling the node
-    count (and reusing the old samples) until the trailing quarter of the
-    coefficients falls below _SLACK * tol * scale; the interpolant is then
-    integrated in closed form.
+    Samples f, which maps an array of radii to its values, at Chebyshev
+    points in u = log rho, doubling the node count (and reusing the old
+    samples) until the trailing quarter of the coefficients falls below
+    _SLACK * tol * scale; the interpolant is then integrated in closed form.
     """
     a, b = np.log(r_min), np.log(r_max)
     half = 0.5 * (b - a)
 
     def sample(x):
-        return np.array([f(float(np.exp(a + half * (xj + 1.0)))) for xj in x],
-                        dtype=complex)
+        return np.asarray(f(np.exp(a + half * (x + 1.0))), dtype=complex)
 
     n = _CHEB_NODES - 1
     vals = sample(np.cos(np.pi * np.arange(n + 1) / n))
@@ -124,13 +127,93 @@ def _log_chebyshev_integral(f, r_min, r_max, r, tol):
     return chebyshev.chebval(x, chebyshev.chebint(coeffs, lbnd=-1, scl=half))
 
 
+# K_d(x) = sum_k (-1)^{k+1} c_k x^{2k}: c_k = 1 / (2k (2k)!) in d=1 (DLMF 6.6.6),
+# 1 / (2k 4^k (k!)^2) in d=2; k <= 10 is exact to 1e-18 of the first for x < 1
+_KERNEL_SERIES = {
+    1: [(-1) ** (k + 1) / (2 * k * math.factorial(2 * k)) for k in range(1, 11)],
+    2: [(-1) ** (k + 1) / (2 * k * 4**k * math.factorial(k) ** 2)
+        for k in range(1, 11)],
+}
+
+
+def _kernel(d, x):
+    """K_d(x) = int_0^x (1 - m(t)) dt / t, m = cos in d=1 and J0 in d=2.
+
+    Cin(x) = gamma + ln x - Ci(x) in d=1 (DLMF 6.2.3), it2j0y0(x)[0] in d=2,
+    and the power series below x = 1.
+    """
+    from scipy import special
+    if x < 1.0:
+        return x * x * polynomial.polyval(x * x, _KERNEL_SERIES[d])
+    if d == 1:
+        return np.euler_gamma + np.log(x) - special.sici(x)[1]
+    return special.it2j0y0(x)[0]
+
+
+def _aux_fg(x):
+    """(f, g)(x), the auxiliary functions of the sine and cosine integrals:
+    Ci = f sin - g cos and si = Si - pi/2 = -f cos - g sin (DLMF 6.2.17-20)."""
+    from scipy import special
+    si, ci = special.sici(x)
+    si -= 0.5 * np.pi
+    return ci * np.sin(x) - si * np.cos(x), -ci * np.cos(x) - si * np.sin(x)
+
+
+def _anchor(nu, r, tol, big):
+    """G(r) at one radius r > 0, as one integral against a closed-form kernel.
+
+    Swapping the order of integration gives G(r) = -int_0^inf rho_N(s)
+    K_d(r s) ds (Sato 1999, Thm 17.5).  Past s = 1, K_d(x) = gamma + ln(x/d)
+    + R_d(x) gives (gamma + ln(r/d)) B + T (the log tail) + int rho(s)
+    R_d(r s) ds: R_1 = -Ci = g cos - f sin takes two QAWF calls, and
+    R_2(x) = int_x^inf J0(t) dt / t ~ -J1(x)/x is cut at the zeros of
+    J1(r s).  A table's tail is one finite integral.  A non-even d=1 density
+    adds i int_0^inf dN(z) (Si(r z) - r z h(z)) dz, dN = N(z) - N(-z), with
+    Si = pi/2 - f cos - g sin past z = 1.
+    """
+    from scipy import special
+    d, rho = nu.d, nu.radial_density
+
+    def qawf(w, fg, trig):
+        return integrate_scaled(lambda z: w(z) * _aux_fg(r * z)[fg], (1.0, np.inf),
+                                tol, weight=trig, wvar=r)
+
+    def n_diff(z):
+        return _checked(nu, z) - _checked(nu, -z)
+
+    def odd(z):
+        return (special.sici(r * z)[0] - r * z / (1.0 + z * z)) * n_diff(z)
+
+    if big is None:
+        # a table ends at its last knot: one finite integral, split at the knots
+        whole, knots = nu.radial_interval(0.0, np.inf)
+        G = -integrate_scaled(lambda s: _kernel(d, r * s) * rho(s), whole, tol, knots)
+        return G if nu.is_even else G + 1j * integrate_scaled(odd, whole, tol, knots)
+    log_tail = check_log_tail(nu, tol)
+    if log_tail.diverged:
+        raise Con1Violation("the log tail of the jump density diverges")
+    if d == 1:
+        osc = qawf(rho, 1, "cos") - qawf(rho, 0, "sin")
+    else:
+        osc = _segmented_tail(
+            lambda s: (_kernel(2, r * s) - np.euler_gamma - np.log(0.5 * r * s))
+            * rho(s), special.jn_zeros(1, 100 + int(r / np.pi)) / r, tol)
+    G = -integrate_scaled(lambda s: _kernel(d, r * s) * rho(s), (0.0, 1.0), tol)
+    G -= (np.euler_gamma + np.log(r / d)) * big + log_tail.value + osc
+    if nu.is_even:
+        return G
+    im = integrate_scaled(odd, (0.0, 1.0), tol) + integrate_scaled(
+        lambda z: (0.5 * np.pi - r * z / (1.0 + z * z)) * n_diff(z), (1.0, np.inf), tol)
+    return G + 1j * (im - qawf(n_diff, 0, "cos") - qawf(n_diff, 1, "sin"))
+
+
 def _jump_antiderivative(triplet: LevyTriplet, k, tol, anchored=True):
     """Jump part of G(k) = int_0^|k| a(rho) / rho drho at an array of k.
 
     ``k`` holds signed frequencies in d=1 (G(-r) = conj G(r)) and radii in
-    d=2.  Unanchored values are offset by the unknown G(r_min) of the
-    smallest nonzero radius, which cancels in differences; anchoring adds
-    it by one adaptive quadrature.
+    d=2.  A Chebyshev table of a gives G - G(r_min), r_min the smallest
+    nonzero radius, which cancels in differences; anchoring adds G(r_min).
+    The xi-independent integrals of a are computed once per call.
     """
     k = np.asarray(k, dtype=float)
     r = np.abs(k)
@@ -144,14 +227,14 @@ def _jump_antiderivative(triplet: LevyTriplet, k, tol, anchored=True):
     if not np.any(pos):
         return out
     r_min, r_max = float(np.min(r[pos])), float(np.max(r[pos]))
+    moments = _jump_moments(nu, tol)
     if r_max > r_min:
         out[pos] = _log_chebyshev_integral(
-            lambda rho: jump_symbol(nu, rho, tol), r_min, r_max, r[pos], tol
+            lambda rho: _jump_symbols(nu, rho, tol, moments), r_min, r_max, r[pos],
+            tol
         )
     if anchored:
-        out[pos] += integrate_scaled(
-            lambda s: jump_symbol(nu, s * r_min, tol) / s, (0.0, 1.0), tol
-        )
+        out[pos] += _anchor(nu, r_min, tol, moments[1])
     return np.where(k < 0.0, np.conj(out), out)
 
 
@@ -243,8 +326,8 @@ def steady_exponent(triplet: LevyTriplet, xi, tol: float = 1e-10):
     given as one array per axis, such as ``Grid.freqs()``.
 
     The Gaussian and drift parts integrate in closed form (half and identity
-    respectively); the jump part is G(|xi|), one adaptive quadrature, or
-    -|xi|^alpha / alpha for the stable family.
+    respectively); the jump part is G(|xi|), a Chebyshev table plus one
+    kernel integral, or -|xi|^alpha / alpha for the stable family.
     """
     axes = np.atleast_1d(np.asarray(xi, dtype=float))
     gauss, drift = _gauss_drift_exponent(triplet, axes)
@@ -352,8 +435,6 @@ def drift_correction(nu, tol: float = 1e-8) -> np.ndarray:
         return np.zeros(1)
     if nu.is_even:
         return np.zeros(nu.d)
-    if nu.d != 1:
-        raise NotImplementedError("drift correction implemented for d = 1")
     val = integrate_scaled(
         lambda z: z * _tau_factor(z) * (nu(z) - nu(-z)), (0.0, np.inf), tol
     )

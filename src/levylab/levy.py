@@ -86,29 +86,27 @@ def _j0m1p(x):
     return out if out.ndim else float(out)
 
 
-def _j0_tail(g, q, tol):
-    """int_1^inf J0(q r) g(r) dr for decaying g.
-
-    The interval is segmented at the zeros of J0(q r); the alternating
-    segment series is resummed by repeated averaging of partial sums.  At
-    most int(q/pi) + 1 of the zeros lie below r = 1, so at least 99 segments
-    remain.
-    """
-    from scipy import special
-    if q <= 0.0:
-        raise ValueError("oscillation frequency must be positive")
-    cuts = special.jn_zeros(0, 100 + int(q / np.pi)) / q
+def _segmented_tail(f, cuts, tol):
+    """int_1^inf f(r) dr, segmented at the cuts past r = 1, between which f
+    alternates in sign; the segment series is resummed by repeated averaging
+    of partial sums."""
     edges = np.concatenate(([1.0], cuts[cuts > 1.0]))
-
-    def f(r):
-        return special.j0(q * r) * g(r)
-
     terms = [integrate_scaled(f, (a, b), tol) for a, b in zip(edges[:-1], edges[1:])]
     lead, rest = terms[0], np.asarray(terms[1:])
     row = np.cumsum(rest)
     for _ in range(min(12, len(row) - 1)):
         row = 0.5 * (row[:-1] + row[1:])
     return lead + float(row[-1])
+
+
+def _j0_tail(g, q, tol):
+    """int_1^inf J0(q r) g(r) dr for decaying g, cut at the zeros of J0(q r);
+    at most int(q/pi) + 1 of them lie below r = 1, so 99 or more remain."""
+    from scipy import special
+    if q <= 0.0:
+        raise ValueError("oscillation frequency must be positive")
+    cuts = special.jn_zeros(0, 100 + int(q / np.pi)) / q
+    return _segmented_tail(lambda r: special.j0(q * r) * g(r), cuts, tol)
 
 
 def _cos_tail(g, q, tol):
@@ -168,7 +166,8 @@ class LevyDensity:
     kind the density is c(d, alpha) |z|^{-d-alpha} with the family constant
     fixed by the symbol normalization.  ``func`` maps |z|-vectors (or scalars
     in d=1) to density values.  A tabulated density keeps the sorted radii
-    |z| of its table's ``knots``; it is zero beyond the last.
+    |z| of its table's ``knots``; it is zero beyond the last.  Only a d=1
+    density may be non-even.
     """
 
     kind: str
@@ -188,6 +187,8 @@ class LevyDensity:
                 )
         elif self.func is None:
             raise ValueError("analytic/tabulated density needs a callable")
+        if not self.is_even and self.d != 1:
+            raise ValueError("a non-even density is supported in d=1 only")
 
     def __call__(self, z):
         if self.kind == "stable":
@@ -305,50 +306,64 @@ def jump_symbol(nu: LevyDensity, xi, tol: float = 1e-10):
     part of a non-even density is supported in d=1 only.
     """
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    if not nu.is_even and nu.d != 1:
-        raise NotImplementedError("d=2 jump symbols require an even density")
-    # |xi|; a one-axis reduction returns xi itself, so |xi| is exact in d=1
-    q = abs(float(np.hypot.reduce(xi)))
-    if q == 0.0:
+    k = float(xi[0]) if nu.d == 1 else float(np.hypot.reduce(xi))
+    if k == 0.0:
         return 0.0 if nu.is_even else 0.0 + 0.0j
+    return _jump_symbols(nu, [k], tol, _jump_moments(nu, tol))[0].item()
+
+
+def _jump_moments(nu: LevyDensity, tol):
+    """(m2, B): int_0^1 r^2 rho dr and int_1^inf rho dr, the xi-independent
+    integrals of a; B is None for a table, whose far part is one integral."""
+    big = None if nu.knots is not None else integrate_scaled(
+        nu.radial_density, (1.0, np.inf), tol)
+    return nu.small_ball_second_moment(1.0), big
+
+
+def _jump_symbols(nu: LevyDensity, ks, tol, moments):
+    """a at each nonzero k of ks (signed xi in d=1, |xi| in d=2), sharing
+    moments = _jump_moments(nu, tol); see ``jump_symbol``."""
+    from scipy import special
+    m2, big = moments
     kernel, tail = _SPHERICAL_MEAN[nu.d]
+    # a table is zero past its last knot: its far part is one finite
+    # integral of (m - 1) rho, split at the knots
+    mean = np.cos if nu.d == 1 else special.j0
     rho = nu.radial_density
-    eps = _EPS_BALL
-    interval, points = nu.radial_interval(eps, 1.0)
-    head = integrate_scaled(lambda r: kernel(r * q) * rho(r), interval, tol, points)
-    moment = -0.5 / nu.d * q * q * nu.small_ball_second_moment(1.0)
-    if nu.knots is None:
-        far = tail(rho, q, tol) - integrate_scaled(rho, (1.0, np.inf), tol)
-    else:
-        # a table is zero past its last knot: one finite integral of
-        # (m - 1) rho, split at the knots
-        from scipy import special
-        mean = np.cos if nu.d == 1 else special.j0
-        interval, points = nu.radial_interval(1.0, np.inf)
-        far = integrate_scaled(lambda r: (mean(r * q) - 1.0) * rho(r), interval,
-                               tol, points)
-    real = head + moment + far
-    if nu.is_even:
-        return real
-    # imaginary part: int sin(zs) dN - s int z h(z) dN with dN = N(z) - N(-z)
-    s = float(xi[0])
+    near, near_points = nu.radial_interval(_EPS_BALL, 1.0)
+    far, far_points = nu.radial_interval(1.0, np.inf)
 
     def n_diff(z):
         return _checked(nu, z) - _checked(nu, -z)
 
-    def imag_head_integrand(z):
-        dn = n_diff(z)
-        return np.sin(z * s) * dn - s * z * _h(z * z) * dn
+    out = np.empty(len(ks), dtype=float if nu.is_even else complex)
+    for j, s in enumerate(ks):
+        q = abs(s)
+        head = integrate_scaled(lambda r: kernel(r * q) * rho(r), near, tol,
+                                near_points)
+        moment = -0.5 / nu.d * q * q * m2
+        if big is None:
+            big_part = integrate_scaled(lambda r: (mean(r * q) - 1.0) * rho(r), far,
+                                        tol, far_points)
+        else:
+            big_part = tail(rho, q, tol) - big
+        out[j] = head + moment + big_part
+        if nu.is_even:
+            continue
+        # imaginary part: int sin(zs) dN - s int z h(z) dN with dN = n_diff
 
-    imag_head = integrate_scaled(imag_head_integrand, (eps, 1.0), tol)
-    sgn = 1.0 if s > 0 else -1.0
-    tail_sin = integrate_scaled(
-        n_diff, (1.0, np.inf), tol, weight="sin", wvar=abs(s)
-    )
-    tail_h = integrate_scaled(
-        lambda z: s * z * _h(z * z) * n_diff(z), (1.0, np.inf), tol
-    )
-    return real + 1j * (imag_head + sgn * tail_sin - tail_h)
+        def imag_head_integrand(z):
+            dn = n_diff(z)
+            return np.sin(z * s) * dn - s * z * _h(z * z) * dn
+
+        imag_head = integrate_scaled(imag_head_integrand, (_EPS_BALL, 1.0), tol)
+        sgn = 1.0 if s > 0 else -1.0
+        tail_sin = integrate_scaled(n_diff, (1.0, np.inf), tol, weight="sin", wvar=q)
+        tail_h = integrate_scaled(
+            lambda z: s * z * _h(z * z) * n_diff(z), (1.0, np.inf), tol
+        )
+        out[j] += 1j * (imag_head + sgn * tail_sin - tail_h)
+    return out
 
 
 @dataclass(frozen=True)

@@ -204,6 +204,26 @@ class TestExitCodes:
         assert "alpha[0]" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("experiment, key", [
+        ("fp", "alpha"), ("heat", "alpha"), ("heat", "p"), ("heat", "q"),
+        ("heat", "t"), ("decay", "phi"), ("decay", "times")])
+    def test_empty_sweep_list_exits_2_without_output(self, tmp_path, capsys,
+                                                      experiment, key):
+        # fp died in an IndexError on alpha[0]; heat ran zero checks, exit 0
+        path = write_config(tmp_path / "c.json", experiment=experiment,
+                            sweep={key: []})
+        out = tmp_path / "out"
+        assert main(["--config", str(path), "--out", str(out)]) == 2
+        assert f"sweep.{key} must not be empty" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_empty_t_list_flag_exits_2_without_output(self, tmp_path):
+        path = write_config(tmp_path / "c.json", experiment="fp")
+        out = tmp_path / "out"
+        assert main(["--config", str(path), "--out", str(out), "fp",
+                     "--t-list", ""]) == 2
+        assert not out.exists()
+
     def test_check_conditions_without_jumps_exits_2_without_output(self, tmp_path):
         path = write_config(tmp_path / "c.json", experiment="check-conditions",
                             triplet={"d": 1, "sigma": 1.0, "b": 0.0})

@@ -23,7 +23,7 @@ from levylab import (
     stable_density,
     steady_exponent,
 )
-from levylab import fokker_planck
+from levylab import fokker_planck, levy
 from levylab.errors import (
     Con1Violation,
     InterpolationDegradation,
@@ -178,12 +178,14 @@ class TestContractedTransform:
         assert np.max(np.abs(out.values - exact)) < 1e-12
 
 
+def radial_triplet(func, d):
+    nu = LevyDensity(kind="analytic", d=d, func=func, is_even=True)
+    return LevyTriplet(sigma=np.zeros((d, d)), b=np.zeros(d), nu=nu, d=d)
+
+
 def opaque_cauchy_triplet(d=1):
     # the Cauchy density behind an analytic wrapper takes the quadrature route
-    nu = LevyDensity(
-        kind="analytic", d=d, func=stable_density(1.0, d), is_even=True
-    )
-    return LevyTriplet(sigma=np.zeros((d, d)), b=np.zeros(d), nu=nu, d=d)
+    return radial_triplet(stable_density(1.0, d), d)
 
 
 @pytest.mark.filterwarnings("ignore::levylab.errors.InterpolationDegradation")
@@ -287,7 +289,7 @@ class TestBuildSteadyState:
         assert abs(cauchy_steady.mass_defect) < 1e-6
 
     def test_quadrature_exponent_matches_stable_route(self, grid1):
-        # analytic wrapper forces the s-integral quadrature path
+        # the analytic wrapper forces the quadrature route
         nu = LevyDensity(
             kind="analytic", d=1, func=stable_density(1.0, 1), is_even=True
         )
@@ -333,6 +335,91 @@ class TestBuildSteadyState:
             lhs = np.exp(steady_exponent(tr, xi))
             rhs = np.exp(jump_symbol(n_inf, xi))
             assert lhs == pytest.approx(rhs, abs=1e-7)
+
+
+def nested_steady_exponent(nu, xi, tol=1e-10):
+    """Psi(xi) = int_0^1 a(s xi) ds / s by quadrature over jump_symbol: the
+    nested route the kernel identity replaced, kept as an oracle."""
+    return integrate_scaled(lambda s: jump_symbol(nu, s * xi, tol) / s, (0.0, 1.0),
+                            tol)
+
+
+class TestSteadyAnchor:
+    """G(r) at one radius, by one integral against a closed-form kernel."""
+
+    @pytest.mark.parametrize("r", [np.pi / 160, np.pi / 8, 3.0])
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_stable_density_given_as_analytic(self, d, alpha, r):
+        tr = radial_triplet(stable_density(alpha, d), d)
+        xi = r if d == 1 else r * np.array([0.6, -0.8])
+        want = -(r**alpha) / alpha
+        assert abs(steady_exponent(tr, xi) - want) <= 1e-10 * abs(want)
+
+    @pytest.mark.parametrize("xi", [0.5, -0.5, 3.0, -3.0])
+    def test_non_even_density_matches_nested_quadrature(self, xi):
+        nu = LevyDensity(
+            kind="analytic", d=1,
+            func=lambda z: np.exp(-z) if z > 0 else 0.0, is_even=False,
+        )
+        tr = LevyTriplet(sigma=np.zeros((1, 1)), b=np.zeros(1), nu=nu, d=1)
+        got = steady_exponent(tr, xi)
+        assert abs(got - nested_steady_exponent(nu, xi)) <= 1e-9
+        assert abs(got.imag) > 0.1
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_table_matches_nested_quadrature(self, d, tmp_path):
+        # a table's anchor is one finite integral with the knots as breakpoints
+        z = np.linspace(0.05, 10.0, 40)
+        path = tmp_path / "nu.csv"
+        np.savetxt(path, np.column_stack([z, np.exp(-z) * z**-1.5]), delimiter=",")
+        tr = triplet_from_config(
+            {"d": d, "nu": {"kind": "tabulated", "table_path": str(path)}})
+        xi = 0.5 if d == 1 else np.array([0.3, -0.4])
+        got = steady_exponent(tr, xi)
+        assert abs(got - nested_steady_exponent(tr.nu, xi)) <= 1e-12
+
+    @pytest.mark.parametrize("r", [0.3, 1.0, 4.0])
+    def test_non_stable_2d_derivative_is_the_symbol(self, r):
+        # r G'(r) = a(r): a five-point stencil in log r, whose O(h^4)
+        # truncation and the anchor's 1e-10 error divided by h stay below
+        # 1e-7 at h = 0.02
+        def func(z):
+            rad = np.sqrt(np.sum(np.asarray(z) ** 2, axis=-1))
+            return np.exp(-rad) * rad**-2.5
+
+        tr = radial_triplet(func, 2)
+        h = 0.02
+        G = [steady_exponent(tr, np.array([r * np.exp(j * h), 0.0]))
+             for j in (-2, -1, 1, 2)]
+        deriv = (G[0] - 8.0 * G[1] + 8.0 * G[2] - G[3]) / (12.0 * h)
+        a = jump_symbol(tr.nu, np.array([r, 0.0]))
+        assert abs(deriv - a) <= 1e-7 * max(1.0, abs(a))
+
+    def test_one_frequency_makes_no_jump_symbol_call(self, monkeypatch):
+        # with no table to build, only the anchor runs, and it never calls a
+        calls = []
+        for owner, name in ((levy, "jump_symbol"), (levy, "_jump_symbols"),
+                            (fokker_planck, "jump_symbol"),
+                            (fokker_planck, "_jump_symbols")):
+            original = getattr(owner, name, None)
+            if original is not None:
+                monkeypatch.setattr(owner, name, lambda *a, _f=original, **k:
+                                    calls.append(a) or _f(*a, **k))
+        for d in (1, 2):
+            tr = radial_triplet(stable_density(1.5, d), d)
+            steady_exponent(tr, 0.7 if d == 1 else np.array([0.6, -0.8]))
+        assert calls == []
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.5])
+    def test_steady_state_on_a_wide_box(self, alpha):
+        # criterion 9's box, where the nested anchor failed to converge
+        g = Grid(1, 160.0, 1024)
+        quad = build_steady_state(radial_triplet(stable_density(alpha, 1), 1), g)
+        exact = build_steady_state(stable_triplet(alpha), g)
+        np.testing.assert_allclose(
+            quad.density.values, exact.density.values, rtol=0, atol=1e-9
+        )
 
 
 class TestLimitLevyDensity:

@@ -232,6 +232,20 @@ class TestTabulatedDensity:
             tr.nu(np.array([[3.0, 4.0], [0.0, -1.0], [0.0, 7.0]])), [2.0, 4.0, 1.5]
         )
 
+    def test_non_even_density_in_2d_is_refused(self, tmp_path):
+        # a table with z <= 0 is non-even; only d=1 has an odd part
+        table = tmp_path / "nu.csv"
+        table.write_text("z,N\n-1,4\n1,2\n3,1\n")
+        assert not triplet_from_config(
+            {"d": 1, "nu": {"kind": "tabulated", "table_path": str(table)}}
+        ).nu.is_even
+        with pytest.raises(ValueError, match="d=1 only"):
+            triplet_from_config(
+                {"d": 2, "nu": {"kind": "tabulated", "table_path": str(table)}}
+            )
+        with pytest.raises(ValueError, match="d=1 only"):
+            LevyDensity(kind="analytic", d=2, func=lambda z: 1.0, is_even=False)
+
 
 class TestCharacteristicExponent:
     def test_laplacian_symbol(self):
