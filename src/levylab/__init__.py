@@ -4,7 +4,6 @@ from .entropy import (
     DecayReport,
     PhiFunction,
     WeightedMeasure,
-    bregman,
     decay_track,
     dissipation,
     entropy_production_check,
@@ -35,13 +34,10 @@ from .heat import (
 from .levy import (
     LevyDensity,
     LevyTriplet,
-    Symbol,
     characteristic_exponent,
     dual_triplet,
     jump_symbol,
     stable_density,
-    stable_symbol,
-    sum_symbols,
     triplet_from_config,
     validate_levy_density,
 )

@@ -229,6 +229,11 @@ def load_config(raw: dict, overrides: dict | None = None) -> ExperimentConfig:
             raise ConfigError(f"triplet.d is {triplet.d} but grid.d is {grid.d}")
     if experiment == "check-conditions" and triplet is not None and triplet.nu is None:
         raise ConfigError("check-conditions needs a triplet with a jump density")
+    if (experiment in ("check-lsi", "all") and triplet is not None
+            and triplet.nu is not None and triplet.nu.kind != "stable"):
+        # N_inf on the lattice would cost a quadrature per lattice point
+        raise ConfigError(f"{experiment} runs check-lsi, whose law needs N_inf, known "
+                          "(as N / alpha) only for a stable nu, not a tabulated one")
     if triplet is None and experiment in _STABLE_DEFAULT and 2.0 in sweep["alpha"][:1]:
         raise ConfigError(f"{experiment} without a triplet builds the stable density "
                           "of alpha[0], which must lie in (0, 2), got 2.0")

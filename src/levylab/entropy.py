@@ -30,7 +30,6 @@ __all__ = [
     "PhiFunction",
     "WeightedMeasure",
     "DecayReport",
-    "bregman",
     "phi_entropy",
     "dissipation",
     "modified_lsi_check",
@@ -119,11 +118,6 @@ class PhiFunction:
                 hess = np.array([[faa, fab], [fab, fbb]])
                 worst = min(worst, float(np.min(np.linalg.eigvalsh(hess))))
         return worst
-
-
-def bregman(phi: PhiFunction, a: float, b: float) -> float:
-    """Scalar Bregman distance; >= 0 for convex Phi."""
-    return float(phi.bregman(a, b))
 
 
 @dataclass(frozen=True)
@@ -311,14 +305,15 @@ def modified_lsi_check(
 
     ``triplet_of_mu`` carries the law's own diffusion matrix and Levy
     density (the drift plays no role).  Returns (entropy, rhs, ratio); the
-    caller asserts ratio <= 1 + 1e-6.
+    caller asserts ratio <= 1 + 1e-6.  Entropy without dissipation has
+    ratio inf, a failure.
     """
     if isinstance(mu, SteadyState):
         mu = WeightedMeasure.from_field(mu.density)
     ent = phi_entropy(v, mu, phi)
     gauss, jump = dissipation(v, mu, triplet_of_mu, phi, z_extent)
     rhs = gauss + jump
-    ratio = 0.0 if ent <= 1e-14 and rhs <= 1e-14 else ent / rhs
+    ratio = 0.0 if ent <= 1e-14 and rhs <= 1e-14 else (ent / rhs if rhs else math.inf)
     return ent, rhs, ratio
 
 

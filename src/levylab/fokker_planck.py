@@ -10,24 +10,27 @@ u0^ at the contracted frequencies exp(-t) xi_k is the trigonometric
 interpolant of the grid coefficients, evaluated by a chirp-z transform per
 axis.
 
-The flow's invariant measure is the infinitely divisible law with exponent
-Psi(xi) = int_0^1 psi(s xi) ds / s, whose Levy density is the radial tail
-average N_inf(z) = int_1^inf N(t z) t^{d-1} dt.
+The flow's invariant measure is the infinitely divisible law whose exponent
+Psi(xi) = int_0^inf psi(exp(-s) xi) ds is the flow's exponent at t = inf,
+and whose Levy density is the radial tail average
+N_inf(z) = int_1^inf N(t z) t^{d-1} dt.
 
-Both exponents come from one radial antiderivative of the jump part a of
-psi.  With G(r) = int_0^r a(rho) / rho drho, the substitutions
-rho = exp(-s) |xi| and rho = s |xi| give
+One function evaluates the flow's exponent at any t in (0, inf].  The
+Gaussian and drift parts integrate in closed form, to
+-xi.sigma xi (1 - exp(-2t)) / 2 and i b.xi (1 - exp(-t)).  The jump part a of
+psi goes through one radial antiderivative: with
+G(r) = int_0^r a(rho) / rho drho, the substitution rho = exp(-s) |xi| gives
 
     int_0^t a(exp(-s) xi) ds = G(|xi|) - G(exp(-t) |xi|),
-    int_0^1 a(s xi) ds / s   = G(|xi|).
 
-This holds because a depends on |xi| alone: in d=2 the symbol is radial,
-and in d=1 a(-xi) = conj a(xi), so G(-r) = conj G(r) covers non-even
-densities.  The stable family has G(r) = -r^alpha / alpha in closed form.
-Otherwise a is tabulated once per call on Chebyshev points in log r and
-integrated exactly from the smallest radius r_min, and G(r_min) is one
-integral of the radial density against a closed-form kernel.  The Gaussian
-and drift parts keep their closed forms.  No time quadrature enters the flow.
+which is G(|xi|) at t = inf, since G(0) = 0.  This holds because a depends
+on |xi| alone: in d=2 the symbol is radial, and in d=1 a(-xi) = conj a(xi),
+so G(-r) = conj G(r) covers non-even densities.  The stable family has
+G(r) = -r^alpha / alpha in closed form.  Otherwise a is tabulated once per
+call on Chebyshev points in log r and integrated exactly from the smallest
+radius r_min; the difference needs no more, and at t = inf G(r_min) is one
+integral of the radial density against a closed-form kernel.  No time
+quadrature enters the flow.
 """
 
 from __future__ import annotations
@@ -35,8 +38,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import partial
-from typing import Callable
 
 import numpy as np
 from numpy.polynomial import chebyshev, polynomial
@@ -178,8 +179,7 @@ def _anchor(nu, r, tol, big):
         return integrate_scaled(lambda z: w(z) * _aux_fg(r * z)[fg], (1.0, np.inf),
                                 tol, weight=trig, wvar=r)
 
-    def n_diff(z):
-        return _checked(nu, z) - _checked(nu, -z)
+    n_diff = nu.odd_difference
 
     def odd(z):
         return (special.sici(r * z)[0] - r * z / (1.0 + z * z)) * n_diff(z)
@@ -207,35 +207,48 @@ def _anchor(nu, r, tol, big):
     return G + 1j * (im - qawf(n_diff, 0, "cos") - qawf(n_diff, 1, "sin"))
 
 
-def _jump_antiderivative(triplet: LevyTriplet, k, tol, anchored=True):
-    """Jump part of G(k) = int_0^|k| a(rho) / rho drho at an array of k.
+def _jump_antiderivative(triplet: LevyTriplet, k, scale, tol):
+    """G(k) - G(scale k) for the jump part of G(k) = int_0^|k| a(rho) / rho drho.
 
-    ``k`` holds signed frequencies in d=1 (G(-r) = conj G(r)) and radii in
-    d=2.  A Chebyshev table of a gives G - G(r_min), r_min the smallest
-    nonzero radius, which cancels in differences; anchoring adds G(r_min).
-    The xi-independent integrals of a are computed once per call.
+    ``k`` is an array of signed frequencies in d=1 (G(-r) = conj G(r)) and of
+    radii in d=2, and 0 <= scale <= 1.  A Chebyshev table of a gives G up to
+    the constant G(r_min), r_min the smallest nonzero radius, which cancels
+    in the difference.  Only at scale = 0, where G(0) = 0 leaves G(k) itself,
+    is G(r_min) added, as one kernel integral.  The xi-independent integrals
+    of a are computed once per call.
     """
     k = np.asarray(k, dtype=float)
-    r = np.abs(k)
     nu = triplet.nu
     if nu is None:
         return np.zeros(k.shape)
+    ks = np.stack([k, scale * k]) if scale else k[None]
+    r = np.abs(ks)
     if nu.kind == "stable":
-        return -(r**nu.alpha) / nu.alpha
-    out = np.zeros(k.shape, dtype=complex)
-    pos = r > 0.0
-    if not np.any(pos):
-        return out
-    r_min, r_max = float(np.min(r[pos])), float(np.max(r[pos]))
-    moments = _jump_moments(nu, tol)
-    if r_max > r_min:
-        out[pos] = _log_chebyshev_integral(
-            lambda rho: _jump_symbols(nu, rho, tol, moments), r_min, r_max, r[pos],
-            tol
-        )
-    if anchored:
-        out[pos] += _anchor(nu, r_min, tol, moments[1])
-    return np.where(k < 0.0, np.conj(out), out)
+        G = -(r**nu.alpha) / nu.alpha
+    else:
+        G = np.zeros(ks.shape, dtype=complex)
+        pos = r > 0.0
+        if np.any(pos):
+            r_min, r_max = float(np.min(r[pos])), float(np.max(r[pos]))
+            moments = _jump_moments(nu, tol)
+            if r_max > r_min:
+                G[pos] = _log_chebyshev_integral(
+                    lambda rho: _jump_symbols(nu, rho, tol, moments), r_min, r_max,
+                    r[pos], tol
+                )
+            if not scale:
+                G[pos] += _anchor(nu, r_min, tol, moments[1])
+            G = np.where(ks < 0.0, np.conj(G), G)
+    return G[0] - G[1] if scale else G[0]
+
+
+def _exponent(triplet: LevyTriplet, axes, t, tol):
+    """int_0^t psi(exp(-s) xi) ds over one array (or number) per axis, for
+    t in (0, inf]; t = inf gives Psi."""
+    scale = np.exp(-t)
+    gauss, drift = _gauss_drift_exponent(triplet, axes)
+    G = _jump_antiderivative(triplet, _radial_argument(axes), scale, tol)
+    return gauss * (1.0 - np.exp(-2.0 * t)) / 2.0 + drift * (1.0 - scale) + G
 
 
 def _chirp(M: int, scale: float):
@@ -313,33 +326,25 @@ def fp_evolve(
         # the conjugate of row -M/2 at -k2
         shifted = np.vstack([shifted, np.conj(full[M // 2, -np.arange(M // 2 + 1)])])
 
-    axes = g.freqs()
-    k = _radial_argument(axes)
-    G = _jump_antiderivative(triplet, np.stack([k, scale * k]), tol, anchored=False)
-    gauss, drift = _gauss_drift_exponent(triplet, axes)
-    J = gauss * (1.0 - np.exp(-2.0 * t)) / 2.0 + drift * (1.0 - np.exp(-t))
-    return SpectralField(g, g.synthesize(shifted * np.exp(J + (G[0] - G[1]))))
+    exponent = _exponent(triplet, g.freqs(), t, tol)
+    return SpectralField(g, g.synthesize(shifted * np.exp(exponent)))
 
 
 def steady_exponent(triplet: LevyTriplet, xi, tol: float = 1e-10):
-    """Psi(xi) = int_0^1 psi(s xi) ds / s at one frequency, or on a mesh
-    given as one array per axis, such as ``Grid.freqs()``.
+    """Psi(xi), the flow's exponent at t = inf, at one frequency, or on a
+    mesh given as one array per axis, such as ``Grid.freqs()``.
 
-    The Gaussian and drift parts integrate in closed form (half and identity
-    respectively); the jump part is G(|xi|), a Chebyshev table plus one
-    kernel integral, or -|xi|^alpha / alpha for the stable family.
+    The Gaussian and drift parts are half and all of their psi terms; the
+    jump part is G(|xi|), a Chebyshev table plus one kernel integral, or
+    -|xi|^alpha / alpha for the stable family.
     """
-    axes = np.atleast_1d(np.asarray(xi, dtype=float))
-    gauss, drift = _gauss_drift_exponent(triplet, axes)
-    k = _radial_argument(axes)
-    return 0.5 * gauss + drift + _jump_antiderivative(triplet, [k], tol)[0]
+    return _exponent(triplet, np.atleast_1d(np.asarray(xi, dtype=float)), np.inf, tol)
 
 
 @dataclass(frozen=True)
 class SteadyState:
     """Invariant measure of the confined Levy flow."""
 
-    exponent: Callable
     density: SpectralField
     drift_correction: np.ndarray
     mass_defect: float
@@ -429,14 +434,16 @@ def _tau_factor(z):
 def drift_correction(nu, tol: float = 1e-8) -> np.ndarray:
     """b_A: the drift shift between the flow's exponent and its Levy form.
 
-    Vanishes identically for even densities (odd integrand in z).
+    Vanishes identically for even densities (odd integrand in z).  A
+    table's integral ends at its last knot, with the knots as breakpoints.
     """
     if nu is None:
         return np.zeros(1)
     if nu.is_even:
         return np.zeros(nu.d)
+    interval, points = nu.radial_interval(0.0, np.inf)
     val = integrate_scaled(
-        lambda z: z * _tau_factor(z) * (nu(z) - nu(-z)), (0.0, np.inf), tol
+        lambda z: z * _tau_factor(z) * nu.odd_difference(z), interval, tol, points
     )
     return np.array([val])
 
@@ -465,7 +472,6 @@ def build_steady_state(
     mass = grid.integrate(vals)
     nu = triplet.nu
     return SteadyState(
-        exponent=partial(steady_exponent, triplet, tol=tol),
         density=SpectralField(grid, values=np.clip(vals, 0.0, None) / mass),
         drift_correction=np.zeros(triplet.d) if nu is None else drift_correction(nu),
         mass_defect=abs(mass - 1.0),

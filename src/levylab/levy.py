@@ -38,15 +38,12 @@ from .quadrature import integrate_scaled, try_integrate
 __all__ = [
     "LevyDensity",
     "LevyTriplet",
-    "Symbol",
     "DensityReport",
     "stable_density",
     "validate_levy_density",
     "jump_symbol",
     "characteristic_exponent",
     "dual_triplet",
-    "stable_symbol",
-    "sum_symbols",
     "triplet_from_config",
 ]
 
@@ -73,15 +70,19 @@ def _cosm1p(u):
     return out if out.ndim else float(out)
 
 
+def _j0(x):
+    from scipy import special
+    return special.j0(x)
+
+
 def _j0m1p(x):
     """J0(x) - 1 + x^2/4, evaluated without cancellation near x = 0."""
-    from scipy import special
     x = np.asarray(x, dtype=float)
     small = np.abs(x) < 1e-2
     x2 = x * x
     series = x2 * x2 / 64.0 * (1.0 - x2 / 36.0 * (1.0 - x2 / 64.0))
     with np.errstate(invalid="ignore"):
-        direct = special.j0(x) - 1.0 + 0.25 * x2
+        direct = _j0(x) - 1.0 + 0.25 * x2
     out = np.where(small, series, direct)
     return out if out.ndim else float(out)
 
@@ -114,10 +115,10 @@ def _cos_tail(g, q, tol):
     return integrate_scaled(g, (1.0, np.inf), tol, weight="cos", wvar=q)
 
 
-# per dimension d: the spherical mean of exp(i r theta.xi) over |theta| = 1,
-# as a function of x = r |xi| with its Taylor polynomial 1 - x^2 / (2d)
-# removed, and the tail int_1^inf (spherical mean at q r) g(r) dr
-_SPHERICAL_MEAN = {1: (_cosm1p, _cos_tail), 2: (_j0m1p, _j0_tail)}
+# per dimension d: the spherical mean m of exp(i r theta.xi) over |theta| = 1
+# as a function of x = r |xi|, m with its Taylor polynomial 1 - x^2 / (2d)
+# removed, and the tail int_1^inf m(q r) g(r) dr
+_SPHERICAL_MEAN = {1: (np.cos, _cosm1p, _cos_tail), 2: (_j0, _j0m1p, _j0_tail)}
 
 
 def _checked(density, z):
@@ -216,6 +217,11 @@ class LevyDensity:
         if self.d == 1:
             return _checked(self, r) + _checked(self, -r)
         return float(np.mean(_checked(self, r * _CIRCLE))) * 2.0 * np.pi * r
+
+    def odd_difference(self, z):
+        """N(z) - N(-z) at a float z in d=1, each value checked as in
+        ``radial_density``; zero for an even density."""
+        return _checked(self, z) - _checked(self, -z)
 
     def radial_interval(self, a, b):
         """The interval of a radial integral over (a, b), and its breakpoints.
@@ -323,18 +329,15 @@ def _jump_moments(nu: LevyDensity, tol):
 def _jump_symbols(nu: LevyDensity, ks, tol, moments):
     """a at each nonzero k of ks (signed xi in d=1, |xi| in d=2), sharing
     moments = _jump_moments(nu, tol); see ``jump_symbol``."""
-    from scipy import special
     m2, big = moments
-    kernel, tail = _SPHERICAL_MEAN[nu.d]
+    mean, kernel, tail = _SPHERICAL_MEAN[nu.d]
     # a table is zero past its last knot: its far part is one finite
-    # integral of (m - 1) rho, split at the knots
-    mean = np.cos if nu.d == 1 else special.j0
-    rho = nu.radial_density
+    # integral of (m - 1) rho, and its imaginary part one over (eps, inf),
+    # split at the knots
+    rho, n_diff = nu.radial_density, nu.odd_difference
     near, near_points = nu.radial_interval(_EPS_BALL, 1.0)
     far, far_points = nu.radial_interval(1.0, np.inf)
-
-    def n_diff(z):
-        return _checked(nu, z) - _checked(nu, -z)
+    whole, whole_points = nu.radial_interval(_EPS_BALL, np.inf)
 
     out = np.empty(len(ks), dtype=float if nu.is_even else complex)
     for j, s in enumerate(ks):
@@ -352,11 +355,14 @@ def _jump_symbols(nu: LevyDensity, ks, tol, moments):
             continue
         # imaginary part: int sin(zs) dN - s int z h(z) dN with dN = n_diff
 
-        def imag_head_integrand(z):
+        def imag_integrand(z):
             dn = n_diff(z)
             return np.sin(z * s) * dn - s * z * _h(z * z) * dn
 
-        imag_head = integrate_scaled(imag_head_integrand, (_EPS_BALL, 1.0), tol)
+        if big is None:
+            out[j] += 1j * integrate_scaled(imag_integrand, whole, tol, whole_points)
+            continue
+        imag_head = integrate_scaled(imag_integrand, (_EPS_BALL, 1.0), tol)
         sgn = 1.0 if s > 0 else -1.0
         tail_sin = integrate_scaled(n_diff, (1.0, np.inf), tol, weight="sin", wvar=q)
         tail_h = integrate_scaled(
@@ -364,46 +370,6 @@ def _jump_symbols(nu: LevyDensity, ks, tol, moments):
         )
         out[j] += 1j * (imag_head + sgn * tail_sin - tail_h)
     return out
-
-
-@dataclass(frozen=True)
-class Symbol:
-    """A characteristic exponent xi -> psi(xi), evaluable at any frequency."""
-
-    eval: Callable
-    homogeneity: Optional[float] = None
-
-    def __call__(self, xi):
-        return self.eval(xi)
-
-
-def stable_symbol(alpha: float) -> Symbol:
-    """psi(xi) = -|xi|^alpha, the decaying-sign alpha-stable exponent."""
-    if not (0.0 < alpha <= 2.0):
-        raise InvalidAlpha(f"alpha must lie in (0, 2], got {alpha}")
-
-    def ev(xi):
-        xi = np.asarray(xi, dtype=float)
-        r = np.abs(xi) if xi.ndim <= 1 else np.sqrt(np.sum(xi**2, axis=-1))
-        return -(r**alpha)
-
-    return Symbol(eval=ev, homogeneity=alpha)
-
-
-def sum_symbols(symbols) -> Symbol:
-    """Pointwise sum; homogeneity survives only when shared by all terms."""
-    symbols = list(symbols)
-    if not symbols:
-        raise ValueError("need at least one symbol")
-    if len(symbols) == 1:
-        return symbols[0]
-    hs = {s.homogeneity for s in symbols}
-    h = hs.pop() if len(hs) == 1 else None
-
-    def ev(xi):
-        return sum(s.eval(xi) for s in symbols)
-
-    return Symbol(eval=ev, homogeneity=h)
 
 
 @dataclass(frozen=True)

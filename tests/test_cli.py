@@ -224,6 +224,21 @@ class TestExitCodes:
                      "--t-list", ""]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("experiment", ["check-lsi", "all"])
+    def test_check_lsi_on_a_table_exits_2_without_output(self, tmp_path, capsys,
+                                                         experiment):
+        # mu's jump density N_inf is known only for a stable nu; the table's
+        # was silently dropped (ratios up to 2.2, or a ZeroDivisionError)
+        table = log_tail_table(tmp_path / "nu.csv")
+        path = write_config(tmp_path / "c.json", experiment=experiment,
+                            grid={"d": 1, "L": 20.0, "M": 256},
+                            triplet={"d": 1, "sigma": 0.5, "b": 0.0, "nu": {
+                                "kind": "tabulated", "table_path": str(table)}})
+        out = tmp_path / "out"
+        assert main(["--config", str(path), "--out", str(out)]) == 2
+        assert "N_inf" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_check_conditions_without_jumps_exits_2_without_output(self, tmp_path):
         path = write_config(tmp_path / "c.json", experiment="check-conditions",
                             triplet={"d": 1, "sigma": 1.0, "b": 0.0})

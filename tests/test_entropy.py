@@ -12,7 +12,6 @@ from levylab import (
     PhiFunction,
     SpectralField,
     WeightedMeasure,
-    bregman,
     build_steady_state,
     decay_track,
     dissipation,
@@ -62,25 +61,25 @@ def gauss_steady(grid1):
 
 class TestBregman:
     def test_quadratic_closed_form(self):
-        assert bregman(QUAD, 3.0, 1.0) == pytest.approx(2.0)
+        assert QUAD.bregman(3.0, 1.0) == pytest.approx(2.0)
 
     @pytest.mark.parametrize("phi", [XLOGX, QUAD])
     def test_zero_at_diagonal(self, phi):
-        assert bregman(phi, 1.7, 1.7) == pytest.approx(0.0, abs=1e-14)
+        assert phi.bregman(1.7, 1.7) == pytest.approx(0.0, abs=1e-14)
 
     def test_xlogx_value(self):
-        assert bregman(XLOGX, 2.0, 1.0) == pytest.approx(2.0 * np.log(2.0) - 1.0)
+        assert XLOGX.bregman(2.0, 1.0) == pytest.approx(2.0 * np.log(2.0) - 1.0)
 
     def test_xlogx_rejects_zero_base(self):
         with pytest.raises(DomainError):
-            bregman(XLOGX, 1.0, 0.0)
+            XLOGX.bregman(1.0, 0.0)
 
     @pytest.mark.parametrize("phi", [XLOGX, QUAD])
     def test_nonnegative_on_random_pairs(self, phi):
         rng = np.random.default_rng(4)
         for _ in range(50):
             a, b = rng.uniform(0.01, 5.0, 2)
-            assert bregman(phi, a, b) >= -1e-14
+            assert phi.bregman(a, b) >= -1e-14
 
     @pytest.mark.parametrize("phi", [XLOGX, QUAD])
     def test_admissible(self, phi):
@@ -305,6 +304,16 @@ class TestModifiedLsi:
         law = LevyTriplet(sigma=0.5 * np.eye(1), b=np.zeros(1), nu=None, d=1)
         ent, rhs, ratio = modified_lsi_check(v, mu, law, XLOGX)
         assert ratio == 0.0
+
+    def test_entropy_without_dissipation_fails(self, gauss_steady):
+        # no diffusion and no jumps: rhs = 0 < entropy, which no constant bounds
+        mu = WeightedMeasure.from_field(gauss_steady.density)
+        g = gauss_steady.density.grid
+        v = SpectralField.from_function(g, lambda x: np.exp(x / 2.0))
+        law = LevyTriplet(sigma=np.zeros((1, 1)), b=np.zeros(1), nu=None, d=1)
+        ent, rhs, ratio = modified_lsi_check(v, mu, law, XLOGX)
+        assert ent > 0.0 and rhs == 0.0
+        assert ratio == math.inf
 
     def test_gross_inequality_instance(self, gauss_steady):
         # exponential tilt against the standard Gaussian law

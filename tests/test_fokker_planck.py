@@ -270,7 +270,7 @@ class TestBuildSteadyState:
     def test_gaussian_oracle(self, gauss_steady, grid1):
         exact = np.exp(-grid1.x1**2 / 2.0) / np.sqrt(2.0 * np.pi)
         assert np.max(np.abs(gauss_steady.density.values - exact)) < 1e-12
-        assert gauss_steady.exponent(1.0) == pytest.approx(-0.5)
+        assert steady_exponent(diffusion_triplet(), 1.0) == pytest.approx(-0.5)
 
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
     def test_stable_exponent_closed_form(self, alpha):
@@ -344,6 +344,19 @@ def nested_steady_exponent(nu, xi, tol=1e-10):
                             tol)
 
 
+def one_sided_triplet(tmp_path):
+    """The jumps of a 23-knot d=1 table: e^{-z} z^{-1.5} for z > 0,
+    0.3 e^{z} |z|^{-0.5} for z < 0, zero past z = 10 and z = -8."""
+    zp, zn = np.linspace(0.05, 10.0, 12), -np.linspace(0.05, 8.0, 12)[::-1]
+    n = np.concatenate([0.3 * np.exp(zn) * np.abs(zn) ** -0.5,
+                        np.exp(-zp) * zp**-1.5])
+    path = tmp_path / "one_sided.csv"
+    np.savetxt(path, np.column_stack([np.concatenate([zn, zp]), n]), delimiter=",",
+               fmt="%.17g")
+    return triplet_from_config(
+        {"d": 1, "nu": {"kind": "tabulated", "table_path": str(path)}})
+
+
 class TestSteadyAnchor:
     """G(r) at one radius, by one integral against a closed-form kernel."""
 
@@ -378,6 +391,16 @@ class TestSteadyAnchor:
         xi = 0.5 if d == 1 else np.array([0.3, -0.4])
         got = steady_exponent(tr, xi)
         assert abs(got - nested_steady_exponent(tr.nu, xi)) <= 1e-12
+
+    @pytest.mark.parametrize("xi", [0.5, -0.5, 3.0, -3.0])
+    def test_one_sided_table_matches_nested_quadrature(self, xi, tmp_path):
+        # on the mesh {xi / 6, xi} both the Chebyshev table of a and the
+        # anchor at xi / 6 enter; every integral of a table ends at its last
+        # knot, with the knots as breakpoints
+        tr = one_sided_triplet(tmp_path)
+        assert not tr.nu.is_even and len(tr.nu.knots) <= 60
+        got = steady_exponent(tr, [np.array([xi / 6.0, xi])])[1]
+        assert abs(got - nested_steady_exponent(tr.nu, xi)) <= 1e-9
 
     @pytest.mark.parametrize("r", [0.3, 1.0, 4.0])
     def test_non_stable_2d_derivative_is_the_symbol(self, r):
@@ -473,8 +496,9 @@ def _drift_nested(nu, tol=1e-8):
             (0.0, 1.0), tol * 1e-2,
         )
 
+    interval, points = nu.radial_interval(0.0, np.inf)
     return integrate_scaled(
-        lambda z: z * tau_factor(z) * (nu(z) - nu(-z)), (0.0, np.inf), tol
+        lambda z: z * tau_factor(z) * (nu(z) - nu(-z)), interval, tol, points
     )
 
 
@@ -496,6 +520,10 @@ class TestDriftCorrection:
             kind="analytic", d=1,
             func=lambda z: np.exp(-z) if z > 0 else 0.0, is_even=False,
         )
+        assert drift_correction(nu)[0] == pytest.approx(_drift_nested(nu), rel=1e-9)
+
+    def test_one_sided_table_matches_nested_quadrature(self, tmp_path):
+        nu = one_sided_triplet(tmp_path).nu
         assert drift_correction(nu)[0] == pytest.approx(_drift_nested(nu), rel=1e-9)
 
     def test_even_density(self):

@@ -14,8 +14,6 @@ from levylab import (
     dual_triplet,
     jump_symbol,
     stable_density,
-    stable_symbol,
-    sum_symbols,
     triplet_from_config,
     validate_levy_density,
 )
@@ -324,41 +322,37 @@ class TestDualTriplet:
 
 
 class TestStableSymbol:
+    """The stable psi = -|xi|^alpha is characteristic_exponent's stable case."""
+
     @pytest.mark.parametrize(
         "alpha,xi,expected",
         [(2.0, (3.0, 4.0), -25.0), (1.0, (3.0, 4.0), -5.0), (0.5, (0.0, 0.0), 0.0)],
     )
     def test_values(self, alpha, xi, expected):
-        # frequency vectors are batched along the last axis
-        sym = stable_symbol(alpha)
-        assert sym(np.array([xi]))[0] == pytest.approx(expected)
+        # alpha = 2 is the Gaussian exponent -|xi|^2 of sigma = I
+        gauss = alpha == 2.0
+        tr = LevyTriplet(sigma=np.eye(2) * gauss, b=np.zeros(2),
+                         nu=None if gauss else stable_density(alpha, 2), d=2)
+        assert characteristic_exponent(tr, xi) == pytest.approx(expected)
 
     def test_homogeneity_index(self):
-        assert stable_symbol(1.3).homogeneity == 1.3
+        tr = LevyTriplet(sigma=np.zeros((1, 1)), b=np.zeros(1),
+                         nu=stable_density(1.3, 1), d=1)
+        assert characteristic_exponent(tr, 1.4) == pytest.approx(
+            2.0**1.3 * characteristic_exponent(tr, 0.7), rel=1e-14)
 
     @pytest.mark.parametrize("alpha", [0.0, -1.0, 2.5])
     def test_rejects_bad_alpha(self, alpha):
         with pytest.raises(InvalidAlpha):
-            stable_symbol(alpha)
+            stable_density(alpha, 1)
 
 
 class TestSumSymbols:
     def test_pointwise_sum(self):
-        s = sum_symbols([stable_symbol(1.0), stable_symbol(2.0)])
-        assert s(2.0) == pytest.approx(-6.0)
-
-    def test_single_element(self):
-        s = sum_symbols([stable_symbol(1.5)])
-        assert s(3.0) == pytest.approx(stable_symbol(1.5)(3.0))
-        assert s.homogeneity == 1.5
-
-    def test_mixed_homogeneity_dropped(self):
-        s = sum_symbols([stable_symbol(1.0), stable_symbol(2.0)])
-        assert s.homogeneity is None
-
-    def test_shared_homogeneity_kept(self):
-        s = sum_symbols([stable_symbol(1.0), stable_symbol(1.0)])
-        assert s.homogeneity == 1.0
+        # the Gaussian and jump parts add: -|xi|^2 - |xi| at xi = 2
+        tr = LevyTriplet(sigma=np.eye(1), b=np.zeros(1),
+                         nu=stable_density(1.0, 1), d=1)
+        assert characteristic_exponent(tr, 2.0) == pytest.approx(-6.0)
 
 
 def test_triplet_rejects_indefinite_sigma():
