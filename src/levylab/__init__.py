@@ -19,6 +19,7 @@ from .fokker_planck import (
     check_radial_decay,
     drift_correction,
     fp_evolve,
+    limit_density,
     limit_levy_density,
     steady_exponent,
 )

@@ -39,9 +39,9 @@ from .errors import (
     QuadratureFailure,
 )
 from .fields import FAMILIES, generate_test_fields
-from .fokker_planck import build_steady_state, check_domination, fp_evolve
+from .fokker_planck import build_steady_state, check_domination, fp_evolve, limit_density
 from .heat import kato_check, lsi_gap, verify_hypercontractivity
-from .levy import LevyDensity, LevyTriplet, stable_density, triplet_from_config
+from .levy import LevyTriplet, stable_density, triplet_from_config
 from .spectral import Grid, SpectralField
 
 _FMT = "%.17g"
@@ -230,10 +230,10 @@ def load_config(raw: dict, overrides: dict | None = None) -> ExperimentConfig:
     if experiment == "check-conditions" and triplet is not None and triplet.nu is None:
         raise ConfigError("check-conditions needs a triplet with a jump density")
     if (experiment in ("check-lsi", "all") and triplet is not None
-            and triplet.nu is not None and triplet.nu.kind != "stable"):
-        # N_inf on the lattice would cost a quadrature per lattice point
-        raise ConfigError(f"{experiment} runs check-lsi, whose law needs N_inf, known "
-                          "(as N / alpha) only for a stable nu, not a tabulated one")
+            and triplet.nu is None and not np.any(triplet.sigma)):
+        # the invariant law is then a point mass, on which every entropy is 0
+        raise ConfigError(f"{experiment} runs check-lsi, which needs a diffusion "
+                          "sigma or a jump density nu: with neither it checks nothing")
     if triplet is None and experiment in _STABLE_DEFAULT and 2.0 in sweep["alpha"][:1]:
         raise ConfigError(f"{experiment} without a triplet builds the stable density "
                           "of alpha[0], which must lie in (0, 2), got 2.0")
@@ -413,16 +413,7 @@ def _run_decay(cfg: ExperimentConfig):
 def _run_check_lsi(cfg: ExperimentConfig):
     tr = _default_triplet(cfg)
     steady = build_steady_state(tr, cfg.grid, cfg.tol)
-    if tr.nu is not None and tr.nu.kind == "stable":
-        alpha = tr.nu.alpha
-        nu_mu = LevyDensity(
-            kind="analytic",
-            d=tr.d,
-            func=lambda z, _n=tr.nu, _a=alpha: _n(z) / _a,
-            is_even=True,
-        )
-    else:
-        nu_mu = None
+    nu_mu = None if tr.nu is None else limit_density(tr.nu, cfg.tol)
     mu_triplet = LevyTriplet(
         sigma=tr.sigma / 2.0, b=np.zeros(tr.d), nu=nu_mu, d=tr.d
     )

@@ -8,12 +8,12 @@ confined Levy flow the entropy of v = u / u_inf dissipates through a
 Gaussian Dirichlet term and a Bregman jump term; both are evaluated here on
 the grid.  The jump term sums the Bregman distance over every periodic
 lattice shift at once, as FFT cross-correlations weighted by the jump density
-folded onto the lattice, plus a compensated small-jump exclusion.
+folded onto the lattice, plus a compensated small-jump exclusion.  The fold
+evaluates the density's radial profile once, as one array over the lattice.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import DomainError
 from .fokker_planck import SteadyState, fp_evolve
-from .levy import LevyDensity, LevyTriplet, _quadratic_form
+from .levy import LevyDensity, LevyTriplet, _checked, _quadratic_form
 from .spectral import Grid, SpectralField
 
 __all__ = [
@@ -219,16 +219,16 @@ def _jump_kernel(nu: LevyDensity, grid: Grid, z_extent: int):
     """Jump density folded onto the periodic lattice, and its small-ball moment.
 
     W[s] sums N(k dx) over the lattice points 0 < |k|_inf <= z_extent M / 2
-    with k = s (mod M); W[0] = 0, since those shifts map v onto itself.  N is
-    called with a scalar in d=1 and a length-d array otherwise.
+    with k = s (mod M); W[0] = 0, since those shifts map v onto itself.  One
+    profile array (radii in d=2) is folded in lattice order by ``np.add.at``.
     """
     M, dx = grid.M, grid.dx
     K = z_extent * M // 2
+    k = np.indices((2 * K + 1,) * grid.d).reshape(grid.d, -1) - K
+    k = k[:, np.any(k, axis=0)]
+    x = k[0] * dx if grid.d == 1 else np.sqrt(np.sum((k * dx) ** 2, axis=0))
     W = np.zeros(grid.shape)
-    for k in itertools.product(range(-K, K + 1), repeat=grid.d):
-        if any(k):
-            z = k[0] * dx if grid.d == 1 else np.array(k) * dx
-            W[tuple(i % M for i in k)] += float(nu(z))
+    np.add.at(W, tuple(k % M), _checked(nu.profile, x))
     W.flat[0] = 0.0
     W.flags.writeable = False
     return W, nu.small_ball_second_moment(0.5 * dx)

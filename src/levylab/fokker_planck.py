@@ -38,6 +38,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache, partial
 
 import numpy as np
 from numpy.polynomial import chebyshev, polynomial
@@ -49,10 +50,11 @@ from .errors import (
     QuadratureFailure,
 )
 from .levy import (
+    LevyDensity,
     LevyTriplet,
+    _big_jump_mass,
     _checked,
     _gauss_drift_exponent,
-    _jump_moments,
     _jump_symbols,
     _radial_argument,
     _segmented_tail,
@@ -67,6 +69,7 @@ __all__ = [
     "build_steady_state",
     "SteadyState",
     "limit_levy_density",
+    "limit_density",
     "drift_correction",
     "check_log_tail",
     "LogTailReport",
@@ -173,13 +176,11 @@ def _anchor(nu, r, tol, big):
     Si = pi/2 - f cos - g sin past z = 1.
     """
     from scipy import special
-    d, rho = nu.d, nu.radial_density
+    d, rho, n_diff = nu.d, nu.radial_density, nu.odd_difference
 
     def qawf(w, fg, trig):
         return integrate_scaled(lambda z: w(z) * _aux_fg(r * z)[fg], (1.0, np.inf),
                                 tol, weight=trig, wvar=r)
-
-    n_diff = nu.odd_difference
 
     def odd(z):
         return (special.sici(r * z)[0] - r * z / (1.0 + z * z)) * n_diff(z)
@@ -215,7 +216,7 @@ def _jump_antiderivative(triplet: LevyTriplet, k, scale, tol):
     the constant G(r_min), r_min the smallest nonzero radius, which cancels
     in the difference.  Only at scale = 0, where G(0) = 0 leaves G(k) itself,
     is G(r_min) added, as one kernel integral.  The xi-independent integrals
-    of a are computed once per call.
+    of a are computed once per call, the unit-ball moment only for a table.
     """
     k = np.asarray(k, dtype=float)
     nu = triplet.nu
@@ -230,14 +231,15 @@ def _jump_antiderivative(triplet: LevyTriplet, k, scale, tol):
         pos = r > 0.0
         if np.any(pos):
             r_min, r_max = float(np.min(r[pos])), float(np.max(r[pos]))
-            moments = _jump_moments(nu, tol)
+            big = _big_jump_mass(nu, tol)
             if r_max > r_min:
+                moments = (nu.small_ball_second_moment(1.0), big)
                 G[pos] = _log_chebyshev_integral(
                     lambda rho: _jump_symbols(nu, rho, tol, moments), r_min, r_max,
                     r[pos], tol
                 )
             if not scale:
-                G[pos] += _anchor(nu, r_min, tol, moments[1])
+                G[pos] += _anchor(nu, r_min, tol, big)
             G = np.where(ks < 0.0, np.conj(G), G)
     return G[0] - G[1] if scale else G[0]
 
@@ -357,12 +359,14 @@ class LogTailReport:
     diverged: bool
 
 
+@lru_cache(maxsize=16)
 def check_log_tail(nu, tol: float = 1e-10) -> LogTailReport:
     """int_{|z| > 1} ln|z| N(z) dz; divergence is a flag, not an error.
 
     One integral of the radial density, int_1^inf ln(r) rho(r) dr; raises
     NonFiniteDensity if N returns NaN or negative values.  A table's
-    integral ends at its last knot, with the knots as breakpoints.
+    integral ends at its last knot, with the knots as breakpoints.  Cached
+    per (nu, tol), so that a steady build and its anchor share the integral.
     """
     if nu is None:
         return LogTailReport(0.0, False)
@@ -376,39 +380,70 @@ def check_log_tail(nu, tol: float = 1e-10) -> LogTailReport:
     return LogTailReport(float(val) if val is not None else np.inf, div)
 
 
-def limit_levy_density(nu, z, tol: float = 1e-10) -> float:
-    """N_inf(z) = int_1^inf N(t z) t^{d-1} dt.
+def _radial_tails(nu, sign, radii, tol):
+    """T(r) = int_r^inf n(rho) rho^{d-1} drho at an array of radii r > 0, for
+    n = n+ (sign 1) or n- (sign -1): reverse cumulative sums of pieces.
 
-    The stable family has N_inf = N / alpha in closed form.  Any other
-    density is integrated in s = ln t, relative to N(z) so that the
-    tolerance is relative even where N(z) is tiny.
+    An analytic piece (a, b) is one QUADPACK integral relative to
+    f(a) min(b - a, a), so that the tolerance is relative where n is tiny;
+    the edges are the radii, infinity and the powers of ten in (r, 1], so
+    that no finite piece spans more than a decade.  A table is linear between
+    its knots and zero past the last: with the knots as edges, the two-point
+    Gauss-Legendre rule, whose nodes lie inside each piece, is exact there,
+    jumps at knots included.
     """
-    z_arr = np.atleast_1d(np.asarray(z, dtype=float))
-    if np.all(z_arr == 0.0):
-        raise ValueError("N_inf is undefined at z = 0")
-    d = nu.d
-    point = z_arr if d > 1 else float(z_arr[0])
+    def f(rho):
+        return _checked(nu.profile, sign * rho) * rho ** (nu.d - 1)
+
+    r0 = np.min(radii)
+    if nu.knots is None:
+        decades = 10.0 ** np.arange(np.floor(np.log10(r0)) + 1.0, 1.0)
+        edges = np.append(np.union1d(radii, decades[decades > r0]), np.inf)
+        pieces = []
+        for a, b in zip(edges[:-1], edges[1:]):
+            scale = f(a) * min(b - a, a) or 1.0
+            pieces.append(scale * integrate_scaled(lambda rho: f(rho) / scale,
+                                                   (a, b), tol))
+    else:
+        knots = np.asarray(nu.knots)
+        edges = np.union1d(radii, knots[knots > r0])
+        half = 0.5 * np.diff(edges)
+        mid, off = edges[:-1] + half, half / np.sqrt(3.0)
+        pieces = half * (f(mid - off) + f(mid + off))
+    tails = np.append(np.cumsum(np.asarray(pieces)[::-1])[::-1], 0.0)
+    return tails[np.searchsorted(edges, radii)]
+
+
+def _tail_average(nu, x, tol):
+    """N_inf(z) = int_1^inf N(t z) t^{d-1} dt = |z|^{-d} int_{|z|}^inf n(rho)
+    rho^{d-1} drho (Sato 1999, Thm 17.5) at nonzero x, a float or an array of
+    signed z in d=1 (n- at x < 0) and radii in d=2: N / alpha for the stable
+    family, one cumulative integral over the sorted radii otherwise."""
     if nu.kind == "stable":
-        return float(nu(point)) / nu.alpha
-    scale = float(_checked(nu, point)) or 1.0
+        return _checked(nu.profile, x) / nu.alpha
+    x = np.asarray(x, dtype=float)
+    out = np.zeros(x.shape)
+    for sign in (1.0, -1.0):
+        side = sign * x > 0.0
+        if np.any(side):
+            r = np.abs(x[side])
+            out[side] = _radial_tails(nu, sign, r, tol) / r**nu.d
+    return out if out.ndim else float(out)
 
-    # substitute t = e^s: the integrand becomes smoothly exponentially
-    # decaying, which keeps the adaptive error estimate trustworthy across
-    # many decades of |z| (the raw power-law tail does not); e^{sd}
-    # overflows past s = 709 / d
-    def integrand(s):
-        if s > 690.0 / d:
-            return 0.0
-        t = np.exp(s)
-        return nu(t * point) / scale * t**d
 
-    # t |z| runs over the radial interval (|z|, inf), cut at a table's end
-    # and knots, which map to s = ln(r / |z|)
-    rz = float(np.hypot.reduce(z_arr))
-    (_, end), radii = nu.radial_interval(rz, np.inf)
-    points = None if radii is None else np.log(radii / rz)
-    return scale * float(integrate_scaled(integrand, (0.0, np.log(end / rz)), tol,
-                                          points))
+def limit_levy_density(nu, z, tol: float = 1e-10) -> float:
+    """N_inf(z) = int_1^inf N(t z) t^{d-1} dt at one point z (``_tail_average``)."""
+    z = np.atleast_1d(np.asarray(z, dtype=float))
+    x = z[0] if nu.d == 1 else np.hypot.reduce(z)
+    if x == 0.0:
+        raise ValueError("N_inf is undefined at z = 0")
+    return float(_tail_average(nu, x, tol))
+
+
+def limit_density(nu, tol) -> LevyDensity:
+    """N_inf as a density: the jump density of the invariant law."""
+    return LevyDensity(kind="analytic", d=nu.d, is_even=nu.is_even,
+                       func=partial(_tail_average, nu, tol=tol))
 
 
 _TAU_SERIES = tuple((-1) ** (k + 1) * 2 * k / (2 * k + 1) for k in range(1, 11))
@@ -424,10 +459,7 @@ def _tau_factor(z):
     """
     z2 = z * z
     if z < 0.1:
-        acc = 0.0
-        for c in reversed(_TAU_SERIES):
-            acc = c + z2 * acc
-        return z2 * acc
+        return z2 * polynomial.polyval(z2, _TAU_SERIES)
     return np.arctan(z) / z - 1.0 / (1.0 + z2)
 
 
@@ -493,25 +525,19 @@ def check_domination(
 
     Flags ``unbounded`` when a sampled ratio exceeds 1e6 or when the ratios
     grow monotonically across at least three decades at either end of the
-    grid.  The default grid spans |z| in [1e-6, 1e3] along the first
-    coordinate ray.
+    grid.  The default grid spans |z| in [1e-6, 1e3]; the profile and N_inf
+    are evaluated on it as arrays.
     """
     if nu is None:
         return DominationReport(C_est=0.0, table=[], unbounded=False)
     if sample_points is None:
         sample_points = np.logspace(-6.0, 3.0, 28)
-    table = []
-    for r in np.asarray(sample_points, dtype=float):
-        if nu.d == 1:
-            z = r
-        else:
-            z = np.zeros(nu.d)
-            z[0] = r
-        n_val = float(nu(z))
-        n_inf = limit_levy_density(nu, z, tol)
-        ratio = n_inf / n_val if n_val > 0 else (np.inf if n_inf > 0 else 0.0)
-        table.append((float(r), float(ratio)))
-    ratios = np.array([t[1] for t in table])
+    r = np.asarray(sample_points, dtype=float)
+    n_val = _checked(nu.profile, r)
+    n_inf = _tail_average(nu, r, tol)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = np.where(n_val > 0, n_inf / n_val, np.where(n_inf > 0, np.inf, 0.0))
+    table = [(float(a), float(b)) for a, b in zip(r, ratios)]
     unbounded = bool(np.any(~np.isfinite(ratios)) or np.any(ratios > 1e6))
     if not unbounded and len(ratios) >= 2:
         # three decades at 3 samples per decade
@@ -553,8 +579,7 @@ def check_radial_decay(
         t_grid = np.logspace(-1.0, 1.0, 21)
     d = 1
     # np.max, unlike the built-in max, carries a NaN through to the report
-    mono = [0.0]
-    ident = [0.0]
+    mono, ident = [0.0], [0.0]
     for x in np.atleast_1d(np.asarray(points, dtype=float)):
         prof = np.array([n_inf(t * x) for t in t_grid])
         weighted = prof * t_grid ** (d + 1.0 / C)

@@ -13,20 +13,22 @@ the closed form c(d, alpha) = 2^alpha Gamma((d+alpha)/2) / (pi^{d/2}
 |Gamma(-alpha/2)|) (Kwasnicki, "Ten equivalent definitions of the fractional
 Laplace operator", Fract. Calc. Appl. Anal. 20, 2017).
 
-Every radial integral of N is one integral of the radial density of |z|,
-rho(r) = r^{d-1} int_{|theta|=1} N(r theta) dtheta (the polar form of a Levy
-measure; Sato, "Levy Processes and Infinitely Divisible Distributions",
-1999): the small-jump moment, the big-jump mass, the log tail and the even
-part of a(xi).  The dimension enters a(xi) only through the spherical mean
-of exp(i z.xi), cos(r |xi|) in d=1 and J0(r |xi|) in d=2; for the stable
-family rho(r) = |S^{d-1}| c(d, alpha) r^{-1-alpha} gives every such integral
-in closed form.  ``scipy.special`` is imported only where it is called.
+A density is a radial profile, evaluated on arrays: n(r) in d=2, so that
+N(z) = n(|z|) is isotropic by construction, and n+(r) = N(r), n-(r) = N(-r)
+in d=1.  Every radial integral of N is one integral of the radial density
+rho(r) = |S^{d-1}| r^{d-1} n(r) of |z| (the polar form of a Levy measure;
+Sato, "Levy Processes and Infinitely Divisible Distributions", 1999): the
+small-jump moment, the big-jump mass, the log tail and the even part of
+a(xi); its odd part is n+ - n-.  The dimension enters a(xi) only through the
+spherical mean of exp(i z.xi), cos(r |xi|) in d=1 and J0(r |xi|) in d=2; for
+the stable family rho(r) = |S^{d-1}| c(d, alpha) r^{-1-alpha} gives every
+such integral in closed form.  ``scipy.special`` is imported only where it is called.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Callable, Optional
 
@@ -51,40 +53,27 @@ __all__ = [
 # second-order Taylor term -xi^2/2 * int_{|z|<eps} z^2 N dz
 _EPS_BALL = 1e-8
 
-# midpoint-rule nodes of the circle integral in d=2: (cos th, sin th) rows
-_theta = 2.0 * np.pi * (np.arange(64) + 0.5) / 64
-_CIRCLE = np.stack([np.cos(_theta), np.sin(_theta)], axis=-1)
-_CIRCLE.flags.writeable = False
-del _theta
-
-
-def _cosm1p(u):
-    """cos(u) - 1 + u^2/2, evaluated without cancellation near u = 0."""
-    u = np.asarray(u, dtype=float)
-    small = np.abs(u) < 1e-2
-    u2 = u * u
-    series = u2 * u2 / 24.0 * (1.0 - u2 / 30.0 * (1.0 - u2 / 56.0))
-    with np.errstate(invalid="ignore"):
-        direct = np.cos(u) - 1.0 + 0.5 * u2
-    out = np.where(small, series, direct)
-    return out if out.ndim else float(out)
-
 
 def _j0(x):
     from scipy import special
     return special.j0(x)
 
 
-def _j0m1p(x):
-    """J0(x) - 1 + x^2/4, evaluated without cancellation near x = 0."""
-    x = np.asarray(x, dtype=float)
-    small = np.abs(x) < 1e-2
-    x2 = x * x
-    series = x2 * x2 / 64.0 * (1.0 - x2 / 36.0 * (1.0 - x2 / 64.0))
-    with np.errstate(invalid="ignore"):
-        direct = _j0(x) - 1.0 + 0.25 * x2
-    out = np.where(small, series, direct)
-    return out if out.ndim else float(out)
+def _taylor_remainder(mean, d, c4, c6, c8):
+    """x -> m(x) - 1 + x^2 / (2d) for the spherical mean m in dimension d,
+    evaluated without cancellation near x = 0: below |x| = 1e-2 by its series
+    x^4 / c4 (1 - x^2 / c6 (1 - x^2 / c8))."""
+
+    def remainder(x):
+        x = np.asarray(x, dtype=float)
+        x2 = x * x
+        series = x2 * x2 / c4 * (1.0 - x2 / c6 * (1.0 - x2 / c8))
+        with np.errstate(invalid="ignore"):
+            direct = mean(x) - 1.0 + x2 / (2 * d)
+        out = np.where(np.abs(x) < 1e-2, series, direct)
+        return out if out.ndim else float(out)
+
+    return remainder
 
 
 def _segmented_tail(f, cuts, tol):
@@ -118,7 +107,10 @@ def _cos_tail(g, q, tol):
 # per dimension d: the spherical mean m of exp(i r theta.xi) over |theta| = 1
 # as a function of x = r |xi|, m with its Taylor polynomial 1 - x^2 / (2d)
 # removed, and the tail int_1^inf m(q r) g(r) dr
-_SPHERICAL_MEAN = {1: (np.cos, _cosm1p, _cos_tail), 2: (_j0, _j0m1p, _j0_tail)}
+_SPHERICAL_MEAN = {
+    1: (np.cos, _taylor_remainder(np.cos, 1, 24.0, 30.0, 56.0), _cos_tail),
+    2: (_j0, _taylor_remainder(_j0, 2, 64.0, 36.0, 64.0), _j0_tail),
+}
 
 
 def _checked(density, z):
@@ -161,14 +153,15 @@ def _stable_radial_constant(d: int, alpha: float) -> float:
 
 @dataclass(frozen=True)
 class LevyDensity:
-    """Jump density N(z) >= 0 on R^d \\ {0}.
+    """Jump density N(z) >= 0 on R^d \\ {0}, held as a radial profile n.
 
     ``kind`` is one of "stable", "analytic", "tabulated".  For the stable
-    kind the density is c(d, alpha) |z|^{-d-alpha} with the family constant
-    fixed by the symbol normalization.  ``func`` maps |z|-vectors (or scalars
-    in d=1) to density values.  A tabulated density keeps the sorted radii
-    |z| of its table's ``knots``; it is zero beyond the last.  Only a d=1
-    density may be non-even.
+    kind n(r) = c(d, alpha) r^{-d-alpha} with the family constant fixed by
+    the symbol normalization.  Otherwise ``func`` is n: it maps a float, or
+    an array of signed z in d=1 (where n is N) and of radii in d=2, to values
+    of the same shape, and is refused when built if it maps no array so.  A
+    tabulated density keeps the sorted radii |z| of its table's ``knots``;
+    it is zero beyond the last.  Only a d=1 density may be non-even.
     """
 
     kind: str
@@ -188,40 +181,46 @@ class LevyDensity:
                 )
         elif self.func is None:
             raise ValueError("analytic/tabulated density needs a callable")
+        else:
+            # two radii: an anisotropic d=2 func reads them as one point z
+            try:
+                with np.errstate(all="ignore"):
+                    shape = np.shape(self.func(np.array([0.5, 2.0])))
+            except (TypeError, ValueError, IndexError) as exc:
+                shape = exc
+            if shape != (2,):
+                raise ValueError("a density func must map an array (of signed z in "
+                                 f"d=1, radii in d=2) to one of its shape; got {shape!r}")
         if not self.is_even and self.d != 1:
             raise ValueError("a non-even density is supported in d=1 only")
 
-    def __call__(self, z):
+    def profile(self, x):
+        """n at x, a float or an array: signed z in d=1 (n+(x) at x > 0,
+        n-(-x) at x < 0, so that n is N itself), radii in d=2."""
         if self.kind == "stable":
             c = _stable_norm_constant(self.d, self.alpha)
-            r = self._radius(z)
-            return c * r ** (-self.d - self.alpha)
-        return self.func(z)
+            return c * abs(x) ** (-self.d - self.alpha)
+        return self.func(x)
 
-    def _radius(self, z):
-        if isinstance(z, float):
-            return np.float64(abs(z))
-        z = np.asarray(z, dtype=float)
-        if self.d == 1 or z.ndim == 0:
-            return np.abs(z)
-        return np.sqrt(np.sum(z**2, axis=-1))
+    def __call__(self, z):
+        """N(z) = n(|z|), z signed in d=1 and a last axis of coordinates in d=2."""
+        return self.profile(z if self.d == 1 else np.linalg.norm(z, axis=-1))
 
     def radial_density(self, r):
-        """rho(r) = r^{d-1} int_{|theta|=1} N(r theta) dtheta at a float r > 0.
+        """rho(r) = |S^{d-1}| r^{d-1} n(r) at r > 0, a float or an array.
 
         The density of |z| under N: int f(|z|) N(z) dz = int_0^inf f(r) rho(r)
-        dr.  In d=1 it is N(r) + N(-r); in d=2 the circle integral is the
-        64-node midpoint rule, exact for radially symmetric densities.
-        Raises NonFiniteDensity unless N lies in [0, inf) at every node.
+        dr.  In d=1 it is n+(r) + n-(r); in d=2 it is 2 pi r n(r).  Raises
+        NonFiniteDensity unless n lies in [0, inf) at every radius.
         """
         if self.d == 1:
-            return _checked(self, r) + _checked(self, -r)
-        return float(np.mean(_checked(self, r * _CIRCLE))) * 2.0 * np.pi * r
+            return _checked(self.profile, r) + _checked(self.profile, -r)
+        return 2.0 * np.pi * r * _checked(self.profile, r)
 
     def odd_difference(self, z):
-        """N(z) - N(-z) at a float z in d=1, each value checked as in
+        """n+(z) - n-(z) at z > 0 in d=1, each value checked as in
         ``radial_density``; zero for an even density."""
-        return _checked(self, z) - _checked(self, -z)
+        return _checked(self.profile, z) - _checked(self.profile, -z)
 
     def radial_interval(self, a, b):
         """The interval of a radial integral over (a, b), and its breakpoints.
@@ -274,12 +273,7 @@ def validate_levy_density(nu: LevyDensity, tol: float = 1e-10) -> DensityReport:
     if nu.kind == "stable":
         # closed forms for the radial density C r^{-1-alpha}
         C = _stable_radial_constant(nu.d, nu.alpha)
-        return DensityReport(
-            small_jump=C / (2.0 - nu.alpha),
-            big_jump=C / nu.alpha,
-            small_jump_diverged=False,
-            big_jump_diverged=False,
-        )
+        return DensityReport(C / (2.0 - nu.alpha), C / nu.alpha, False, False)
     rho = nu.radial_density
     interval, points = nu.radial_interval(0.0, 1.0)
     small, sdiv = try_integrate(lambda r: r * r * rho(r), interval, tol, points)
@@ -315,20 +309,19 @@ def jump_symbol(nu: LevyDensity, xi, tol: float = 1e-10):
     k = float(xi[0]) if nu.d == 1 else float(np.hypot.reduce(xi))
     if k == 0.0:
         return 0.0 if nu.is_even else 0.0 + 0.0j
-    return _jump_symbols(nu, [k], tol, _jump_moments(nu, tol))[0].item()
+    moments = (nu.small_ball_second_moment(1.0), _big_jump_mass(nu, tol))
+    return _jump_symbols(nu, [k], tol, moments)[0].item()
 
 
-def _jump_moments(nu: LevyDensity, tol):
-    """(m2, B): int_0^1 r^2 rho dr and int_1^inf rho dr, the xi-independent
-    integrals of a; B is None for a table, whose far part is one integral."""
-    big = None if nu.knots is not None else integrate_scaled(
+def _big_jump_mass(nu: LevyDensity, tol):
+    """B = int_1^inf rho dr; None for a table, whose far part is one integral."""
+    return None if nu.knots is not None else integrate_scaled(
         nu.radial_density, (1.0, np.inf), tol)
-    return nu.small_ball_second_moment(1.0), big
 
 
 def _jump_symbols(nu: LevyDensity, ks, tol, moments):
     """a at each nonzero k of ks (signed xi in d=1, |xi| in d=2), sharing
-    moments = _jump_moments(nu, tol); see ``jump_symbol``."""
+    moments = (int_0^1 r^2 rho dr, ``_big_jump_mass``); see ``jump_symbol``."""
     m2, big = moments
     mean, kernel, tail = _SPHERICAL_MEAN[nu.d]
     # a table is zero past its last knot: its far part is one finite
@@ -443,15 +436,8 @@ def dual_triplet(triplet: LevyTriplet) -> LevyTriplet:
     """Adjoint parameters (-b, sigma, nu-check) with nu-check(z) = nu(-z)."""
     nu = triplet.nu
     if nu is not None and not nu.is_even:
-        orig = nu
-        nu = LevyDensity(
-            kind="analytic" if orig.kind != "tabulated" else "tabulated",
-            d=orig.d,
-            func=lambda z, _f=orig: _f(-np.asarray(z, dtype=float)),
-            alpha=orig.alpha,
-            is_even=False,
-            knots=orig.knots,
-        )
+        # a non-even density is analytic or tabulated, never stable
+        nu = replace(nu, func=lambda z, _n=nu: _n.profile(-z))
     return LevyTriplet(sigma=triplet.sigma, b=-triplet.b, nu=nu, d=triplet.d)
 
 
@@ -469,12 +455,8 @@ def _tabulated_density(path, d):
     z, n = z[order], n[order]
     radial = np.all(z > 0)
 
-    def func(zz):
-        zz = np.asarray(zz, dtype=float)
-        if radial and d > 1:
-            zz = np.sqrt(np.sum(zz**2, axis=-1))
-        r = np.abs(zz) if radial else zz
-        return np.interp(r, z, n, left=0.0 if radial else 0.0, right=0.0)
+    def func(x):
+        return np.interp(np.abs(x) if radial else x, z, n, left=0.0, right=0.0)
 
     return LevyDensity(kind="tabulated", d=d, func=func, is_even=radial,
                        knots=tuple(np.unique(np.abs(z)).tolist()))

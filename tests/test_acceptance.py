@@ -40,7 +40,7 @@ from levylab import (
 from levylab.entropy import _fd_gradient, _ratio_field
 from levylab.spectral import Grid
 
-from conftest import gaussian, record_criterion
+from conftest import box, gaussian, record_criterion
 
 XLOGX = PhiFunction.xlogx()
 QUAD = PhiFunction.quadratic()
@@ -350,7 +350,7 @@ def test_criterion_12_brute_force_equivalence():
     g = Grid(1, 20.0, 64)
     nu = LevyDensity(
         kind="analytic", d=1,
-        func=lambda z: 1.0 if abs(z) <= 1.0 else 0.0, is_even=True,
+        func=box, is_even=True,
     )
     tr = LevyTriplet(sigma=np.zeros((1, 1)), b=np.zeros(1), nu=nu, d=1)
     mu = WeightedMeasure(g, np.full(g.shape, 1.0 / (2.0 * g.L)))

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from itertools import product
 from pathlib import Path
 
@@ -224,19 +225,36 @@ class TestExitCodes:
                      "--t-list", ""]) == 2
         assert not out.exists()
 
-    @pytest.mark.parametrize("experiment", ["check-lsi", "all"])
-    def test_check_lsi_on_a_table_exits_2_without_output(self, tmp_path, capsys,
-                                                         experiment):
-        # mu's jump density N_inf is known only for a stable nu; the table's
-        # was silently dropped (ratios up to 2.2, or a ZeroDivisionError)
+    def test_check_lsi_runs_on_a_table(self, tmp_path):
+        # mu's jump density N_inf is the table's tail integral, exact per knot
+        # segment, so a table needs no refusal
         table = log_tail_table(tmp_path / "nu.csv")
+        raw = dict(experiment="check-lsi", grid={"d": 1, "L": 20.0, "M": 256},
+                   triplet={"d": 1, "sigma": 0.0, "b": 0.0, "nu": {
+                       "kind": "tabulated", "table_path": str(table)}})
+        assert load_config(dict(raw, experiment="all")).triplet.nu.kind == "tabulated"
+        out = tmp_path / "out"
+        start = time.perf_counter()
+        code = main(["--config", str(write_config(tmp_path / "c.json", **raw)),
+                     "--out", str(out)])
+        assert time.perf_counter() - start < 10.0
+        assert code in (0, 1)
+        with open(out / "results.csv", newline="") as fh:
+            cells = [c for row in list(csv.reader(fh))[1:] for c in row]
+        assert len(cells) == 8 * 6
+        assert all(math.isfinite(v) for c in cells for v in _numbers(c))
+
+    @pytest.mark.parametrize("experiment", ["check-lsi", "all"])
+    def test_check_lsi_without_sigma_or_nu_exits_2_without_output(
+            self, tmp_path, capsys, experiment):
+        # the invariant law is a point mass: every entropy and rhs is 0, so
+        # a run would report 8 checks and 0 failures having checked nothing
         path = write_config(tmp_path / "c.json", experiment=experiment,
                             grid={"d": 1, "L": 20.0, "M": 256},
-                            triplet={"d": 1, "sigma": 0.5, "b": 0.0, "nu": {
-                                "kind": "tabulated", "table_path": str(table)}})
+                            triplet={"d": 1, "sigma": 0.0, "b": 0.0})
         out = tmp_path / "out"
         assert main(["--config", str(path), "--out", str(out)]) == 2
-        assert "N_inf" in capsys.readouterr().err
+        assert "diffusion sigma or a jump density nu" in capsys.readouterr().err
         assert not out.exists()
 
     def test_check_conditions_without_jumps_exits_2_without_output(self, tmp_path):

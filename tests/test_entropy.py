@@ -22,11 +22,16 @@ from levylab import (
     phi_entropy,
     stable_density,
 )
-from levylab.entropy import ProductionReport, _fd_gradient, _ratio_field
-from levylab.errors import DomainError
+from levylab.entropy import (
+    ProductionReport,
+    _fd_gradient,
+    _jump_kernel,
+    _ratio_field,
+)
+from levylab.errors import DomainError, NonFiniteDensity
 from levylab.spectral import Grid
 
-from conftest import gaussian
+from conftest import box, gaussian, loop_jump_kernel, right_exponential
 
 XLOGX = PhiFunction.xlogx()
 QUAD = PhiFunction.quadratic()
@@ -141,18 +146,11 @@ ORACLE_CASES = [
 def oracle_density(name, d):
     if name == "box":
         # compound Poisson: unit rate on the unit ball
-        if d == 1:
-            func = lambda z: 1.0 if abs(z) <= 1.0 else 0.0  # noqa: E731
-        else:
-            func = lambda z: np.where(  # noqa: E731
-                np.sum(np.square(z), axis=-1) <= 1.0, 1.0, 0.0
-            )
-        return LevyDensity(kind="analytic", d=d, func=func, is_even=True)
+        return LevyDensity(kind="analytic", d=d, func=box, is_even=True)
     if name == "one-sided":
         # jumps to the right only: catches an x + z / x - z mix-up
         return LevyDensity(
-            kind="analytic", d=1,
-            func=lambda z: math.exp(-z) if z > 0 else 0.0, is_even=False,
+            kind="analytic", d=1, func=right_exponential, is_even=False,
         )
     return stable_density(float(name.split("-")[1]), d)
 
@@ -294,6 +292,33 @@ class TestDissipation:
             _, with_n = dissipation(v, mu, tr(nu), QUAD)
             _, with_inf = dissipation(v, mu, tr(nu_inf), QUAD)
             assert with_inf <= with_n / alpha * (1.0 + 1e-9)
+
+
+class TestJumpKernel:
+    """The lattice fold, one profile array, against the per-point loop."""
+
+    @pytest.mark.parametrize("nu, grid", [
+        # one-sided: n+ and n- must land in their own slots k and -k mod M
+        (LevyDensity(kind="analytic", d=1, func=right_exponential, is_even=False),
+         Grid(1, 20.0, 64)),
+        (stable_density(1.0, 2), Grid(2, 4.0, 16)),
+    ], ids=["d1-one-sided", "d2-stable1"])
+    def test_matches_the_per_point_loop(self, nu, grid):
+        _jump_kernel.cache_clear()
+        W, _ = _jump_kernel(nu, grid, 2)
+        want = loop_jump_kernel(nu, grid, 2)
+        assert np.max(np.abs(W - want)) <= 1e-14 * np.max(np.abs(want))
+        if not nu.is_even:
+            assert W[1] > 0.0 and W[-1] < 1e-9 * W[1]
+
+    def test_nan_lattice_value_raises(self):
+        # the fold checks the lattice values; unchecked, a NaN reaches the sum
+        nu = LevyDensity(kind="analytic", d=1,
+                         func=lambda z: np.where(np.abs(z) > 3.0, np.nan, 1.0),
+                         is_even=True)
+        v, mu = oracle_field(1)
+        with pytest.raises(NonFiniteDensity):
+            dissipation(v, mu, jump_triplet(nu), XLOGX)
 
 
 class TestModifiedLsi:

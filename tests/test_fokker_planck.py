@@ -19,6 +19,7 @@ from levylab import (
     drift_correction,
     fp_evolve,
     jump_symbol,
+    limit_density,
     limit_levy_density,
     stable_density,
     steady_exponent,
@@ -33,7 +34,14 @@ from levylab.levy import _stable_norm_constant, triplet_from_config
 from levylab.quadrature import integrate_scaled
 from levylab.spectral import Grid
 
-from conftest import gaussian, log_tail_table
+from conftest import (
+    box,
+    gaussian,
+    log_divergent,
+    log_t_limit_density,
+    log_tail_table,
+    right_exponential,
+)
 
 
 def stable_triplet(alpha, d=1):
@@ -185,7 +193,7 @@ def radial_triplet(func, d):
 
 def opaque_cauchy_triplet(d=1):
     # the Cauchy density behind an analytic wrapper takes the quadrature route
-    return radial_triplet(stable_density(1.0, d), d)
+    return radial_triplet(stable_density(1.0, d).profile, d)
 
 
 @pytest.mark.filterwarnings("ignore::levylab.errors.InterpolationDegradation")
@@ -224,7 +232,7 @@ class TestQuadratureRoute:
         # one-sided density: the exponent at -xi is the conjugate of +xi
         nu = LevyDensity(
             kind="analytic", d=1,
-            func=lambda z: np.exp(-z) if z > 0 else 0.0, is_even=False,
+            func=right_exponential, is_even=False,
         )
         tr = LevyTriplet(sigma=np.zeros((1, 1)), b=np.zeros(1), nu=nu, d=1)
         g = Grid(1, 8.0, 16)
@@ -243,7 +251,7 @@ class TestQuadratureRoute:
         # the unit-box density needs 129 nodes on this grid
         nu = LevyDensity(
             kind="analytic", d=1,
-            func=lambda z: 1.0 if abs(z) <= 1.0 else 0.0, is_even=True,
+            func=box, is_even=True,
         )
         tr = LevyTriplet(sigma=np.zeros((1, 1)), b=np.zeros(1), nu=nu, d=1)
         monkeypatch.setattr(fokker_planck, "_CHEB_MAX_NODES", 33)
@@ -279,6 +287,24 @@ class TestBuildSteadyState:
             assert steady_exponent(tr, xi) == pytest.approx(
                 -abs(xi) ** alpha / alpha, abs=1e-12
             )
+
+    def test_one_log_tail_and_no_unused_moment(self, monkeypatch):
+        # 41 QUADPACK calls per build integrate the log tail twice, and 6 per
+        # one-frequency exponent integrate the unit-ball moment with no table
+        calls = []
+        quad = integrate.quad
+        monkeypatch.setattr(integrate, "quad",
+                            lambda *a, **k: calls.append(1) or quad(*a, **k))
+        tr = opaque_cauchy_triplet()
+        fokker_planck.check_log_tail.cache_clear()
+        steady = build_steady_state(tr, Grid(1, 8.0, 16))
+        assert len(calls) <= 40
+        # the QUADPACK value of int_1^inf ln(r) 2 / (pi r^2) dr = 2 / pi, to the bit
+        assert steady.log_tail == float.fromhex("0x1.45f306dc9c884p-1")
+        calls.clear()
+        fokker_planck.check_log_tail.cache_clear()
+        steady_exponent(tr, 0.7)
+        assert len(calls) <= 5
 
     def test_cauchy_density_coarse(self, cauchy_steady, grid1):
         cauchy = 1.0 / (np.pi * (1.0 + grid1.x1**2))
@@ -316,9 +342,7 @@ class TestBuildSteadyState:
     def test_divergent_log_tail_rejected(self, coarse_grid):
         nu = LevyDensity(
             kind="analytic", d=1,
-            func=lambda z: 1.0 / (abs(z) * np.log(abs(z)) ** 2)
-            if abs(z) >= np.e else 0.0,
-            is_even=True,
+            func=log_divergent, is_even=True,
         )
         tr = LevyTriplet(sigma=np.zeros((1, 1)), b=np.zeros(1), nu=nu, d=1)
         with pytest.raises(Con1Violation):
@@ -364,7 +388,7 @@ class TestSteadyAnchor:
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
     @pytest.mark.parametrize("d", [1, 2])
     def test_stable_density_given_as_analytic(self, d, alpha, r):
-        tr = radial_triplet(stable_density(alpha, d), d)
+        tr = radial_triplet(stable_density(alpha, d).profile, d)
         xi = r if d == 1 else r * np.array([0.6, -0.8])
         want = -(r**alpha) / alpha
         assert abs(steady_exponent(tr, xi) - want) <= 1e-10 * abs(want)
@@ -373,7 +397,7 @@ class TestSteadyAnchor:
     def test_non_even_density_matches_nested_quadrature(self, xi):
         nu = LevyDensity(
             kind="analytic", d=1,
-            func=lambda z: np.exp(-z) if z > 0 else 0.0, is_even=False,
+            func=right_exponential, is_even=False,
         )
         tr = LevyTriplet(sigma=np.zeros((1, 1)), b=np.zeros(1), nu=nu, d=1)
         got = steady_exponent(tr, xi)
@@ -407,11 +431,7 @@ class TestSteadyAnchor:
         # r G'(r) = a(r): a five-point stencil in log r, whose O(h^4)
         # truncation and the anchor's 1e-10 error divided by h stay below
         # 1e-7 at h = 0.02
-        def func(z):
-            rad = np.sqrt(np.sum(np.asarray(z) ** 2, axis=-1))
-            return np.exp(-rad) * rad**-2.5
-
-        tr = radial_triplet(func, 2)
+        tr = radial_triplet(lambda rad: np.exp(-rad) * rad**-2.5, 2)
         h = 0.02
         G = [steady_exponent(tr, np.array([r * np.exp(j * h), 0.0]))
              for j in (-2, -1, 1, 2)]
@@ -430,7 +450,7 @@ class TestSteadyAnchor:
                 monkeypatch.setattr(owner, name, lambda *a, _f=original, **k:
                                     calls.append(a) or _f(*a, **k))
         for d in (1, 2):
-            tr = radial_triplet(stable_density(1.5, d), d)
+            tr = radial_triplet(stable_density(1.5, d).profile, d)
             steady_exponent(tr, 0.7 if d == 1 else np.array([0.6, -0.8]))
         assert calls == []
 
@@ -457,7 +477,7 @@ class TestLimitLevyDensity:
     def test_compact_support_vanishes(self):
         nu = LevyDensity(
             kind="analytic", d=1,
-            func=lambda z: 1.0 if abs(z) <= 1.0 else 0.0, is_even=True,
+            func=box, is_even=True,
         )
         assert limit_levy_density(nu, 2.0) == 0.0
 
@@ -468,7 +488,7 @@ class TestLimitLevyDensity:
         # N_inf = N / alpha, by the closed form and by the quadrature route
         # for the same density given as analytic
         nu = stable_density(alpha, d)
-        opaque = LevyDensity(kind="analytic", d=d, func=nu, is_even=True)
+        opaque = LevyDensity(kind="analytic", d=d, func=nu.profile, is_even=True)
         z = r if d == 1 else r * np.array([0.6, 0.8])
         want = float(nu(z)) / alpha
         for density in (nu, opaque):
@@ -484,6 +504,40 @@ class TestLimitLevyDensity:
         assert limit_levy_density(nu, 2.0) == pytest.approx(
             exp1(2.0) / 2.0, abs=1e-8
         )
+
+    @pytest.mark.parametrize("name, d", [
+        ("cauchy", 1), ("exp-power", 1), ("exp-power", 2), ("one-sided", 1),
+        ("table", 1), ("table", 2),
+    ])
+    def test_matches_the_log_t_oracle(self, name, d, tmp_path):
+        # the tail integral of the profile, one point at a time and as one
+        # cumulative array, against QUADPACK in s = ln t relative to N(z)
+        if name == "table":
+            nu = triplet_from_config({"d": d, "nu": {
+                "kind": "tabulated",
+                "table_path": str(log_tail_table(tmp_path / "nu.csv"))}}).nu
+        else:
+            func = {"cauchy": stable_density(1.0, 1),
+                    "exp-power": lambda r: np.exp(-np.abs(r)) * np.abs(r) ** -1.5,
+                    "one-sided": right_exponential}[name]
+            nu = LevyDensity(kind="analytic", d=d, func=func,
+                             is_even=name != "one-sided")
+        r = np.concatenate([np.logspace(-6.0, 3.0, 10), [0.01, 0.5, 29.9, 30.0]])
+        x = np.concatenate([r, -r]) if name == "one-sided" else r
+        points = x if d == 1 else [v * np.array([0.6, 0.8]) for v in x]
+        want = np.array([log_t_limit_density(nu, z) for z in points])
+        single = np.array([limit_levy_density(nu, z) for z in points])
+        np.testing.assert_allclose(single, want, rtol=1e-10, atol=0.0)
+        np.testing.assert_allclose(fokker_planck._tail_average(nu, x, 1e-10), want,
+                                   rtol=1e-10, atol=0.0)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_limit_density_is_n_over_alpha_for_the_stable_law(self, d):
+        nu = stable_density(1.5, d)
+        r = np.array([0.1, 1.0, 7.0])
+        mu_nu = limit_density(nu, 1e-10)
+        np.testing.assert_array_equal(mu_nu.profile(r), nu.profile(r) / 1.5)
+        assert mu_nu.d == d and mu_nu.is_even
 
 
 def _drift_nested(nu, tol=1e-8):
@@ -518,7 +572,7 @@ class TestDriftCorrection:
     def test_matches_nested_quadrature(self):
         nu = LevyDensity(
             kind="analytic", d=1,
-            func=lambda z: np.exp(-z) if z > 0 else 0.0, is_even=False,
+            func=right_exponential, is_even=False,
         )
         assert drift_correction(nu)[0] == pytest.approx(_drift_nested(nu), rel=1e-9)
 
@@ -535,7 +589,7 @@ class TestDriftCorrection:
     def test_half_line_density_positive(self):
         nu = LevyDensity(
             kind="analytic", d=1,
-            func=lambda z: np.exp(-z) if z > 0 else 0.0, is_even=False,
+            func=right_exponential, is_even=False,
         )
         val = drift_correction(nu)
         assert val[0] > 0.0
@@ -552,16 +606,14 @@ class TestLogTail:
     def test_log_divergent_tail_flagged(self):
         nu = LevyDensity(
             kind="analytic", d=1,
-            func=lambda z: 1.0 / (abs(z) * np.log(abs(z)) ** 2)
-            if abs(z) >= np.e else 0.0,
-            is_even=True,
+            func=log_divergent, is_even=True,
         )
         assert check_log_tail(nu).diverged
 
     def test_compact_support(self):
         nu = LevyDensity(
             kind="analytic", d=1,
-            func=lambda z: 1.0 if abs(z) <= 1.0 else 0.0, is_even=True,
+            func=box, is_even=True,
         )
         rep = check_log_tail(nu)
         assert rep.value == pytest.approx(0.0, abs=1e-12)
@@ -628,7 +680,7 @@ class TestRadialDecay:
     def test_compact_support_tail(self):
         nu = LevyDensity(
             kind="analytic", d=1,
-            func=lambda z: 1.0 if abs(z) <= 1.0 else 0.0, is_even=True,
+            func=box, is_even=True,
         )
         rep = check_radial_decay(
             lambda x: limit_levy_density(nu, x), nu, points=[3.0], C=1.0,

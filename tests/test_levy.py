@@ -20,6 +20,8 @@ from levylab import (
 from levylab.errors import InvalidAlpha, NonFiniteDensity, QuadratureFailure
 from levylab.levy import _checked, _stable_norm_constant
 
+from conftest import box, right_exponential
+
 
 def exp_over_abs(d=1):
     return LevyDensity(
@@ -59,7 +61,7 @@ class TestValidateDensity:
 
     def test_nan_density_raises(self):
         nu = LevyDensity(
-            kind="analytic", d=1, func=lambda z: np.nan, is_even=True
+            kind="analytic", d=1, func=lambda z: np.abs(z) * np.nan, is_even=True
         )
         with pytest.raises(NonFiniteDensity):
             validate_levy_density(nu)
@@ -68,7 +70,7 @@ class TestValidateDensity:
 def opaque_stable(alpha, d):
     """The stable density given as analytic: it takes the quadrature route."""
     return LevyDensity(
-        kind="analytic", d=d, func=stable_density(alpha, d), is_even=True
+        kind="analytic", d=d, func=stable_density(alpha, d).profile, is_even=True
     )
 
 
@@ -108,25 +110,55 @@ class TestRadialRoute:
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_nan_density_raises_in_log_tail(self, d):
-        nu = LevyDensity(kind="analytic", d=d, func=lambda z: np.nan, is_even=True)
+        nu = LevyDensity(kind="analytic", d=d, func=lambda z: np.abs(z) * np.nan,
+                         is_even=True)
         with pytest.raises(NonFiniteDensity):
             check_log_tail(nu)
 
     def test_radial_density_in_1d_sums_both_rays(self):
         nu = LevyDensity(
             kind="analytic", d=1,
-            func=lambda z: np.exp(-z) if z > 0 else 2.0 * np.exp(z), is_even=False,
+            func=lambda z: np.exp(-np.abs(z)) * np.where(z > 0, 1.0, 2.0),
+            is_even=False,
         )
         assert nu.radial_density(0.7) == 3.0 * np.exp(-0.7)
 
     def test_radial_density_in_2d_is_circle_mass(self):
         # N(z) = exp(-|z|^2): rho(r) = 2 pi r exp(-r^2)
         nu = LevyDensity(
-            kind="analytic", d=2,
-            func=lambda z: np.exp(-np.sum(np.square(z), axis=-1)), is_even=True,
+            kind="analytic", d=2, func=lambda r: np.exp(-np.square(r)), is_even=True,
         )
         want = 2.0 * np.pi * 0.7 * np.exp(-0.49)
         assert nu.radial_density(0.7) == pytest.approx(want, rel=1e-14)
+        r = np.array([0.7, 1.3])
+        np.testing.assert_array_equal(
+            nu.radial_density(r), [nu.radial_density(0.7), nu.radial_density(1.3)]
+        )
+
+    def test_anisotropic_2d_density_is_refused(self):
+        # exp(-(4 z1^2 + z2^2 / 4)) |z|^{-2.5} reads the two probe radii as
+        # one point; its symbol would silently be that of an isotropic law
+        def anisotropic(z):
+            z = np.asarray(z, dtype=float)
+            q = 4.0 * z[..., 0] ** 2 + z[..., 1] ** 2 / 4.0
+            return np.exp(-q) * np.sum(z**2, axis=-1) ** -1.25
+
+        with pytest.raises(ValueError, match="must map an array"):
+            LevyDensity(kind="analytic", d=2, func=anisotropic, is_even=True)
+        with pytest.raises(ValueError, match="must map an array"):
+            LevyDensity(kind="analytic", d=2, func=stable_density(1.0, 2))
+
+    def test_scalar_only_1d_density_is_refused(self):
+        with pytest.raises(ValueError, match="must map an array"):
+            LevyDensity(kind="analytic", d=1,
+                        func=lambda z: 1.0 if abs(z) <= 1.0 else 0.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, -1.0])
+    def test_array_values_are_checked(self, bad):
+        nu = LevyDensity(kind="analytic", d=2,
+                         func=lambda r: np.where(r > 1.0, bad, 1.0), is_even=True)
+        with pytest.raises(NonFiniteDensity):
+            nu.radial_density(np.array([0.5, 2.0]))
 
 
 def _checked_reference(density, z):
@@ -170,7 +202,7 @@ class TestJumpSymbol:
     def test_indicator_density(self):
         nu = LevyDensity(
             kind="analytic", d=1,
-            func=lambda z: 1.0 if abs(z) <= 1.0 else 0.0, is_even=True,
+            func=box, is_even=True,
         )
         # int_{-1}^{1} (cos(pi z) - 1) dz = 2 sin(pi)/pi - 2
         assert jump_symbol(nu, np.pi) == pytest.approx(-2.0, abs=1e-9)
@@ -190,7 +222,7 @@ class TestJumpSymbol:
     @pytest.mark.parametrize("alpha", [0.3, 0.5, 1.0, 1.5, 1.9])
     def test_stable_quadrature_matches_symbol_2d(self, alpha):
         stable = stable_density(alpha, 2)
-        nu = LevyDensity(kind="analytic", d=2, func=stable, is_even=True)
+        nu = LevyDensity(kind="analytic", d=2, func=stable.profile, is_even=True)
         xi = np.array([1.2, -0.7])
         val = jump_symbol(nu, xi, tol=1e-10)
         assert val == pytest.approx(-np.linalg.norm(xi) ** alpha, abs=1e-9)
@@ -212,7 +244,7 @@ class TestJumpSymbol:
         # a(-xi) = conj a(xi) bitwise: the flow tabulates only xi > 0
         nu = LevyDensity(
             kind="analytic", d=1,
-            func=lambda z: np.exp(-z) if z > 0 else 0.0, is_even=False,
+            func=right_exponential, is_even=False,
         )
         for xi in (0.3, 1.7, 2.9):
             assert jump_symbol(nu, -xi) == np.conj(jump_symbol(nu, xi))
@@ -242,7 +274,7 @@ class TestTabulatedDensity:
                 {"d": 2, "nu": {"kind": "tabulated", "table_path": str(table)}}
             )
         with pytest.raises(ValueError, match="d=1 only"):
-            LevyDensity(kind="analytic", d=2, func=lambda z: 1.0, is_even=False)
+            LevyDensity(kind="analytic", d=2, func=np.ones_like, is_even=False)
 
 
 class TestCharacteristicExponent:
