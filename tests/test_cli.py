@@ -225,14 +225,21 @@ class TestExitCodes:
                      "--t-list", ""]) == 2
         assert not out.exists()
 
-    def test_check_lsi_runs_on_a_table(self, tmp_path):
+    @pytest.mark.parametrize("experiment", ["check-lsi", "all"])
+    def test_check_lsi_runs_on_a_table(self, tmp_path, monkeypatch, experiment):
         # mu's jump density N_inf is the table's tail integral, exact per knot
         # segment, so a table needs no refusal
         table = log_tail_table(tmp_path / "nu.csv")
-        raw = dict(experiment="check-lsi", grid={"d": 1, "L": 20.0, "M": 256},
+        raw = dict(experiment=experiment, grid={"d": 1, "L": 20.0, "M": 256},
                    triplet={"d": 1, "sigma": 0.0, "b": 0.0, "nu": {
                        "kind": "tabulated", "table_path": str(table)}})
-        assert load_config(dict(raw, experiment="all")).triplet.nu.kind == "tabulated"
+        assert load_config(raw).triplet.nu.kind == "tabulated"
+        if experiment == "all":
+            # the other six runners take about 30 s on a table; what all adds
+            # here is that its check-lsi part gets the table's triplet
+            for name in ("heat", "euclidean-lsi", "kato", "fp",
+                         "check-conditions", "decay"):
+                monkeypatch.setitem(cli._RUNNERS, name, lambda cfg: ([], [], {}))
         out = tmp_path / "out"
         start = time.perf_counter()
         code = main(["--config", str(write_config(tmp_path / "c.json", **raw)),
@@ -240,7 +247,11 @@ class TestExitCodes:
         assert time.perf_counter() - start < 10.0
         assert code in (0, 1)
         with open(out / "results.csv", newline="") as fh:
-            cells = [c for row in list(csv.reader(fh))[1:] for c in row]
+            rows = list(csv.reader(fh))[1:]
+        if experiment == "all":
+            assert all(row[0] == "check-lsi" for row in rows)
+            rows = [row[1:] for row in rows]
+        cells = [c for row in rows for c in row]
         assert len(cells) == 8 * 6
         assert all(math.isfinite(v) for c in cells for v in _numbers(c))
 
