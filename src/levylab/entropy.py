@@ -394,13 +394,13 @@ class DecayReport:
 def decay_track(
     u0: SpectralField,
     triplet: LevyTriplet,
-    phi: PhiFunction,
+    phi: PhiFunction | Sequence[PhiFunction],
     times: Sequence[float],
     C: float,
     steady: SteadyState,
     tol: float = 1e-10,
     rel_tol: float = 1e-6,
-) -> DecayReport:
+) -> DecayReport | list[DecayReport]:
     """Entropy trajectory with a fitted log-linear rate and bound violations.
 
     A time t violates the bound when Ent(t) exceeds
@@ -410,37 +410,37 @@ def decay_track(
     violate nothing and, like every entropy below 1e-12 Ent(0) or its own
     round-off, are left out of the rate fit.  A NaN entropy violates the
     bound.  ``fitted_rate`` is NaN when fewer than two entropies are usable.
+    ``phi`` is one PhiFunction, giving one DecayReport, or a sequence of
+    them, giving one report per Phi: the flow does not depend on Phi, so u0
+    is evolved and divided by u_inf once per time for all of them.
     """
+    one_phi = isinstance(phi, PhiFunction)
     mu = WeightedMeasure.from_field(steady.density)
     times = [0.0] + [t for t in times if t > 0.0]
-    ents, floors = [], []
-    for t in times:
-        u = fp_evolve(u0, triplet, t, tol) if t > 0 else u0
-        v = _ratio_field(u, steady)
-        ents.append(phi_entropy(v, mu, phi))
-        floors.append(_entropy_roundoff(v, mu, phi))
-    ent0 = ents[0]
-    # phrased so that a NaN entropy (at t or at 0) is a violation
-    violations = [
-        t
-        for t, e, f in zip(times[1:], ents[1:], floors[1:])
-        if not e - f <= np.exp(-t / C) * (ent0 + floors[0]) * (1.0 + rel_tol)
-    ]
-    usable = [
-        (t, e) for t, e, f in zip(times, ents, floors)
-        if e > max(1e-12 * ent0, f, 1e-300)
-    ]
-    if len(usable) >= 2:
-        ts = np.array([t for t, _ in usable])
-        ls = np.log(np.array([e for _, e in usable]))
-        slope = np.polyfit(ts, ls, 1)[0]
-        fitted = -float(slope)
-    else:
-        fitted = np.nan
-    return DecayReport(
-        times=list(times),
-        entropies=ents,
-        fitted_rate=fitted,
-        bound_rate=1.0 / C,
-        violations=violations,
-    )
+    ratios = [_ratio_field(fp_evolve(u0, triplet, t, tol) if t > 0 else u0, steady)
+              for t in times]
+    reports = []
+    for p in [phi] if one_phi else phi:
+        ents = [phi_entropy(v, mu, p) for v in ratios]
+        floors = [_entropy_roundoff(v, mu, p) for v in ratios]
+        ent0 = ents[0]
+        # phrased so that a NaN entropy (at t or at 0) is a violation
+        violations = [
+            t
+            for t, e, f in zip(times[1:], ents[1:], floors[1:])
+            if not e - f <= np.exp(-t / C) * (ent0 + floors[0]) * (1.0 + rel_tol)
+        ]
+        usable = [
+            (t, e) for t, e, f in zip(times, ents, floors)
+            if e > max(1e-12 * ent0, f, 1e-300)
+        ]
+        if len(usable) >= 2:
+            ts = np.array([t for t, _ in usable])
+            ls = np.log(np.array([e for _, e in usable]))
+            fitted = -float(np.polyfit(ts, ls, 1)[0])
+        else:
+            fitted = np.nan
+        reports.append(DecayReport(times=list(times), entropies=ents,
+                                   fitted_rate=fitted, bound_rate=1.0 / C,
+                                   violations=violations))
+    return reports[0] if one_phi else reports

@@ -20,7 +20,10 @@ import levylab
 from levylab import (
     Grid,
     apply_multiplier,
+    build_steady_state,
     cli,
+    entropy,
+    fp_evolve,
     gaussian_field,
     generate_test_fields,
     half_operator_norm,
@@ -577,6 +580,57 @@ class TestKato:
         cli._RUNNERS[experiment](cfg)
         assert counts == {"rfftn": forward(F, A, P), "irfftn": inverse(F, A, P),
                           "forward": 0, "inverse": 0}
+
+
+class _Handed(Exception):
+    """Carries the initial field a flow runner passed on."""
+
+
+class TestFlowRunners:
+    @pytest.mark.parametrize("experiment", ["fp", "decay"])
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("d, L, M", [(1, 20.0, 128), (2, 10.0, 32)])
+    def test_u0_is_the_first_battery_field(self, experiment, family, d, L, M,
+                                           monkeypatch):
+        # fp and decay take the first field without building the battery
+        cfg = load_config({"experiment": experiment, "grid": {"d": d, "L": L, "M": M},
+                           "sweep": {"family": family}, "seed": 3})
+        batteries = []
+
+        def counting(*args, **kwargs):
+            batteries.append(args)
+            return generate_test_fields(*args, **kwargs)
+
+        def handed(u0, *args, **kwargs):
+            raise _Handed(u0)
+
+        monkeypatch.setattr(cli, "generate_test_fields", counting)
+        monkeypatch.setattr(cli, "fp_evolve" if experiment == "fp" else "decay_track",
+                            handed)
+        with pytest.raises(_Handed) as caught:
+            cli._RUNNERS[experiment](cfg)
+        assert batteries == []
+        steady = build_steady_state(cli._default_triplet(cfg), cfg.grid, cfg.tol)
+        want = generate_test_fields(
+            cfg.grid, cfg.seed, family if experiment == "fp" else "perturbed-steady",
+            steady.density)[0]
+        assert caught.value.args[0].values.tobytes() == want.values.tobytes()
+
+    def test_decay_evolves_once_per_time(self, monkeypatch):
+        # the flow does not depend on Phi: two Phi and four times make four flows
+        cfg = load_config({"experiment": "decay", "grid": {"d": 1, "L": 20.0, "M": 256},
+                           "sweep": {"phi": ["quadratic", "xlogx"],
+                                     "times": [0.25, 0.5, 1.0, 2.0]}})
+        times = []
+
+        def counting(u0, triplet, t, *args, **kwargs):
+            times.append(t)
+            return fp_evolve(u0, triplet, t, *args, **kwargs)
+
+        monkeypatch.setattr(entropy, "fp_evolve", counting)
+        _, rows, _ = cli._RUNNERS["decay"](cfg)
+        assert sorted(times) == [0.25, 0.5, 1.0, 2.0]
+        assert len(rows) == 2 * 5
 
 
 def test_heat_lane_loads_no_quadpack(tmp_path):

@@ -444,6 +444,24 @@ class TestEntropyProduction:
 
 
 class TestDecayTrack:
+    @pytest.mark.parametrize("kind", ["stable1", "diffusion"])
+    def test_phi_sweep_matches_one_call_per_phi(self, kind, grid1):
+        # one flow for both Phi: the reports equal the per-Phi calls exactly
+        tr = stable_triplet(1.0) if kind == "stable1" else diffusion_triplet()
+        steady = build_steady_state(tr, grid1)
+        u0 = generate_test_fields(grid1, 7, "perturbed-steady", steady.density)[0]
+        times = [0.25, 0.5, 1.0, 2.0]
+        reports = decay_track(u0, tr, (QUAD, XLOGX), times, 1.0, steady)
+        singles = [decay_track(u0, tr, phi, times, 1.0, steady)
+                   for phi in (QUAD, XLOGX)]
+        assert len(reports) == 2
+        for rep, single in zip(reports, singles):
+            assert rep.times == single.times
+            assert rep.entropies == single.entropies
+            assert rep.fitted_rate == single.fitted_rate
+            assert rep.bound_rate == single.bound_rate
+            assert rep.violations == single.violations
+
     def test_steady_initial_data(self, gauss_steady):
         rep = decay_track(
             gauss_steady.density, diffusion_triplet(), QUAD,

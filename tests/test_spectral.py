@@ -74,6 +74,19 @@ class TestGaussianField:
         assert np.sum(x * f.values) * g.dx**2 == pytest.approx(1.25, rel=1e-12)
         assert np.sum(y * f.values) * g.dx**2 == pytest.approx(-2.5, rel=1e-12)
 
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("variance, center", [(0.25, -2.0), (1.7, 0.3),
+                                                  (4.0, (1.25, -2.5))])
+    def test_matches_the_meshgrid_formula_bitwise(self, d, variance, center):
+        # r^2 built on the open mesh takes the same float operations per
+        # point as on the full meshgrid
+        g = Grid(d, 10.0, 64)
+        c = np.broadcast_to(np.atleast_1d(np.asarray(center, dtype=float))[:d], (d,))
+        r2 = sum((x - ci) ** 2 for x, ci in zip(g.coords(), c))
+        want = np.exp(-r2 / (2.0 * variance)) / np.sqrt((2.0 * np.pi * variance) ** d)
+        got = gaussian_field(g, variance, c).values
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
 
 class TestForwardTransform:
     def test_gaussian_oracle(self):
