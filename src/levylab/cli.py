@@ -40,9 +40,9 @@ from .errors import (
 )
 from .fields import FAMILIES, _iter_fields, generate_test_fields
 from .fokker_planck import build_steady_state, check_domination, fp_evolve, limit_density
-from .heat import _hypercontractivity, kato_check, lsi_gap
+from .heat import kato_check, lsi_gap, verify_hypercontractivity
 from .levy import LevyTriplet, stable_density, triplet_from_config
-from .spectral import Grid, SpectralField, lp_norm
+from .spectral import Grid, SpectralField
 
 _FMT = "%.17g"
 
@@ -292,13 +292,10 @@ def _verdicts(rows, worst_key: str, column: int, worst=max) -> dict:
 def _run_heat(cfg: ExperimentConfig):
     fields = [cfg.input_field] if cfg.input_field is not None else _battery(cfg)
     sweep = cfg.sweep
-    norms = [{p: lp_norm(f, p) for p in sweep["p"]} for f in fields]
     rows = []
     for alpha, p, q, t in product(sweep["alpha"], sweep["p"], sweep["q"], sweep["t"]):
-        # built per tuple, not kept per (alpha, t): a kept set measured slower
-        decay = np.exp(-t * cfg.grid.symbol(alpha))
         for idx, f in enumerate(fields):
-            rep = _hypercontractivity(f, norms[idx][p], alpha, p, q, t, decay)
+            rep = verify_hypercontractivity(f, alpha=alpha, p=p, q=q, t=t)
             rows.append([alpha, p, q, t, idx, rep.lhs, rep.rhs, rep.ratio,
                          int(not rep.violated)])
     return (["alpha", "p", "q", "t", "field", "lhs", "rhs", "ratio", "pass"],
@@ -420,7 +417,7 @@ def _run_check_lsi(cfg: ExperimentConfig):
     )
     mu = WeightedMeasure.from_field(steady.density)
     rng = np.random.default_rng(cfg.seed)
-    axes = np.ix_(*(cfg.grid.x1,) * cfg.grid.d)
+    coords = cfg.grid.open_coords()
     rows = []
     for name in cfg.sweep["phi"]:
         phi = _phi_by_name(name)
@@ -428,7 +425,7 @@ def _run_check_lsi(cfg: ExperimentConfig):
             center = float(rng.uniform(-2.0, 2.0))
             width = float(rng.uniform(0.8, 2.0))
             amp = float(rng.uniform(0.2, 0.8))
-            r2 = sum((x - center) ** 2 for x in axes)
+            r2 = sum((c - center) ** 2 for c in coords)
             v = SpectralField(
                 cfg.grid, values=1.0 + amp * np.exp(-r2 / (2.0 * width**2))
             )

@@ -412,17 +412,21 @@ def decay_track(
     bound.  ``fitted_rate`` is NaN when fewer than two entropies are usable.
     ``phi`` is one PhiFunction, giving one DecayReport, or a sequence of
     them, giving one report per Phi: the flow does not depend on Phi, so u0
-    is evolved and divided by u_inf once per time for all of them.
+    is evolved and divided by u_inf once per time for all of them, one time
+    after another, so only one time's ratio is held at once.
     """
     one_phi = isinstance(phi, PhiFunction)
+    phis = [phi] if one_phi else list(phi)
     mu = WeightedMeasure.from_field(steady.density)
     times = [0.0] + [t for t in times if t > 0.0]
-    ratios = [_ratio_field(fp_evolve(u0, triplet, t, tol) if t > 0 else u0, steady)
-              for t in times]
+    per_phi = [([], []) for _ in phis]  # (entropies, round-off floors)
+    for t in times:
+        v = _ratio_field(fp_evolve(u0, triplet, t, tol) if t > 0 else u0, steady)
+        for p, (e, f) in zip(phis, per_phi):
+            e.append(phi_entropy(v, mu, p))
+            f.append(_entropy_roundoff(v, mu, p))
     reports = []
-    for p in [phi] if one_phi else phi:
-        ents = [phi_entropy(v, mu, p) for v in ratios]
-        floors = [_entropy_roundoff(v, mu, p) for v in ratios]
+    for ents, floors in per_phi:
         ent0 = ents[0]
         # phrased so that a NaN entropy (at t or at 0) is a violation
         violations = [

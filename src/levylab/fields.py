@@ -21,7 +21,7 @@ def gaussian_field(grid: Grid, variance=1.0, center=0.0) -> SpectralField:
     ``center`` is a number (the same on every axis) or one number per axis.
     """
     c = np.broadcast_to(np.asarray(center, dtype=float), (grid.d,))
-    r2 = sum((x - ci) ** 2 for x, ci in zip(np.ix_(*(grid.x1,) * grid.d), c))
+    r2 = sum((x - ci) ** 2 for x, ci in zip(grid.open_coords(), c))
     # sqrt of the d-th power, not a (d/2)-th power: exactly sqrt(2 pi v) in
     # d=1 and 2 pi v in d=2, which pow(x, 0.5) is not always
     vals = np.exp(-r2 / (2.0 * variance)) / np.sqrt((2.0 * np.pi * variance) ** grid.d)
@@ -69,7 +69,7 @@ def _iter_fields(grid: Grid, seed: int, family: str, steady=None):
         else:
             center = float(rng.uniform(-2.0, 2.0))
             width = float(rng.uniform(0.8, 2.0))
-            r2 = sum((x - center) ** 2 for x in np.ix_(*(grid.x1,) * grid.d))
+            r2 = sum((x - center) ** 2 for x in grid.open_coords())
             bump = np.exp(-r2 / (2.0 * width**2))
             vals = steady.values * (1.0 + 0.3 * bump)
             f = SpectralField(grid, values=vals / (np.sum(vals) * grid.dx**grid.d))

@@ -71,6 +71,10 @@ class Grid:
         """Meshgrid coordinate arrays, one per dimension."""
         return np.meshgrid(*(self.x1,) * self.d, indexing="ij")
 
+    def open_coords(self):
+        """``coords`` as an open mesh (``np.ix_``): arrays that broadcast to it."""
+        return np.ix_(*(self.x1,) * self.d)
+
     def freqs(self):
         """Frequency arrays on the ``rfftn`` half-spectrum mesh, one per dimension.
 

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from levylab import (
     phi_entropy,
     stable_density,
 )
+from levylab import entropy
 from levylab.entropy import (
     ProductionReport,
     _fd_gradient,
@@ -461,6 +463,29 @@ class TestDecayTrack:
             assert rep.fitted_rate == single.fitted_rate
             assert rep.bound_rate == single.bound_rate
             assert rep.violations == single.violations
+
+    def test_one_ratio_field_alive_at_a_time(self, grid1, monkeypatch):
+        # the Phi sweep walks the times once: each u/u_inf is released
+        # before the next time is evolved, however many times there are
+        tr = diffusion_triplet()
+        steady = build_steady_state(tr, grid1)
+        u0 = generate_test_fields(grid1, 7, "perturbed-steady", steady.density)[0]
+        refs, seen = [], []
+        real_ratio, real_entropy = entropy._ratio_field, entropy.phi_entropy
+
+        def ratio(*args):
+            v = real_ratio(*args)
+            refs.append(weakref.ref(v))
+            return v
+
+        def entropy_of(v, mu, phi):
+            seen.append(sum(r() is not None for r in refs))
+            return real_entropy(v, mu, phi)
+
+        monkeypatch.setattr(entropy, "_ratio_field", ratio)
+        monkeypatch.setattr(entropy, "phi_entropy", entropy_of)
+        decay_track(u0, tr, (QUAD, XLOGX), [0.25, 0.5, 1.0, 2.0], 1.0, steady)
+        assert seen == [1] * 10
 
     def test_steady_initial_data(self, gauss_steady):
         rep = decay_track(

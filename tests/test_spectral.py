@@ -44,6 +44,13 @@ class TestGrid:
                 a[(0,) * d] = 1.0
         assert g == Grid(d, 5.0, 16) and hash(g) == hash(Grid(d, 5.0, 16))
 
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_open_coords_broadcast_to_coords(self, d):
+        g = Grid(d, 5.0, 16)
+        full = np.broadcast_arrays(*g.open_coords())
+        for a, b in zip(full, g.coords(), strict=True):
+            assert a.tobytes() == b.tobytes()
+
     def test_meshes_are_tensor_products_2d(self):
         g = Grid(2, 5.0, 16)
         x, y = g.coords()
