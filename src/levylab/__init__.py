@@ -1,5 +1,6 @@
 """levylab: spectral laboratory for Levy semigroups and entropy inequalities."""
 
+from .cli import triplet_from_config
 from .entropy import (
     DecayReport,
     PhiFunction,
@@ -39,7 +40,6 @@ from .levy import (
     dual_triplet,
     jump_symbol,
     stable_density,
-    triplet_from_config,
     validate_levy_density,
 )
 from .spectral import Grid, SpectralField, apply_multiplier, lp_norm

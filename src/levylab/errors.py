@@ -46,7 +46,7 @@ class NegativeDensity(LevyLabError):
     """Inverse transform of a steady-state exponent dipped significantly negative."""
 
 
-class ConfigError(LevyLabError):
+class ConfigError(LevyLabError, ValueError):
     """Malformed experiment configuration.  CLI exit code 2."""
 
 

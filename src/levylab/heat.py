@@ -174,14 +174,15 @@ class HypercontractivityReport:
 def verify_hypercontractivity(
     f: SpectralField, alpha: float, p: float, q: float, t: float
 ) -> HypercontractivityReport:
-    """||P_t f||_q / (||f||_p * bound); flags a violation above 1 + 1e-6."""
+    """||P_t f||_q / (||f||_p * bound), inf where the bound is 0 (as at a t
+    near the largest float); flags a violation above 1 + 1e-6."""
     fp = lp_norm(f, p)
     if fp == 0.0:
         raise DegenerateField("hypercontractivity ratio undefined for f = 0")
     bound = ultracontractivity_constant(f.grid.d, alpha, p, q, t).bound
     lhs = lp_norm(heat_evolve(f, alpha, t), q)
     rhs = fp * bound
-    ratio = lhs / rhs
+    ratio = lhs / rhs if rhs else math.inf
     return HypercontractivityReport(
         alpha=alpha, p=p, q=q, t=t, lhs=lhs, rhs=rhs, ratio=ratio,
         violated=not (ratio <= 1.0 + 1e-6),

@@ -46,7 +46,6 @@ __all__ = [
     "jump_symbol",
     "characteristic_exponent",
     "dual_triplet",
-    "triplet_from_config",
 ]
 
 # small-jump exclusion radius; the excluded ball is compensated with the
@@ -460,39 +459,3 @@ def _tabulated_density(path, d):
 
     return LevyDensity(kind="tabulated", d=d, func=func, is_even=radial,
                        knots=tuple(np.unique(np.abs(z)).tolist()))
-
-
-_TRIPLET_KEYS = {"d", "sigma", "b", "nu"}
-_NU_KEYS = {"kind", "alpha", "table_path"}
-
-
-def triplet_from_config(cfg: dict) -> LevyTriplet:
-    """Build a triplet from a structured configuration.
-
-    Keys: ``sigma`` (scalar or matrix), ``b`` (scalar or vector), ``d`` (an
-    int), ``nu`` (null, or {kind, alpha, table_path}).  Other keys raise ValueError.
-    """
-    unknown = set(cfg) - _TRIPLET_KEYS
-    if unknown:
-        raise ValueError(f"unknown triplet keys: {sorted(unknown)}")
-    d = cfg.get("d", 1)
-    if type(d) is not int:
-        raise ValueError(f"triplet d must be an integer, got {d!r}")
-    sigma = np.asarray(cfg.get("sigma", np.zeros((d, d))), dtype=float)
-    if sigma.ndim == 0:
-        sigma = sigma * np.eye(d)
-    b = np.atleast_1d(np.asarray(cfg.get("b", np.zeros(d)), dtype=float))
-    nu_cfg = cfg.get("nu")
-    nu = None
-    if nu_cfg:
-        unknown = set(nu_cfg) - _NU_KEYS
-        if unknown:
-            raise ValueError(f"unknown nu keys: {sorted(unknown)}")
-        kind = nu_cfg["kind"]
-        if kind == "stable":
-            nu = stable_density(float(nu_cfg["alpha"]), d)
-        elif kind == "tabulated":
-            nu = _tabulated_density(nu_cfg["table_path"], d)
-        else:
-            raise ValueError(f"config cannot describe density kind {kind!r}")
-    return LevyTriplet(sigma=sigma, b=b, nu=nu, d=d)

@@ -61,7 +61,9 @@ def config_with(field, value):
     elif field == "tol":
         cfg["tol"] = value
     else:
-        cfg["sweep"] = {field: value if field == "C" else [1.0, value]}
+        # p >= 2: the valid companion entry must not itself be refused
+        cfg["sweep"] = {field: value if field == "C" else
+                        [2.0 if field == "p" else 1.0, value]}
     return cfg
 
 
@@ -196,7 +198,8 @@ class TestExitCodes:
         assert "config error:" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("experiment", cli._STABLE_DEFAULT)
+    @pytest.mark.parametrize("experiment", ["fp", "steady", "decay", "check-lsi",
+                                            "check-conditions"])
     def test_default_stable_alpha_2_exits_2_without_output(self, tmp_path, capsys,
                                                            experiment):
         # the default triplet is the stable density of alpha[0]; alpha = 2
@@ -219,6 +222,38 @@ class TestExitCodes:
         out = tmp_path / "out"
         assert main(["--config", str(path), "--out", str(out)]) == 2
         assert f"sweep.{key} must not be empty" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("config, argv, named", [
+        ({"experiment": "heat", "sweep": {"p": [1.5]}}, [], "sweep.p"),
+        ({"experiment": "heat", "sweep": {"p": [4], "q": [2]}}, [], "q >= p"),
+        ({"experiment": "heat", "sweep": {"p": [4], "q": ["inf"]}}, [], "q >= p"),
+        ({"experiment": "heat", "sweep": {"t": [0]}}, [], "sweep.t"),
+        ({"experiment": "all", "sweep": {"t": [0]}}, [], "sweep.t"),
+        ({"experiment": "decay", "sweep": {"phi": 3}}, [], "sweep.phi"),
+        ({"experiment": "steady", "triplet": {"nu": {"kind": "stable", "alpha": True}}},
+         [], "triplet.nu.alpha"),
+        ({"experiment": "steady", "triplet": {"nu": {"kind": "stable", "alpha": "1.5"}}},
+         [], "triplet.nu.alpha"),
+        ({"experiment": "steady", "triplet": {"nu": {"kind": "tabulated",
+                                                     "table_path": 3}}},
+         [], "triplet.nu.table_path"),
+        ({"experiment": "decay", "sweep": {"phi": ["xlogx", "xlogx"]}}, [], "sweep.phi"),
+        ([1], ["heat"], "config must be an object"),
+        ({"experiment": "heat", "sweep": [1]}, ["heat"], "sweep must be an object"),
+    ], ids=["p-1.5", "q-below-p", "q-inf-p-4", "heat-t-0", "all-t-0", "phi-3",
+            "nu-alpha-true", "nu-alpha-string", "table-path-3", "phi-twice",
+            "config-list", "sweep-list"])
+    def test_config_hole_exits_2_without_output(self, tmp_path, capsys, config, argv,
+                                                named):
+        # each once got past load_config: to exit 3 or 1 after making the
+        # output directory, a traceback, a file descriptor opened as the
+        # table, or each decay violation counted twice
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        assert main(["--config", str(path), "--out", str(out), *argv]) == 2
+        assert named in capsys.readouterr().err
         assert not out.exists()
 
     def test_empty_t_list_flag_exits_2_without_output(self, tmp_path):
@@ -409,6 +444,15 @@ class TestExitCodes:
         rc, summary = self._decay_from_csv(tmp_path, poison)
         assert rc == 1
         assert summary["results"]["violation_count"] == 2
+
+    def test_heat_bound_of_0_exits_3_without_summary(self, tmp_path):
+        # at t = 1e308 the bound is 0: its ratio is inf, not a ZeroDivisionError;
+        # on this grid |xi| < 1, so t |xi|^alpha itself stays finite
+        path = write_config(tmp_path / "c.json", grid={"d": 1, "L": 20.0, "M": 8},
+                            sweep={"t": [1e308]})
+        out = tmp_path / "out"
+        assert main(["--config", str(path), "--out", str(out)]) == 3
+        assert not (out / "summary.json").exists()
 
     def test_non_finite_summary_exits_3_without_summary(self, tmp_path, monkeypatch):
         def runner(cfg):
@@ -610,7 +654,7 @@ class TestFlowRunners:
         with pytest.raises(_Handed) as caught:
             cli._RUNNERS[experiment](cfg)
         assert batteries == []
-        steady = build_steady_state(cli._default_triplet(cfg), cfg.grid, cfg.tol)
+        steady = build_steady_state(cfg.triplet, cfg.grid, cfg.tol)
         want = generate_test_fields(
             cfg.grid, cfg.seed, family if experiment == "fp" else "perturbed-steady",
             steady.density)[0]

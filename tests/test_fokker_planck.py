@@ -23,6 +23,7 @@ from levylab import (
     limit_levy_density,
     stable_density,
     steady_exponent,
+    triplet_from_config,
 )
 from levylab import fokker_planck, levy
 from levylab.errors import (
@@ -30,7 +31,7 @@ from levylab.errors import (
     InterpolationDegradation,
     QuadratureFailure,
 )
-from levylab.levy import _stable_norm_constant, triplet_from_config
+from levylab.levy import _stable_norm_constant
 from levylab.quadrature import integrate_scaled
 from levylab.spectral import Grid
 

@@ -179,6 +179,15 @@ class TestVerifyHypercontractivity:
         assert math.isnan(rep.ratio)
         assert rep.violated
 
+    def test_bound_of_0_gives_an_infinite_ratio(self):
+        # 2 alpha t overflows at t = 1e308, so the bound is 0; on this grid
+        # |xi| < 1, so t |xi|^alpha itself stays finite
+        g = Grid(1, 20.0, 8)
+        rep = verify_hypercontractivity(gaussian(g), 1.0, 2.0, 4.0, 1e308)
+        assert rep.rhs == 0.0
+        assert rep.ratio == math.inf
+        assert rep.violated
+
 
 class TestKato:
     def test_constant_field(self, coarse_grid):
