@@ -308,14 +308,20 @@ _KINDS = {
     "path string": _text,
     "numeric matrix": _matrix,
 }
+# how a flag's text (each comma-separated entry, for a list) is converted
+# before its row reads it; a kind not named here takes the text as it is
+_FROM_TEXT = {"integer": int, "number": float, "number list": float,
+              "exponent list": float}
 
 
 @dataclass(frozen=True)
 class Key:
     """One row of the config table: the key at ``path``, its kind, its range
-    (text, and whether each value ``holds`` in it), its default and the
-    experiments that read it.  A key whose default is None is None when left
-    out; one whose default is ``REQUIRED`` may not be left out."""
+    (text, and whether each value ``holds`` in it), its default, the
+    experiments that read it and the command-line flags that set it, as
+    (subcommand, or None for the main parser, option) pairs.  A key whose
+    default is None is None when left out; one whose default is ``REQUIRED``
+    may not be left out."""
 
     path: str
     kind: str
@@ -323,6 +329,22 @@ class Key:
     holds: Callable = lambda x: True
     default: object = None
     readers: tuple = EXPERIMENTS
+    flags: tuple = ()
+
+    def read(self, text: str):
+        """The config value that a flag's ``text`` stands for, for ``parse`` to
+        check: an object is the JSON file the text names; a list is the
+        comma-separated entries, empty ones dropped."""
+        if self.kind == "object":
+            return _read_json(text, f"{self.path} config")
+        many = self.kind.endswith("list")
+        entries = [x for x in text.split(",") if x] if many else [text]
+        try:
+            values = [_FROM_TEXT.get(self.kind, str)(x) for x in entries]
+        except ValueError:
+            raise ConfigError(f"{self.path} must be: {self.kind}, {self.range}; "
+                              f"got {text!r}") from None
+        return values if many else values[0]
 
     def parse(self, value=_ABSENT):
         """The key's value, or its default when left out, checked."""
@@ -376,10 +398,12 @@ TABLE = (
     Key("grid.L", "number", "> 0", lambda x: x > 0, 20.0),
     Key("grid.M", "integer", "a power of two >= 8",
         lambda x: x >= 8 and x & (x - 1) == 0, 512),
-    Key("triplet", "object", "null, or the keys below", readers=_FLOWS),
+    Key("triplet", "object", "null, or the keys below", readers=_FLOWS,
+        flags=tuple((name, "--triplet-config")
+                    for name in ("fp", "decay", "steady", "check-conditions"))),
     Key("triplet.d", "integer", "1 or 2", lambda x: x in (1, 2), 1, _FLOWS),
-    # the triplet itself checks the shapes against d and that sigma is
-    # positive semi-definite
+    # _triplet checks the shapes against d, and the triplet itself that
+    # sigma is positive semi-definite
     Key("triplet.sigma", "numeric matrix",
         "d x d, positive semi-definite; a scalar is that times the identity",
         default=0.0, readers=_FLOWS),
@@ -392,21 +416,29 @@ TABLE = (
     Key("triplet.nu.table_path", "path string", "nonempty", bool, readers=_FLOWS),
     Key("sweep", "object", "the keys below", default={}),
     Key("sweep.alpha", "number list", "in (0, 2]", lambda x: 0 < x <= 2,
-        [0.5, 1.0, 1.5, 2.0]),
-    Key("sweep.p", "number list", ">= 2", lambda x: x >= 2, [2.0], _HEAT),
-    Key("sweep.q", "exponent list", '>= 2, or "inf"', lambda x: x >= 2, [4.0], _HEAT),
-    Key("sweep.t", "number list", "> 0", lambda x: x > 0, [0.25, 1.0, 4.0], _HEAT),
+        [0.5, 1.0, 1.5, 2.0], flags=(("heat", "--alpha"),)),
+    Key("sweep.p", "number list", ">= 2", lambda x: x >= 2, [2.0], _HEAT,
+        (("heat", "--p"),)),
+    Key("sweep.q", "exponent list", '>= 2, or "inf"', lambda x: x >= 2, [4.0], _HEAT,
+        (("heat", "--q"),)),
+    Key("sweep.t", "number list", "> 0", lambda x: x > 0, [0.25, 1.0, 4.0], _HEAT,
+        (("heat", "--t"),)),
     Key("sweep.phi", "distinct name list", *_one_of(PHIS), ["xlogx"],
-        ("decay", "check-lsi", "all")),
-    Key("sweep.C", "number", "> 0", lambda x: x > 0, 1.0, ("decay", "all")),
+        ("decay", "check-lsi", "all"), (("decay", "--phi"),)),
+    Key("sweep.C", "number", "> 0", lambda x: x > 0, 1.0, ("decay", "all"),
+        (("decay", "--C"),)),
     Key("sweep.family", "name", *_one_of(FAMILIES), "gaussians",
         ("heat", "euclidean-lsi", "kato", "fp", "all")),
     Key("sweep.times", "number list", ">= 0", lambda x: x >= 0,
-        [0.25, 0.5, 1.0, 2.0], ("fp", "decay", "all")),
-    Key("output", "path string", "nonempty", bool, "levylab-out"),
+        [0.25, 0.5, 1.0, 2.0], ("fp", "decay", "all"),
+        (("fp", "--t-list"), ("decay", "--times"))),
+    Key("output", "path string", "nonempty", bool, "levylab-out",
+        flags=((None, "--out"),)),
     Key("seed", "integer", ">= 0", lambda x: x >= 0, 7,
-        ("heat", "euclidean-lsi", "kato", "fp", "decay", "check-lsi", "all")),
-    Key("tol", "number", "in (0, 1)", lambda x: 0 < x < 1, 1e-10, _FLOWS),
+        ("heat", "euclidean-lsi", "kato", "fp", "decay", "check-lsi", "all"),
+        ((None, "--seed"),)),
+    Key("tol", "number", "in (0, 1)", lambda x: 0 < x < 1, 1e-10, _FLOWS,
+        ((None, "--tol"),)),
 )
 
 # (rule, the experiments it binds, whether a config keeps it)
@@ -434,7 +466,14 @@ RULES = (
 
 def _triplet(spec):
     """The triplet of a walked ``triplet`` object."""
-    d, nu, sigma = spec["d"], spec["nu"], spec["sigma"]
+    d, nu = spec["d"], spec["nu"]
+    sigma = spec["sigma"] * np.eye(d) if spec["sigma"].ndim == 0 else spec["sigma"]
+    b = np.zeros(d) if spec["b"] is None else np.atleast_1d(spec["b"])
+    for name, shape, wanted in (("sigma", np.atleast_2d(sigma).shape, (d, d)),
+                                ("b", b.shape, (d,))):
+        if shape != wanted:
+            raise ConfigError(f"triplet.{name} must have shape {wanted} at d = {d}, "
+                              f"got shape {np.shape(spec[name])}")
     if nu is not None:
         key = _NU_KINDS[nu["kind"]]
         if nu[key] is None:
@@ -442,11 +481,9 @@ def _triplet(spec):
     try:
         if nu is not None:
             nu = (stable_density if key == "alpha" else _tabulated_density)(nu[key], d)
-        b = np.zeros(d) if spec["b"] is None else np.atleast_1d(spec["b"])
-        return LevyTriplet(sigma=sigma * np.eye(d) if sigma.ndim == 0 else sigma,
-                           b=b, nu=nu, d=d)
+        return LevyTriplet(sigma=sigma, b=b, nu=nu, d=d)
     except (LookupError, OSError, ValueError) as exc:
-        # an unreadable table, or a sigma or b of the wrong shape for d
+        # an unreadable table, or a sigma that is not positive semi-definite
         raise ConfigError(f"invalid triplet: {exc}") from exc
 
 
@@ -460,19 +497,16 @@ def triplet_from_config(cfg: dict) -> LevyTriplet:
     return _triplet(_walk(cfg, "triplet"))
 
 
-def load_config(raw: dict, overrides: dict | None = None) -> ExperimentConfig:
+def load_config(raw: dict, io: dict | None = None) -> ExperimentConfig:
     """Build an ExperimentConfig from a JSON-decoded dict, strictly.
 
     Every key is checked against its row of ``TABLE``, and the config against
     ``RULES``, before any computation starts.  An experiment that reads a
-    triplet gets its default when the config has none.  ``overrides`` (from
-    command-line flags) replace the top-level entries they name; their
-    ``input_csv`` is read as the input field.
+    triplet gets its default when the config has none.  ``io`` holds the
+    file flags that set no key: its ``input_csv`` is read as the input field,
+    and its ``out_csv`` is where a copy of ``results.csv`` goes.
     """
-    io = overrides or {}
-    if isinstance(raw, dict):
-        raw = {**raw, **{k: v for k, v in io.items()
-                         if v is not None and k not in ("input_csv", "out_csv")}}
+    io = io or {}
     spec = _walk(raw)
     spec["grid"] = Grid(**spec["grid"])
     if spec["triplet"] is not None:
@@ -568,6 +602,9 @@ def _count_failures(summary) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    """The main parser and one subparser per experiment; a flag that sets a
+    key is declared on its row of ``TABLE`` and stores its text under the
+    row's path, for ``Key.read``."""
     parser = argparse.ArgumentParser(
         prog="levylab",
         description="Spectral laboratory for Levy semigroups, Fokker-Planck "
@@ -575,33 +612,18 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--config", type=str, default=None,
                         help="path to a strict-JSON experiment config")
-    parser.add_argument("--out", type=str, default=None,
-                        help="output directory (overrides config)")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="battery seed (overrides config)")
-    parser.add_argument("--tol", type=float, default=None,
-                        help="quadrature tolerance (overrides config)")
     sub = parser.add_subparsers(dest="experiment")
-    for name in EXPERIMENTS:
-        p = sub.add_parser(name)
-        if name == "heat":
-            p.add_argument("--alpha", type=float, default=None)
-            p.add_argument("--t", type=float, default=None)
-            p.add_argument("--p", type=float, default=None)
-            p.add_argument("--q", type=str, default=None)
-            p.add_argument("--input-csv", type=str, default=None)
-            p.add_argument("--out-csv", type=str, default=None)
-        if name in ("fp", "decay", "steady", "check-conditions"):
-            p.add_argument("--triplet-config", type=str, default=None)
-        if name == "fp":
-            p.add_argument("--t-list", type=str, default=None)
-            p.add_argument("--out-csv", type=str, default=None)
-        if name == "decay":
-            p.add_argument("--phi", type=str, default=None,
-                           choices=tuple(PHIS))
-            p.add_argument("--times", type=str, default=None)
-            p.add_argument("--C", type=float, default=None)
-            p.add_argument("--u0-csv", type=str, default=None)
+    parsers = {None: parser, **{name: sub.add_parser(name) for name in EXPERIMENTS}}
+    for key in TABLE:
+        for name, flag in key.flags:
+            parsers[name].add_argument(
+                flag, dest=key.path, metavar="FILE" if key.kind == "object" else "TEXT",
+                help=f"{key.path}: {key.kind}, {key.range}")
+    # file flags that set no key
+    parsers["heat"].add_argument("--input-csv", type=str, default=None)
+    parsers["decay"].add_argument("--u0-csv", dest="input_csv", type=str, default=None)
+    for name in ("heat", "fp"):
+        parsers[name].add_argument("--out-csv", type=str, default=None)
     return parser
 
 
@@ -613,37 +635,14 @@ def _read_json(path: str, what: str):
         raise ConfigError(f"cannot read {what}: {exc}") from exc
 
 
-def _number_list(flag: str, text: str) -> list:
-    try:
-        return [float(s) for s in text.split(",") if s]
-    except ValueError:
-        raise ConfigError(
-            f"{flag} must be a comma-separated list of numbers, got {text!r}"
-        ) from None
-
-
-def _apply_subcommand_flags(args, raw: dict) -> dict:
-    """raw with the subcommand's flags merged in; a config or a sweep that is
-    not an object is left as it is, for ``load_config`` to refuse."""
-    if not isinstance(raw, dict) or not isinstance(raw.get("sweep", {}), dict):
-        return raw
-    sweep = dict(raw.get("sweep", {}))
-    for key in ("alpha", "t", "p", "q", "phi"):
-        if getattr(args, key, None) is not None:
-            sweep[key] = [getattr(args, key)]
-    if getattr(args, "t_list", None) is not None:
-        sweep["times"] = _number_list("--t-list", args.t_list)
-    if getattr(args, "times", None) is not None:
-        sweep["times"] = _number_list("--times", args.times)
-    if getattr(args, "C", None) is not None:
-        sweep["C"] = args.C
-    if sweep:
-        raw = dict(raw)
-        raw["sweep"] = sweep
-    triplet_path = getattr(args, "triplet_config", None)
-    if triplet_path is not None:
-        raw["triplet"] = _read_json(triplet_path, "triplet config")
-    return raw
+def _set(raw, path: str, value):
+    """Put ``value`` at ``path`` in the raw config; a config or section that
+    is not an object is left as it is, for ``load_config`` to refuse."""
+    *sections, name = path.split(".")
+    for section in sections:
+        raw = raw.setdefault(section, {}) if isinstance(raw, dict) else None
+    if isinstance(raw, dict):
+        raw[name] = value
 
 
 def main(argv=None) -> int:
@@ -653,17 +652,14 @@ def main(argv=None) -> int:
         raw = {}
         if args.config is not None:
             raw = _read_json(args.config, "config")
-        raw = _apply_subcommand_flags(args, raw)
-        overrides = {
-            "experiment": args.experiment,
-            "output": args.out,
-            "seed": args.seed,
-            "tol": args.tol,
-            "input_csv": getattr(args, "input_csv", None)
-            or getattr(args, "u0_csv", None),
-            "out_csv": getattr(args, "out_csv", None),
-        }
-        cfg = load_config(raw, overrides)
+        # the subcommand is stored at the experiment row's path, as each
+        # flag's text is at the path of the row it sets
+        for key in TABLE:
+            text = getattr(args, key.path, None)
+            if text is not None:
+                _set(raw, key.path, key.read(text))
+        cfg = load_config(raw, {name: getattr(args, name, None)
+                                for name in ("input_csv", "out_csv")})
         return run_experiment(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -9,8 +9,6 @@ silently returning a bad estimate.  ``scipy.integrate`` is imported on
 the first call, so a run that never integrates never loads it.
 """
 
-import warnings
-
 import numpy as np
 
 from .errors import QuadratureFailure
@@ -27,28 +25,16 @@ def _quad_real(g, a, b, tol, points=None, weight=None, wvar=None):
     from scipy import integrate
     # QUADPACK needs more subintervals than breakpoints
     limit = 400 + (0 if points is None else len(points))
-    opts = dict(epsabs=tol, epsrel=tol, limit=limit, points=points, weight=weight,
-                wvar=wvar)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", integrate.IntegrationWarning)
-        try:
-            val, err = integrate.quad(g, a, b, **opts)
-        except integrate.IntegrationWarning as exc:
-            # retry once without escalating round-off warnings: slowly
-            # convergent but finite integrals often land within tolerance
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", integrate.IntegrationWarning)
-                val, err = integrate.quad(g, a, b, **opts)
-            if not np.isfinite(val) or err > _SLACK * max(tol, tol * abs(val)):
-                raise QuadratureFailure(
-                    f"quadrature on [{a}, {b}] did not converge: "
-                    f"estimate {val!r}, error {err!r} ({exc})",
-                    achieved_error=err,
-                    value=val,
-                ) from exc
+    # with full_output, QUADPACK returns its warning as a fourth item instead
+    # of issuing it: slowly convergent but finite integrals often land within
+    # tolerance, so only the error estimate decides
+    val, err, _, *message = integrate.quad(
+        g, a, b, epsabs=tol, epsrel=tol, limit=limit, points=points, weight=weight,
+        wvar=wvar, full_output=1)
     if not np.isfinite(val) or err > _SLACK * max(tol, tol * abs(val)):
         raise QuadratureFailure(
-            f"quadrature on [{a}, {b}] reached error {err!r} > tol {tol!r}",
+            f"quadrature on [{a}, {b}] reached error {err!r} > tol {tol!r}: "
+            f"estimate {val!r}" + (f" ({message[0]})" if message else ""),
             achieved_error=err,
             value=val,
         )

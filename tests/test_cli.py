@@ -198,6 +198,21 @@ class TestExitCodes:
         assert "config error:" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("d, triplet, named", [
+        (2, {"d": 2, "sigma": 1.0, "b": 0.0}, "triplet.b must have shape (2,) at d = 2"),
+        (2, {"d": 2, "sigma": [1.0, 2.0]}, "triplet.sigma must have shape (2, 2) at d = 2"),
+        (1, {"d": 1, "sigma": [[1.0, 0.0], [0.0, 1.0]]},
+         "triplet.sigma must have shape (1, 1) at d = 1"),
+    ], ids=["scalar-b-d2", "vector-sigma-d2", "matrix-sigma-d1"])
+    def test_triplet_of_the_wrong_shape_names_the_key(self, tmp_path, capsys, d,
+                                                      triplet, named):
+        path = write_config(tmp_path / "c.json", experiment="fp", triplet=triplet,
+                            grid={"d": d, "L": 10.0, "M": 32})
+        out = tmp_path / "out"
+        assert main(["--config", str(path), "--out", str(out)]) == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("experiment", ["fp", "steady", "decay", "check-lsi",
                                             "check-conditions"])
     def test_default_stable_alpha_2_exits_2_without_output(self, tmp_path, capsys,
@@ -318,7 +333,12 @@ class TestExitCodes:
         ["fp", "--t-list", "0.5,abc"],
         ["fp", "--triplet-config", "missing.json"],
         ["fp", "--triplet-config", "malformed.json"],
-    ], ids=["times", "t-list", "missing-triplet", "malformed-triplet"])
+        ["decay", "--phi", "bogus"],
+        ["--seed", "abc", "decay"],
+        ["decay", "--C", "abc"],
+        ["heat", "--q", "four"],
+    ], ids=["times", "t-list", "missing-triplet", "malformed-triplet", "phi", "seed",
+            "C", "q"])
     def test_bad_flag_value_exits_2_without_output(self, tmp_path, capsys,
                                                    monkeypatch, flags):
         monkeypatch.chdir(tmp_path)
@@ -748,6 +768,20 @@ class TestOutputs:
         ])
         assert rc == 0
         assert csv_copy.read_bytes() == (out / "results.csv").read_bytes()
+
+    def test_heat_q_flag_is_the_q_key(self, tmp_path):
+        # the flag's text "4" once reached sweep.q as a string, which no
+        # finite q is
+        sweep = {"alpha": [1.0], "p": [2.0], "t": [0.5]}
+        by_config = tmp_path / "config"
+        by_flag = tmp_path / "flag"
+        assert main(["--config", str(write_config(tmp_path / "q.json",
+                                                  sweep={**sweep, "q": [4]})),
+                     "--out", str(by_config)]) == 0
+        assert main(["--config", str(write_config(tmp_path / "c.json", sweep=sweep)),
+                     "--out", str(by_flag), "heat", "--q", "4"]) == 0
+        assert ((by_flag / "results.csv").read_bytes()
+                == (by_config / "results.csv").read_bytes())
 
     def test_lf_line_endings(self, tmp_path):
         path = write_config(tmp_path / "c.json")

@@ -1,11 +1,12 @@
-"""The config table: README agreement, and property tests drawn from the
-table itself.
+"""The config table: README and ``--help`` agreement, and property tests
+drawn from the table itself.
 
 A config is drawn row by row: each value from the candidates that the row's
-kind and range accept, or, to break that row, from those they refuse.  The
-rules between keys are checked here by an independent oracle on the raw
-config.  Kept valid by construction: what the range of ``sigma`` and ``b``
-states only in words and the triplet checks itself (see ``test_cli``), their
+kind and range accept, or, to break that row, from those they refuse; a row
+with flags may instead be broken by a flag's text.  The rules between keys
+are checked here by an independent oracle on the raw config.  Kept valid by
+construction: what the range of ``sigma`` and ``b`` states only in words
+and ``_triplet`` and the triplet check (see ``test_cli``), their
 shape against ``triplet.d`` and a positive semi-definite ``sigma``; an
 existing table file; and the key a ``nu`` kind needs.
 """
@@ -13,6 +14,7 @@ existing table file; and the key a ``nu`` kind needs.
 import json
 import math
 import os
+import re
 import tempfile
 from pathlib import Path
 
@@ -79,6 +81,36 @@ def _accepted(key, d, table):
         return st.lists(entry, min_size=1, max_size=3,
                         unique=key.kind.startswith("distinct"))
     return entry
+
+
+# a numeric kind's flag text is read as a number
+_FROM_TEXT = {"integer": int, "number": float, "number list": float,
+              "exponent list": float}
+
+
+def _text_accepted(key, text):
+    """Whether the row accepts a flag's text (one entry of it, for a list)."""
+    try:
+        used = _as_used(key.kind, _FROM_TEXT.get(key.kind, str)(text))
+    except ValueError:
+        return False
+    return used is not None and key.holds(used)
+
+
+def _refused_text(key):
+    """A strategy of the flag texts that the row refuses: a list's entries
+    are comma-separated, and an empty entry is dropped."""
+    texts = sorted({x if type(x) is str else json.dumps(x) for x in POOL + _names(key)})
+    bad = [t for t in texts if not _text_accepted(key, t)]
+    if not key.kind.endswith("list"):
+        return st.sampled_from(bad)
+    good = [t for t in texts if _text_accepted(key, t)]
+    bad = [t for t in bad if t]
+    cases = [st.just(""), st.sampled_from(bad),
+             st.tuples(st.sampled_from(good), st.sampled_from(bad)).map(",".join)]
+    if key.kind.startswith("distinct"):
+        cases.append(st.sampled_from(good).map(lambda t: f"{t},{t}"))
+    return st.one_of(cases)
 
 
 def _refused(key):
@@ -179,14 +211,15 @@ def table(tmp_path_factory):
     return log_tail_table(tmp_path_factory.mktemp("table") / "nu.csv")
 
 
-def _refused_by_main(tmp_path, monkeypatch, capsys, cfg):
-    """main's exit code and message for cfg, checking that it writes nothing."""
+def _refused_by_main(tmp_path, monkeypatch, capsys, cfg, argv=()):
+    """main's exit code and message for cfg and the flags ``argv``, checking
+    that it writes nothing."""
     run = Path(tempfile.mkdtemp(dir=tmp_path))
     path = run.parent / f"{run.name}.json"
     path.write_text(json.dumps(cfg))
     monkeypatch.chdir(run)
     capsys.readouterr()
-    code = main(["--config", str(path)])
+    code = main(["--config", str(path), *argv])
     assert os.listdir(run) == []
     return code, capsys.readouterr().err
 
@@ -218,15 +251,30 @@ def test_a_config_the_table_accepts_loads(table, data):
 def test_breaking_one_row_exits_2_naming_it(tmp_path, monkeypatch, capsys, table,
                                             path, data):
     cfg = data.draw(configs(table, need=[path]))
+    key = ROWS[path]
+    # a row with flags may be broken by a flag's text instead, over the config
+    flag = data.draw(st.sampled_from(key.flags)) if key.flags and data.draw(
+        st.booleans()) else None
+    if flag is not None and flag[0] is not None:
+        cfg["experiment"] = flag[0]
     assume(not broken_rules(cfg))
     parent, _, name = path.rpartition(".")
     node = _value(cfg, parent) if parent else cfg
-    key = ROWS[path]
-    if key.default is REQUIRED and data.draw(st.booleans()):
+    argv = []
+    if flag is not None:
+        subcommand, option = flag
+        if key.kind == "object":
+            # an object's flag names a JSON file
+            text = tmp_path / f"{name}.json"
+            text.write_text(json.dumps(data.draw(_refused(key))))
+        else:
+            text = data.draw(_refused_text(key))
+        argv = [subcommand] * (subcommand is not None) + [f"{option}={text}"]
+    elif key.default is REQUIRED and data.draw(st.booleans()):
         node.pop(name)
     else:
         node[name] = data.draw(_refused(key))
-    code, err = _refused_by_main(tmp_path, monkeypatch, capsys, cfg)
+    code, err = _refused_by_main(tmp_path, monkeypatch, capsys, cfg, argv)
     assert code == 2
     assert path in err
 
@@ -286,9 +334,58 @@ def test_readme_states_every_key():
         assert row in text, row
 
 
-def test_phi_flag_takes_the_phi_names():
-    parser = cli._build_parser()
+# the file flags, which set no key, of the main parser (None) and each subcommand
+FILE_FLAGS = {None: {"--config"}, "heat": {"--input-csv", "--out-csv"},
+              "fp": {"--out-csv"}, "decay": {"--u0-csv"}}
+
+
+def _row_flags(subcommand):
+    """The flags of ``subcommand`` (None: the main parser), each with its row."""
+    return {option: key for key in TABLE for name, option in key.flags
+            if name == subcommand}
+
+
+@pytest.mark.parametrize("subcommand", [None, *EXPERIMENTS])
+def test_help_lists_the_rows_flags(capsys, subcommand):
+    with pytest.raises(SystemExit) as info:
+        main([subcommand, "--help"] if subcommand else ["--help"])
+    assert info.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    options = _row_flags(subcommand)
+    listed = set(re.findall(r"(?<![\w-])--[\w-]+", text)) - {"--help"}
+    assert listed == set(options) | FILE_FLAGS.get(subcommand, set())
+    for option, key in options.items():
+        line = f"{key.path}: {key.kind}, {key.range}"
+        assert re.search(rf"{re.escape(option)} [A-Z]+ {re.escape(line)}", text), line
+
+
+def test_readme_lists_every_flag():
+    text = README.read_text()
+    usage = re.search(r"^levylab (.*) SUBCOMMAND", text, re.M).group(1)
+    assert set(re.findall(r"\[(--[\w-]+)", usage)) == set(_row_flags(None)) | {"--config"}
+    section = text[text.index("Subcommands:"):text.index("Configuration is a strict")]
+    listed = {}
+    for bullet in re.split(r"^- ", section, flags=re.M)[1:]:
+        name = re.match(r"`([\w-]+)`", bullet).group(1)
+        listed[name] = set(re.findall(r"`(--[\w-]+)`", bullet))
+    assert listed == {name: set(_row_flags(name)) | FILE_FLAGS.get(name, set())
+                      for name in EXPERIMENTS}
+
+
+def test_phi_flag_takes_the_phi_names(tmp_path, capsys):
+    path = tmp_path / "c.json"
+    # the Ornstein-Uhlenbeck flow, whose decay bound holds with C = 1
+    path.write_text(json.dumps({"experiment": "decay", "grid": {"L": 10.0, "M": 64},
+                                "triplet": {"sigma": 1.0}, "sweep": {"times": [0.5]}}))
     for name in cli.PHIS:
-        assert parser.parse_args(["decay", "--phi", name]).phi == name
-    with pytest.raises(SystemExit):
-        parser.parse_args(["decay", "--phi", "bogus"])
+        out = tmp_path / name
+        assert main(["--config", str(path), "--out", str(out), "decay",
+                     "--phi", name]) == 0
+        rows = (out / "results.csv").read_text().splitlines()[1:]
+        assert {row.split(",")[0] for row in rows} == {name}
+    out = tmp_path / "bogus"
+    capsys.readouterr()
+    assert main(["--config", str(path), "--out", str(out), "decay",
+                 "--phi", "bogus"]) == 2
+    assert "sweep.phi" in capsys.readouterr().err
+    assert not out.exists()

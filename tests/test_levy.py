@@ -19,6 +19,7 @@ from levylab import (
 )
 from levylab.errors import InvalidAlpha, NonFiniteDensity, QuadratureFailure
 from levylab.levy import _checked, _stable_norm_constant
+from levylab.quadrature import integrate_scaled
 
 from conftest import box, right_exponential
 
@@ -233,8 +234,8 @@ class TestJumpSymbol:
         real_quad = scipy.integrate.quad
 
         def inaccurate(*args, **kwargs):
-            val, err = real_quad(*args, **kwargs)
-            return (val, 1.0) if kwargs.get("weight") == "cos" else (val, err)
+            val, err, *info = real_quad(*args, **kwargs)
+            return (val, 1.0 if kwargs.get("weight") == "cos" else err, *info)
 
         monkeypatch.setattr(scipy.integrate, "quad", inaccurate)
         with pytest.raises(QuadratureFailure):
@@ -248,6 +249,21 @@ class TestJumpSymbol:
         )
         for xi in (0.3, 1.7, 2.9):
             assert jump_symbol(nu, -xi) == np.conj(jump_symbol(nu, xi))
+
+
+class TestQuadrature:
+    def test_warned_integrand_is_integrated_once(self, monkeypatch):
+        # QUADPACK's warning comes back with the result: the integral is not
+        # computed again, and the failure still quotes QUADPACK
+        real_quad = scipy.integrate.quad
+        calls = []
+        monkeypatch.setattr(scipy.integrate, "quad",
+                            lambda *a, **k: calls.append(1) or real_quad(*a, **k))
+        with pytest.raises(QuadratureFailure) as info:
+            integrate_scaled(lambda x: 1.0 / x, (0.0, 1.0), 1e-10)
+        assert len(calls) == 1
+        assert "maximum number of subdivisions (400)" in str(info.value)
+        assert info.value.achieved_error > 1e-10
 
 
 class TestTabulatedDensity:
