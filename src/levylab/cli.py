@@ -23,7 +23,6 @@ import math
 import sys
 import time
 from dataclasses import dataclass, replace
-from itertools import product
 from pathlib import Path
 from typing import Callable
 
@@ -70,12 +69,11 @@ def _verdicts(rows, worst_key: str, column: int, worst=max) -> dict:
 def _run_heat(cfg: ExperimentConfig):
     fields = [cfg.input_field] if cfg.input_field is not None else _battery(cfg)
     sweep = cfg.sweep
-    rows = []
-    for alpha, p, q, t in product(sweep["alpha"], sweep["p"], sweep["q"], sweep["t"]):
-        for idx, f in enumerate(fields):
-            rep = verify_hypercontractivity(f, alpha=alpha, p=p, q=q, t=t)
-            rows.append([alpha, p, q, t, idx, rep.lhs, rep.rhs, rep.ratio,
-                         int(not rep.violated)])
+    # one sweep per field; the rows run over (alpha, p, q, t), field inner
+    reports = [verify_hypercontractivity(f, sweep["alpha"], sweep["p"], sweep["q"],
+                                         sweep["t"]) for f in fields]
+    rows = [[r.alpha, r.p, r.q, r.t, idx, r.lhs, r.rhs, r.ratio, int(not r.violated)]
+            for per_tuple in zip(*reports) for idx, r in enumerate(per_tuple)]
     return (["alpha", "p", "q", "t", "field", "lhs", "rhs", "ratio", "pass"],
             rows, _verdicts(rows, "worst_ratio", 7))
 
@@ -645,9 +643,21 @@ def _set(raw, path: str, value):
         raw[name] = value
 
 
+def _joined(argv):
+    """``argv`` with each flag that sets a key joined to the token after it,
+    as ``--flag=text``, so that a text such as ``-inf`` reaches the key's row
+    instead of being taken by argparse for an option."""
+    flags = {flag for key in TABLE for _, flag in key.flags}
+    joined, tokens = [], iter(argv)
+    for token in tokens:
+        text = next(tokens, None) if token in flags else None
+        joined.append(token if text is None else f"{token}={text}")
+    return joined
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_joined(sys.argv[1:] if argv is None else argv))
     try:
         raw = {}
         if args.config is not None:

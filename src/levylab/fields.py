@@ -74,7 +74,8 @@ def _iter_fields(grid: Grid, seed: int, family: str, steady=None):
             vals = steady.values * (1.0 + 0.3 * bump)
             f = SpectralField(grid, values=vals / (np.sum(vals) * grid.dx**grid.d))
         f = band_limit(f)
-        yield f.with_values(np.clip(f.values, 0.0, None))
+        np.clip(f.values, 0.0, None, out=f.values)
+        yield f
 
 
 def generate_test_fields(grid: Grid, seed: int, family: str, steady=None):

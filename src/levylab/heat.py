@@ -12,11 +12,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
 from .errors import DegenerateField, InvalidAlpha, InvalidExponents
-from .spectral import SpectralField, apply_multiplier, lp_norm
+from .spectral import (SpectralField, _multiply_inverse, _riemann_norm,
+                       apply_multiplier, lp_norm)
 
 __all__ = [
     "heat_evolve",
@@ -171,22 +173,44 @@ class HypercontractivityReport:
     violated: bool
 
 
-def verify_hypercontractivity(
-    f: SpectralField, alpha: float, p: float, q: float, t: float
-) -> HypercontractivityReport:
+def verify_hypercontractivity(f: SpectralField, alpha, p, q, t):
     """||P_t f||_q / (||f||_p * bound), inf where the bound is 0 (as at a t
-    near the largest float); flags a violation above 1 + 1e-6."""
-    fp = lp_norm(f, p)
-    if fp == 0.0:
+    near the largest float); flags a violation above 1 + 1e-6.
+
+    Sequences of ``alpha``, ``p``, ``q`` and ``t`` give one report per tuple
+    of ``product(alpha, p, q, t)``, in that order; scalars give one report.
+    Every bound is checked before any transform.  ||f||_p is taken once per
+    p and P_t f once per (alpha, t), each into the same preallocated arrays.
+    """
+    one = all(np.ndim(x) == 0 for x in (alpha, p, q, t))
+    alphas, ps, qs, ts = ([x] if np.ndim(x) == 0 else list(x) for x in (alpha, p, q, t))
+    g = f.grid
+    work = np.empty(g.shape)
+    norms = [_riemann_norm(f.values, x, g, work) for x in ps]
+    if 0.0 in norms:
         raise DegenerateField("hypercontractivity ratio undefined for f = 0")
-    bound = ultracontractivity_constant(f.grid.d, alpha, p, q, t).bound
-    lhs = lp_norm(heat_evolve(f, alpha, t), q)
-    rhs = fp * bound
-    ratio = lhs / rhs if rhs else math.inf
-    return HypercontractivityReport(
-        alpha=alpha, p=p, q=q, t=t, lhs=lhs, rhs=rhs, ratio=ratio,
-        violated=not (ratio <= 1.0 + 1e-6),
-    )
+    sweep = list(product(*(range(len(x)) for x in (alphas, ps, qs, ts))))
+    bounds = [ultracontractivity_constant(g.d, alphas[i], ps[j], qs[k], ts[n]).bound
+              for i, j, k, n in sweep]
+    m = np.empty(g.half_shape)
+    spectrum = np.empty(g.half_shape, complex)
+    evolved = np.empty(g.shape)
+    lhs = {}
+    for i, n in product(range(len(alphas)), range(len(ts))):
+        np.multiply(g.symbol(alphas[i]), -ts[n], out=m)
+        np.exp(m, out=m)
+        _multiply_inverse(f.half_spectrum, m, spectrum, evolved)
+        for k, x in enumerate(qs):
+            lhs[i, k, n] = _riemann_norm(evolved, x, g, work)
+    reports = []
+    for (i, j, k, n), bound in zip(sweep, bounds):
+        rhs = norms[j] * bound
+        ratio = lhs[i, k, n] / rhs if rhs else math.inf
+        reports.append(HypercontractivityReport(
+            alpha=alphas[i], p=ps[j], q=qs[k], t=ts[n], lhs=lhs[i, k, n], rhs=rhs,
+            ratio=ratio, violated=not (ratio <= 1.0 + 1e-6),
+        ))
+    return reports[0] if one else reports
 
 
 @dataclass(frozen=True)
@@ -203,20 +227,29 @@ def kato_check(u: SpectralField, phi, dphi, alpha):
     evaluated at the grid values of u.  Passes when the largest pointwise
     excess stays below 1e-8 * (1 + max |rhs|).  Sequences of functions and
     of exponents give reports[i][j] for alpha[i] and phi[j], transforming
-    each phi(u) once and evaluating g_alpha[u] once per exponent.
+    each phi(u) once and evaluating g_alpha[u] once per exponent.  Every
+    exponent writes g_alpha[u], phi'(u) g_alpha[u] and g_alpha[phi(u)] into
+    the same preallocated arrays.
     """
     one_phi, one_alpha = callable(phi), np.ndim(alpha) == 0
     phis, dphis = ([phi], [dphi]) if one_phi else (phi, dphi)
-    composed = [u.with_values(p(u.values)) for p in phis]
+    composed = [u.with_values(p(u.values)).half_spectrum for p in phis]
     slopes = [dp(u.values) for dp in dphis]
+    g = u.grid
+    spectrum = np.empty(g.half_shape, complex)
+    lap_u, rhs, lap_w = (np.empty(g.shape) for _ in range(3))
     reports = []
     for a in [alpha] if one_alpha else alpha:
-        lap_u = fractional_laplacian(u, a).values
+        _check_alpha(a)
+        symbol = g.symbol(a)
+        _multiply_inverse(u.half_spectrum, symbol, spectrum, lap_u)
         row = []
         for w, slope in zip(composed, slopes):
-            rhs = slope * lap_u
-            viol = float(np.max(fractional_laplacian(w, a).values - rhs))
-            scale = 1.0 + float(np.max(np.abs(rhs)))
+            np.multiply(slope, lap_u, out=rhs)
+            _multiply_inverse(w, symbol, spectrum, lap_w)
+            lap_w -= rhs
+            viol = float(np.max(lap_w))
+            scale = 1.0 + float(np.max(np.abs(rhs, out=rhs)))
             row.append(KatoReport(viol, scale, viol <= 1e-8 * scale))
         reports.append(row[0] if one_phi else row)
     return reports[0] if one_alpha else reports

@@ -227,15 +227,30 @@ def apply_multiplier(f: SpectralField, m) -> SpectralField:
             f"the multiplier must have the rfftn half-spectrum shape "
             f"{g.half_shape}, got {np.shape(m)}"
         )
-    return SpectralField(g, values=np.fft.irfftn(
-        f.half_spectrum * m, s=g.shape, axes=range(g.d)))
+    return SpectralField(g, values=_multiply_inverse(
+        f.half_spectrum, m, np.empty(g.half_shape, complex), np.empty(g.shape)))
+
+
+def _multiply_inverse(half, m, spectrum, out):
+    """``irfftn`` of ``half * m`` into the real grid array ``out``, with the
+    product in the complex half-spectrum array ``spectrum``: a caller that
+    passes the same two arrays on every call reuses them."""
+    np.multiply(half, m, out=spectrum)
+    return np.fft.irfftn(spectrum, s=out.shape, axes=range(out.ndim), out=out)
 
 
 def lp_norm(f: SpectralField, p) -> float:
     """Riemann-sum L^p norm; max |f| for p = inf."""
-    if p == np.inf:
-        return float(np.max(np.abs(f.values)))
+    return _riemann_norm(f.values, p, f.grid)
+
+
+def _riemann_norm(values, p, grid, out=None):
+    """``lp_norm`` of grid values, taking |values|^p in ``out`` (a real grid
+    array, overwritten) or, without one, in a fresh array."""
     if p < 1:
         raise InvalidExponent(f"L^p norm needs p >= 1, got {p}")
-    g = f.grid
-    return float(np.sum(np.abs(f.values) ** p) * g.dx**g.d) ** (1.0 / p)
+    v = np.abs(values, out=out)
+    if p == np.inf:
+        return float(np.max(v))
+    v **= p
+    return float(np.sum(v) * grid.dx**grid.d) ** (1.0 / p)

@@ -28,7 +28,8 @@ def workloads():
 
 
 @pytest.mark.filterwarnings("ignore::levylab.errors.InterpolationDegradation")
-@pytest.mark.parametrize("name", ["quadrature-route", "jump-lsi"])
+@pytest.mark.parametrize("name", ["flow-decay", "jump-lsi", "quadrature-route",
+                                  "heat-sweep-d2"])
 def test_every_operation_passes_its_check(workloads, name, tmp_path):
     ops = workloads.WORKLOADS[name](tmp_path, 1)
     assert ops

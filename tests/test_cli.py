@@ -349,6 +349,19 @@ class TestExitCodes:
         assert "config error:" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("flags, key", [
+        (["heat", "--q", "-inf"], "sweep.q"),
+        (["--seed", "-Infinity", "heat"], "seed"),
+    ], ids=["q", "seed"])
+    def test_flag_text_starting_with_a_dash_reaches_its_row(self, tmp_path, capsys,
+                                                            flags, key):
+        # argparse alone takes "-inf" for an option and exits with a usage error
+        out = tmp_path / "out"
+        assert main(["--out", str(out), *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {key} must be")
+        assert not out.exists()
+
     @pytest.mark.parametrize("flags", [["heat", "--input-csv"],
                                        ["decay", "--u0-csv"]],
                              ids=["heat", "decay"])
@@ -613,6 +626,24 @@ class TestKato:
         monkeypatch.setattr(cli, "generate_test_fields", counting)
         _, rows, _ = cli._RUNNERS[experiment](cfg)
         assert len(calls) == 1
+        assert rows == _rows_per_pair(cfg)
+
+    @pytest.mark.parametrize("d, M", [(1, 64), (2, 16)])
+    def test_heat_checks_each_field_in_one_call(self, d, M, monkeypatch):
+        cfg = load_config({"experiment": "heat", "grid": {"d": d, "L": 10.0, "M": M},
+                           "sweep": {"family": "bumps", "p": [2.0, 3.0],
+                                     "q": [4.0, 6.0]}, "seed": 5})
+        fields = []
+
+        def counting(f, *args):
+            fields.append(f)
+            return verify_hypercontractivity(f, *args)
+
+        monkeypatch.setattr(cli, "verify_hypercontractivity", counting)
+        _, rows, _ = cli._RUNNERS["heat"](cfg)
+        battery = generate_test_fields(cfg.grid, cfg.seed, "bumps")
+        assert [f.values.tobytes() for f in fields] == [
+            f.values.tobytes() for f in battery]
         assert rows == _rows_per_pair(cfg)
 
     # per battery of F fields, A exponents and P heat parameter tuples: the

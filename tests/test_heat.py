@@ -1,12 +1,17 @@
 """Fractional heat flow, smoothing bounds, and pointwise convexity checks."""
 
 import math
+import tracemalloc
+from dataclasses import astuple
+from itertools import product
 
 import numpy as np
 import pytest
 
 from levylab import (
     SpectralField,
+    cli,
+    gaussian_field,
     heat_evolve,
     half_operator_norm,
     kato_check,
@@ -18,7 +23,7 @@ from levylab import (
 )
 from levylab.errors import DegenerateField, InvalidAlpha, InvalidExponents
 from levylab.fields import generate_test_fields
-from levylab.heat import fractional_laplacian
+from levylab.heat import HypercontractivityReport, fractional_laplacian
 from levylab.spectral import Grid, apply_multiplier
 
 from conftest import gaussian
@@ -187,6 +192,118 @@ class TestVerifyHypercontractivity:
         assert rep.rhs == 0.0
         assert rep.ratio == math.inf
         assert rep.violated
+
+
+def _same(got, want):
+    """Reports equal field by field, a NaN matching a NaN."""
+    assert type(got) is type(want)
+    for x, y in zip(astuple(got), astuple(want), strict=True):
+        assert x == y or (x != x and y != y), (got, want)
+
+
+def _by_parts(f, alpha, p, q, t):
+    """The scalar check as it stood before the sweep, P_t f by heat_evolve."""
+    rhs = lp_norm(f, p) * ultracontractivity_constant(f.grid.d, alpha, p, q, t).bound
+    lhs = lp_norm(heat_evolve(f, alpha, t), q)
+    ratio = lhs / rhs if rhs else math.inf
+    return HypercontractivityReport(alpha, p, q, t, lhs, rhs, ratio,
+                                    not (ratio <= 1.0 + 1e-6))
+
+
+def _peak(call):
+    """The peak of traced memory, in bytes, while ``call`` runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestHypercontractivitySweep:
+    # on M = 8 and L = 20 every |xi| is below 1, so t = 1e308 keeps t |xi|^alpha
+    # finite while the bound is 0 (ratio inf); a NaN time gives a NaN ratio
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("sweep, special", [
+        (([0.5, 1.0, 2.0], [2.0], [2.0, 4.0, np.inf], [0.5, 1e308, math.nan]), True),
+        (([1.5], [2.0, 3.0], [3.0, 4.0], [0.25, 2.0]), False),
+    ], ids=["q-inf", "p-3"])
+    def test_equals_the_scalar_calls(self, d, sweep, special):
+        f = gaussian_field(Grid(d, 20.0, 8), 0.8, 1.0)
+        reports = verify_hypercontractivity(f, *sweep)
+        for rep, args in zip(reports, product(*sweep), strict=True):
+            _same(rep, verify_hypercontractivity(f, *args))
+            _same(rep, _by_parts(f, *args))
+        ratios = [r.ratio for r in reports]
+        if special:
+            assert math.inf in ratios and any(math.isnan(r) for r in ratios)
+
+    @pytest.mark.parametrize("d, M", [(1, 512), (2, 64)])
+    def test_equals_the_scalar_calls_on_a_battery(self, d, M):
+        sweep = ([0.5, 1.0, 1.5, 2.0], [2.0], [4.0, np.inf], [0.25, 1.0, 4.0])
+        for f in generate_test_fields(Grid(d, 10.0, M), 3, "bumps"):
+            reports = verify_hypercontractivity(f, *sweep)
+            for rep, args in zip(reports, product(*sweep), strict=True):
+                _same(rep, verify_hypercontractivity(f, *args))
+                _same(rep, _by_parts(f, *args))
+
+    def test_a_scalar_call_is_a_sweep_of_one(self, grid1):
+        f = gaussian(grid1)
+        [rep] = verify_hypercontractivity(f, [1.0], [2.0], [4.0], [0.5])
+        _same(verify_hypercontractivity(f, 1.0, 2.0, 4.0, 0.5), rep)
+
+    def test_zero_field_raises(self, coarse_grid):
+        f = SpectralField(coarse_grid, values=np.zeros(coarse_grid.shape))
+        with pytest.raises(DegenerateField):
+            verify_hypercontractivity(f, [1.0, 2.0], [2.0], [4.0], [0.5, 1.0])
+
+    @pytest.mark.parametrize("p, q", [([2.0, 3.0], [np.inf]), ([2.0], [4.0, 1.5])])
+    def test_bad_exponents_raise_before_any_transform(self, p, q, grid1, monkeypatch):
+        calls = []
+        monkeypatch.setattr(np.fft, "irfftn", lambda *a, **k: calls.append(a))
+        with pytest.raises(InvalidExponents):
+            verify_hypercontractivity(gaussian(grid1), [1.0], p, q, [0.5])
+        assert calls == []
+
+
+class TestWorkingSet:
+    """A sweep reuses its arrays: its peak memory does not grow with its length."""
+
+    ALPHAS = [0.5, 1.0, 1.5, 2.0]
+
+    @pytest.fixture
+    def field(self):
+        g = Grid(2, 20.0, 128)
+        for a in self.ALPHAS:
+            g.symbol(a)
+        f = generate_test_fields(g, 1, "bumps")[0]
+        f.half_spectrum
+        return f
+
+    def test_hypercontractivity_sweep(self, field):
+        def run(alphas, ts):
+            return lambda: verify_hypercontractivity(field, alphas, [2.0], [4.0], ts)
+
+        run(self.ALPHAS, [1.0])()
+        one = _peak(run(self.ALPHAS[:1], [0.25]))
+        twelve = _peak(run(self.ALPHAS, [0.25, 1.0, 4.0]))
+        assert twelve <= one + 0.5 * field.values.nbytes
+
+    def test_kato_sweep(self, field):
+        names = sorted(cli._KATO_PHIS)
+        phis, dphis = zip(*(cli._KATO_PHIS[n] for n in names))
+
+        def run(alphas, k):
+            return lambda: kato_check(field, phis[:k], dphis[:k], alphas)
+
+        run(self.ALPHAS, 2)()
+        grid_bytes = field.values.nbytes
+        four = _peak(run(self.ALPHAS, 2))
+        assert four <= _peak(run(self.ALPHAS[:1], 2)) + 0.5 * grid_bytes
+        # each further function holds its transformed phi(u) and its phi'(u)
+        # across the exponents, and nothing else
+        held = field.half_spectrum.nbytes + grid_bytes
+        assert four <= _peak(run(self.ALPHAS[:1], 1)) + held + 0.5 * grid_bytes
 
 
 class TestKato:

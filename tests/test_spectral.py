@@ -1,6 +1,7 @@
 """Grid transforms, multipliers, norms, and shared quadrature."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from levylab import (
     steady_exponent,
 )
 from levylab.errors import InvalidExponent, QuadratureFailure
-from levylab.fields import band_limit
+from levylab.fields import band_limit, generate_test_fields
 from levylab.heat import fractional_laplacian, half_operator_norm, heat_evolve
 from levylab.quadrature import integrate_scaled
 
@@ -291,6 +292,26 @@ class TestLpNorm:
         with pytest.raises(InvalidExponent):
             lp_norm(f, 0.5)
 
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("p", [1, 1.5, 2, 3, 4.0, np.inf])
+    def test_is_the_riemann_sum_bitwise(self, d, p):
+        # the two-temporary expression it replaced, on a field of both signs
+        g = Grid(d, 5.0, 32)
+        v = np.random.default_rng(4).normal(size=g.shape)
+        want = (float(np.max(np.abs(v))) if p == np.inf
+                else float(np.sum(np.abs(v) ** p) * g.dx**g.d) ** (1.0 / p))
+        assert lp_norm(SpectralField(g, v), p) == want
+
+    def test_takes_one_grid_size_temporary(self):
+        f = gaussian_field(Grid(2, 10.0, 128))
+        tracemalloc.start()
+        try:
+            lp_norm(f, 3.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert f.values.nbytes <= peak < 1.5 * f.values.nbytes
+
     def test_refinement_stability(self):
         # doubling M barely moves the norm of a concentrated smooth field
         vals = []
@@ -337,3 +358,14 @@ def test_csv_round_trip(tmp_path, coarse_grid):
     f.to_csv(path)
     back = SpectralField.from_csv(coarse_grid, path)
     np.testing.assert_array_equal(back.values, f.values)
+
+
+@pytest.mark.parametrize("d, M", [(1, 128), (2, 32)])
+def test_battery_is_the_clipped_band_limit_bitwise(d, M):
+    # the gaussians battery has no random draws, so each field can be rebuilt
+    g = Grid(d, 10.0, M)
+    battery = generate_test_fields(g, 0, "gaussians")
+    for k, f in enumerate(battery):
+        raw = gaussian_field(g, (0.25, 1.0, 4.0)[k // 3], (-2.0, 0.0, 2.0)[k % 3])
+        want = np.clip(band_limit(raw).values, 0.0, None)
+        assert f.values.tobytes() == want.tobytes()
