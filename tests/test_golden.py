@@ -4,7 +4,8 @@ Each directory under ``tests/golden`` holds a ``config.json``, the exit code
 and the ``results.csv`` / ``summary.json`` a reference run produced.  The
 runs are re-executed and every numeric cell compared at rtol 1e-12, with an
 absolute floor of 1e-15 for cells at round-off level; text cells must match
-exactly.
+exactly.  A reference that holds only ``config.json`` and ``exit_code``
+records a run that writes no results, and the re-run must write none either.
 """
 
 import csv
@@ -20,9 +21,12 @@ from levylab.errors import InterpolationDegradation
 GOLDEN = Path(__file__).parent / "golden"
 RTOL = 1e-12
 ATOL = 1e-15
-# runs whose initial field has not decayed at the Nyquist edge of the flow:
-# the warning is part of the recorded behaviour
-WARNS = {"fp_d2_stable15": InterpolationDegradation}
+# the warning is part of the recorded behaviour: the initial fields that
+# fp_d2_stable15 and all_d2 evolve have not decayed at the Nyquist edge of the
+# flow, and t = 1e308 overflows t |xi|^alpha on the default grid
+WARNS = {"fp_d2_stable15": InterpolationDegradation,
+         "all_d2": InterpolationDegradation,
+         "heat_sweep_inf_t_exit3": RuntimeWarning}
 
 
 def _numeric(text):
@@ -75,6 +79,10 @@ def test_golden_cli_run(name, tmp_path):
     with pytest.warns(warning) if warning else nullcontext():
         rc = main(["--config", str(ref / "config.json"), "--out", str(out)])
     assert rc == int((ref / "exit_code").read_text())
+    if not (ref / "results.csv").exists():
+        assert not (out / "results.csv").exists()
+        assert not (out / "summary.json").exists()
+        return
 
     got_rows = _read_csv(out / "results.csv")
     want_rows = _read_csv(ref / "results.csv")
