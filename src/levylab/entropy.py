@@ -49,7 +49,6 @@ class PhiFunction:
     phi: Callable
     dphi: Callable
     d2phi: Callable
-    admissible: bool
     name: str = "phi"
 
     @classmethod
@@ -62,7 +61,6 @@ class PhiFunction:
             phi=f,
             dphi=lambda x: np.log(x) + 1.0,
             d2phi=lambda x: 1.0 / np.asarray(x, dtype=float),
-            admissible=True,
             name="xlogx",
         )
 
@@ -72,7 +70,6 @@ class PhiFunction:
             phi=lambda x: 0.5 * np.asarray(x, dtype=float) ** 2,
             dphi=lambda x: np.asarray(x, dtype=float),
             d2phi=lambda x: np.ones_like(np.asarray(x, dtype=float)),
-            admissible=True,
             name="quadratic",
         )
 
@@ -248,6 +245,7 @@ def dissipation(
 ):
     """Gaussian and jump dissipation magnitudes of the entropy flow.
 
+    ``v`` is a SpectralField or an array of values on the grid of ``mu``.
     gaussian = int Phi''(v) grad v . sigma grad v dmu (finite-difference
     gradient); jump = int int D(v(x), v(x+z)) N(z) dz dmu(x), the z-integral
     on the grid's own lattice out to |z|_inf <= z_extent * L with periodic
@@ -263,9 +261,8 @@ def dissipation(
     Taylor proxy (1/2) Phi''(v) (z . grad v)^2 against the small-ball
     moment of N.
     """
-    field = v if isinstance(v, SpectralField) else SpectralField(mu.grid, values=v)
-    g = field.grid
-    vals = field.values
+    g = mu.grid
+    vals = _values(v)
     cell = g.dx**g.d
     grads = _fd_gradient(vals, g)
 
@@ -308,8 +305,6 @@ def modified_lsi_check(
     caller asserts ratio <= 1 + 1e-6.  Entropy without dissipation has
     ratio inf, a failure.
     """
-    if isinstance(mu, SteadyState):
-        mu = WeightedMeasure.from_field(mu.density)
     ent = phi_entropy(v, mu, phi)
     gauss, jump = dissipation(v, mu, triplet_of_mu, phi, z_extent)
     rhs = gauss + jump
@@ -346,40 +341,44 @@ def entropy_production_check(
     triplet: LevyTriplet,
     phi: PhiFunction,
     t: float,
-    dt: float,
+    dt: Sequence[float],
     steady: SteadyState,
     tol: float = 1e-10,
     z_extent: int = 2,
-) -> ProductionReport:
-    """Centered finite difference of the entropy against its dissipation.
+) -> list[ProductionReport]:
+    """Centered finite differences of the entropy against its dissipation.
 
-    The report's residual is |d/dt Ent + gaussian + jump| / (1 + dissipation),
+    Returns a list with one report per step in the sequence ``dt``.  A
+    report's residual is |d/dt Ent + gaussian + jump| / (1 + dissipation),
     which passes when below max(1e-4, 10 dt^2 scale); its relative residual
-    divides by the dissipation alone.
+    divides by the dissipation alone.  u0 is evolved once per distinct time
+    t +- dt and once to t, where the dissipation is taken once for all steps.
     """
     mu = WeightedMeasure.from_field(steady.density)
-    ratio = {
-        tau: _ratio_field(fp_evolve(u0, triplet, tau, tol), steady)
-        for tau in (t - dt, t, t + dt)
-    }
-    fd = (phi_entropy(ratio[t + dt], mu, phi)
-          - phi_entropy(ratio[t - dt], mu, phi)) / (2.0 * dt)
 
-    v_t = SpectralField(u0.grid, values=ratio[t])
-    gauss, jump = dissipation(v_t, mu, triplet, phi, z_extent)
+    def ratio(tau):
+        return _ratio_field(fp_evolve(u0, triplet, tau, tol), steady)
+
+    ent = {tau: phi_entropy(ratio(tau), mu, phi)
+           for tau in dict.fromkeys(x for h in dt for x in (t - h, t + h))}
+    gauss, jump = dissipation(ratio(t), mu, triplet, phi, z_extent)
     diss = gauss + jump
-    imbalance = abs(fd + diss)
-    residual = imbalance / (1.0 + diss)
-    scale = max(abs(fd), diss, 1.0)
-    return ProductionReport(
-        residual=residual,
-        finite_difference=fd,
-        gaussian_part=gauss,
-        jump_part=jump,
-        passed=residual < max(1e-4, 10.0 * dt**2 * scale),
-        relative_residual=(imbalance / diss if diss
-                           else math.inf if imbalance else 0.0),
-    )
+    reports = []
+    for h in dt:
+        fd = (ent[t + h] - ent[t - h]) / (2.0 * h)
+        imbalance = abs(fd + diss)
+        residual = imbalance / (1.0 + diss)
+        scale = max(abs(fd), diss, 1.0)
+        reports.append(ProductionReport(
+            residual=residual,
+            finite_difference=fd,
+            gaussian_part=gauss,
+            jump_part=jump,
+            passed=residual < max(1e-4, 10.0 * h**2 * scale),
+            relative_residual=(imbalance / diss if diss
+                               else math.inf if imbalance else 0.0),
+        ))
+    return reports
 
 
 @dataclass(frozen=True)
@@ -394,13 +393,13 @@ class DecayReport:
 def decay_track(
     u0: SpectralField,
     triplet: LevyTriplet,
-    phi: PhiFunction | Sequence[PhiFunction],
+    phi: Sequence[PhiFunction],
     times: Sequence[float],
     C: float,
     steady: SteadyState,
     tol: float = 1e-10,
     rel_tol: float = 1e-6,
-) -> DecayReport | list[DecayReport]:
+) -> list[DecayReport]:
     """Entropy trajectory with a fitted log-linear rate and bound violations.
 
     A time t violates the bound when Ent(t) exceeds
@@ -410,19 +409,17 @@ def decay_track(
     violate nothing and, like every entropy below 1e-12 Ent(0) or its own
     round-off, are left out of the rate fit.  A NaN entropy violates the
     bound.  ``fitted_rate`` is NaN when fewer than two entropies are usable.
-    ``phi`` is one PhiFunction, giving one DecayReport, or a sequence of
-    them, giving one report per Phi: the flow does not depend on Phi, so u0
-    is evolved and divided by u_inf once per time for all of them, one time
-    after another, so only one time's ratio is held at once.
+    ``phi`` is a sequence of PhiFunction, and the result a list with one
+    report per Phi: the flow does not depend on Phi, so u0 is evolved and
+    divided by u_inf once per time for all of them, one time after another,
+    so only one time's ratio is held at once.
     """
-    one_phi = isinstance(phi, PhiFunction)
-    phis = [phi] if one_phi else list(phi)
     mu = WeightedMeasure.from_field(steady.density)
     times = [0.0] + [t for t in times if t > 0.0]
-    per_phi = [([], []) for _ in phis]  # (entropies, round-off floors)
+    per_phi = [([], []) for _ in phi]  # (entropies, round-off floors)
     for t in times:
         v = _ratio_field(fp_evolve(u0, triplet, t, tol) if t > 0 else u0, steady)
-        for p, (e, f) in zip(phis, per_phi):
+        for p, (e, f) in zip(phi, per_phi):
             e.append(phi_entropy(v, mu, p))
             f.append(_entropy_roundoff(v, mu, p))
     reports = []
@@ -447,4 +444,4 @@ def decay_track(
         reports.append(DecayReport(times=list(times), entropies=ents,
                                    fitted_rate=fitted, bound_rate=1.0 / C,
                                    violations=violations))
-    return reports[0] if one_phi else reports
+    return reports

@@ -463,7 +463,7 @@ def _tau_factor(z):
     return np.arctan(z) / z - 1.0 / (1.0 + z2)
 
 
-def drift_correction(nu, tol: float = 1e-8) -> np.ndarray:
+def drift_correction(nu, tol: float = 1e-10) -> np.ndarray:
     """b_A: the drift shift between the flow's exponent and its Levy form.
 
     Vanishes identically for even densities (odd integrand in z).  A
@@ -503,9 +503,10 @@ def build_steady_state(
         )
     mass = grid.integrate(vals)
     nu = triplet.nu
+    b_A = np.zeros(triplet.d) if nu is None else drift_correction(nu, tol)
     return SteadyState(
         density=SpectralField(grid, values=np.clip(vals, 0.0, None) / mass),
-        drift_correction=np.zeros(triplet.d) if nu is None else drift_correction(nu),
+        drift_correction=b_A,
         mass_defect=abs(mass - 1.0),
         log_tail=tail.value,
     )

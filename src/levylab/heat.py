@@ -94,30 +94,27 @@ def lsi_constant(n: int, alpha: float) -> float:
 def lsi_gap(f: SpectralField, alpha):
     """Both sides of the Euclidean log-Sobolev inequality at unit L2 norm.
 
-    Returns (lhs, rhs) with lhs = Ent_dx(f^2) and
+    Returns a list with one pair (lhs, rhs) per exponent in the sequence
+    ``alpha``: lhs = Ent_dx(f^2) and
     rhs = (n/alpha) log(A * int (g_{alpha/2}[f])^2 dx); the caller asserts
-    lhs <= rhs.  The field is renormalized to unit L2 norm if needed.  For a
-    sequence of exponents the result is one pair per exponent, from one
-    renormalized field, one transform and one lhs.
+    lhs <= rhs.  The field is renormalized to unit L2 norm if needed, and
+    transformed and its lhs taken once for the whole sequence.
     """
-    one_alpha = np.ndim(alpha) == 0
-    alphas = [alpha] if one_alpha else alpha
     n = f.grid.d
     nrm = lp_norm(f, 2)
     if nrm == 0.0:
         raise DegenerateField("cannot renormalize the zero field")
     if abs(nrm - 1.0) > 1e-8:
         f = f.with_values(f.values / nrm)
-    energies = [half_operator_norm(f, a) for a in alphas]
+    energies = [half_operator_norm(f, a) for a in alpha]
     if any(e <= 0.0 for e in energies):
         raise DegenerateField("field has no Dirichlet energy")
     v2 = f.values**2
     # f^2 log f^2 -> 0 continuously at zeros of f
     logs = np.where(v2 > 1e-300, np.log(np.where(v2 > 1e-300, v2, 1.0)), 0.0)
     lhs = float(np.sum(v2 * logs) * f.grid.dx**n)
-    gaps = [(lhs, (n / a) * math.log(lsi_constant(n, a) * e))
-            for a, e in zip(alphas, energies)]
-    return gaps[0] if one_alpha else gaps
+    return [(lhs, (n / a) * math.log(lsi_constant(n, a) * e))
+            for a, e in zip(alpha, energies)]
 
 
 @dataclass(frozen=True)
@@ -177,40 +174,38 @@ def verify_hypercontractivity(f: SpectralField, alpha, p, q, t):
     """||P_t f||_q / (||f||_p * bound), inf where the bound is 0 (as at a t
     near the largest float); flags a violation above 1 + 1e-6.
 
-    Sequences of ``alpha``, ``p``, ``q`` and ``t`` give one report per tuple
-    of ``product(alpha, p, q, t)``, in that order; scalars give one report.
-    Every bound is checked before any transform.  ||f||_p is taken once per
-    p and P_t f once per (alpha, t), each into the same preallocated arrays.
+    ``alpha``, ``p``, ``q`` and ``t`` are sequences.  Returns a list with one
+    report per tuple of ``product(alpha, p, q, t)``, in that order.  Every
+    bound is checked before any transform.  ||f||_p is taken once per p and
+    P_t f once per (alpha, t), each into the same preallocated arrays.
     """
-    one = all(np.ndim(x) == 0 for x in (alpha, p, q, t))
-    alphas, ps, qs, ts = ([x] if np.ndim(x) == 0 else list(x) for x in (alpha, p, q, t))
     g = f.grid
     work = np.empty(g.shape)
-    norms = [_riemann_norm(f.values, x, g, work) for x in ps]
+    norms = [_riemann_norm(f.values, x, g, work) for x in p]
     if 0.0 in norms:
         raise DegenerateField("hypercontractivity ratio undefined for f = 0")
-    sweep = list(product(*(range(len(x)) for x in (alphas, ps, qs, ts))))
-    bounds = [ultracontractivity_constant(g.d, alphas[i], ps[j], qs[k], ts[n]).bound
+    sweep = list(product(*(range(len(x)) for x in (alpha, p, q, t))))
+    bounds = [ultracontractivity_constant(g.d, alpha[i], p[j], q[k], t[n]).bound
               for i, j, k, n in sweep]
     m = np.empty(g.half_shape)
     spectrum = np.empty(g.half_shape, complex)
     evolved = np.empty(g.shape)
     lhs = {}
-    for i, n in product(range(len(alphas)), range(len(ts))):
-        np.multiply(g.symbol(alphas[i]), -ts[n], out=m)
+    for i, n in product(range(len(alpha)), range(len(t))):
+        np.multiply(g.symbol(alpha[i]), -t[n], out=m)
         np.exp(m, out=m)
         _multiply_inverse(f.half_spectrum, m, spectrum, evolved)
-        for k, x in enumerate(qs):
+        for k, x in enumerate(q):
             lhs[i, k, n] = _riemann_norm(evolved, x, g, work)
     reports = []
     for (i, j, k, n), bound in zip(sweep, bounds):
         rhs = norms[j] * bound
         ratio = lhs[i, k, n] / rhs if rhs else math.inf
         reports.append(HypercontractivityReport(
-            alpha=alphas[i], p=ps[j], q=qs[k], t=ts[n], lhs=lhs[i, k, n], rhs=rhs,
+            alpha=alpha[i], p=p[j], q=q[k], t=t[n], lhs=lhs[i, k, n], rhs=rhs,
             ratio=ratio, violated=not (ratio <= 1.0 + 1e-6),
         ))
-    return reports[0] if one else reports
+    return reports
 
 
 @dataclass(frozen=True)
@@ -223,23 +218,21 @@ class KatoReport:
 def kato_check(u: SpectralField, phi, dphi, alpha):
     """Pointwise check of g_alpha[phi(u)] <= phi'(u) g_alpha[u].
 
-    ``phi`` and ``dphi`` are the convex function and its derivative,
-    evaluated at the grid values of u.  Passes when the largest pointwise
-    excess stays below 1e-8 * (1 + max |rhs|).  Sequences of functions and
-    of exponents give reports[i][j] for alpha[i] and phi[j], transforming
-    each phi(u) once and evaluating g_alpha[u] once per exponent.  Every
-    exponent writes g_alpha[u], phi'(u) g_alpha[u] and g_alpha[phi(u)] into
-    the same preallocated arrays.
+    ``phi`` and ``dphi`` are sequences of convex functions and of their
+    derivatives, evaluated at the grid values of u, and ``alpha`` is a
+    sequence of exponents.  Returns reports[i][j] for alpha[i] and phi[j].
+    A pair passes when the largest pointwise excess stays below
+    1e-8 * (1 + max |rhs|).  Each phi(u) is transformed once and g_alpha[u]
+    evaluated once per exponent; every exponent writes g_alpha[u],
+    phi'(u) g_alpha[u] and g_alpha[phi(u)] into the same preallocated arrays.
     """
-    one_phi, one_alpha = callable(phi), np.ndim(alpha) == 0
-    phis, dphis = ([phi], [dphi]) if one_phi else (phi, dphi)
-    composed = [u.with_values(p(u.values)).half_spectrum for p in phis]
-    slopes = [dp(u.values) for dp in dphis]
+    composed = [u.with_values(p(u.values)).half_spectrum for p in phi]
+    slopes = [dp(u.values) for dp in dphi]
     g = u.grid
     spectrum = np.empty(g.half_shape, complex)
     lap_u, rhs, lap_w = (np.empty(g.shape) for _ in range(3))
     reports = []
-    for a in [alpha] if one_alpha else alpha:
+    for a in alpha:
         _check_alpha(a)
         symbol = g.symbol(a)
         _multiply_inverse(u.half_spectrum, symbol, spectrum, lap_u)
@@ -251,5 +244,5 @@ def kato_check(u: SpectralField, phi, dphi, alpha):
             viol = float(np.max(lap_w))
             scale = 1.0 + float(np.max(np.abs(rhs, out=rhs)))
             row.append(KatoReport(viol, scale, viol <= 1e-8 * scale))
-        reports.append(row[0] if one_phi else row)
-    return reports[0] if one_alpha else reports
+        reports.append(row)
+    return reports

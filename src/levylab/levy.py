@@ -450,6 +450,9 @@ def _tabulated_density(path, d):
         data = rows[1:]
     z = np.array([float(r[0]) for r in data])
     n = np.array([float(r[1]) for r in data])
+    if not (np.all(np.isfinite(z)) and np.all(np.isfinite(n)) and np.all(n >= 0)):
+        raise ValueError(f"density table {path} needs finite knots and finite, "
+                         "nonnegative values")
     order = np.argsort(z)
     z, n = z[order], n[order]
     radial = np.all(z > 0)

@@ -160,6 +160,20 @@ class TestExitCodes:
         assert "inf" in (out / "results.csv").read_text()
         assert strict_json((out / "summary.json").read_text())["results"]["unbounded"]
 
+    @pytest.mark.parametrize("rows", [
+        "0.5,1.0\n1.0,-0.2\n2.0,0.1\n",
+        "0.5,1.0\n1.0,nan\n2.0,0.1\n",
+        "0.5,1.0\n1.0,0.5\ninf,0.1\n",
+    ], ids=["negative-n", "nan-n", "inf-z"])
+    def test_malformed_table_exits_2_without_output(self, tmp_path, rows):
+        table = tmp_path / "nu.csv"
+        table.write_text(rows)
+        path = write_config(tmp_path / "c.json", experiment="steady", triplet={
+            "d": 1, "nu": {"kind": "tabulated", "table_path": str(table)}})
+        out = tmp_path / "out"
+        assert main(["--config", str(path), "--out", str(out)]) == 2
+        assert not out.exists()
+
     @pytest.mark.parametrize("experiment", ["heat", "euclidean-lsi", "kato", "all"])
     def test_perturbed_steady_without_steady_state_exits_2_without_output(
             self, tmp_path, experiment):
@@ -547,7 +561,7 @@ def strict_json(text):
 
 def _heat_row(pair, idx, f):
     alpha, p, q, t = pair
-    rep = verify_hypercontractivity(f, alpha=alpha, p=p, q=q, t=t)
+    [rep] = verify_hypercontractivity(f, alpha=[alpha], p=[p], q=[q], t=[t])
     return [alpha, p, q, t, idx, rep.lhs, rep.rhs, rep.ratio, int(not rep.violated)]
 
 

@@ -595,6 +595,15 @@ class TestDriftCorrection:
         val = drift_correction(nu)
         assert val[0] > 0.0
 
+    def test_steady_state_integrates_at_its_tol(self):
+        # at tol = 1e-6 the integral differs from its value at the default
+        nu = LevyDensity(kind="analytic", d=1, func=right_exponential, is_even=False)
+        tr = LevyTriplet(sigma=np.eye(1), b=np.zeros(1), nu=nu, d=1)
+        steady = build_steady_state(tr, Grid(1, 20.0, 64), 1e-6)
+        assert drift_correction(nu, 1e-6)[0] != drift_correction(nu)[0]
+        np.testing.assert_array_equal(steady.drift_correction,
+                                      drift_correction(nu, 1e-6))
+
 
 class TestLogTail:
     def test_stable_alpha_one(self):

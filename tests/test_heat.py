@@ -114,7 +114,7 @@ class TestLsiGap:
     @pytest.mark.parametrize("alpha", ALPHAS)
     def test_battery(self, alpha, grid1):
         for f in generate_test_fields(grid1, 7, "gaussians"):
-            lhs, rhs = lsi_gap(f, alpha)
+            [(lhs, rhs)] = lsi_gap(f, [alpha])
             assert lhs <= rhs + 1e-10 * max(1.0, abs(rhs))
 
     def test_gaussian_extremal_is_tight(self, grid1):
@@ -122,19 +122,19 @@ class TestLsiGap:
         f = SpectralField.from_function(
             grid1, lambda x: np.exp(-(x**2) / 2.0) / (2.0 * np.pi) ** 0.25
         )
-        lhs, rhs = lsi_gap(f, 2.0)
+        [(lhs, rhs)] = lsi_gap(f, [2.0])
         assert lhs <= rhs + 1e-10
         assert rhs - lhs < 5e-2
 
     def test_cauchy_bump(self, grid1):
         f = SpectralField.from_function(grid1, lambda x: 1.0 / (1.0 + x**2))
-        lhs, rhs = lsi_gap(f, 1.0)
+        [(lhs, rhs)] = lsi_gap(f, [1.0])
         assert lhs <= rhs
 
     def test_zero_field_rejected(self, coarse_grid):
         f = SpectralField(coarse_grid, values=np.zeros(coarse_grid.shape))
         with pytest.raises(DegenerateField):
-            lsi_gap(f, 1.0)
+            lsi_gap(f, [1.0])
 
 
 class TestUltracontractivity:
@@ -166,21 +166,22 @@ class TestUltracontractivity:
 
 class TestVerifyHypercontractivity:
     def test_gaussian(self, grid1):
-        rep = verify_hypercontractivity(gaussian(grid1), 2.0, 2.0, 4.0, 0.5)
+        [rep] = verify_hypercontractivity(gaussian(grid1), [2.0], [2.0], [4.0], [0.5])
         assert not rep.violated
 
     def test_semigroup_stability(self, grid1):
         f = heat_evolve(gaussian(grid1), 1.0, 0.3)
-        rep = verify_hypercontractivity(f, 1.0, 2.0, 4.0, 1.0)
+        [rep] = verify_hypercontractivity(f, [1.0], [2.0], [4.0], [1.0])
         assert not rep.violated
 
     def test_cauchy_bump_sup_norm(self, grid1):
         f = SpectralField.from_function(grid1, lambda x: 1.0 / (1.0 + x**2))
-        rep = verify_hypercontractivity(f, 1.0, 2.0, np.inf, 1.0)
+        [rep] = verify_hypercontractivity(f, [1.0], [2.0], [np.inf], [1.0])
         assert rep.ratio <= 1.0 + 1e-6
 
     def test_nan_ratio_is_a_violation(self, grid1):
-        rep = verify_hypercontractivity(gaussian(grid1), 2.0, 2.0, 4.0, math.nan)
+        [rep] = verify_hypercontractivity(gaussian(grid1), [2.0], [2.0], [4.0],
+                                          [math.nan])
         assert math.isnan(rep.ratio)
         assert rep.violated
 
@@ -188,7 +189,7 @@ class TestVerifyHypercontractivity:
         # 2 alpha t overflows at t = 1e308, so the bound is 0; on this grid
         # |xi| < 1, so t |xi|^alpha itself stays finite
         g = Grid(1, 20.0, 8)
-        rep = verify_hypercontractivity(gaussian(g), 1.0, 2.0, 4.0, 1e308)
+        [rep] = verify_hypercontractivity(gaussian(g), [1.0], [2.0], [4.0], [1e308])
         assert rep.rhs == 0.0
         assert rep.ratio == math.inf
         assert rep.violated
@@ -199,6 +200,12 @@ def _same(got, want):
     assert type(got) is type(want)
     for x, y in zip(astuple(got), astuple(want), strict=True):
         assert x == y or (x != x and y != y), (got, want)
+
+
+def _alone(f, *args):
+    """The report of one (alpha, p, q, t) tuple, checked as a sweep of one."""
+    [rep] = verify_hypercontractivity(f, *([x] for x in args))
+    return rep
 
 
 def _by_parts(f, alpha, p, q, t):
@@ -221,6 +228,9 @@ def _peak(call):
 
 
 class TestHypercontractivitySweep:
+    """A sweep equals its tuples checked one at a time: each alone, as a sweep
+    of one, and by parts."""
+
     # on M = 8 and L = 20 every |xi| is below 1, so t = 1e308 keeps t |xi|^alpha
     # finite while the bound is 0 (ratio inf); a NaN time gives a NaN ratio
     @pytest.mark.parametrize("d", [1, 2])
@@ -232,7 +242,7 @@ class TestHypercontractivitySweep:
         f = gaussian_field(Grid(d, 20.0, 8), 0.8, 1.0)
         reports = verify_hypercontractivity(f, *sweep)
         for rep, args in zip(reports, product(*sweep), strict=True):
-            _same(rep, verify_hypercontractivity(f, *args))
+            _same(rep, _alone(f, *args))
             _same(rep, _by_parts(f, *args))
         ratios = [r.ratio for r in reports]
         if special:
@@ -244,13 +254,8 @@ class TestHypercontractivitySweep:
         for f in generate_test_fields(Grid(d, 10.0, M), 3, "bumps"):
             reports = verify_hypercontractivity(f, *sweep)
             for rep, args in zip(reports, product(*sweep), strict=True):
-                _same(rep, verify_hypercontractivity(f, *args))
+                _same(rep, _alone(f, *args))
                 _same(rep, _by_parts(f, *args))
-
-    def test_a_scalar_call_is_a_sweep_of_one(self, grid1):
-        f = gaussian(grid1)
-        [rep] = verify_hypercontractivity(f, [1.0], [2.0], [4.0], [0.5])
-        _same(verify_hypercontractivity(f, 1.0, 2.0, 4.0, 0.5), rep)
 
     def test_zero_field_raises(self, coarse_grid):
         f = SpectralField(coarse_grid, values=np.zeros(coarse_grid.shape))
@@ -309,18 +314,19 @@ class TestWorkingSet:
 class TestKato:
     def test_constant_field(self, coarse_grid):
         u = SpectralField(coarse_grid, values=np.full(coarse_grid.shape, 2.0))
-        rep = kato_check(u, lambda v: v**2, lambda v: 2.0 * v, alpha=1.0)
+        [[rep]] = kato_check(u, [lambda v: v**2], [lambda v: 2.0 * v], alpha=[1.0])
         assert abs(rep.max_violation) < 1e-12
 
     def test_affine_equality(self, grid1):
         u = gaussian(grid1)
-        rep = kato_check(u, lambda v: 3.0 * v, lambda v: 3.0 + 0.0 * v, alpha=1.5)
+        [[rep]] = kato_check(u, [lambda v: 3.0 * v], [lambda v: 3.0 + 0.0 * v],
+                             alpha=[1.5])
         assert abs(rep.max_violation) < 1e-10
 
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
     def test_square_on_gaussian(self, alpha, grid1):
-        rep = kato_check(
-            gaussian(grid1), lambda v: v**2, lambda v: 2.0 * v, alpha=alpha
+        [[rep]] = kato_check(
+            gaussian(grid1), [lambda v: v**2], [lambda v: 2.0 * v], alpha=[alpha]
         )
         assert rep.passed
 
