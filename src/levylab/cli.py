@@ -9,9 +9,11 @@ A config is checked against one table of keys (``TABLE``) and the rules
 between keys (``RULES``) before anything runs.
 
 Exit codes: 0 success, 1 assertion failure (an inequality violated),
-2 malformed configuration, 3 numerical failure (quadrature breakdown, or a
-non-finite number bound for ``summary.json``, which is strict JSON; decay's
-undefined fitted rate is written as null).
+2 malformed configuration, 3 numerical failure (any other library error, such
+as a quadrature breakdown, or a non-finite number bound for ``summary.json``,
+which is strict JSON; decay's undefined fitted rate is written as null).
+Nothing is written before the summary is known; a run that exits 2 or 3
+leaves no ``--out`` directory.
 """
 
 from __future__ import annotations
@@ -34,14 +36,8 @@ from .entropy import (
     decay_track,
     modified_lsi_check,
 )
-from .errors import (
-    AssertionFailure,
-    ConfigError,
-    LevyLabError,
-    NumericalFailure,
-    QuadratureFailure,
-)
-from .fields import FAMILIES, _iter_fields, generate_test_fields
+from .errors import ConfigError, LevyLabError
+from .fields import FAMILIES, _bump, _iter_fields, generate_test_fields
 from .fokker_planck import build_steady_state, check_domination, fp_evolve, limit_density
 from .heat import kato_check, lsi_gap, verify_hypercontractivity
 from .levy import LevyTriplet, _tabulated_density, stable_density
@@ -53,17 +49,18 @@ def _battery(cfg: ExperimentConfig):
     return generate_test_fields(cfg.grid, cfg.seed, cfg.sweep["family"])
 
 
-def _verdicts(rows, worst_key: str, column: int, worst=max) -> dict:
-    """Summary of rows whose last cell is the 0/1 verdict."""
-    return {
-        "checked": len(rows),
-        "failures": sum(1 for r in rows if not r[-1]),
-        worst_key: worst(r[column] for r in rows) if rows else 0.0,
-    }
+def _verdicts(header, rows, worst_key: str, column: int, worst=max):
+    """The runner's return for rows whose last cell is the 0/1 verdict."""
+    failures = sum(1 for r in rows if not r[-1])
+    summary = {"checked": len(rows), "failures": failures,
+               worst_key: worst(r[column] for r in rows) if rows else 0.0}
+    return header, rows, summary, failures, {}
 
 
 # ---------------------------------------------------------------------------
-# experiment bodies: each takes the config and returns (header, rows, summary)
+# experiment bodies: each takes the config and returns (header, rows, summary,
+# failures, files), where failures counts the failed checks and files maps the
+# name of each extra output file to the field it holds; none writes a file
 
 
 def _run_heat(cfg: ExperimentConfig):
@@ -74,8 +71,8 @@ def _run_heat(cfg: ExperimentConfig):
                                          sweep["t"]) for f in fields]
     rows = [[r.alpha, r.p, r.q, r.t, idx, r.lhs, r.rhs, r.ratio, int(not r.violated)]
             for per_tuple in zip(*reports) for idx, r in enumerate(per_tuple)]
-    return (["alpha", "p", "q", "t", "field", "lhs", "rhs", "ratio", "pass"],
-            rows, _verdicts(rows, "worst_ratio", 7))
+    return _verdicts(["alpha", "p", "q", "t", "field", "lhs", "rhs", "ratio", "pass"],
+                     rows, "worst_ratio", 7)
 
 
 def _run_euclidean_lsi(cfg: ExperimentConfig):
@@ -86,8 +83,8 @@ def _run_euclidean_lsi(cfg: ExperimentConfig):
         for idx, (lhs, rhs) in enumerate(per_field):
             ok = lhs <= rhs + 1e-10 * max(1.0, abs(rhs))
             rows.append([alpha, idx, lhs, rhs, rhs - lhs, int(ok)])
-    return (["alpha", "field", "lhs", "rhs", "gap", "pass"],
-            rows, _verdicts(rows, "smallest_gap", 4, worst=min))
+    return _verdicts(["alpha", "field", "lhs", "rhs", "gap", "pass"],
+                     rows, "smallest_gap", 4, worst=min)
 
 
 _KATO_PHIS = {
@@ -110,8 +107,8 @@ def _run_kato(cfg: ExperimentConfig):
             for idx, rep in enumerate(row[j] for row in per_field):
                 rows.append([alpha, name, idx, rep.max_violation, rep.scale,
                              int(rep.passed)])
-    return (["alpha", "phi", "field", "max_violation", "scale", "pass"],
-            rows, _verdicts(rows, "worst_violation", 3))
+    return _verdicts(["alpha", "phi", "field", "max_violation", "scale", "pass"],
+                     rows, "worst_violation", 3)
 
 
 def _run_fp(cfg: ExperimentConfig):
@@ -126,13 +123,12 @@ def _run_fp(cfg: ExperimentConfig):
         rows.append([t, u.mass(), dist])
     summary = {"final_distance": rows[-1][2] if rows else 0.0,
                "mass_drift": max(abs(r[1] - u0.mass()) for r in rows)}
-    return (["t", "mass", "l1_distance_to_steady"], rows, summary)
+    return ["t", "mass", "l1_distance_to_steady"], rows, summary, 0, {}
 
 
 def _run_steady(cfg: ExperimentConfig):
     tr = cfg.triplet
     steady = build_steady_state(tr, cfg.grid, cfg.tol)
-    steady.density.to_csv(Path(cfg.output) / "steady_density.csv")
     dom = check_domination(tr.nu, tol=cfg.tol) if tr.nu is not None else None
     # build_steady_state raises Con1Violation when the log tail diverges
     report = {
@@ -144,14 +140,16 @@ def _run_steady(cfg: ExperimentConfig):
         "normalization_defect": steady.mass_defect,
     }
     rows = [[k, json.dumps(v)] for k, v in sorted(report.items())]
-    return (["key", "value"], rows, report)
+    return ["key", "value"], rows, report, 0, {"steady_density.csv": steady.density}
 
 
 def _run_check_conditions(cfg: ExperimentConfig):
     rep = check_domination(cfg.triplet.nu, tol=cfg.tol)
     rows = [[z, ratio] for z, ratio in rep.table]
     summary = {"C_est": rep.C_est, "unbounded": rep.unbounded}
-    return (["z", "ratio"], rows, summary)
+    # an undominated density (an infinite or runaway ratio) fails the
+    # domination condition
+    return ["z", "ratio"], rows, summary, int(rep.unbounded), {}
 
 
 def _run_decay(cfg: ExperimentConfig):
@@ -181,7 +179,7 @@ def _run_decay(cfg: ExperimentConfig):
             "violations": rep.violations,
         }
     summaries["violation_count"] = violations_total
-    return (["phi", "t", "entropy", "bound", "pass"], rows, summaries)
+    return ["phi", "t", "entropy", "bound", "pass"], rows, summaries, violations_total, {}
 
 
 def _run_check_lsi(cfg: ExperimentConfig):
@@ -193,22 +191,17 @@ def _run_check_lsi(cfg: ExperimentConfig):
     )
     mu = WeightedMeasure.from_field(steady.density)
     rng = np.random.default_rng(cfg.seed)
-    coords = cfg.grid.open_coords()
     rows = []
     for name in cfg.sweep["phi"]:
         phi = PHIS[name]()
         for idx in range(8):
-            center = float(rng.uniform(-2.0, 2.0))
-            width = float(rng.uniform(0.8, 2.0))
+            bump = _bump(cfg.grid, rng)
             amp = float(rng.uniform(0.2, 0.8))
-            r2 = sum((c - center) ** 2 for c in coords)
-            v = SpectralField(
-                cfg.grid, values=1.0 + amp * np.exp(-r2 / (2.0 * width**2))
-            )
+            v = SpectralField(cfg.grid, values=1.0 + amp * bump)
             ent, rhs, ratio = modified_lsi_check(v, mu, mu_triplet, phi)
             rows.append([name, idx, ent, rhs, ratio, int(ratio <= 1.0 + 1e-6)])
-    return (["phi", "field", "entropy", "rhs", "ratio", "pass"],
-            rows, _verdicts(rows, "worst_ratio", 4))
+    return _verdicts(["phi", "field", "entropy", "rhs", "ratio", "pass"],
+                     rows, "worst_ratio", 4)
 
 
 def _run_all(cfg: ExperimentConfig):
@@ -222,14 +215,15 @@ def _run_all(cfg: ExperimentConfig):
     ))
     rows = []
     summary = {}
+    failures = 0
     for name in ("heat", "euclidean-lsi", "kato", "fp", "check-conditions",
                  "decay", "check-lsi"):
         config = jump_sub if name == "check-conditions" else sub
-        header, sub_rows, sub_summary = _RUNNERS[name](config)
+        header, sub_rows, summary[name], sub_failures, _ = _RUNNERS[name](config)
+        failures += sub_failures
         for r in sub_rows:
             rows.append([name] + [f"{h}={_cell(v)}" for h, v in zip(header, r)])
-        summary[name] = sub_summary
-    return (["experiment", *(f"kv{i}" for i in range(9))], rows, summary)
+    return ["experiment", *(f"kv{i}" for i in range(9))], rows, summary, failures, {}
 
 
 _RUNNERS = {
@@ -546,16 +540,11 @@ def _write_results(out_dir: Path, header, rows):
 
 
 def run_experiment(cfg: ExperimentConfig) -> int:
-    """Execute the configured experiment; returns the exit status."""
+    """Execute the configured experiment and write its outputs; returns the
+    exit status, 0 or 1.  The ``--out`` directory is created only once the
+    summary is known to be strict JSON."""
     start = time.time()
-    out_dir = Path(cfg.output)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    try:
-        header, rows, summary = _RUNNERS[cfg.experiment](cfg)
-    except QuadratureFailure as exc:
-        raise NumericalFailure(str(exc)) from exc
-
-    failures = _count_failures(summary)
+    header, rows, summary, failures, files = _RUNNERS[cfg.experiment](cfg)
     summary_doc = {
         "experiment": cfg.experiment,
         "failures": failures,
@@ -565,7 +554,11 @@ def run_experiment(cfg: ExperimentConfig) -> int:
         summary_text = json.dumps(summary_doc, indent=2, sort_keys=True,
                                   default=str, allow_nan=False)
     except ValueError as exc:
-        raise NumericalFailure(f"non-finite value in the summary: {exc}") from exc
+        raise LevyLabError(f"non-finite value in the summary: {exc}") from exc
+    out_dir = Path(cfg.output)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, field in files.items():
+        field.to_csv(out_dir / name)
     results_path = _write_results(out_dir, header, rows)
     if cfg.out_csv is not None:
         Path(cfg.out_csv).parent.mkdir(parents=True, exist_ok=True)
@@ -579,24 +572,11 @@ def run_experiment(cfg: ExperimentConfig) -> int:
         fh.write(f"tol: {cfg.tol}\n")
         fh.write(f"sweep: {json.dumps(cfg.sweep, sort_keys=True, default=str)}\n")
         fh.write(f"wall_seconds: {time.time() - start:.3f}\n")
-    if failures:
-        raise AssertionFailure(f"{failures} assertion failure(s); see {out_dir}")
-    return 0
-
-
-def _count_failures(summary) -> int:
-    total = 0
-    if isinstance(summary, dict):
-        for key, val in summary.items():
-            if key in ("failures", "violation_count") and isinstance(val, int):
-                total += val
-            # an undominated density (an infinite or runaway ratio) fails
-            # the domination condition
-            elif key == "unbounded" and val is True:
-                total += 1
-            elif isinstance(val, dict):
-                total += _count_failures(val)
-    return total
+    if not failures:
+        return 0
+    print(f"assertion failure: {failures} assertion failure(s); see {out_dir}",
+          file=sys.stderr)
+    return 1
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -674,14 +654,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except NumericalFailure as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
-    except AssertionFailure as exc:
-        print(f"assertion failure: {exc}", file=sys.stderr)
-        return 1
     except LevyLabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 
 

@@ -88,23 +88,19 @@ class PhiFunction:
         if self.name == "xlogx" and np.any(b <= 0):
             raise DomainError("x log x Bregman distance needs b > 0")
 
-    def check_admissible(self, a_samples=None, b_samples=None, h=1e-5):
-        """Numerical convexity of (a, b) -> D(a+b, b) on the sampled quadrant.
+    def check_admissible(self, h=1e-5):
+        """Numerical convexity of (a, b) -> D(a+b, b) on a sampled quadrant.
 
         Returns the smallest Hessian eigenvalue seen; admissibility requires
         it to exceed -1e-10.
         """
-        if a_samples is None:
-            a_samples = np.array([-0.4, -0.1, 0.0, 0.2, 0.7, 1.5])
-        if b_samples is None:
-            b_samples = np.array([0.3, 0.8, 1.0, 2.5])
         worst = np.inf
 
         def g(a, b):
             return float(self.bregman(a + b, b))
 
-        for a in a_samples:
-            for b in b_samples:
+        for a in (-0.4, -0.1, 0.0, 0.2, 0.7, 1.5):
+            for b in (0.3, 0.8, 1.0, 2.5):
                 if a + b <= h or b <= h:
                     continue
                 faa = (g(a + h, b) - 2 * g(a, b) + g(a - h, b)) / h**2
@@ -398,12 +394,11 @@ def decay_track(
     C: float,
     steady: SteadyState,
     tol: float = 1e-10,
-    rel_tol: float = 1e-6,
 ) -> list[DecayReport]:
     """Entropy trajectory with a fitted log-linear rate and bound violations.
 
     A time t violates the bound when Ent(t) exceeds
-    exp(-t/C) Ent(0) (1 + rel_tol) by more than the round-off of the two
+    exp(-t/C) Ent(0) (1 + 1e-6) by more than the round-off of the two
     entropies (``_entropy_roundoff``, about 1e-14 for v near 1).  Steady
     initial data has Ent(0) = 0 and later entropies at round-off level; they
     violate nothing and, like every entropy below 1e-12 Ent(0) or its own
@@ -429,7 +424,7 @@ def decay_track(
         violations = [
             t
             for t, e, f in zip(times[1:], ents[1:], floors[1:])
-            if not e - f <= np.exp(-t / C) * (ent0 + floors[0]) * (1.0 + rel_tol)
+            if not e - f <= np.exp(-t / C) * (ent0 + floors[0]) * (1.0 + 1e-6)
         ]
         usable = [
             (t, e) for t, e, f in zip(times, ents, floors)

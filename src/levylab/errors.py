@@ -50,14 +50,6 @@ class ConfigError(LevyLabError, ValueError):
     """Malformed experiment configuration.  CLI exit code 2."""
 
 
-class NumericalFailure(LevyLabError):
-    """Escalated quadrature failure during an experiment.  CLI exit code 3."""
-
-
-class AssertionFailure(LevyLabError):
-    """An inequality assertion failed during an experiment.  CLI exit code 1."""
-
-
 class InterpolationDegradation(UserWarning):
     """Initial coefficients not decayed at the Nyquist edge; off-grid
     frequency interpolation may be inaccurate."""

@@ -28,10 +28,19 @@ def gaussian_field(grid: Grid, variance=1.0, center=0.0) -> SpectralField:
     return SpectralField(grid, values=vals)
 
 
-def band_limit(f: SpectralField, fraction: float = 0.8) -> SpectralField:
-    """Zero coefficients beyond fraction * Nyquist so differentiation is exact."""
-    mask = (f.grid.symbol(1.0) <= fraction * np.pi / f.grid.dx).astype(float)
+def band_limit(f: SpectralField) -> SpectralField:
+    """Zero coefficients beyond 0.8 Nyquist so differentiation is exact."""
+    mask = (f.grid.symbol(1.0) <= 0.8 * np.pi / f.grid.dx).astype(float)
     return apply_multiplier(f, mask)
+
+
+def _bump(grid: Grid, rng) -> np.ndarray:
+    """exp(-|x - c|^2 / 2w^2) on the grid, for c (the same on every axis) drawn
+    from U(-2, 2) and then w from U(0.8, 2)."""
+    center = float(rng.uniform(-2.0, 2.0))
+    width = float(rng.uniform(0.8, 2.0))
+    r2 = sum((x - center) ** 2 for x in grid.open_coords())
+    return np.exp(-r2 / (2.0 * width**2))
 
 
 def _iter_fields(grid: Grid, seed: int, family: str, steady=None):
@@ -67,11 +76,7 @@ def _iter_fields(grid: Grid, seed: int, family: str, steady=None):
             )
             f = SpectralField(grid, values=vals)
         else:
-            center = float(rng.uniform(-2.0, 2.0))
-            width = float(rng.uniform(0.8, 2.0))
-            r2 = sum((x - center) ** 2 for x in grid.open_coords())
-            bump = np.exp(-r2 / (2.0 * width**2))
-            vals = steady.values * (1.0 + 0.3 * bump)
+            vals = steady.values * (1.0 + 0.3 * _bump(grid, rng))
             f = SpectralField(grid, values=vals / (np.sum(vals) * grid.dx**grid.d))
         f = band_limit(f)
         np.clip(f.values, 0.0, None, out=f.values)

@@ -519,21 +519,17 @@ class DominationReport:
     unbounded: bool
 
 
-def check_domination(
-    nu, sample_points=None, tol: float = 1e-10
-) -> DominationReport:
+def check_domination(nu, tol: float = 1e-10) -> DominationReport:
     """Estimate the best constant C with N_inf <= C N on a log sample grid.
 
     Flags ``unbounded`` when a sampled ratio exceeds 1e6 or when the ratios
     grow monotonically across at least three decades at either end of the
-    grid.  The default grid spans |z| in [1e-6, 1e3]; the profile and N_inf
-    are evaluated on it as arrays.
+    grid.  The grid spans |z| in [1e-6, 1e3] at 3 samples per decade; the
+    profile and N_inf are evaluated on it as arrays.
     """
     if nu is None:
         return DominationReport(C_est=0.0, table=[], unbounded=False)
-    if sample_points is None:
-        sample_points = np.logspace(-6.0, 3.0, 28)
-    r = np.asarray(sample_points, dtype=float)
+    r = np.logspace(-6.0, 3.0, 28)
     n_val = _checked(nu.profile, r)
     n_inf = _tail_average(nu, r, tol)
     with np.errstate(divide="ignore", invalid="ignore"):

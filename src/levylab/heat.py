@@ -47,7 +47,10 @@ def heat_evolve(f: SpectralField, alpha: float, t: float) -> SpectralField:
         raise ValueError("time must be nonnegative")
     if t == 0:
         return f
-    return apply_multiplier(f, np.exp(-t * f.grid.symbol(alpha)))
+    # t |xi|^alpha may overflow to inf, whose exp(-inf) = 0 is right
+    with np.errstate(over="ignore"):
+        exponent = -t * f.grid.symbol(alpha)
+    return apply_multiplier(f, np.exp(exponent))
 
 
 def fractional_laplacian(f: SpectralField, alpha: float) -> SpectralField:
@@ -192,7 +195,8 @@ def verify_hypercontractivity(f: SpectralField, alpha, p, q, t):
     evolved = np.empty(g.shape)
     lhs = {}
     for i, n in product(range(len(alpha)), range(len(t))):
-        np.multiply(g.symbol(alpha[i]), -t[n], out=m)
+        with np.errstate(over="ignore"):  # to -inf, whose exp is the right 0
+            np.multiply(g.symbol(alpha[i]), -t[n], out=m)
         np.exp(m, out=m)
         _multiply_inverse(f.half_spectrum, m, spectrum, evolved)
         for k, x in enumerate(q):

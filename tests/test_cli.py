@@ -32,7 +32,7 @@ from levylab import (
     verify_hypercontractivity,
 )
 from levylab.cli import load_config, main
-from levylab.errors import ConfigError
+from levylab.errors import ConfigError, QuadratureFailure
 from levylab.fields import FAMILIES
 
 from conftest import full_freqs, log_tail_table
@@ -306,7 +306,7 @@ class TestExitCodes:
             # here is that its check-lsi part gets the table's triplet
             for name in ("heat", "euclidean-lsi", "kato", "fp",
                          "check-conditions", "decay"):
-                monkeypatch.setitem(cli._RUNNERS, name, lambda cfg: ([], [], {}))
+                monkeypatch.setitem(cli._RUNNERS, name, lambda cfg: ([], [], {}, 0, {}))
         out = tmp_path / "out"
         start = time.perf_counter()
         code = main(["--config", str(write_config(tmp_path / "c.json", **raw)),
@@ -499,18 +499,32 @@ class TestExitCodes:
                             sweep={"t": [1e308]})
         out = tmp_path / "out"
         assert main(["--config", str(path), "--out", str(out)]) == 3
-        assert not (out / "summary.json").exists()
+        assert not out.exists()
 
     def test_non_finite_summary_exits_3_without_summary(self, tmp_path, monkeypatch):
         def runner(cfg):
-            return ["x"], [[1.0]], {"worst_ratio": math.inf}
+            return ["x"], [[1.0]], {"worst_ratio": math.inf}, 0, {}
 
         monkeypatch.setitem(cli._RUNNERS, "heat", runner)
         out = tmp_path / "out"
         rc = main(["--config", str(write_config(tmp_path / "c.json")),
                    "--out", str(out)])
         assert rc == 3
-        assert not (out / "summary.json").exists()
+        assert not out.exists()
+
+    def test_quadrature_failure_exits_3_without_output(self, tmp_path, monkeypatch,
+                                                        capsys):
+        def runner(cfg):
+            raise QuadratureFailure("tolerance 1e-10 not reached")
+
+        monkeypatch.setitem(cli._RUNNERS, "heat", runner)
+        out = tmp_path / "out"
+        rc = main(["--config", str(write_config(tmp_path / "c.json")),
+                   "--out", str(out)])
+        assert rc == 3
+        assert capsys.readouterr().err == (
+            "numerical failure: tolerance 1e-10 not reached\n")
+        assert not out.exists()
 
 
 def _numbers(cell):
@@ -638,7 +652,7 @@ class TestKato:
             return generate_test_fields(*args, **kwargs)
 
         monkeypatch.setattr(cli, "generate_test_fields", counting)
-        _, rows, _ = cli._RUNNERS[experiment](cfg)
+        _, rows, *_ = cli._RUNNERS[experiment](cfg)
         assert len(calls) == 1
         assert rows == _rows_per_pair(cfg)
 
@@ -654,7 +668,7 @@ class TestKato:
             return verify_hypercontractivity(f, *args)
 
         monkeypatch.setattr(cli, "verify_hypercontractivity", counting)
-        _, rows, _ = cli._RUNNERS["heat"](cfg)
+        _, rows, *_ = cli._RUNNERS["heat"](cfg)
         battery = generate_test_fields(cfg.grid, cfg.seed, "bumps")
         assert [f.values.tobytes() for f in fields] == [
             f.values.tobytes() for f in battery]
@@ -737,7 +751,7 @@ class TestFlowRunners:
             return fp_evolve(u0, triplet, t, *args, **kwargs)
 
         monkeypatch.setattr(entropy, "fp_evolve", counting)
-        _, rows, _ = cli._RUNNERS["decay"](cfg)
+        _, rows, *_ = cli._RUNNERS["decay"](cfg)
         assert sorted(times) == [0.25, 0.5, 1.0, 2.0]
         assert len(rows) == 2 * 5
 
