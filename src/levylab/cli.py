@@ -66,9 +66,9 @@ def _verdicts(header, rows, worst_key: str, column: int, worst=max):
 def _run_heat(cfg: ExperimentConfig):
     fields = [cfg.input_field] if cfg.input_field is not None else _battery(cfg)
     sweep = cfg.sweep
-    # one sweep per field; the rows run over (alpha, p, q, t), field inner
-    reports = [verify_hypercontractivity(f, sweep["alpha"], sweep["p"], sweep["q"],
-                                         sweep["t"]) for f in fields]
+    # one sweep of the battery; the rows run over (alpha, p, q, t), field inner
+    reports = verify_hypercontractivity(fields, sweep["alpha"], sweep["p"], sweep["q"],
+                                        sweep["t"])
     rows = [[r.alpha, r.p, r.q, r.t, idx, r.lhs, r.rhs, r.ratio, int(not r.violated)]
             for per_tuple in zip(*reports) for idx, r in enumerate(per_tuple)]
     return _verdicts(["alpha", "p", "q", "t", "field", "lhs", "rhs", "ratio", "pass"],

@@ -24,7 +24,7 @@ import numpy as np
 from .errors import DomainError
 from .fokker_planck import SteadyState, fp_evolve
 from .levy import LevyDensity, LevyTriplet, _checked, _quadratic_form
-from .spectral import Grid, SpectralField
+from .spectral import Grid, SpectralField, _forward, _inverse
 
 __all__ = [
     "PhiFunction",
@@ -229,7 +229,7 @@ def _jump_kernel(nu: LevyDensity, grid: Grid, z_extent: int):
 
 def _correlate(f_hat, g_hat, shape):
     """Circular cross-correlation sum_x f(x) g(x + s) from real FFTs."""
-    return np.fft.irfftn(np.conj(f_hat) * g_hat, s=shape, axes=range(len(shape)))
+    return _inverse(np.conj(f_hat) * g_hat, np.empty(shape))
 
 
 def dissipation(
@@ -275,9 +275,8 @@ def dissipation(
     m = float(np.sum(vals * wmu) * cell)
     phi_v = phi.bregman(vals, m)
     dphi = phi.dphi(vals) - phi.dphi(m)
-    fft = np.fft.rfftn
-    corr = _correlate(fft(wmu), fft(phi_v - (vals - m) * dphi), g.shape)
-    corr += _correlate(fft(wmu * (vals - m)), fft(dphi), g.shape)
+    corr = _correlate(_forward(wmu), _forward(phi_v - (vals - m) * dphi), g.shape)
+    corr += _correlate(_forward(wmu * (vals - m)), _forward(dphi), g.shape)
     per_shift = float(np.sum(phi_v * wmu)) - corr
     jump = float(np.sum(W * per_shift)) * cell * g.dx**g.d
     # isotropic small-ball proxy: each direction carries 1/d of the moment

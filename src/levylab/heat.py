@@ -17,8 +17,7 @@ from itertools import product
 import numpy as np
 
 from .errors import DegenerateField, InvalidAlpha, InvalidExponents
-from .spectral import (SpectralField, _multiply_inverse, _riemann_norm,
-                       apply_multiplier, lp_norm)
+from .spectral import SpectralField, _inverse, _riemann_norm, apply_multiplier, lp_norm
 
 __all__ = [
     "heat_evolve",
@@ -66,11 +65,21 @@ def half_operator_norm(f: SpectralField, alpha: float) -> float:
     columns k = 1, ..., M/2 - 1 of the last axis stand for two frequencies
     each and the columns 0 and M/2 for one; |f^|^2 = dx^{2d} |rfftn f|^2.
     """
-    _check_alpha(alpha)
+    return next(_energies(f, [alpha]))
+
+
+def _energies(f: SpectralField, alpha):
+    """Yield ``half_operator_norm`` for each exponent in ``alpha``, with
+    |rfftn f|^2 taken once and each product written into the same array."""
     g = f.grid
-    p = g.symbol(alpha) * np.abs(f.half_spectrum) ** 2
-    total = 2.0 * np.sum(p) - np.sum(p[..., 0]) - np.sum(p[..., -1])
-    return float(total * g.dx ** (2 * g.d) * (g.dxi / (2.0 * np.pi)) ** g.d)
+    power = np.abs(f.half_spectrum)
+    np.square(power, out=power)
+    p = np.empty_like(power)
+    for a in alpha:
+        _check_alpha(a)
+        np.multiply(g.symbol(a), power, out=p)
+        total = 2.0 * np.sum(p) - np.sum(p[..., 0]) - np.sum(p[..., -1])
+        yield float(total * g.dx ** (2 * g.d) * (g.dxi / (2.0 * np.pi)) ** g.d)
 
 
 def lsi_constant(n: int, alpha: float) -> float:
@@ -101,7 +110,7 @@ def lsi_gap(f: SpectralField, alpha):
     ``alpha``: lhs = Ent_dx(f^2) and
     rhs = (n/alpha) log(A * int (g_{alpha/2}[f])^2 dx); the caller asserts
     lhs <= rhs.  The field is renormalized to unit L2 norm if needed, and
-    transformed and its lhs taken once for the whole sequence.
+    transformed, squared in modulus and its lhs taken once for the sequence.
     """
     n = f.grid.d
     nrm = lp_norm(f, 2)
@@ -109,13 +118,15 @@ def lsi_gap(f: SpectralField, alpha):
         raise DegenerateField("cannot renormalize the zero field")
     if abs(nrm - 1.0) > 1e-8:
         f = f.with_values(f.values / nrm)
-    energies = [half_operator_norm(f, a) for a in alpha]
+    energies = list(_energies(f, alpha))
     if any(e <= 0.0 for e in energies):
         raise DegenerateField("field has no Dirichlet energy")
     v2 = f.values**2
-    # f^2 log f^2 -> 0 continuously at zeros of f
-    logs = np.where(v2 > 1e-300, np.log(np.where(v2 > 1e-300, v2, 1.0)), 0.0)
-    lhs = float(np.sum(v2 * logs) * f.grid.dx**n)
+    # f^2 log f^2 -> 0 continuously at zeros of f, where log 1 = 0 stands in
+    ent = np.where(v2 > 1e-300, v2, 1.0)
+    np.log(ent, out=ent)
+    ent *= v2
+    lhs = float(np.sum(ent) * f.grid.dx**n)
     return [(lhs, (n / a) * math.log(lsi_constant(n, a) * e))
             for a, e in zip(alpha, energies)]
 
@@ -173,19 +184,29 @@ class HypercontractivityReport:
     violated: bool
 
 
-def verify_hypercontractivity(f: SpectralField, alpha, p, q, t):
+def _report(alpha, p, q, t, lhs, rhs):
+    ratio = lhs / rhs if rhs else math.inf
+    return HypercontractivityReport(alpha, p, q, t, lhs, rhs, ratio,
+                                    violated=not (ratio <= 1.0 + 1e-6))
+
+
+def verify_hypercontractivity(fields, alpha, p, q, t):
     """||P_t f||_q / (||f||_p * bound), inf where the bound is 0 (as at a t
     near the largest float); flags a violation above 1 + 1e-6.
 
-    ``alpha``, ``p``, ``q`` and ``t`` are sequences.  Returns a list with one
-    report per tuple of ``product(alpha, p, q, t)``, in that order.  Every
-    bound is checked before any transform.  ||f||_p is taken once per p and
-    P_t f once per (alpha, t), each into the same preallocated arrays.
+    ``fields`` is a sequence of fields on one grid (ValueError otherwise);
+    ``alpha``, ``p``, ``q`` and ``t`` are sequences.  Returns reports[h] for
+    fields[h]: one report per tuple of ``product(alpha, p, q, t)``, in that
+    order.  Every bound is checked before any transform.  ||f||_p is taken
+    once per (f, p), exp(-t |xi|^alpha) once per (alpha, t) for the battery
+    and P_t f once per (f, alpha, t), each into the same preallocated arrays.
     """
-    g = f.grid
+    g = fields[0].grid
+    if any(f.grid != g for f in fields):
+        raise ValueError("the fields of one sweep must share their grid")
     work = np.empty(g.shape)
-    norms = [_riemann_norm(f.values, x, g, work) for x in p]
-    if 0.0 in norms:
+    norms = [[_riemann_norm(f.values, x, g, work) for x in p] for f in fields]
+    if any(0.0 in row for row in norms):
         raise DegenerateField("hypercontractivity ratio undefined for f = 0")
     sweep = list(product(*(range(len(x)) for x in (alpha, p, q, t))))
     bounds = [ultracontractivity_constant(g.d, alpha[i], p[j], q[k], t[n]).bound
@@ -198,18 +219,12 @@ def verify_hypercontractivity(f: SpectralField, alpha, p, q, t):
         with np.errstate(over="ignore"):  # to -inf, whose exp is the right 0
             np.multiply(g.symbol(alpha[i]), -t[n], out=m)
         np.exp(m, out=m)
-        _multiply_inverse(f.half_spectrum, m, spectrum, evolved)
-        for k, x in enumerate(q):
-            lhs[i, k, n] = _riemann_norm(evolved, x, g, work)
-    reports = []
-    for (i, j, k, n), bound in zip(sweep, bounds):
-        rhs = norms[j] * bound
-        ratio = lhs[i, k, n] / rhs if rhs else math.inf
-        reports.append(HypercontractivityReport(
-            alpha=alpha[i], p=p[j], q=q[k], t=t[n], lhs=lhs[i, k, n], rhs=rhs,
-            ratio=ratio, violated=not (ratio <= 1.0 + 1e-6),
-        ))
-    return reports
+        for h, f in enumerate(fields):
+            _inverse(np.multiply(f.half_spectrum, m, out=spectrum), evolved)
+            for k, x in enumerate(q):
+                lhs[h, i, k, n] = _riemann_norm(evolved, x, g, work)
+    return [[_report(alpha[i], p[j], q[k], t[n], lhs[h, i, k, n], norms[h][j] * bound)
+             for (i, j, k, n), bound in zip(sweep, bounds)] for h in range(len(fields))]
 
 
 @dataclass(frozen=True)
@@ -239,11 +254,11 @@ def kato_check(u: SpectralField, phi, dphi, alpha):
     for a in alpha:
         _check_alpha(a)
         symbol = g.symbol(a)
-        _multiply_inverse(u.half_spectrum, symbol, spectrum, lap_u)
+        _inverse(np.multiply(u.half_spectrum, symbol, out=spectrum), lap_u)
         row = []
         for w, slope in zip(composed, slopes):
             np.multiply(slope, lap_u, out=rhs)
-            _multiply_inverse(w, symbol, spectrum, lap_w)
+            _inverse(np.multiply(w, symbol, out=spectrum), lap_w)
             lap_w -= rhs
             viol = float(np.max(lap_w))
             scale = 1.0 + float(np.max(np.abs(rhs, out=rhs)))

@@ -139,7 +139,7 @@ class Grid:
             s[M // 2, :-1] = 0.5 * (s[M // 2, :-1] + s[M, :-1])
             s = s[:M]
         s *= self._phase[..., : M // 2 + 1]
-        return np.fft.irfftn(s, s=self.shape, axes=range(self.d)) / self.dx**self.d
+        return _inverse(s, np.empty(self.shape)) / self.dx**self.d
 
     def integrate(self, values):
         """Riemann sum of a grid function (exact = trapezoid, periodic)."""
@@ -150,7 +150,7 @@ class SpectralField:
     """Values of a real function on a periodic grid.
 
     ``half_spectrum``, the unscaled ``rfftn`` that every Fourier multiplier
-    and the flow read, is cached on first use.  ``coefficients`` is
+    and the flow read, is cached read-only on first use.  ``coefficients`` is
     ``Grid.forward`` of the values on the full mesh, recomputed per call: a
     view for tests and diagnostics that no code path of the package reads.
     """
@@ -172,9 +172,11 @@ class SpectralField:
 
     @property
     def half_spectrum(self):
-        """Unscaled ``rfftn`` of the values, on the mesh of ``Grid.symbol``."""
+        """Unscaled ``rfftn`` of the values, on the mesh of ``Grid.symbol``;
+        read-only, so that an in-place ``_inverse`` of it raises."""
         if self._half is None:
-            self._half = np.fft.rfftn(self.values)
+            self._half = _forward(self.values)
+            self._half.flags.writeable = False
         return self._half
 
     def with_values(self, values):
@@ -223,20 +225,24 @@ def apply_multiplier(f: SpectralField, m) -> SpectralField:
         raise TypeError("the multiplier must be a real array")
     g = f.grid
     if np.shape(m) != g.half_shape:
-        raise ValueError(
-            f"the multiplier must have the rfftn half-spectrum shape "
-            f"{g.half_shape}, got {np.shape(m)}"
-        )
-    return SpectralField(g, values=_multiply_inverse(
-        f.half_spectrum, m, np.empty(g.half_shape, complex), np.empty(g.shape)))
+        raise ValueError(f"the multiplier must have the rfftn half-spectrum shape "
+                         f"{g.half_shape}, got {np.shape(m)}")
+    return SpectralField(g, values=_inverse(f.half_spectrum * m, np.empty(g.shape)))
 
 
-def _multiply_inverse(half, m, spectrum, out):
-    """``irfftn`` of ``half * m`` into the real grid array ``out``, with the
-    product in the complex half-spectrum array ``spectrum``: a caller that
-    passes the same two arrays on every call reuses them."""
-    np.multiply(half, m, out=spectrum)
-    return np.fft.irfftn(spectrum, s=out.shape, axes=range(out.ndim), out=out)
+def _forward(values):
+    """Bitwise ``np.fft.rfftn(values)``, the d=2 first-axis ``fft`` done in place."""
+    h = np.fft.rfft(values)
+    return h if h.ndim == 1 else np.fft.fft(h, axis=0, out=h)
+
+
+def _inverse(spectrum, out):
+    """``np.fft.irfftn`` of a half spectrum into the real grid array ``out``,
+    bitwise.  In d=2 the first-axis ``ifft`` runs in place in ``spectrum``:
+    pass scratch (the same on every call reuses it), never a ``half_spectrum``."""
+    if out.ndim == 2:
+        np.fft.ifft(spectrum, axis=0, out=spectrum)
+    return np.fft.irfft(spectrum, n=out.shape[-1], out=out)
 
 
 def lp_norm(f: SpectralField, p) -> float:

@@ -1,4 +1,5 @@
 import itertools
+import sys
 
 import numpy as np
 import pytest
@@ -40,6 +41,27 @@ def gaussian(grid, var=1.0, center=0.0):
     return SpectralField.from_function(
         grid, lambda x: norm * np.exp(-((x - center) ** 2) / (2.0 * var))
     )
+
+
+def count_transforms(monkeypatch):
+    """Count the calls of ``spectral._forward`` and ``spectral._inverse``, in
+    every module that holds them, and of ``Grid.forward`` and ``Grid.inverse``;
+    returns the dict of counts, which the calls keep up to date."""
+    from levylab import spectral
+
+    targets = [(Grid, "forward"), (Grid, "inverse")]
+    for name in ("_forward", "_inverse"):
+        real = getattr(spectral, name)
+        targets += [(module, name) for key, module in list(sys.modules.items())
+                    if key.startswith("levylab") and getattr(module, name, None) is real]
+    counts = dict.fromkeys(["_forward", "_inverse", "forward", "inverse"], 0)
+    for owner, name in targets:
+        def counting(*args, _real=getattr(owner, name), _name=name, **kwargs):
+            counts[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counting)
+    return counts
 
 
 def full_freqs(grid):

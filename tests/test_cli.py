@@ -35,7 +35,7 @@ from levylab.cli import load_config, main
 from levylab.errors import ConfigError, QuadratureFailure
 from levylab.fields import FAMILIES
 
-from conftest import full_freqs, log_tail_table
+from conftest import count_transforms, full_freqs, log_tail_table
 
 
 def write_config(path, **overrides):
@@ -575,7 +575,7 @@ def strict_json(text):
 
 def _heat_row(pair, idx, f):
     alpha, p, q, t = pair
-    [rep] = verify_hypercontractivity(f, alpha=[alpha], p=[p], q=[q], t=[t])
+    [[rep]] = verify_hypercontractivity([f], alpha=[alpha], p=[p], q=[q], t=[t])
     return [alpha, p, q, t, idx, rep.lhs, rep.rhs, rep.ratio, int(not rep.violated)]
 
 
@@ -657,27 +657,29 @@ class TestKato:
         assert rows == _rows_per_pair(cfg)
 
     @pytest.mark.parametrize("d, M", [(1, 64), (2, 16)])
-    def test_heat_checks_each_field_in_one_call(self, d, M, monkeypatch):
+    def test_heat_checks_the_battery_in_one_call(self, d, M, monkeypatch):
         cfg = load_config({"experiment": "heat", "grid": {"d": d, "L": 10.0, "M": M},
                            "sweep": {"family": "bumps", "p": [2.0, 3.0],
                                      "q": [4.0, 6.0]}, "seed": 5})
-        fields = []
+        calls = []
 
-        def counting(f, *args):
-            fields.append(f)
-            return verify_hypercontractivity(f, *args)
+        def counting(fields, *args):
+            calls.append(fields)
+            return verify_hypercontractivity(fields, *args)
 
         monkeypatch.setattr(cli, "verify_hypercontractivity", counting)
         _, rows, *_ = cli._RUNNERS["heat"](cfg)
         battery = generate_test_fields(cfg.grid, cfg.seed, "bumps")
+        [fields] = calls
         assert [f.values.tobytes() for f in fields] == [
             f.values.tobytes() for f in battery]
         assert rows == _rows_per_pair(cfg)
 
     # per battery of F fields, A exponents and P heat parameter tuples: the
-    # battery's band limit costs F rfftn and F irfftn; after that each field
-    # and each phi(u) is transformed once, and every multiplier application
-    # is one irfftn; the full complex transforms are never called
+    # battery's band limit costs F forward and F inverse transforms of
+    # spectral's pair; after that each field and each phi(u) is transformed
+    # once, and every multiplier application is one inverse; the full complex
+    # transforms are never called
     @pytest.mark.parametrize("experiment, forward, inverse", [
         ("heat", lambda F, A, P: 2 * F, lambda F, A, P: F * (1 + P)),
         ("kato", lambda F, A, P: 4 * F, lambda F, A, P: F * (1 + 3 * A)),
@@ -691,17 +693,9 @@ class TestKato:
         F = len(generate_test_fields(cfg.grid, cfg.seed, "bumps"))
         A = len(s["alpha"])
         P = len(list(product(s["alpha"], s["p"], s["q"], s["t"])))
-        counts = {}
-        for owner, name in [(np.fft, "rfftn"), (np.fft, "irfftn"),
-                            (Grid, "forward"), (Grid, "inverse")]:
-            def counting(*args, _real=getattr(owner, name), _name=name, **kwargs):
-                counts[_name] += 1
-                return _real(*args, **kwargs)
-
-            counts[name] = 0
-            monkeypatch.setattr(owner, name, counting)
+        counts = count_transforms(monkeypatch)
         cli._RUNNERS[experiment](cfg)
-        assert counts == {"rfftn": forward(F, A, P), "irfftn": inverse(F, A, P),
+        assert counts == {"_forward": forward(F, A, P), "_inverse": inverse(F, A, P),
                           "forward": 0, "inverse": 0}
 
 

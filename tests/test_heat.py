@@ -26,7 +26,7 @@ from levylab.fields import generate_test_fields
 from levylab.heat import HypercontractivityReport, fractional_laplacian
 from levylab.spectral import Grid, apply_multiplier
 
-from conftest import gaussian
+from conftest import count_transforms, gaussian
 
 ALPHAS = [0.5, 1.0, 1.5, 2.0]
 
@@ -166,22 +166,22 @@ class TestUltracontractivity:
 
 class TestVerifyHypercontractivity:
     def test_gaussian(self, grid1):
-        [rep] = verify_hypercontractivity(gaussian(grid1), [2.0], [2.0], [4.0], [0.5])
+        [[rep]] = verify_hypercontractivity([gaussian(grid1)], [2.0], [2.0], [4.0], [0.5])
         assert not rep.violated
 
     def test_semigroup_stability(self, grid1):
         f = heat_evolve(gaussian(grid1), 1.0, 0.3)
-        [rep] = verify_hypercontractivity(f, [1.0], [2.0], [4.0], [1.0])
+        [[rep]] = verify_hypercontractivity([f], [1.0], [2.0], [4.0], [1.0])
         assert not rep.violated
 
     def test_cauchy_bump_sup_norm(self, grid1):
         f = SpectralField.from_function(grid1, lambda x: 1.0 / (1.0 + x**2))
-        [rep] = verify_hypercontractivity(f, [1.0], [2.0], [np.inf], [1.0])
+        [[rep]] = verify_hypercontractivity([f], [1.0], [2.0], [np.inf], [1.0])
         assert rep.ratio <= 1.0 + 1e-6
 
     def test_nan_ratio_is_a_violation(self, grid1):
-        [rep] = verify_hypercontractivity(gaussian(grid1), [2.0], [2.0], [4.0],
-                                          [math.nan])
+        [[rep]] = verify_hypercontractivity([gaussian(grid1)], [2.0], [2.0], [4.0],
+                                            [math.nan])
         assert math.isnan(rep.ratio)
         assert rep.violated
 
@@ -189,7 +189,7 @@ class TestVerifyHypercontractivity:
         # 2 alpha t overflows at t = 1e308, so the bound is 0; on this grid
         # |xi| < 1, so t |xi|^alpha itself stays finite
         g = Grid(1, 20.0, 8)
-        [rep] = verify_hypercontractivity(gaussian(g), [1.0], [2.0], [4.0], [1e308])
+        [[rep]] = verify_hypercontractivity([gaussian(g)], [1.0], [2.0], [4.0], [1e308])
         assert rep.rhs == 0.0
         assert rep.ratio == math.inf
         assert rep.violated
@@ -204,7 +204,7 @@ def _same(got, want):
 
 def _alone(f, *args):
     """The report of one (alpha, p, q, t) tuple, checked as a sweep of one."""
-    [rep] = verify_hypercontractivity(f, *([x] for x in args))
+    [[rep]] = verify_hypercontractivity([f], *([x] for x in args))
     return rep
 
 
@@ -240,7 +240,7 @@ class TestHypercontractivitySweep:
     ], ids=["q-inf", "p-3"])
     def test_equals_the_scalar_calls(self, d, sweep, special):
         f = gaussian_field(Grid(d, 20.0, 8), 0.8, 1.0)
-        reports = verify_hypercontractivity(f, *sweep)
+        [reports] = verify_hypercontractivity([f], *sweep)
         for rep, args in zip(reports, product(*sweep), strict=True):
             _same(rep, _alone(f, *args))
             _same(rep, _by_parts(f, *args))
@@ -250,49 +250,75 @@ class TestHypercontractivitySweep:
 
     @pytest.mark.parametrize("d, M", [(1, 512), (2, 64)])
     def test_equals_the_scalar_calls_on_a_battery(self, d, M):
+        # the battery in one sweep, each field in a sweep of its own, each
+        # tuple alone and by parts
         sweep = ([0.5, 1.0, 1.5, 2.0], [2.0], [4.0, np.inf], [0.25, 1.0, 4.0])
-        for f in generate_test_fields(Grid(d, 10.0, M), 3, "bumps"):
-            reports = verify_hypercontractivity(f, *sweep)
-            for rep, args in zip(reports, product(*sweep), strict=True):
+        battery = generate_test_fields(Grid(d, 10.0, M), 3, "bumps")
+        swept = verify_hypercontractivity(battery, *sweep)
+        for f, reports in zip(battery, swept, strict=True):
+            [own] = verify_hypercontractivity([f], *sweep)
+            for rep, one, args in zip(reports, own, product(*sweep), strict=True):
+                _same(rep, one)
                 _same(rep, _alone(f, *args))
                 _same(rep, _by_parts(f, *args))
+
+    def test_fields_on_different_grids_raise(self):
+        fields = [gaussian_field(Grid(1, 20.0, M)) for M in (64, 128)]
+        with pytest.raises(ValueError, match="share their grid"):
+            verify_hypercontractivity(fields, [1.0], [2.0], [4.0], [0.5])
 
     def test_zero_field_raises(self, coarse_grid):
         f = SpectralField(coarse_grid, values=np.zeros(coarse_grid.shape))
         with pytest.raises(DegenerateField):
-            verify_hypercontractivity(f, [1.0, 2.0], [2.0], [4.0], [0.5, 1.0])
+            verify_hypercontractivity([f], [1.0, 2.0], [2.0], [4.0], [0.5, 1.0])
 
     @pytest.mark.parametrize("p, q", [([2.0, 3.0], [np.inf]), ([2.0], [4.0, 1.5])])
     def test_bad_exponents_raise_before_any_transform(self, p, q, grid1, monkeypatch):
-        calls = []
-        monkeypatch.setattr(np.fft, "irfftn", lambda *a, **k: calls.append(a))
+        counts = count_transforms(monkeypatch)
         with pytest.raises(InvalidExponents):
-            verify_hypercontractivity(gaussian(grid1), [1.0], p, q, [0.5])
-        assert calls == []
+            verify_hypercontractivity([gaussian(grid1)], [1.0], p, q, [0.5])
+        assert counts == {"_forward": 0, "_inverse": 0, "forward": 0, "inverse": 0}
 
 
 class TestWorkingSet:
-    """A sweep reuses its arrays: its peak memory does not grow with its length."""
+    """A sweep reuses its arrays: its peak memory does not grow with its length,
+    nor with its battery beyond the fields' cached spectra."""
 
     ALPHAS = [0.5, 1.0, 1.5, 2.0]
 
     @pytest.fixture
-    def field(self):
+    def grid(self):
         g = Grid(2, 20.0, 128)
         for a in self.ALPHAS:
             g.symbol(a)
-        f = generate_test_fields(g, 1, "bumps")[0]
+        return g
+
+    @pytest.fixture
+    def field(self, grid):
+        f = generate_test_fields(grid, 1, "bumps")[0]
         f.half_spectrum
         return f
 
     def test_hypercontractivity_sweep(self, field):
         def run(alphas, ts):
-            return lambda: verify_hypercontractivity(field, alphas, [2.0], [4.0], ts)
+            return lambda: verify_hypercontractivity([field], alphas, [2.0], [4.0], ts)
 
         run(self.ALPHAS, [1.0])()
         one = _peak(run(self.ALPHAS[:1], [0.25]))
         twelve = _peak(run(self.ALPHAS, [0.25, 1.0, 4.0]))
         assert twelve <= one + 0.5 * field.values.nbytes
+
+    def test_hypercontractivity_battery(self, grid):
+        # fresh fields, so that each spectrum is cached inside the sweep
+        def run(k):
+            fields = generate_test_fields(grid, 1, "bumps")[:k]
+            return lambda: verify_hypercontractivity(fields, self.ALPHAS, [2.0],
+                                                     [4.0], [0.25, 1.0, 4.0])
+
+        run(6)()
+        one, six = _peak(run(1)), _peak(run(6))
+        spectrum = 16 * int(np.prod(grid.half_shape))
+        assert six <= one + 5 * spectrum + 0.5 * 8 * grid.M**grid.d
 
     def test_kato_sweep(self, field):
         names = sorted(cli._KATO_PHIS)

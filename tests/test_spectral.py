@@ -14,6 +14,7 @@ from levylab import (
     apply_multiplier,
     gaussian_field,
     lp_norm,
+    spectral,
     stable_density,
     steady_exponent,
 )
@@ -132,6 +133,32 @@ class TestForwardTransform:
         space = np.sum(vals**2) * g.dx**d
         freq = np.sum(np.abs(g.forward(vals)) ** 2) * (g.dxi / (2 * np.pi)) ** d
         assert space == pytest.approx(freq, rel=1e-10)
+
+
+class TestTransformPair:
+    """``_forward`` and ``_inverse`` are ``np.fft.rfftn`` and ``irfftn``, bitwise."""
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("M", [8, 64, 512])
+    def test_equal_numpys_transforms_bitwise(self, d, M):
+        g = Grid(d, 10.0, M)
+        values = np.random.default_rng(M + d).standard_normal(g.shape)
+        half = spectral._forward(values)
+        assert half.tobytes() == np.fft.rfftn(values).tobytes()
+        want = np.fft.irfftn(half, s=g.shape, axes=range(d))
+        got = spectral._inverse(half.copy(), np.empty(g.shape))
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_cached_half_spectrum_is_read_only(self, d):
+        f = gaussian_field(Grid(d, 10.0, 16))
+        with pytest.raises(ValueError, match="read-only"):
+            f.half_spectrum[0] = 0.0
+        if d == 2:
+            # the in-place first-axis inverse refuses the cache
+            with pytest.raises(ValueError, match="read-only"):
+                spectral._inverse(f.half_spectrum, np.empty(f.grid.shape))
+        assert f.half_spectrum.tobytes() == np.fft.rfftn(f.values).tobytes()
 
 
 class TestApplyMultiplier:
