@@ -43,6 +43,14 @@ def gaussian(grid, var=1.0, center=0.0):
     )
 
 
+def radial_gaussian(grid, variance, center):
+    """Values of the normalized isotropic Gaussian, exp(-r^2 / 2v) on the
+    full meshgrid: ``fields.gaussian_field`` before it became separable."""
+    c = np.broadcast_to(np.asarray(center, dtype=float), (grid.d,))
+    r2 = sum((x - ci) ** 2 for x, ci in zip(grid.coords(), c))
+    return np.exp(-r2 / (2.0 * variance)) / np.sqrt((2.0 * np.pi * variance) ** grid.d)
+
+
 def count_transforms(monkeypatch):
     """Count the calls of ``spectral._forward`` and ``spectral._inverse``, in
     every module that holds them, and of ``Grid.forward`` and ``Grid.inverse``;
