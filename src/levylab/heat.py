@@ -69,8 +69,7 @@ def half_operator_norm(f: SpectralField, alpha: float) -> float:
 
 
 def _energies(f: SpectralField, alpha):
-    """Yield ``half_operator_norm`` for each exponent in ``alpha``, with
-    |rfftn f|^2 taken once and each product written into the same array."""
+    """Yield ``half_operator_norm`` per exponent, |rfftn f|^2 taken once."""
     g = f.grid
     power = np.abs(f.half_spectrum)
     np.square(power, out=power)
@@ -118,15 +117,16 @@ def lsi_gap(f: SpectralField, alpha):
         raise DegenerateField("cannot renormalize the zero field")
     if abs(nrm - 1.0) > 1e-8:
         f = f.with_values(f.values / nrm)
-    energies = list(_energies(f, alpha))
-    if any(e <= 0.0 for e in energies):
-        raise DegenerateField("field has no Dirichlet energy")
     v2 = f.values**2
     # f^2 log f^2 -> 0 continuously at zeros of f, where log 1 = 0 stands in
     ent = np.where(v2 > 1e-300, v2, 1.0)
     np.log(ent, out=ent)
     ent *= v2
     lhs = float(np.sum(ent) * f.grid.dx**n)
+    del v2, ent  # before the transform, whose arrays then reuse their pages
+    energies = list(_energies(f, alpha))
+    if any(e <= 0.0 for e in energies):
+        raise DegenerateField("field has no Dirichlet energy")
     return [(lhs, (n / a) * math.log(lsi_constant(n, a) * e))
             for a, e in zip(alpha, energies)]
 

@@ -92,12 +92,11 @@ class Grid:
         return (self.M,) * (self.d - 1) + (self.M // 2 + 1,)
 
     def symbol(self, alpha):
-        """|xi|^alpha on the ``rfftn`` half-spectrum mesh, cached read-only per alpha.
-
-        The mesh is that of ``freqs`` without its extra row.
-        """
+        """|xi|^alpha on the ``rfftn`` half-spectrum mesh (``freqs`` without its
+        extra row), cached read-only per alpha: a power of the cached |xi|."""
         if alpha not in self._symbols:
-            s = np.sqrt(sum(a[: self.M] ** 2 for a in self.freqs())) ** alpha
+            s = (self.symbol(1.0) if alpha != 1.0 else
+                 np.sqrt(sum(a[: self.M] ** 2 for a in self.freqs()))) ** alpha
             s.flags.writeable = False
             self._symbols[alpha] = s
         return self._symbols[alpha]
