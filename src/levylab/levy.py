@@ -61,16 +61,14 @@ def _j0(x):
 def _taylor_remainder(mean, d, c4, c6, c8):
     """x -> m(x) - 1 + x^2 / (2d) for the spherical mean m in dimension d,
     evaluated without cancellation near x = 0: below |x| = 1e-2 by its series
-    x^4 / c4 (1 - x^2 / c6 (1 - x^2 / c8))."""
+    x^4 / c4 (1 - x^2 / c6 (1 - x^2 / c8)).  Scalar nodes only: its one
+    caller is the QUADPACK head integrand, which passes one float per node."""
 
     def remainder(x):
-        x = np.asarray(x, dtype=float)
         x2 = x * x
-        series = x2 * x2 / c4 * (1.0 - x2 / c6 * (1.0 - x2 / c8))
-        with np.errstate(invalid="ignore"):
-            direct = mean(x) - 1.0 + x2 / (2 * d)
-        out = np.where(np.abs(x) < 1e-2, series, direct)
-        return out if out.ndim else float(out)
+        if abs(x) < 1e-2:
+            return x2 * x2 / c4 * (1.0 - x2 / c6 * (1.0 - x2 / c8))
+        return mean(x) - 1.0 + x2 / (2 * d)
 
     return remainder
 
@@ -160,7 +158,10 @@ class LevyDensity:
     an array of signed z in d=1 (where n is N) and of radii in d=2, to values
     of the same shape, and is refused when built if it maps no array so.  A
     tabulated density keeps the sorted radii |z| of its table's ``knots``;
-    it is zero beyond the last.  Only a d=1 density may be non-even.
+    it is zero beyond the last.  Only a d=1 density may be non-even; a d=1
+    ``func`` left at ``is_even=True`` is probed at z = +-0.5 and +-2 and
+    refused unless N(-z) = N(z) there to rtol 1e-12 (NaN matching NaN, for
+    the quadrature to refuse as NonFiniteDensity).
     """
 
     kind: str
@@ -182,14 +183,21 @@ class LevyDensity:
             raise ValueError("analytic/tabulated density needs a callable")
         else:
             # two radii: an anisotropic d=2 func reads them as one point z
-            try:
-                with np.errstate(all="ignore"):
-                    shape = np.shape(self.func(np.array([0.5, 2.0])))
-            except (TypeError, ValueError, IndexError) as exc:
-                shape = exc
-            if shape != (2,):
-                raise ValueError("a density func must map an array (of signed z in "
-                                 f"d=1, radii in d=2) to one of its shape; got {shape!r}")
+            probe = np.array([0.5, 2.0])
+            with np.errstate(all="ignore"):
+                try:
+                    values = self.func(probe)
+                    shape = np.shape(values)
+                except (TypeError, ValueError, IndexError) as exc:
+                    shape = exc
+                if shape != (2,):
+                    raise ValueError("a density func must map an array (of signed z "
+                                     f"in d=1, radii in d=2) to one of its shape; got "
+                                     f"{shape!r}")
+                if self.d == 1 and self.is_even and not np.allclose(
+                        self.func(-probe), values, rtol=1e-12, atol=0.0, equal_nan=True):
+                    raise ValueError("a d=1 density left at is_even=True must have "
+                                     "N(-z) = N(z); pass is_even=False")
         if not self.is_even and self.d != 1:
             raise ValueError("a non-even density is supported in d=1 only")
 
@@ -209,12 +217,15 @@ class LevyDensity:
         """rho(r) = |S^{d-1}| r^{d-1} n(r) at r > 0, a float or an array.
 
         The density of |z| under N: int f(|z|) N(z) dz = int_0^inf f(r) rho(r)
-        dr.  In d=1 it is n+(r) + n-(r); in d=2 it is 2 pi r n(r).  Raises
+        dr.  In d=1 it is n+(r) + n-(r), taken as 2 n(r) for an even density,
+        so one evaluation per radius; in d=2 it is 2 pi r n(r).  Raises
         NonFiniteDensity unless n lies in [0, inf) at every radius.
         """
-        if self.d == 1:
-            return _checked(self.profile, r) + _checked(self.profile, -r)
-        return 2.0 * np.pi * r * _checked(self.profile, r)
+        if self.d != 1:
+            return 2.0 * np.pi * r * _checked(self.profile, r)
+        if self.is_even:
+            return 2.0 * _checked(self.profile, r)
+        return _checked(self.profile, r) + _checked(self.profile, -r)
 
     def odd_difference(self, z):
         """n+(z) - n-(z) at z > 0 in d=1, each value checked as in

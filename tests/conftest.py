@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from levylab import Grid, SpectralField
+from levylab.levy import _checked
 from levylab.quadrature import integrate_scaled
 
 # populated by tests/test_acceptance.py; printed once at the end of the run
@@ -143,3 +144,27 @@ def log_t_limit_density(nu, z, tol=1e-10):
     points = None if radii is None else np.log(radii / rz)
     return scale * float(integrate_scaled(integrand, (0.0, np.log(end / rz)), tol,
                                           points))
+
+
+def two_call_radial_density(nu, r):
+    """``LevyDensity.radial_density`` with both rays evaluated in d=1,
+    n+(r) + n-(r), even for an even density."""
+    if nu.d == 1:
+        return _checked(nu.profile, r) + _checked(nu.profile, -r)
+    return 2.0 * np.pi * r * _checked(nu.profile, r)
+
+
+def array_taylor_remainder(mean, d, c4, c6, c8):
+    """``levy._taylor_remainder`` on arrays: both branches everywhere, the
+    series chosen below |x| = 1e-2 by ``np.where``; a float for a float."""
+
+    def remainder(x):
+        x = np.asarray(x, dtype=float)
+        x2 = x * x
+        series = x2 * x2 / c4 * (1.0 - x2 / c6 * (1.0 - x2 / c8))
+        with np.errstate(invalid="ignore"):
+            direct = mean(x) - 1.0 + x2 / (2 * d)
+        out = np.where(np.abs(x) < 1e-2, series, direct)
+        return out if out.ndim else float(out)
+
+    return remainder

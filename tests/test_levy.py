@@ -17,11 +17,19 @@ from levylab import (
     triplet_from_config,
     validate_levy_density,
 )
+from levylab import levy
 from levylab.errors import InvalidAlpha, NonFiniteDensity, QuadratureFailure
+from levylab.fokker_planck import limit_density
 from levylab.levy import _checked, _stable_norm_constant
 from levylab.quadrature import integrate_scaled
 
-from conftest import box, right_exponential
+from conftest import (
+    array_taylor_remainder,
+    box,
+    log_tail_table,
+    right_exponential,
+    two_call_radial_density,
+)
 
 
 def exp_over_abs(d=1):
@@ -181,6 +189,108 @@ _DENSITY_VALUES = st.one_of(
     _DENSITY_FLOATS.map(np.array),
     st.lists(_DENSITY_FLOATS, min_size=1, max_size=5).map(np.array),
 )
+
+
+def even_table(tmp_path):
+    """The 400-knot even table e^{-z} z^{-1.5} on [0.01, 30], in d=1."""
+    return triplet_from_config({"d": 1, "nu": {
+        "kind": "tabulated",
+        "table_path": str(log_tail_table(tmp_path / "nu.csv"))}}).nu
+
+
+class TestEvenProbe:
+    """A d=1 func left at is_even=True is probed for N(-z) = N(z)."""
+
+    def test_one_sided_func_at_the_default_is_refused(self):
+        with pytest.raises(ValueError, match="is_even"):
+            LevyDensity(kind="analytic", d=1, func=right_exponential)
+        # its odd part would be lost at the 1e-9 level too
+        with pytest.raises(ValueError, match="is_even"):
+            LevyDensity(kind="analytic", d=1,
+                        func=lambda z: np.exp(-np.abs(z)) * (1.0 + 1e-9 * (z > 0)))
+        assert not LevyDensity(kind="analytic", d=1, func=right_exponential,
+                               is_even=False).is_even
+        # a d=2 func takes radii only, so there is no other side to probe
+        assert LevyDensity(kind="analytic", d=2, func=right_exponential).is_even
+
+    def test_tables_and_the_limit_of_a_table_build(self, tmp_path):
+        nu = even_table(tmp_path)
+        assert nu.is_even and len(nu.knots) == 400
+        assert limit_density(nu, 1e-10).is_even
+        table = tmp_path / "one_sided.csv"
+        table.write_text("z,N\n-1,4\n1,2\n3,1\n")
+        assert not triplet_from_config(
+            {"d": 1, "nu": {"kind": "tabulated", "table_path": str(table)}}
+        ).nu.is_even
+
+
+def _oracle_densities(tmp_path):
+    table = even_table(tmp_path)
+    return {
+        "stable-analytic": opaque_stable(1.0, 1),
+        "stable-analytic-2d": opaque_stable(1.5, 2),
+        "exp-over-abs": exp_over_abs(),
+        "exp-over-abs-2d": exp_over_abs(2),
+        "table": table,
+        "limit-of-table": limit_density(table, 1e-10),
+    }
+
+
+class TestOneEvaluationPerNode:
+    """An even d=1 density evaluates n once per radius, as 2 n(r); checked
+    against both rays evaluated, n+(r) + n-(r), and against the array
+    remainder kernel that the scalar one replaced."""
+
+    @pytest.mark.parametrize("name", ["stable-analytic", "stable-analytic-2d",
+                                      "exp-over-abs", "exp-over-abs-2d", "table",
+                                      "limit-of-table"])
+    def test_radial_density_matches_two_calls_bitwise(self, name, tmp_path):
+        nu = _oracle_densities(tmp_path)[name]
+        r = np.concatenate([np.logspace(-6.0, 1.5, 40), [29.9, 30.0, 40.0]])
+        for x in r:
+            got, want = nu.radial_density(float(x)), two_call_radial_density(nu, float(x))
+            assert got == want and type(got) is type(want), (name, x)
+        np.testing.assert_array_equal(nu.radial_density(r),
+                                      two_call_radial_density(nu, r))
+
+    @pytest.mark.parametrize("d, consts", [(1, (24.0, 30.0, 56.0)),
+                                           (2, (64.0, 36.0, 64.0))])
+    def test_remainder_matches_the_array_kernel_bitwise(self, d, consts):
+        mean, remainder, _ = levy._SPHERICAL_MEAN[d]
+        oracle = array_taylor_remainder(mean, d, *consts)
+        edge = [np.nextafter(1e-2, 0.0), 1e-2, np.nextafter(1e-2, 1.0)]
+        x = np.concatenate([np.logspace(-4.0, 2.0, 241), edge])
+        for v in x.tolist():
+            assert remainder(v) == oracle(v), (d, v)
+
+    def test_one_profile_call_per_radius(self, monkeypatch):
+        calls = []
+
+        def counting(func):
+            def wrapped(z):
+                calls.append(z)
+                return func(z)
+            return wrapped
+
+        even = LevyDensity(kind="analytic", d=1,
+                           func=counting(lambda z: np.exp(-np.abs(z)) / np.abs(z)))
+        odd = LevyDensity(kind="analytic", d=1, func=counting(right_exponential),
+                          is_even=False)
+        for nu, want in ((even, 1), (odd, 2)):
+            calls.clear()
+            nu.radial_density(0.7)
+            assert len(calls) == want
+        radial_calls = []
+        real = LevyDensity.radial_density
+
+        def counting_radial(self, r):
+            radial_calls.append(r)
+            return real(self, r)
+
+        monkeypatch.setattr(LevyDensity, "radial_density", counting_radial)
+        calls.clear()
+        jump_symbol(even, 1.3)
+        assert len(calls) == len(radial_calls) > 100
 
 
 class TestCheckedDensity:
