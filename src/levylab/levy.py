@@ -22,20 +22,37 @@ small-jump moment, the big-jump mass, the log tail and the even part of
 a(xi); its odd part is n+ - n-.  The dimension enters a(xi) only through the
 spherical mean of exp(i z.xi), cos(r |xi|) in d=1 and J0(r |xi|) in d=2; for
 the stable family rho(r) = |S^{d-1}| c(d, alpha) r^{-1-alpha} gives every
-such integral in closed form.  ``scipy.special`` is imported only where it is called.
+such integral in closed form.
+
+A law's radial quantities live on one record per (density, tolerance),
+made by ``_law``: the moment over |z| <= eps, the big-jump mass, the log
+tail, a on an array of radii, its radial antiderivative G and the invariant
+law's Levy density N_inf.  The stable family fills the record in closed
+form (Sato 1999, Thm 17.5) and any other density by quadrature; each
+xi-independent integral is computed on first use and kept.
+
+The quadrature record's G(r) = int_0^r a(rho) / rho drho tabulates a once
+per call on Chebyshev points in log r and integrates the interpolant
+exactly from the smallest radius r_min; a difference G(r) - G(r') needs no
+more, and G(r_min) itself, the anchor, is one integral of the radial
+density against a closed-form kernel.  In d=1 a(-xi) = conj a(xi), so
+G(-r) = conj G(r) covers non-even densities.  ``scipy.special`` is bound at
+the first use of each of its functions.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Optional
 
 import numpy as np
+from numpy.polynomial import chebyshev, polynomial
 
-from .errors import InvalidAlpha, NonFiniteDensity
-from .quadrature import integrate_scaled, try_integrate
+from .errors import Con1Violation, InvalidAlpha, NonFiniteDensity, QuadratureFailure
+from .quadrature import _SLACK, integrate_scaled, try_integrate
 
 __all__ = [
     "LevyDensity",
@@ -53,9 +70,15 @@ __all__ = [
 _EPS_BALL = 1e-8
 
 
-def _j0(x):
+@lru_cache(maxsize=None)
+def _special():
+    """``scipy.special``, imported at its first use and then kept."""
     from scipy import special
-    return special.j0(x)
+    return special
+
+
+def _j0(x):
+    return _special().j0(x)
 
 
 def _taylor_remainder(mean, d, c4, c6, c8):
@@ -89,11 +112,10 @@ def _segmented_tail(f, cuts, tol):
 def _j0_tail(g, q, tol):
     """int_1^inf J0(q r) g(r) dr for decaying g, cut at the zeros of J0(q r);
     at most int(q/pi) + 1 of them lie below r = 1, so 99 or more remain."""
-    from scipy import special
     if q <= 0.0:
         raise ValueError("oscillation frequency must be positive")
-    cuts = special.jn_zeros(0, 100 + int(q / np.pi)) / q
-    return _segmented_tail(lambda r: special.j0(q * r) * g(r), cuts, tol)
+    cuts = _special().jn_zeros(0, 100 + int(q / np.pi)) / q
+    return _segmented_tail(lambda r: _special().j0(q * r) * g(r), cuts, tol)
 
 
 def _cos_tail(g, q, tol):
@@ -130,22 +152,10 @@ def _checked(density, z):
 @lru_cache(maxsize=None)
 def _stable_norm_constant(d: int, alpha: float) -> float:
     """c(d, alpha) such that the density c |z|^{-d-alpha} has symbol -|xi|^alpha."""
-    from scipy import special
     return float(
-        2.0**alpha * special.gamma(0.5 * (d + alpha))
-        / (np.pi ** (0.5 * d) * abs(special.gamma(-0.5 * alpha)))
+        2.0**alpha * _special().gamma(0.5 * (d + alpha))
+        / (np.pi ** (0.5 * d) * abs(_special().gamma(-0.5 * alpha)))
     )
-
-
-def _stable_radial_constant(d: int, alpha: float) -> float:
-    """C with radial density C r^{-1-alpha} for c(d, alpha) |z|^{-d-alpha}.
-
-    C = |S^{d-1}| c(d, alpha), with |S^{d-1}| = 2 pi^{d/2} / Gamma(d/2),
-    exactly 2 in d=1 and 2 pi in d=2.
-    """
-    from scipy import special
-    sphere = 2.0 * np.pi ** (0.5 * d) / special.gamma(0.5 * d)
-    return sphere * _stable_norm_constant(d, alpha)
 
 
 @dataclass(frozen=True)
@@ -247,12 +257,7 @@ class LevyDensity:
 
     def small_ball_second_moment(self, eps, tol=1e-12):
         """int_{|z| <= eps} |z|^2 N(z) dz (closed form for the stable kind)."""
-        if self.kind == "stable":
-            C = _stable_radial_constant(self.d, self.alpha)
-            return C * eps ** (2.0 - self.alpha) / (2.0 - self.alpha)
-        rho = self.radial_density
-        interval, points = self.radial_interval(0.0, eps)
-        val, div = try_integrate(lambda r: r * r * rho(r), interval, tol, points)
+        val, div = _law(self, tol).moment(eps)
         if div:
             raise NonFiniteDensity("second moment diverges inside the unit ball")
         return val
@@ -280,15 +285,9 @@ def validate_levy_density(nu: LevyDensity, tol: float = 1e-10) -> DensityReport:
     Divergent integrals are reported with a flag instead of raising;
     NonFiniteDensity is raised if N returns NaN or negative values.
     """
-    if nu.kind == "stable":
-        # closed forms for the radial density C r^{-1-alpha}
-        C = _stable_radial_constant(nu.d, nu.alpha)
-        return DensityReport(C / (2.0 - nu.alpha), C / nu.alpha, False, False)
-    rho = nu.radial_density
-    interval, points = nu.radial_interval(0.0, 1.0)
-    small, sdiv = try_integrate(lambda r: r * r * rho(r), interval, tol, points)
-    interval, points = nu.radial_interval(1.0, np.inf)
-    big, bdiv = try_integrate(rho, interval, tol, points)
+    law = _law(nu, tol)
+    small, sdiv = law.moment(1.0)
+    big, bdiv = law.mass()
     # the integrands are nonnegative, so a negative estimate can only be an
     # extrapolation artifact of a divergent endpoint singularity
     if small is not None and small < 0:
@@ -303,76 +302,352 @@ def _h(z2):
 
 
 def jump_symbol(nu: LevyDensity, xi, tol: float = 1e-10):
-    """Quadrature value of a(xi) = int (e^{iz.xi} - 1 - i z.xi h(z)) N(z) dz.
+    """a(xi) = int (e^{iz.xi} - 1 - i z.xi h(z)) N(z) dz, read from the law's
+    record: -|xi|^alpha in closed form for the stable kind, by quadrature
+    otherwise.
 
-    The real part is one integral against the radial density rho of |z|,
-    int_0^inf (m(r |xi|) - 1) rho(r) dr, where m is the spherical mean of
-    e^{iz.xi}: cos in d=1, J0 in d=2.  The epsilon-ball around z = 0 is
-    excluded; on (eps, 1) the Taylor term -(r |xi|)^2 / (2d) of m - 1 is
-    subtracted so the integrand stays bounded at the origin, and restored in
-    closed form through the unit-ball second moment.  The oscillatory tail
-    goes to QAWF with a cosine weight in d=1 and to a J0 zero-segmented
-    series in d=2.  For even densities the imaginary part vanishes; the odd
-    part of a non-even density is supported in d=1 only.
+    The quadrature value's real part is one integral against the radial
+    density rho of |z|, int_0^inf (m(r |xi|) - 1) rho(r) dr, where m is the
+    spherical mean of e^{iz.xi}: cos in d=1, J0 in d=2.  The epsilon-ball
+    around z = 0 is excluded; on (eps, 1) the Taylor term -(r |xi|)^2 / (2d)
+    of m - 1 is subtracted so the integrand stays bounded at the origin, and
+    restored in closed form through the unit-ball second moment.  The
+    oscillatory tail goes to QAWF with a cosine weight in d=1 and to a J0
+    zero-segmented series in d=2.  For even densities the imaginary part
+    vanishes; the odd part of a non-even density is supported in d=1 only.
     """
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     k = float(xi[0]) if nu.d == 1 else float(np.hypot.reduce(xi))
     if k == 0.0:
         return 0.0 if nu.is_even else 0.0 + 0.0j
-    moments = (nu.small_ball_second_moment(1.0), _big_jump_mass(nu, tol))
-    return _jump_symbols(nu, [k], tol, moments)[0].item()
+    return _law(nu, tol).symbol([k])[0].item()
 
 
-def _big_jump_mass(nu: LevyDensity, tol):
-    """B = int_1^inf rho dr; None for a table, whose far part is one integral."""
-    return None if nu.knots is not None else integrate_scaled(
-        nu.radial_density, (1.0, np.inf), tol)
+# node counts of the Chebyshev table of a(e^u): 17, 33, 65, ... up to the cap
+_CHEB_NODES = 17
+_CHEB_MAX_NODES = 1025
 
 
-def _jump_symbols(nu: LevyDensity, ks, tol, moments):
-    """a at each nonzero k of ks (signed xi in d=1, |xi| in d=2), sharing
-    moments = (int_0^1 r^2 rho dr, ``_big_jump_mass``); see ``jump_symbol``."""
-    m2, big = moments
-    mean, kernel, tail = _SPHERICAL_MEAN[nu.d]
-    # a table is zero past its last knot: its far part is one finite
-    # integral of (m - 1) rho, and its imaginary part one over (eps, inf),
-    # split at the knots
-    rho, n_diff = nu.radial_density, nu.odd_difference
-    near, near_points = nu.radial_interval(_EPS_BALL, 1.0)
-    far, far_points = nu.radial_interval(1.0, np.inf)
-    whole, whole_points = nu.radial_interval(_EPS_BALL, np.inf)
+def _cheb_coefficients(vals):
+    """Chebyshev coefficients of the interpolant through cos(pi j / n) nodes."""
+    n = len(vals) - 1
+    coeffs = np.fft.fft(np.concatenate([vals, vals[n - 1:0:-1]]))[: n + 1] / n
+    coeffs[0] /= 2.0
+    coeffs[n] /= 2.0
+    return coeffs
 
-    out = np.empty(len(ks), dtype=float if nu.is_even else complex)
-    for j, s in enumerate(ks):
-        q = abs(s)
-        head = integrate_scaled(lambda r: kernel(r * q) * rho(r), near, tol,
-                                near_points)
-        moment = -0.5 / nu.d * q * q * m2
+
+def _log_chebyshev_integral(f, r_min, r_max, r, tol):
+    """int_{r_min}^r f(rho) drho / rho for r in [r_min, r_max].
+
+    Samples f, which maps an array of radii to its values, at Chebyshev
+    points in u = log rho, doubling the node count (and reusing the old
+    samples) until the trailing quarter of the coefficients falls below
+    _SLACK * tol * scale; the interpolant is then integrated in closed form.
+    """
+    a, b = np.log(r_min), np.log(r_max)
+    half = 0.5 * (b - a)
+
+    def sample(x):
+        return np.asarray(f(np.exp(a + half * (x + 1.0))), dtype=complex)
+
+    n = _CHEB_NODES - 1
+    vals = sample(np.cos(np.pi * np.arange(n + 1) / n))
+    while True:
+        coeffs = _cheb_coefficients(vals)
+        scale = max(1.0, float(np.max(np.abs(vals))))
+        tail = float(np.max(np.abs(coeffs[-(n // 4):])))
+        if tail <= _SLACK * tol * scale:
+            break
+        if 2 * n + 1 > _CHEB_MAX_NODES:
+            raise QuadratureFailure(
+                f"Chebyshev table of the jump exponent on [{r_min}, {r_max}] "
+                f"did not converge with {n + 1} nodes: trailing coefficient "
+                f"{tail:.2e} (scale {scale:.2e})",
+                achieved_error=tail,
+            )
+        odd = sample(np.cos(np.pi * np.arange(1, 2 * n, 2) / (2 * n)))
+        merged = np.empty(2 * n + 1, dtype=complex)
+        merged[0::2] = vals
+        merged[1::2] = odd
+        vals, n = merged, 2 * n
+    x = np.clip((np.log(r) - a) / half - 1.0, -1.0, 1.0)
+    return chebyshev.chebval(x, chebyshev.chebint(coeffs, lbnd=-1, scl=half))
+
+
+# K_d(x) = sum_k (-1)^{k+1} c_k x^{2k}: c_k = 1 / (2k (2k)!) in d=1 (DLMF 6.6.6),
+# 1 / (2k 4^k (k!)^2) in d=2; k <= 10 is exact to 1e-18 of the first for x < 1
+_KERNEL_SERIES = {
+    1: [(-1) ** (k + 1) / (2 * k * math.factorial(2 * k)) for k in range(1, 11)],
+    2: [(-1) ** (k + 1) / (2 * k * 4**k * math.factorial(k) ** 2)
+        for k in range(1, 11)],
+}
+
+
+def _kernel(d, x):
+    """K_d(x) = int_0^x (1 - m(t)) dt / t, m = cos in d=1 and J0 in d=2.
+
+    Cin(x) = gamma + ln x - Ci(x) in d=1 (DLMF 6.2.3), it2j0y0(x)[0] in d=2,
+    and the power series below x = 1.
+    """
+    if x < 1.0:
+        return x * x * polynomial.polyval(x * x, _KERNEL_SERIES[d])
+    if d == 1:
+        return np.euler_gamma + np.log(x) - _special().sici(x)[1]
+    return _special().it2j0y0(x)[0]
+
+
+def _aux_fg(x):
+    """(f, g)(x), the auxiliary functions of the sine and cosine integrals:
+    Ci = f sin - g cos and si = Si - pi/2 = -f cos - g sin (DLMF 6.2.17-20)."""
+    si, ci = _special().sici(x)
+    si -= 0.5 * np.pi
+    return ci * np.sin(x) - si * np.cos(x), -ci * np.cos(x) - si * np.sin(x)
+
+
+def _radial_tails(nu, sign, radii, tol):
+    """T(r) = int_r^inf n(rho) rho^{d-1} drho at an array of radii r > 0, for
+    n = n+ (sign 1) or n- (sign -1): reverse cumulative sums of pieces.
+
+    An analytic piece (a, b) is one QUADPACK integral relative to
+    f(a) min(b - a, a), so that the tolerance is relative where n is tiny;
+    the edges are the radii, infinity and the powers of ten in (r, 1], so
+    that no finite piece spans more than a decade.  A table is linear between
+    its knots and zero past the last: with the knots as edges, the two-point
+    Gauss-Legendre rule, whose nodes lie inside each piece, is exact there,
+    jumps at knots included.
+    """
+    def f(rho):
+        return _checked(nu.profile, sign * rho) * rho ** (nu.d - 1)
+
+    r0 = np.min(radii)
+    if nu.knots is None:
+        decades = 10.0 ** np.arange(np.floor(np.log10(r0)) + 1.0, 1.0)
+        edges = np.append(np.union1d(radii, decades[decades > r0]), np.inf)
+        pieces = []
+        for a, b in zip(edges[:-1], edges[1:]):
+            scale = f(a) * min(b - a, a) or 1.0
+            pieces.append(scale * integrate_scaled(lambda rho: f(rho) / scale,
+                                                   (a, b), tol))
+    else:
+        knots = np.asarray(nu.knots)
+        edges = np.union1d(radii, knots[knots > r0])
+        half = 0.5 * np.diff(edges)
+        mid, off = edges[:-1] + half, half / np.sqrt(3.0)
+        pieces = half * (f(mid - off) + f(mid + off))
+    tails = np.append(np.cumsum(np.asarray(pieces)[::-1])[::-1], 0.0)
+    return tails[np.searchsorted(edges, radii)]
+
+
+@dataclass(frozen=True)
+class LogTailReport:
+    value: float
+    diverged: bool
+
+
+class _Law:
+    """The radial quantities of one jump law at one tolerance, by quadrature.
+
+    Made by ``_law``, once per (density, tolerance).  The unit-ball moment,
+    the big-jump mass B and the log tail are computed on first use and kept,
+    so that every table of a, every anchor and every steady build of the law
+    shares them.
+    """
+
+    def __init__(self, nu, tol):
+        self.nu, self.tol = nu, tol
+
+    def moment(self, eps):
+        """(int_{|z| <= eps} |z|^2 N(z) dz, diverged)."""
+        rho = self.nu.radial_density
+        interval, points = self.nu.radial_interval(0.0, eps)
+        return try_integrate(lambda r: r * r * rho(r), interval, self.tol, points)
+
+    def mass(self):
+        """(int_{|z| > 1} N(z) dz, diverged); a table's ends at its last knot."""
+        interval, points = self.nu.radial_interval(1.0, np.inf)
+        return try_integrate(self.nu.radial_density, interval, self.tol, points)
+
+    @cached_property
+    def unit_moment(self):
+        """int_0^1 r^2 rho dr, which restores the Taylor term of a."""
+        return self.nu.small_ball_second_moment(1.0)
+
+    @cached_property
+    def big(self):
+        """B = int_1^inf rho dr; None for a table, whose far part is one integral."""
+        return None if self.nu.knots is not None else integrate_scaled(
+            self.nu.radial_density, (1.0, np.inf), self.tol)
+
+    @cached_property
+    def log_tail(self):
+        """int_1^inf ln(r) rho(r) dr as a LogTailReport; see ``check_log_tail``."""
+        rho = self.nu.radial_density
+        interval, points = self.nu.radial_interval(1.0, np.inf)
+        val, div = try_integrate(lambda r: np.log(r) * rho(r), interval, self.tol, points)
+        return LogTailReport(float(val) if val is not None else np.inf, div)
+
+    def symbol(self, ks):
+        """a at each nonzero k of ks (signed xi in d=1, |xi| in d=2), sharing
+        the unit-ball moment and B; see ``jump_symbol``."""
+        nu, tol, m2, big = self.nu, self.tol, self.unit_moment, self.big
+        mean, kernel, tail = _SPHERICAL_MEAN[nu.d]
+        # a table is zero past its last knot: its far part is one finite
+        # integral of (m - 1) rho, and its imaginary part one over (eps, inf),
+        # split at the knots
+        rho, n_diff = nu.radial_density, nu.odd_difference
+        near, near_points = nu.radial_interval(_EPS_BALL, 1.0)
+        far, far_points = nu.radial_interval(1.0, np.inf)
+        whole, whole_points = nu.radial_interval(_EPS_BALL, np.inf)
+
+        out = np.empty(len(ks), dtype=float if nu.is_even else complex)
+        for j, s in enumerate(ks):
+            q = abs(s)
+            head = integrate_scaled(lambda r: kernel(r * q) * rho(r), near, tol,
+                                    near_points)
+            moment = -0.5 / nu.d * q * q * m2
+            if big is None:
+                big_part = integrate_scaled(lambda r: (mean(r * q) - 1.0) * rho(r), far,
+                                            tol, far_points)
+            else:
+                big_part = tail(rho, q, tol) - big
+            out[j] = head + moment + big_part
+            if nu.is_even:
+                continue
+            # imaginary part: int sin(zs) dN - s int z h(z) dN with dN = n_diff
+
+            def imag_integrand(z):
+                dn = n_diff(z)
+                return np.sin(z * s) * dn - s * z * _h(z * z) * dn
+
+            if big is None:
+                out[j] += 1j * integrate_scaled(imag_integrand, whole, tol, whole_points)
+                continue
+            imag_head = integrate_scaled(imag_integrand, (_EPS_BALL, 1.0), tol)
+            sgn = 1.0 if s > 0 else -1.0
+            tail_sin = integrate_scaled(n_diff, (1.0, np.inf), tol, weight="sin", wvar=q)
+            tail_h = integrate_scaled(
+                lambda z: s * z * _h(z * z) * n_diff(z), (1.0, np.inf), tol
+            )
+            out[j] += 1j * (imag_head + sgn * tail_sin - tail_h)
+        return out
+
+    def _anchor(self, r):
+        """G(r) at one radius r > 0, as one integral against a closed-form kernel.
+
+        Swapping the order of integration gives G(r) = -int_0^inf rho_N(s)
+        K_d(r s) ds (Sato 1999, Thm 17.5).  Past s = 1, K_d(x) = gamma + ln(x/d)
+        + R_d(x) gives (gamma + ln(r/d)) B + T (the log tail) + int rho(s)
+        R_d(r s) ds: R_1 = -Ci = g cos - f sin takes two QAWF calls, and
+        R_2(x) = int_x^inf J0(t) dt / t ~ -J1(x)/x is cut at the zeros of
+        J1(r s).  A table's tail is one finite integral.  A non-even d=1 density
+        adds i int_0^inf dN(z) (Si(r z) - r z h(z)) dz, dN = N(z) - N(-z), with
+        Si = pi/2 - f cos - g sin past z = 1.
+        """
+        nu, tol, big = self.nu, self.tol, self.big
+        d, rho, n_diff = nu.d, nu.radial_density, nu.odd_difference
+
+        def qawf(w, fg, trig):
+            return integrate_scaled(lambda z: w(z) * _aux_fg(r * z)[fg], (1.0, np.inf),
+                                    tol, weight=trig, wvar=r)
+
+        def odd(z):
+            return (_special().sici(r * z)[0] - r * z / (1.0 + z * z)) * n_diff(z)
+
         if big is None:
-            big_part = integrate_scaled(lambda r: (mean(r * q) - 1.0) * rho(r), far,
-                                        tol, far_points)
+            # a table ends at its last knot: one finite integral, split at the knots
+            whole, knots = nu.radial_interval(0.0, np.inf)
+            G = -integrate_scaled(lambda s: _kernel(d, r * s) * rho(s), whole, tol, knots)
+            return G if nu.is_even else G + 1j * integrate_scaled(odd, whole, tol, knots)
+        log_tail = self.log_tail
+        if log_tail.diverged:
+            raise Con1Violation("the log tail of the jump density diverges")
+        if d == 1:
+            osc = qawf(rho, 1, "cos") - qawf(rho, 0, "sin")
         else:
-            big_part = tail(rho, q, tol) - big
-        out[j] = head + moment + big_part
+            osc = _segmented_tail(
+                lambda s: (_kernel(2, r * s) - np.euler_gamma - np.log(0.5 * r * s))
+                * rho(s), _special().jn_zeros(1, 100 + int(r / np.pi)) / r, tol)
+        G = -integrate_scaled(lambda s: _kernel(d, r * s) * rho(s), (0.0, 1.0), tol)
+        G -= (np.euler_gamma + np.log(r / d)) * big + log_tail.value + osc
         if nu.is_even:
-            continue
-        # imaginary part: int sin(zs) dN - s int z h(z) dN with dN = n_diff
+            return G
+        im = integrate_scaled(odd, (0.0, 1.0), tol) + integrate_scaled(
+            lambda z: (0.5 * np.pi - r * z / (1.0 + z * z)) * n_diff(z), (1.0, np.inf), tol)
+        return G + 1j * (im - qawf(n_diff, 0, "cos") - qawf(n_diff, 1, "sin"))
 
-        def imag_integrand(z):
-            dn = n_diff(z)
-            return np.sin(z * s) * dn - s * z * _h(z * z) * dn
+    def antiderivative(self, ks, anchored=False):
+        """G(k) = int_0^|k| a(rho) / rho drho at an array ks.
 
-        if big is None:
-            out[j] += 1j * integrate_scaled(imag_integrand, whole, tol, whole_points)
-            continue
-        imag_head = integrate_scaled(imag_integrand, (_EPS_BALL, 1.0), tol)
-        sgn = 1.0 if s > 0 else -1.0
-        tail_sin = integrate_scaled(n_diff, (1.0, np.inf), tol, weight="sin", wvar=q)
-        tail_h = integrate_scaled(
-            lambda z: s * z * _h(z * z) * n_diff(z), (1.0, np.inf), tol
-        )
-        out[j] += 1j * (imag_head + sgn * tail_sin - tail_h)
-    return out
+        ``ks`` holds signed frequencies in d=1 (G(-r) = conj G(r)) and radii
+        in d=2.  A Chebyshev table of a gives G up to the constant G(r_min),
+        r_min the smallest nonzero radius of ks, which cancels in a
+        difference; ``anchored`` adds it, as one kernel integral.
+        """
+        r = np.abs(ks)
+        G = np.zeros(ks.shape, dtype=complex)
+        pos = r > 0.0
+        if np.any(pos):
+            r_min, r_max = float(np.min(r[pos])), float(np.max(r[pos]))
+            if r_max > r_min:
+                G[pos] = _log_chebyshev_integral(self.symbol, r_min, r_max, r[pos],
+                                                 self.tol)
+            if anchored:
+                G[pos] += self._anchor(r_min)
+            G = np.where(ks < 0.0, np.conj(G), G)
+        return G
+
+    def tail_average(self, x):
+        """N_inf(z) = int_1^inf N(t z) t^{d-1} dt = |z|^{-d} int_{|z|}^inf n(rho)
+        rho^{d-1} drho (Sato 1999, Thm 17.5) at nonzero x, a float or an array of
+        signed z in d=1 (n- at x < 0) and radii in d=2: one cumulative integral
+        over the sorted radii."""
+        x = np.asarray(x, dtype=float)
+        out = np.zeros(x.shape)
+        for sign in (1.0, -1.0):
+            side = sign * x > 0.0
+            if np.any(side):
+                r = np.abs(x[side])
+                out[side] = _radial_tails(self.nu, sign, r, self.tol) / r**self.nu.d
+        return out if out.ndim else float(out)
+
+
+class _StableLaw(_Law):
+    """The stable law's record, in closed form.
+
+    Its radial density is C r^{-1-alpha}, C = |S^{d-1}| c(d, alpha) with
+    |S^0| = 2 and |S^1| = 2 pi, so the moment over |z| <= eps is
+    C eps^{2-alpha} / (2 - alpha), B = C / alpha, the log tail C / alpha^2,
+    a = -|k|^alpha, G = -|k|^alpha / alpha and N_inf = N / alpha.
+    """
+
+    def __init__(self, nu, tol):
+        super().__init__(nu, tol)
+        self.C = (2.0 if nu.d == 1 else 2.0 * np.pi) * _stable_norm_constant(
+            nu.d, nu.alpha)
+        self.big = self.C / nu.alpha
+        self.log_tail = LogTailReport(self.C / nu.alpha**2, False)
+
+    def moment(self, eps):
+        return self.C * eps ** (2.0 - self.nu.alpha) / (2.0 - self.nu.alpha), False
+
+    def mass(self):
+        return self.big, False
+
+    def symbol(self, ks):
+        return -(np.abs(ks) ** self.nu.alpha)
+
+    def antiderivative(self, ks, anchored=False):
+        return -(np.abs(ks) ** self.nu.alpha) / self.nu.alpha
+
+    def tail_average(self, x):
+        return _checked(self.nu.profile, x) / self.nu.alpha
+
+
+@lru_cache(maxsize=16)
+def _law(nu: LevyDensity, tol) -> _Law:
+    """The record of nu's radial quantities at tolerance tol, one per pair."""
+    return (_StableLaw if nu.kind == "stable" else _Law)(nu, tol)
 
 
 @dataclass(frozen=True)
@@ -432,13 +707,8 @@ def characteristic_exponent(triplet: LevyTriplet, xi, tol: float = 1e-10):
     """psi(xi) = -xi.sigma xi + i b.xi + a(xi) at one frequency xi."""
     axes = np.atleast_1d(np.asarray(xi, dtype=float))
     gauss, drift = _gauss_drift_exponent(triplet, axes)
-    nu, r = triplet.nu, _radial_argument(axes)
-    if nu is None:
-        jump = 0.0
-    elif nu.kind == "stable":
-        jump = -(np.abs(r) ** nu.alpha)
-    else:
-        jump = jump_symbol(nu, r, tol)
+    nu = triplet.nu
+    jump = 0.0 if nu is None else jump_symbol(nu, _radial_argument(axes), tol)
     return gauss + drift + jump
 
 

@@ -160,6 +160,22 @@ class TestExitCodes:
         assert "inf" in (out / "results.csv").read_text()
         assert strict_json((out / "summary.json").read_text())["results"]["unbounded"]
 
+    def test_left_only_table_exits_1(self, tmp_path):
+        # jumps to the left only: N_inf / N grows at small |z| on z < 0,
+        # which the check samples as well as z > 0
+        z = -np.linspace(0.01, 30.0, 400)[::-1]
+        table = tmp_path / "nu.csv"
+        np.savetxt(table, np.column_stack([z, np.exp(-np.abs(z)) / np.abs(z)]),
+                   delimiter=",", fmt="%.17g")
+        path = write_config(tmp_path / "c.json", experiment="check-conditions",
+                            triplet={"d": 1, "sigma": 0.0, "b": [0.0], "nu": {
+                                "kind": "tabulated", "table_path": str(table)}})
+        out = tmp_path / "out"
+        assert main(["--config", str(path), "--out", str(out)]) == 1
+        results = strict_json((out / "summary.json").read_text())["results"]
+        assert results["unbounded"]
+        assert results["C_est"] == pytest.approx(6.22, abs=5e-3)
+
     @pytest.mark.parametrize("rows", [
         "0.5,1.0\n1.0,-0.2\n2.0,0.1\n",
         "0.5,1.0\n1.0,nan\n2.0,0.1\n",

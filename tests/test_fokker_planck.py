@@ -255,7 +255,7 @@ class TestQuadratureRoute:
             func=box, is_even=True,
         )
         tr = LevyTriplet(sigma=np.zeros((1, 1)), b=np.zeros(1), nu=nu, d=1)
-        monkeypatch.setattr(fokker_planck, "_CHEB_MAX_NODES", 33)
+        monkeypatch.setattr(levy, "_CHEB_MAX_NODES", 33)
         with pytest.raises(QuadratureFailure):
             fp_evolve(gaussian(Grid(1, 20.0, 512)), tr, 0.5)
 
@@ -297,15 +297,32 @@ class TestBuildSteadyState:
         monkeypatch.setattr(integrate, "quad",
                             lambda *a, **k: calls.append(1) or quad(*a, **k))
         tr = opaque_cauchy_triplet()
-        fokker_planck.check_log_tail.cache_clear()
+        levy._law.cache_clear()
         steady = build_steady_state(tr, Grid(1, 8.0, 16))
         assert len(calls) <= 40
         # the QUADPACK value of int_1^inf ln(r) 2 / (pi r^2) dr = 2 / pi, to the bit
         assert steady.log_tail == float.fromhex("0x1.45f306dc9c884p-1")
         calls.clear()
-        fokker_planck.check_log_tail.cache_clear()
+        levy._law.cache_clear()
         steady_exponent(tr, 0.7)
         assert len(calls) <= 5
+
+    @pytest.mark.filterwarnings("ignore::levylab.errors.InterpolationDegradation")
+    def test_one_integral_per_law(self, monkeypatch):
+        # a steady build and two flows share the law's record: B and the log
+        # tail are its only unweighted QUADPACK integrals over (1, inf), and
+        # the unit-ball moment and the anchor's head its only ones over (0, 1)
+        calls = []
+        quad = integrate.quad
+        monkeypatch.setattr(integrate, "quad", lambda f, a, b, **k: calls.append(
+            (a, b, k.get("weight"))) or quad(f, a, b, **k))
+        tr = opaque_cauchy_triplet()
+        levy._law.cache_clear()
+        steady = build_steady_state(tr, Grid(1, 8.0, 16))
+        for t in (0.5, 1.0):
+            fp_evolve(steady.density, tr, t)
+        assert calls.count((1.0, np.inf, None)) == 2
+        assert calls.count((0.0, 1.0, None)) == 2
 
     def test_cauchy_density_coarse(self, cauchy_steady, grid1):
         cauchy = 1.0 / (np.pi * (1.0 + grid1.x1**2))
@@ -443,9 +460,8 @@ class TestSteadyAnchor:
     def test_one_frequency_makes_no_jump_symbol_call(self, monkeypatch):
         # with no table to build, only the anchor runs, and it never calls a
         calls = []
-        for owner, name in ((levy, "jump_symbol"), (levy, "_jump_symbols"),
-                            (fokker_planck, "jump_symbol"),
-                            (fokker_planck, "_jump_symbols")):
+        for owner, name in ((levy, "jump_symbol"), (levy._Law, "symbol"),
+                            (fokker_planck, "jump_symbol")):
             original = getattr(owner, name, None)
             if original is not None:
                 monkeypatch.setattr(owner, name, lambda *a, _f=original, **k:
@@ -529,7 +545,7 @@ class TestLimitLevyDensity:
         want = np.array([log_t_limit_density(nu, z) for z in points])
         single = np.array([limit_levy_density(nu, z) for z in points])
         np.testing.assert_allclose(single, want, rtol=1e-10, atol=0.0)
-        np.testing.assert_allclose(fokker_planck._tail_average(nu, x, 1e-10), want,
+        np.testing.assert_allclose(levy._law(nu, 1e-10).tail_average(x), want,
                                    rtol=1e-10, atol=0.0)
 
     @pytest.mark.parametrize("d", [1, 2])
@@ -672,6 +688,20 @@ class TestDomination:
     def test_no_jumps(self):
         rep = check_domination(None)
         assert rep.C_est == 0.0 and rep.table == []
+
+    def test_one_sided_mirrors_read_alike(self):
+        # e^{-|z|}/|z| on one ray only: each mirror is sampled on both rays,
+        # so the left-only one is undominated at small |z| like the right-only
+        reps = [check_domination(LevyDensity(
+            kind="analytic", d=1, is_even=False,
+            func=lambda z, s=s: np.exp(-np.abs(z)) / np.abs(z) * (s * z > 0)))
+            for s in (1.0, -1.0)]
+        for rep in reps:
+            assert rep.unbounded
+            assert rep.C_est == pytest.approx(13.24, abs=5e-3)
+            assert [z for z, _ in rep.table[28:]] == [-z for z, _ in rep.table[:28]]
+        right, left = ([r for _, r in rep.table] for rep in reps)
+        assert right[:28] == left[28:] and left[:28] == right[28:] == [0.0] * 28
 
 
 class TestRadialDecay:

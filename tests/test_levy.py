@@ -89,7 +89,9 @@ class TestRadialRoute:
     The stable radial density is C r^{-1-alpha} with C = |S^{d-1}| c(d, alpha),
     so the small-jump moment is C / (2 - alpha), the big-jump mass C / alpha,
     the log tail C / alpha^2 and the moment over |z| <= eps
-    C eps^{2-alpha} / (2 - alpha).
+    C eps^{2-alpha} / (2 - alpha).  The law's record holds these and a, G and
+    N_inf: the closed-form record of the stable kind is the oracle of the
+    quadrature record of the same density given as analytic.
     """
 
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
@@ -116,6 +118,30 @@ class TestRadialRoute:
                 assert got[key] == pytest.approx(want[key], rel=1e-12, abs=0.0), (
                     nu.kind, key
                 )
+
+        # the record members that depend on k or z, each with its worst
+        # error measured over d in {1, 2} and alpha in {0.5, 1, 1.5}:
+        # a 2.0e-11, G(k) - G(k/2) 1.4e-13 and the anchored G 1.3e-12, all
+        # relative to max(1, |value|); N_inf 1.6e-14 relative
+        exact = levy._law(stable_density(alpha, d), 1e-10)
+        quad = levy._law(opaque_stable(alpha, d), 1e-10)
+        assert type(exact) is not type(quad)
+        k = np.array([0.3, 1.0, 4.0, 10.0] + ([-0.3, -4.0] if d == 1 else []))
+        ks = np.stack([k, 0.5 * k])
+        z = np.array([0.01, 0.5, 3.0, 100.0])
+        z = np.concatenate([z, -z]) if d == 1 else z
+        pairs = {
+            "a": (quad.symbol(k), exact.symbol(k), 1e-10),
+            "G difference": (np.subtract(*quad.antiderivative(ks)),
+                             np.subtract(*exact.antiderivative(ks)), 1e-12),
+            "anchored G": (quad.antiderivative(k, anchored=True),
+                           exact.antiderivative(k, anchored=True), 1e-11),
+        }
+        for key, (got, want, tol) in pairs.items():
+            assert np.all(np.abs(got - want) <= tol * np.maximum(1.0, np.abs(want))), (
+                key, got, want)
+        np.testing.assert_allclose(quad.tail_average(z), exact.tail_average(z),
+                                   rtol=1e-13, atol=0.0)
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_nan_density_raises_in_log_tail(self, d):
