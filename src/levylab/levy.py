@@ -464,7 +464,8 @@ class _Law:
         return try_integrate(lambda r: r * r * rho(r), interval, self.tol, points)
 
     def mass(self):
-        """(int_{|z| > 1} N(z) dz, diverged); a table's ends at its last knot."""
+        """(int_{|z| > 1} N(z) dz, diverged); a table's integral ends at its
+        last knot."""
         interval, points = self.nu.radial_interval(1.0, np.inf)
         return try_integrate(self.nu.radial_density, interval, self.tol, points)
 
