@@ -25,6 +25,7 @@ import math
 import sys
 import time
 from dataclasses import dataclass, replace
+from itertools import repeat
 from pathlib import Path
 from typing import Callable
 
@@ -37,7 +38,7 @@ from .entropy import (
     modified_lsi_check,
 )
 from .errors import ConfigError, LevyLabError
-from .fields import FAMILIES, _bump, _iter_fields, generate_test_fields
+from .fields import FAMILIES, _bump, _iter_fields
 from .fokker_planck import build_steady_state, check_domination, fp_evolve, limit_density
 from .heat import kato_check, lsi_gap, verify_hypercontractivity
 from .levy import LevyTriplet, _tabulated_density, stable_density
@@ -46,7 +47,9 @@ from .spectral import Grid, SpectralField
 _FMT = "%.17g"
 
 def _battery(cfg: ExperimentConfig):
-    return generate_test_fields(cfg.grid, cfg.seed, cfg.sweep["family"])
+    """The config's battery as a generator: a runner that maps its check over
+    it holds one field at a time."""
+    return _iter_fields(cfg.grid, cfg.seed, cfg.sweep["family"])
 
 
 def _verdicts(header, rows, worst_key: str, column: int, worst=max):
@@ -77,7 +80,7 @@ def _run_heat(cfg: ExperimentConfig):
 
 def _run_euclidean_lsi(cfg: ExperimentConfig):
     alphas = cfg.sweep["alpha"]
-    gaps = [lsi_gap(f, alphas) for f in _battery(cfg)]
+    gaps = list(map(lsi_gap, _battery(cfg), repeat(alphas)))
     rows = []
     for alpha, per_field in zip(alphas, zip(*gaps)):
         for idx, (lhs, rhs) in enumerate(per_field):
@@ -87,11 +90,19 @@ def _run_euclidean_lsi(cfg: ExperimentConfig):
                      rows, "smallest_gap", 4, worst=min)
 
 
+def _r32_slope(v):
+    """1.5 sign(v) sqrt|v|, bitwise (+0 at v = -0 too), without the sign pass."""
+    s = 1.5 * np.sqrt(np.abs(v))
+    return np.negative(s, out=s, where=v < 0)
+
+
 _KATO_PHIS = {
     "r2": (lambda v: v * v, lambda v: 2.0 * v),
+    # pow only off the zeros, which it takes slowly and a clipped field has
+    # many of: bitwise |v| ** 1.5
     "r3/2": (
-        lambda v: np.abs(v) ** 1.5,
-        lambda v: 1.5 * np.sign(v) * np.sqrt(np.abs(v)),
+        lambda v: np.power(np.abs(v), 1.5, out=np.zeros_like(v), where=v != 0),
+        _r32_slope,
     ),
 }
 
@@ -100,7 +111,8 @@ def _run_kato(cfg: ExperimentConfig):
     alphas = cfg.sweep["alpha"]
     names = sorted(_KATO_PHIS)
     phis, dphis = zip(*(_KATO_PHIS[name] for name in names))
-    reports = [kato_check(f, phis, dphis, alphas) for f in _battery(cfg)]
+    reports = list(map(kato_check, _battery(cfg), repeat(phis), repeat(dphis),
+                       repeat(alphas)))
     rows = []
     for alpha, per_field in zip(alphas, zip(*reports)):
         for j, name in enumerate(names):

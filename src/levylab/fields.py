@@ -54,6 +54,8 @@ def _iter_fields(grid: Grid, seed: int, family: str, steady=None):
 
     Each is band-limited and clipped at 0 when reached, after its own random
     draws: ``next`` of this generator is ``generate_test_fields(...)[0]``.
+    Between yields the generator holds no field, so a consumer that drops
+    each field before asking for the next holds one at a time.
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown field family {family!r}")
@@ -61,27 +63,32 @@ def _iter_fields(grid: Grid, seed: int, family: str, steady=None):
         raise ValueError("perturbed-steady needs the steady density field")
     rng = np.random.default_rng(seed)
     for k in range(9 if family == "gaussians" else 6):
-        if family == "gaussians":
-            vals = gaussian_field(grid, (0.25, 1.0, 4.0)[k // 3],
-                                  (-2.0, 0.0, 2.0)[k % 3]).values
-        elif family == "bumps":
-            vals = 0.0
-            for _ in range(rng.integers(1, 4)):
-                var = float(rng.uniform(0.3, 2.5))
-                center = float(rng.uniform(-3.0, 3.0))
-                amp = float(rng.uniform(0.3, 1.0))
-                vals += amp * gaussian_field(grid, var, center).values
-        elif family == "mixtures":
-            w = rng.dirichlet(np.ones(3))
-            vals = sum(wi * gaussian_field(grid, float(rng.uniform(0.4, 3.0)),
-                                           float(rng.uniform(-2.5, 2.5))).values
-                       for wi in w)
-        else:
-            vals = steady.values * (1.0 + 0.3 * _bump(grid, rng))
-            vals /= np.sum(vals) * grid.dx**grid.d
-        f = band_limit(SpectralField(grid, values=vals))
-        np.clip(f.values, 0.0, None, out=f.values)
-        yield f
+        yield _field(grid, rng, family, k, steady)
+
+
+def _field(grid: Grid, rng, family: str, k: int, steady):
+    """The k-th field of a battery, drawing from ``rng``."""
+    if family == "gaussians":
+        vals = gaussian_field(grid, (0.25, 1.0, 4.0)[k // 3],
+                              (-2.0, 0.0, 2.0)[k % 3]).values
+    elif family == "bumps":
+        vals = 0.0
+        for _ in range(rng.integers(1, 4)):
+            var = float(rng.uniform(0.3, 2.5))
+            center = float(rng.uniform(-3.0, 3.0))
+            amp = float(rng.uniform(0.3, 1.0))
+            vals += amp * gaussian_field(grid, var, center).values
+    elif family == "mixtures":
+        w = rng.dirichlet(np.ones(3))
+        vals = sum(wi * gaussian_field(grid, float(rng.uniform(0.4, 3.0)),
+                                       float(rng.uniform(-2.5, 2.5))).values
+                   for wi in w)
+    else:
+        vals = steady.values * (1.0 + 0.3 * _bump(grid, rng))
+        vals /= np.sum(vals) * grid.dx**grid.d
+    f = band_limit(SpectralField(grid, values=vals))
+    np.clip(f.values, 0.0, None, out=f.values)
+    return f
 
 
 def generate_test_fields(grid: Grid, seed: int, family: str, steady=None):

@@ -194,23 +194,34 @@ def verify_hypercontractivity(fields, alpha, p, q, t):
     """||P_t f||_q / (||f||_p * bound), inf where the bound is 0 (as at a t
     near the largest float); flags a violation above 1 + 1e-6.
 
-    ``fields`` is a sequence of fields on one grid (ValueError otherwise);
-    ``alpha``, ``p``, ``q`` and ``t`` are sequences.  Returns reports[h] for
-    fields[h]: one report per tuple of ``product(alpha, p, q, t)``, in that
-    order.  Every bound is checked before any transform.  ||f||_p is taken
-    once per (f, p), exp(-t |xi|^alpha) once per (alpha, t) for the battery
-    and P_t f once per (f, alpha, t), each into the same preallocated arrays.
+    ``fields`` is an iterable of fields on one grid (ValueError otherwise),
+    such as a battery's generator; ``alpha``, ``p``, ``q`` and ``t`` are
+    sequences.  Returns reports[h] for the h-th field: one report per tuple of
+    ``product(alpha, p, q, t)``, in that order.  Every bound is checked before
+    any transform.  Of each field only ||f||_p per p and its half spectrum
+    are kept, so a generator's fields are freed as they are read; then
+    exp(-t |xi|^alpha) is made once per (alpha, t) and P_t f once per
+    (f, alpha, t), each into the same preallocated arrays.
     """
-    g = fields[0].grid
-    if any(f.grid != g for f in fields):
-        raise ValueError("the fields of one sweep must share their grid")
-    work = np.empty(g.shape)
-    norms = [[_riemann_norm(f.values, x, g, work) for x in p] for f in fields]
-    if any(0.0 in row for row in norms):
-        raise DegenerateField("hypercontractivity ratio undefined for f = 0")
+    fields = iter(fields)
+    head = [next(fields)]
+    g = head[0].grid
     sweep = list(product(*(range(len(x)) for x in (alpha, p, q, t))))
     bounds = [ultracontractivity_constant(g.d, alpha[i], p[j], q[k], t[n]).bound
               for i, j, k, n in sweep]
+    work = np.empty(g.shape)
+
+    def kept(f):
+        if f.grid != g:
+            raise ValueError("the fields of one sweep must share their grid")
+        row = [_riemann_norm(f.values, x, g, work) for x in p]
+        if 0.0 in row:
+            raise DegenerateField("hypercontractivity ratio undefined for f = 0")
+        return row, f.half_spectrum
+
+    # no name holds a field while the next is made: head.pop() hands the first
+    # one over, and map each of the others
+    norms, spectra = zip(*[kept(head.pop()), *map(kept, fields)])
     m = np.empty(g.half_shape)
     spectrum = np.empty(g.half_shape, complex)
     evolved = np.empty(g.shape)
@@ -219,12 +230,12 @@ def verify_hypercontractivity(fields, alpha, p, q, t):
         with np.errstate(over="ignore"):  # to -inf, whose exp is the right 0
             np.multiply(g.symbol(alpha[i]), -t[n], out=m)
         np.exp(m, out=m)
-        for h, f in enumerate(fields):
-            _inverse(np.multiply(f.half_spectrum, m, out=spectrum), evolved)
+        for h, half in enumerate(spectra):
+            _inverse(np.multiply(half, m, out=spectrum), evolved)
             for k, x in enumerate(q):
                 lhs[h, i, k, n] = _riemann_norm(evolved, x, g, work)
     return [[_report(alpha[i], p[j], q[k], t[n], lhs[h, i, k, n], norms[h][j] * bound)
-             for (i, j, k, n), bound in zip(sweep, bounds)] for h in range(len(fields))]
+             for (i, j, k, n), bound in zip(sweep, bounds)] for h in range(len(spectra))]
 
 
 @dataclass(frozen=True)
@@ -261,7 +272,7 @@ def kato_check(u: SpectralField, phi, dphi, alpha):
             _inverse(np.multiply(w, symbol, out=spectrum), lap_w)
             lap_w -= rhs
             viol = float(np.max(lap_w))
-            scale = 1.0 + float(np.max(np.abs(rhs, out=rhs)))
+            scale = 1.0 + max(float(np.max(rhs)), -float(np.min(rhs)))
             row.append(KatoReport(viol, scale, viol <= 1e-8 * scale))
         reports.append(row)
     return reports

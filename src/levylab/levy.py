@@ -171,7 +171,8 @@ class LevyDensity:
     it is zero beyond the last.  Only a d=1 density may be non-even; a d=1
     ``func`` left at ``is_even=True`` is probed at z = +-0.5 and +-2 and
     refused unless N(-z) = N(z) there to rtol 1e-12 (NaN matching NaN, for
-    the quadrature to refuse as NonFiniteDensity).
+    the quadrature to refuse as NonFiniteDensity).  A ``func`` that cannot
+    be hashed is refused too, since the law's record is cached by density.
     """
 
     kind: str
@@ -192,6 +193,11 @@ class LevyDensity:
         elif self.func is None:
             raise ValueError("analytic/tabulated density needs a callable")
         else:
+            try:
+                hash(self.func)
+            except TypeError:
+                raise ValueError("a density func must be hashable: the law's record "
+                                 "is cached by its density") from None
             # two radii: an anisotropic d=2 func reads them as one point z
             probe = np.array([0.5, 2.0])
             with np.errstate(all="ignore"):

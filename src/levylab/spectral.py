@@ -10,6 +10,7 @@ single place.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
 
@@ -251,11 +252,20 @@ def lp_norm(f: SpectralField, p) -> float:
 
 def _riemann_norm(values, p, grid, out=None):
     """``lp_norm`` of grid values, taking |values|^p in ``out`` (a real grid
-    array, overwritten) or, without one, in a fresh array."""
+    array, overwritten) or, without one, in a fresh array.  Where p = 2^k for
+    a k >= 1, |values|^p is values * values squared k - 1 more times in
+    place, with neither ``abs`` nor libm ``pow``; any other p takes
+    ``|values| ** p``."""
     if p < 1:
         raise InvalidExponent(f"L^p norm needs p >= 1, got {p}")
-    v = np.abs(values, out=out)
     if p == np.inf:
-        return float(np.max(v))
-    v **= p
+        return float(np.max(np.abs(values, out=out)))
+    mantissa, exponent = math.frexp(p)  # p = 2^(exponent - 1) when mantissa is 1/2
+    if mantissa == 0.5 and exponent > 1:
+        v = np.multiply(values, values, out=out)
+        for _ in range(exponent - 2):
+            np.multiply(v, v, out=v)
+    else:
+        v = np.abs(values, out=out)
+        v **= p
     return float(np.sum(v) * grid.dx**grid.d) ** (1.0 / p)

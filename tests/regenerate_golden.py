@@ -1,12 +1,14 @@
 """Rerun every golden case and copy its outputs over the reference.
 
-    python tests/regenerate_golden.py
+    python tests/regenerate_golden.py            # rerun and rewrite
+    python tests/regenerate_golden.py --check    # rerun and write nothing
 
 Each directory under ``tests/golden`` is rerun from its ``config.json``.
-Every cell that moved past ``test_golden.py``'s tolerance (rtol 1e-12, atol
-1e-15) is printed as ``case file row col: old → new``, with the key path in
-place of row and column for ``summary.json``; so is a changed exit code, and
-a file that the run newly writes or no longer writes.  The run's outputs and
+Every cell whose text changed is printed as ``case file row col: old → new``,
+with the key path in place of row and column for ``summary.json``, and
+marked ``PAST TOLERANCE`` where it moved past ``test_golden.py``'s tolerance
+(rtol 1e-12, atol 1e-15); so is a changed exit code, and a file that the run
+newly writes or no longer writes.  Without ``--check`` the run's outputs and
 exit code then replace the reference's; ``run.log``, which holds the wall
 time, is not kept.
 """
@@ -41,7 +43,7 @@ def _cells(path):
     return dict(_leaves(json.loads(path.read_text())))
 
 
-def regenerate(case: Path):
+def regenerate(case: Path, write=True):
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "out"
         rc = main(["--config", str(case / "config.json"), "--out", str(out)])
@@ -55,7 +57,8 @@ def regenerate(case: Path):
         for name in sorted(set(new) | set(old)):
             if name not in new:
                 print(f"{case.name} {name}: no longer written")
-                old[name].unlink()
+                if write:
+                    old[name].unlink()
                 continue
             if name not in old:
                 print(f"{case.name} {name}: new file")
@@ -63,12 +66,19 @@ def regenerate(case: Path):
                 before, after = _cells(old[name]), _cells(new[name])
                 for where in dict.fromkeys([*before, *after]):
                     b, a = before.get(where, _NONE), after.get(where, _NONE)
-                    if where not in before or where not in after or not _close(a, b):
-                        print(f"{case.name} {name} {where}: {b} → {a}")
-            shutil.copyfile(new[name], case / name)
-        code.write_text(f"{rc}\n")
+                    if a != b:
+                        past = "" if where in before and where in after and _close(
+                            a, b) else "  PAST TOLERANCE"
+                        print(f"{case.name} {name} {where}: {b} → {a}{past}")
+            if write:
+                shutil.copyfile(new[name], case / name)
+        if write:
+            code.write_text(f"{rc}\n")
 
 
 if __name__ == "__main__":
+    check = sys.argv[1:] == ["--check"]
+    if sys.argv[1:] and not check:
+        sys.exit(f"usage: {sys.argv[0]} [--check]")
     for case in sorted(p for p in GOLDEN.iterdir() if p.is_dir()):
-        regenerate(case)
+        regenerate(case, write=not check)

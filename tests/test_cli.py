@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import weakref
 from itertools import product
 from pathlib import Path
 
@@ -33,7 +34,7 @@ from levylab import (
 )
 from levylab.cli import load_config, main
 from levylab.errors import ConfigError, QuadratureFailure
-from levylab.fields import FAMILIES
+from levylab.fields import FAMILIES, _iter_fields
 
 from conftest import count_transforms, full_freqs, log_tail_table
 
@@ -665,9 +666,9 @@ class TestKato:
 
         def counting(*args, **kwargs):
             calls.append(args)
-            return generate_test_fields(*args, **kwargs)
+            return _iter_fields(*args, **kwargs)
 
-        monkeypatch.setattr(cli, "generate_test_fields", counting)
+        monkeypatch.setattr(cli, "_iter_fields", counting)
         _, rows, *_ = cli._RUNNERS[experiment](cfg)
         assert len(calls) == 1
         assert rows == _rows_per_pair(cfg)
@@ -680,8 +681,8 @@ class TestKato:
         calls = []
 
         def counting(fields, *args):
-            calls.append(fields)
-            return verify_hypercontractivity(fields, *args)
+            calls.append(list(fields))
+            return verify_hypercontractivity(calls[-1], *args)
 
         monkeypatch.setattr(cli, "verify_hypercontractivity", counting)
         _, rows, *_ = cli._RUNNERS["heat"](cfg)
@@ -715,6 +716,94 @@ class TestKato:
                           "forward": 0, "inverse": 0}
 
 
+class _Tracked:
+    """A battery generator that keeps a weak reference to each field's values
+    and, each time the next field is asked for, counts the earlier ones
+    still alive."""
+
+    def __init__(self, fields):
+        self.fields = fields
+        self.drawn = []
+        self.alive = []
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        self.alive.append(sum(ref() is not None for ref in self.drawn))
+        f = next(self.fields)
+        self.drawn.append(weakref.ref(f.values))
+        return f
+
+
+class TestStreamedBattery:
+    """heat, euclidean-lsi and kato hold one battery field's values at a time:
+    each field is freed before the next is made, and the rows are those of
+    the battery checked as a list."""
+
+    @pytest.mark.parametrize("experiment", sorted(_PAIRS))
+    @pytest.mark.parametrize("family", ["gaussians", "bumps"])
+    def test_holds_one_field_at_a_time(self, experiment, family, monkeypatch):
+        cfg = load_config({"experiment": experiment,
+                           "grid": {"d": 2, "L": 10.0, "M": 32},
+                           "sweep": {"family": family}, "seed": 5})
+        batteries = []
+
+        def tracked(*args, **kwargs):
+            batteries.append(_Tracked(_iter_fields(*args, **kwargs)))
+            return batteries[-1]
+
+        monkeypatch.setattr(cli, "_iter_fields", tracked)
+        _, rows, *_ = cli._RUNNERS[experiment](cfg)
+        [battery] = batteries
+        size = len(generate_test_fields(cfg.grid, cfg.seed, family))
+        assert len(battery.drawn) == size
+        # asked once more than there are fields, for the StopIteration
+        assert battery.alive == [0] * (size + 1)
+        assert rows == _rows_per_pair(cfg)
+
+    def test_hypercontractivity_keeps_no_field(self):
+        # of a generator's fields it keeps norms and spectra only
+        grid = Grid(2, 10.0, 32)
+        battery = _Tracked(_iter_fields(grid, 1, "bumps"))
+        reports = verify_hypercontractivity(battery, [1.0], [2.0, 3.0], [4.0, 6.0],
+                                            [0.5])
+        assert battery.alive == [0] * 7
+        assert all(ref() is None for ref in battery.drawn)
+        listed = verify_hypercontractivity(generate_test_fields(grid, 1, "bumps"),
+                                           [1.0], [2.0, 3.0], [4.0, 6.0], [0.5])
+        assert reports == listed
+
+
+def _old_kato_r32(v):
+    """The r3/2 pair before pow was kept off the zeros."""
+    return np.abs(v) ** 1.5, 1.5 * np.sign(v) * np.sqrt(np.abs(v))
+
+
+class TestKatoPhis:
+    @pytest.mark.parametrize("d, M", [(1, 512), (2, 64)])
+    def test_r32_is_the_old_pair_bitwise_on_a_battery(self, d, M):
+        phi, dphi = cli._KATO_PHIS["r3/2"]
+        for f in generate_test_fields(Grid(d, 20.0, M), 1, "bumps"):
+            old = _old_kato_r32(f.values)
+            assert np.any(f.values == 0.0)
+            assert phi(f.values).tobytes() == old[0].tobytes()
+            assert dphi(f.values).tobytes() == old[1].tobytes()
+
+    def test_r32_is_the_old_pair_bitwise_at_the_edges(self):
+        phi, dphi = cli._KATO_PHIS["r3/2"]
+        tiny = np.finfo(float).tiny
+        v = np.array([0.0, -0.0, 1.0, -1.0, 2.5, -2.5, 1e-300, -1e-300, tiny / 4,
+                      -tiny / 4, 1e200, -1e200, np.inf, -np.inf])
+        old = _old_kato_r32(v)
+        assert phi(v).tobytes() == old[0].tobytes()
+        assert dphi(v).tobytes() == old[1].tobytes()
+        # a NaN stays a NaN, whatever its sign bit
+        nan = np.array([np.nan, -np.nan, 1.0])
+        for new, want in zip((phi(nan), dphi(nan)), _old_kato_r32(nan)):
+            assert np.array_equal(new, want, equal_nan=True)
+
+
 class _Handed(Exception):
     """Carries the initial field a flow runner passed on."""
 
@@ -731,18 +820,18 @@ class TestFlowRunners:
         batteries = []
 
         def counting(*args, **kwargs):
-            batteries.append(args)
-            return generate_test_fields(*args, **kwargs)
+            batteries.append(_Tracked(_iter_fields(*args, **kwargs)))
+            return batteries[-1]
 
         def handed(u0, *args, **kwargs):
             raise _Handed(u0)
 
-        monkeypatch.setattr(cli, "generate_test_fields", counting)
+        monkeypatch.setattr(cli, "_iter_fields", counting)
         monkeypatch.setattr(cli, "fp_evolve" if experiment == "fp" else "decay_track",
                             handed)
         with pytest.raises(_Handed) as caught:
             cli._RUNNERS[experiment](cfg)
-        assert batteries == []
+        assert [len(b.drawn) for b in batteries] == [1]
         steady = build_steady_state(cfg.triplet, cfg.grid, cfg.tol)
         want = generate_test_fields(
             cfg.grid, cfg.seed, family if experiment == "fp" else "perturbed-steady",

@@ -250,6 +250,24 @@ class TestEvenProbe:
         ).nu.is_even
 
 
+class _UnhashableProfile:
+    """e^{-|z|}/|z| as a callable with ``__eq__`` and so no ``__hash__``."""
+
+    def __call__(self, z):
+        return np.exp(-np.abs(z)) / np.abs(z)
+
+    def __eq__(self, other):
+        return isinstance(other, _UnhashableProfile)
+
+
+def test_an_unhashable_func_is_refused_when_built():
+    # it would fail jump_symbol, fp_evolve and build_steady_state later, with
+    # a bare TypeError from the record cache
+    for d in (1, 2):
+        with pytest.raises(ValueError, match="hashable"):
+            LevyDensity(kind="analytic", d=d, func=_UnhashableProfile())
+
+
 def _oracle_densities(tmp_path):
     table = even_table(tmp_path)
     return {

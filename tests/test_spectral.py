@@ -22,6 +22,7 @@ from levylab.errors import InvalidExponent, QuadratureFailure
 from levylab.fields import band_limit, generate_test_fields
 from levylab.heat import fractional_laplacian, half_operator_norm, heat_evolve
 from levylab.quadrature import integrate_scaled
+from levylab.spectral import _riemann_norm
 
 from conftest import full_freqs, gaussian, radial_gaussian
 
@@ -341,6 +342,31 @@ class TestLpNorm:
         finally:
             tracemalloc.stop()
         assert f.values.nbytes <= peak < 1.5 * f.values.nbytes
+
+    @pytest.mark.parametrize("p", [4.0, 8])
+    def test_squaring_takes_one_grid_size_temporary(self, p):
+        f = gaussian_field(Grid(2, 10.0, 128))
+        tracemalloc.start()
+        try:
+            lp_norm(f, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert f.values.nbytes <= peak < 1.5 * f.values.nbytes
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("p", [2, 3, 4, 6, 8.0, 2.5])
+    def test_matches_the_pow_expression(self, d, p):
+        # a power of two is squared in place, so it may round apart from pow;
+        # exact zeros, both signs and values whose powers underflow included
+        g = Grid(d, 5.0, 64)
+        rng = np.random.default_rng(11)
+        v = rng.normal(size=g.shape) * 10.0 ** rng.uniform(-120, 1, size=g.shape)
+        v.ravel()[::7] = 0.0
+        assert np.any(np.abs(v) < 1e-80) and np.any(v < 0)
+        want = float(np.sum(np.abs(v) ** p) * g.dx**g.d) ** (1.0 / p)
+        for out in (None, np.empty(g.shape)):
+            assert _riemann_norm(v, p, g, out) == pytest.approx(want, rel=1e-15, abs=0)
 
     def test_refinement_stability(self):
         # doubling M barely moves the norm of a concentrated smooth field
