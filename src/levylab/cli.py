@@ -141,13 +141,13 @@ def _run_fp(cfg: ExperimentConfig):
 def _run_steady(cfg: ExperimentConfig):
     tr = cfg.triplet
     steady = build_steady_state(tr, cfg.grid, cfg.tol)
-    dom = check_domination(tr.nu, tol=cfg.tol) if tr.nu is not None else None
+    dom = check_domination(tr.nu, tol=cfg.tol)
     # build_steady_state raises Con1Violation when the log tail diverges
     report = {
         "con1": steady.log_tail,
         "con1_diverged": False,
-        "con2_C": (dom.C_est if dom is not None else 0.0),
-        "con2_unbounded": (dom.unbounded if dom is not None else False),
+        "con2_C": dom.C_est,
+        "con2_unbounded": dom.unbounded,
         "bA": [float(b) for b in np.atleast_1d(steady.drift_correction)],
         "normalization_defect": steady.mass_defect,
     }

@@ -291,7 +291,6 @@ def modified_lsi_check(
     mu: WeightedMeasure,
     triplet_of_mu: LevyTriplet,
     phi: PhiFunction,
-    z_extent: int = 2,
 ):
     """Entropy against its dissipation bound for an infinitely divisible mu.
 
@@ -301,7 +300,7 @@ def modified_lsi_check(
     ratio inf, a failure.
     """
     ent = phi_entropy(v, mu, phi)
-    gauss, jump = dissipation(v, mu, triplet_of_mu, phi, z_extent)
+    gauss, jump = dissipation(v, mu, triplet_of_mu, phi)
     rhs = gauss + jump
     ratio = 0.0 if ent <= 1e-14 and rhs <= 1e-14 else (ent / rhs if rhs else math.inf)
     return ent, rhs, ratio
@@ -339,7 +338,6 @@ def entropy_production_check(
     dt: Sequence[float],
     steady: SteadyState,
     tol: float = 1e-10,
-    z_extent: int = 2,
 ) -> list[ProductionReport]:
     """Centered finite differences of the entropy against its dissipation.
 
@@ -356,7 +354,7 @@ def entropy_production_check(
 
     ent = {tau: phi_entropy(ratio(tau), mu, phi)
            for tau in dict.fromkeys(x for h in dt for x in (t - h, t + h))}
-    gauss, jump = dissipation(ratio(t), mu, triplet, phi, z_extent)
+    gauss, jump = dissipation(ratio(t), mu, triplet, phi)
     diss = gauss + jump
     reports = []
     for h in dt:

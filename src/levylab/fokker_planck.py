@@ -38,7 +38,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import polynomial
 
-from .errors import Con1Violation, InterpolationDegradation, NegativeDensity
+from .errors import (Con1Violation, InterpolationDegradation, NegativeDensity,
+                     QuadratureFailure)
 from .levy import (
     LevyDensity,
     LevyTriplet,
@@ -48,7 +49,6 @@ from .levy import (
     _law,
     _radial_argument,
 )
-from .quadrature import integrate_scaled
 from .spectral import Grid, SpectralField
 
 __all__ = [
@@ -186,9 +186,8 @@ def check_log_tail(nu, tol: float = 1e-10) -> LogTailReport:
 
     One integral of the radial density, int_1^inf ln(r) rho(r) dr (C / alpha^2
     for the stable family); raises NonFiniteDensity if N returns NaN or
-    negative values.  A table's integral ends at its last knot, with the
-    knots as breakpoints.  Kept on the law's record, so that a steady build
-    and its anchor share the integral.
+    negative values.  Kept on the law's record, so that a steady build and
+    its anchor share the integral.
     """
     if nu is None:
         return LogTailReport(0.0, False)
@@ -219,28 +218,28 @@ def _tau_factor(z):
     Equal to arctan(z)/z - 1/(1 + z^2).  That difference cancels for small
     z (1e-12 relative at z = 1e-2, 1e-14 at z = 0.1), so below z = 0.1 the
     series sum_k (-1)^{k+1} 2k z^{2k} / (2k + 1) is summed to k = 10, where
-    its truncation error is below z^18 relative.
+    its truncation error is below z^18 relative.  z is a float or an array.
     """
     z2 = z * z
-    if z < 0.1:
-        return z2 * polynomial.polyval(z2, _TAU_SERIES)
-    return np.arctan(z) / z - 1.0 / (1.0 + z2)
+    # the series at min(z^2, 0.01) stays finite where it is not taken
+    series = z2 * polynomial.polyval(np.minimum(z2, 0.01), _TAU_SERIES)
+    return np.where(z < 0.1, series, np.arctan(z) / z - 1.0 / (1.0 + z2))
 
 
 def drift_correction(nu, tol: float = 1e-10) -> np.ndarray:
     """b_A: the drift shift between the flow's exponent and its Levy form.
 
-    Vanishes identically for even densities (odd integrand in z).  A
-    table's integral ends at its last knot, with the knots as breakpoints.
+    Vanishes identically for even densities (odd integrand in z).  One
+    integral of the law's record; raises QuadratureFailure if it fails.
     """
     if nu is None:
         return np.zeros(1)
     if nu.is_even:
         return np.zeros(nu.d)
-    interval, points = nu.radial_interval(0.0, np.inf)
-    val = integrate_scaled(
-        lambda z: z * _tau_factor(z) * nu.odd_difference(z), interval, tol, points
-    )
+    val, failed = _law(nu, tol)._integral(
+        lambda z: z * _tau_factor(z) * nu.odd_difference(z), 0.0, np.inf)
+    if failed:
+        raise QuadratureFailure(f"drift correction integral failed: {val!r}", value=val)
     return np.array([val])
 
 

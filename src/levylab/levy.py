@@ -28,8 +28,9 @@ A law's radial quantities live on one record per (density, tolerance),
 made by ``_law``: the moment over |z| <= eps, the big-jump mass, the log
 tail, a on an array of radii, its radial antiderivative G and the invariant
 law's Levy density N_inf.  The stable family fills the record in closed
-form (Sato 1999, Thm 17.5) and any other density by quadrature; each
-xi-independent integral is computed on first use and kept.
+form (Sato 1999, Thm 17.5), a table by one fixed Gauss-Legendre rule and any
+other density by quadrature; each xi-independent integral is computed on
+first use and kept.
 
 The quadrature record's G(r) = int_0^r a(rho) / rho drho tabulates a once
 per call on Chebyshev points in log r and integrates the interpolant
@@ -49,7 +50,7 @@ from functools import cached_property, lru_cache
 from typing import Callable, Optional
 
 import numpy as np
-from numpy.polynomial import chebyshev, polynomial
+from numpy.polynomial import chebyshev, legendre, polynomial
 
 from .errors import Con1Violation, InvalidAlpha, NonFiniteDensity, QuadratureFailure
 from .quadrature import _SLACK, integrate_scaled, try_integrate
@@ -167,12 +168,13 @@ class LevyDensity:
     the symbol normalization.  Otherwise ``func`` is n: it maps a float, or
     an array of signed z in d=1 (where n is N) and of radii in d=2, to values
     of the same shape, and is refused when built if it maps no array so.  A
-    tabulated density keeps the sorted radii |z| of its table's ``knots``;
-    it is zero beyond the last.  Only a d=1 density may be non-even; a d=1
-    ``func`` left at ``is_even=True`` is probed at z = +-0.5 and +-2 and
-    refused unless N(-z) = N(z) there to rtol 1e-12 (NaN matching NaN, for
-    the quadrature to refuse as NonFiniteDensity).  A ``func`` that cannot
-    be hashed is refused too, since the law's record is cached by density.
+    tabulated density keeps the sorted radii |z| of its table's ``knots``; it
+    is linear between them and zero beyond the last.  Only a d=1 density may
+    be non-even; a d=1 ``func`` left at ``is_even=True`` is probed at z =
+    +-0.5 and +-2 and refused unless N(-z) = N(z) there to rtol 1e-12 (NaN
+    matching NaN, for the quadrature to refuse as NonFiniteDensity).  A
+    ``func`` that cannot be hashed is refused too, since the law's record is
+    cached by density.
     """
 
     kind: str
@@ -190,8 +192,8 @@ class LevyDensity:
                 raise InvalidAlpha(
                     f"stable density needs alpha in (0, 2), got {self.alpha}"
                 )
-        elif self.func is None:
-            raise ValueError("analytic/tabulated density needs a callable")
+        elif self.func is None or self.kind == "tabulated" and not self.knots:
+            raise ValueError("a non-stable density needs a callable, a table its knots")
         else:
             try:
                 hash(self.func)
@@ -247,19 +249,6 @@ class LevyDensity:
         """n+(z) - n-(z) at z > 0 in d=1, each value checked as in
         ``radial_density``; zero for an even density."""
         return _checked(self.profile, z) - _checked(self.profile, -z)
-
-    def radial_interval(self, a, b):
-        """The interval of a radial integral over (a, b), and its breakpoints.
-
-        A table is zero past its last knot radius R: the interval ends at
-        min(b, R) (at least a), and the knot radii inside it are the QUADPACK
-        breakpoints.  Any other density keeps (a, b), with none.
-        """
-        if self.knots is None:
-            return (a, b), None
-        r = np.asarray(self.knots)
-        b = max(a, min(b, r[-1]))
-        return (a, b), r[(r > a) & (r < b)]
 
     def small_ball_second_moment(self, eps, tol=1e-12):
         """int_{|z| <= eps} |z|^2 N(z) dz (closed form for the stable kind)."""
@@ -411,40 +400,6 @@ def _aux_fg(x):
     return ci * np.sin(x) - si * np.cos(x), -ci * np.cos(x) - si * np.sin(x)
 
 
-def _radial_tails(nu, sign, radii, tol):
-    """T(r) = int_r^inf n(rho) rho^{d-1} drho at an array of radii r > 0, for
-    n = n+ (sign 1) or n- (sign -1): reverse cumulative sums of pieces.
-
-    An analytic piece (a, b) is one QUADPACK integral relative to
-    f(a) min(b - a, a), so that the tolerance is relative where n is tiny;
-    the edges are the radii, infinity and the powers of ten in (r, 1], so
-    that no finite piece spans more than a decade.  A table is linear between
-    its knots and zero past the last: with the knots as edges, the two-point
-    Gauss-Legendre rule, whose nodes lie inside each piece, is exact there,
-    jumps at knots included.
-    """
-    def f(rho):
-        return _checked(nu.profile, sign * rho) * rho ** (nu.d - 1)
-
-    r0 = np.min(radii)
-    if nu.knots is None:
-        decades = 10.0 ** np.arange(np.floor(np.log10(r0)) + 1.0, 1.0)
-        edges = np.append(np.union1d(radii, decades[decades > r0]), np.inf)
-        pieces = []
-        for a, b in zip(edges[:-1], edges[1:]):
-            scale = f(a) * min(b - a, a) or 1.0
-            pieces.append(scale * integrate_scaled(lambda rho: f(rho) / scale,
-                                                   (a, b), tol))
-    else:
-        knots = np.asarray(nu.knots)
-        edges = np.union1d(radii, knots[knots > r0])
-        half = 0.5 * np.diff(edges)
-        mid, off = edges[:-1] + half, half / np.sqrt(3.0)
-        pieces = half * (f(mid - off) + f(mid + off))
-    tails = np.append(np.cumsum(np.asarray(pieces)[::-1])[::-1], 0.0)
-    return tails[np.searchsorted(edges, radii)]
-
-
 @dataclass(frozen=True)
 class LogTailReport:
     value: float
@@ -463,17 +418,18 @@ class _Law:
     def __init__(self, nu, tol):
         self.nu, self.tol = nu, tol
 
+    def _integral(self, f, a, b):
+        """(int_a^b f(r) dr, diverged) for an integrand f of the radius."""
+        return try_integrate(f, (a, b), self.tol)
+
     def moment(self, eps):
         """(int_{|z| <= eps} |z|^2 N(z) dz, diverged)."""
         rho = self.nu.radial_density
-        interval, points = self.nu.radial_interval(0.0, eps)
-        return try_integrate(lambda r: r * r * rho(r), interval, self.tol, points)
+        return self._integral(lambda r: r * r * rho(r), 0.0, eps)
 
     def mass(self):
-        """(int_{|z| > 1} N(z) dz, diverged); a table's integral ends at its
-        last knot."""
-        interval, points = self.nu.radial_interval(1.0, np.inf)
-        return try_integrate(self.nu.radial_density, interval, self.tol, points)
+        """(int_{|z| > 1} N(z) dz, diverged)."""
+        return self._integral(self.nu.radial_density, 1.0, np.inf)
 
     @cached_property
     def unit_moment(self):
@@ -482,16 +438,14 @@ class _Law:
 
     @cached_property
     def big(self):
-        """B = int_1^inf rho dr; None for a table, whose far part is one integral."""
-        return None if self.nu.knots is not None else integrate_scaled(
-            self.nu.radial_density, (1.0, np.inf), self.tol)
+        """B = int_1^inf rho dr."""
+        return integrate_scaled(self.nu.radial_density, (1.0, np.inf), self.tol)
 
     @cached_property
     def log_tail(self):
         """int_1^inf ln(r) rho(r) dr as a LogTailReport; see ``check_log_tail``."""
         rho = self.nu.radial_density
-        interval, points = self.nu.radial_interval(1.0, np.inf)
-        val, div = try_integrate(lambda r: np.log(r) * rho(r), interval, self.tol, points)
+        val, div = self._integral(lambda r: np.log(r) * rho(r), 1.0, np.inf)
         return LogTailReport(float(val) if val is not None else np.inf, div)
 
     def symbol(self, ks):
@@ -499,26 +453,13 @@ class _Law:
         the unit-ball moment and B; see ``jump_symbol``."""
         nu, tol, m2, big = self.nu, self.tol, self.unit_moment, self.big
         mean, kernel, tail = _SPHERICAL_MEAN[nu.d]
-        # a table is zero past its last knot: its far part is one finite
-        # integral of (m - 1) rho, and its imaginary part one over (eps, inf),
-        # split at the knots
-        rho, n_diff = nu.radial_density, nu.odd_difference
-        near, near_points = nu.radial_interval(_EPS_BALL, 1.0)
-        far, far_points = nu.radial_interval(1.0, np.inf)
-        whole, whole_points = nu.radial_interval(_EPS_BALL, np.inf)
-
+        rho, n_diff, near = nu.radial_density, nu.odd_difference, (_EPS_BALL, 1.0)
         out = np.empty(len(ks), dtype=float if nu.is_even else complex)
         for j, s in enumerate(ks):
             q = abs(s)
-            head = integrate_scaled(lambda r: kernel(r * q) * rho(r), near, tol,
-                                    near_points)
+            head = integrate_scaled(lambda r: kernel(r * q) * rho(r), near, tol)
             moment = -0.5 / nu.d * q * q * m2
-            if big is None:
-                big_part = integrate_scaled(lambda r: (mean(r * q) - 1.0) * rho(r), far,
-                                            tol, far_points)
-            else:
-                big_part = tail(rho, q, tol) - big
-            out[j] = head + moment + big_part
+            out[j] = head + moment + (tail(rho, q, tol) - big)
             if nu.is_even:
                 continue
             # imaginary part: int sin(zs) dN - s int z h(z) dN with dN = n_diff
@@ -527,9 +468,6 @@ class _Law:
                 dn = n_diff(z)
                 return np.sin(z * s) * dn - s * z * _h(z * z) * dn
 
-            if big is None:
-                out[j] += 1j * integrate_scaled(imag_integrand, whole, tol, whole_points)
-                continue
             imag_head = integrate_scaled(imag_integrand, (_EPS_BALL, 1.0), tol)
             sgn = 1.0 if s > 0 else -1.0
             tail_sin = integrate_scaled(n_diff, (1.0, np.inf), tol, weight="sin", wvar=q)
@@ -547,9 +485,8 @@ class _Law:
         + R_d(x) gives (gamma + ln(r/d)) B + T (the log tail) + int rho(s)
         R_d(r s) ds: R_1 = -Ci = g cos - f sin takes two QAWF calls, and
         R_2(x) = int_x^inf J0(t) dt / t ~ -J1(x)/x is cut at the zeros of
-        J1(r s).  A table's tail is one finite integral.  A non-even d=1 density
-        adds i int_0^inf dN(z) (Si(r z) - r z h(z)) dz, dN = N(z) - N(-z), with
-        Si = pi/2 - f cos - g sin past z = 1.
+        J1(r s).  A non-even d=1 density adds i int_0^inf dN(z) (Si(r z) - r z
+        h(z)) dz, dN = N(z) - N(-z), with Si = pi/2 - f cos - g sin past z = 1.
         """
         nu, tol, big = self.nu, self.tol, self.big
         d, rho, n_diff = nu.d, nu.radial_density, nu.odd_difference
@@ -561,11 +498,6 @@ class _Law:
         def odd(z):
             return (_special().sici(r * z)[0] - r * z / (1.0 + z * z)) * n_diff(z)
 
-        if big is None:
-            # a table ends at its last knot: one finite integral, split at the knots
-            whole, knots = nu.radial_interval(0.0, np.inf)
-            G = -integrate_scaled(lambda s: _kernel(d, r * s) * rho(s), whole, tol, knots)
-            return G if nu.is_even else G + 1j * integrate_scaled(odd, whole, tol, knots)
         log_tail = self.log_tail
         if log_tail.diverged:
             raise Con1Violation("the log tail of the jump density diverges")
@@ -604,19 +536,62 @@ class _Law:
             G = np.where(ks < 0.0, np.conj(G), G)
         return G
 
+    def _pieces(self, f, radii):
+        """The edges of a tail integral at the radii, and int f over each piece:
+        the radii, infinity and the powers of ten in (r, 1], so that no finite
+        piece spans a decade; a piece (a, b) is one QUADPACK integral relative
+        to f(a) min(b - a, a), so that the tolerance is relative where n is tiny."""
+        r0 = np.min(radii)
+        decades = 10.0 ** np.arange(np.floor(np.log10(r0)) + 1.0, 1.0)
+        edges = np.append(np.union1d(radii, decades[decades > r0]), np.inf)
+        pieces = []
+        for a, b in zip(edges[:-1], edges[1:]):
+            scale = f(a) * min(b - a, a) or 1.0
+            pieces.append(scale * integrate_scaled(lambda rho: f(rho) / scale,
+                                                   (a, b), self.tol))
+        return edges, np.asarray(pieces)
+
     def tail_average(self, x):
         """N_inf(z) = int_1^inf N(t z) t^{d-1} dt = |z|^{-d} int_{|z|}^inf n(rho)
         rho^{d-1} drho (Sato 1999, Thm 17.5) at nonzero x, a float or an array of
-        signed z in d=1 (n- at x < 0) and radii in d=2: one cumulative integral
-        over the sorted radii."""
-        x = np.asarray(x, dtype=float)
+        signed z in d=1 (n- at x < 0) and radii in d=2: one reverse cumulative
+        sum of the pieces between the sorted radii, for n+ and n- apart."""
+        x, d = np.asarray(x, dtype=float), self.nu.d
         out = np.zeros(x.shape)
         for sign in (1.0, -1.0):
             side = sign * x > 0.0
             if np.any(side):
                 r = np.abs(x[side])
-                out[side] = _radial_tails(self.nu, sign, r, self.tol) / r**self.nu.d
+                edges, pieces = self._pieces(
+                    lambda t: _checked(self.nu.profile, sign * t) * t ** (d - 1), r)
+                tails = np.append(np.cumsum(pieces[::-1])[::-1], 0.0)
+                out[side] = tails[np.searchsorted(edges, r)] / r**d
         return out if out.ndim else float(out)
+
+
+# a table's rule: 12 Gauss-Legendre points on each panel, a panel no longer than
+# 6 / q where the integrand oscillates at frequency q, so that the error term
+# (q h / 2)^24 / 24! stays below 1e-12 (Davis & Rabinowitz 1984, 2.7)
+_GL_POINTS = 12
+# the n-point nodes and weights on (-1, 1), built at first use: leggauss loads LAPACK
+_legendre = lru_cache(maxsize=None)(legendre.leggauss)
+
+
+def _gauss(edges, n=_GL_POINTS):
+    """Nodes and weights, as (pieces, n) arrays, of the n-point Gauss-Legendre
+    rule on each piece between consecutive edges."""
+    x, w = _legendre(n)
+    half = 0.5 * np.diff(edges)[:, None]
+    return edges[:-1, None] + half * (1.0 + x), half * w
+
+
+def _rule(a, b, q, cuts=()):
+    """Flat nodes and weights of the rule on (a, b), cut at the cuts inside it
+    and into panels no longer than 6 / q."""
+    cuts = np.asarray(cuts, dtype=float)
+    edges = np.union1d(np.arange(a, b, 6.0 / q), cuts[(cuts > a) & (cuts < b)])
+    x, w = _gauss(np.append(edges, b))
+    return x.ravel(), w.ravel()
 
 
 class _StableLaw(_Law):
@@ -651,10 +626,40 @@ class _StableLaw(_Law):
         return _checked(self.nu.profile, x) / self.nu.alpha
 
 
+class _TableLaw(_Law):
+    """A table's record, by the rule on the pieces between its knots, past the
+    last of which, R, it is zero; q = 1 where nothing oscillates.  a is one
+    array sum for all radii, of (m(k r) - 1) rho(r) and i (sin(k z) - k z h(z))
+    dN(z); the anchor G(r) is the rule on (0, r), where a oscillates at
+    frequency at most R.  N_inf's pieces take the two-point rule, exact there."""
+
+    def _integral(self, f, a, b):
+        x, w = _rule(a, max(a, min(b, self.nu.knots[-1])), 1.0, self.nu.knots)
+        return np.dot(w, f(x)), False
+
+    def symbol(self, ks):
+        nu, ks = self.nu, np.asarray(ks, dtype=float)
+        r, w = _rule(0.0, nu.knots[-1], np.max(np.abs(ks)), nu.knots)
+        kr = ks[:, None] * r
+        out = (_SPHERICAL_MEAN[nu.d][0](kr) - 1.0) @ (w * nu.radial_density(r))
+        return out if nu.is_even else out + 1j * (
+            (np.sin(kr) - kr * _h(r * r)) @ (w * nu.odd_difference(r)))
+
+    def _anchor(self, r):
+        x, w = _rule(0.0, r, self.nu.knots[-1])
+        return np.dot(w, self.symbol(x) / x)
+
+    def _pieces(self, f, radii):
+        knots = np.asarray(self.nu.knots)
+        edges = np.union1d(radii, knots[knots > np.min(radii)])
+        x, w = _gauss(edges, 2)
+        return edges, np.sum(w * f(x), axis=1)
+
+
 @lru_cache(maxsize=16)
 def _law(nu: LevyDensity, tol) -> _Law:
     """The record of nu's radial quantities at tolerance tol, one per pair."""
-    return (_StableLaw if nu.kind == "stable" else _Law)(nu, tol)
+    return {"stable": _StableLaw, "tabulated": _TableLaw}.get(nu.kind, _Law)(nu, tol)
 
 
 @dataclass(frozen=True)

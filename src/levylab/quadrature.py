@@ -21,16 +21,14 @@ __all__ = ["integrate_scaled", "try_integrate"]
 _SLACK = 50.0
 
 
-def _quad_real(g, a, b, tol, points=None, weight=None, wvar=None):
+def _quad_real(g, a, b, tol, weight=None, wvar=None):
     from scipy import integrate
-    # QUADPACK needs more subintervals than breakpoints
-    limit = 400 + (0 if points is None else len(points))
     # with full_output, QUADPACK returns its warning as a fourth item instead
     # of issuing it: slowly convergent but finite integrals often land within
     # tolerance, so only the error estimate decides
     val, err, _, *message = integrate.quad(
-        g, a, b, epsabs=tol, epsrel=tol, limit=limit, points=points, weight=weight,
-        wvar=wvar, full_output=1)
+        g, a, b, epsabs=tol, epsrel=tol, limit=400, weight=weight, wvar=wvar,
+        full_output=1)
     if not np.isfinite(val) or err > _SLACK * max(tol, tol * abs(val)):
         raise QuadratureFailure(
             f"quadrature on [{a}, {b}] reached error {err!r} > tol {tol!r}: "
@@ -41,7 +39,7 @@ def _quad_real(g, a, b, tol, points=None, weight=None, wvar=None):
     return val
 
 
-def integrate_scaled(g, interval, tol=1e-10, points=None, weight=None, wvar=None):
+def integrate_scaled(g, interval, tol=1e-10, weight=None, wvar=None):
     """Adaptive quadrature of ``g`` over ``interval`` with error <= tol.
 
     ``interval`` is a pair (a, b); ``a = -inf`` and/or ``b = inf`` are
@@ -58,19 +56,19 @@ def integrate_scaled(g, interval, tol=1e-10, points=None, weight=None, wvar=None
         a + 1.0 if np.isfinite(a) else (b - 1.0 if np.isfinite(b) else 0.0)
     )
     if np.iscomplexobj(probe) or isinstance(probe, complex):
-        re = _quad_real(lambda s: np.real(g(s)), a, b, tol, points, weight, wvar)
-        im = _quad_real(lambda s: np.imag(g(s)), a, b, tol, points, weight, wvar)
+        re = _quad_real(lambda s: np.real(g(s)), a, b, tol, weight, wvar)
+        im = _quad_real(lambda s: np.imag(g(s)), a, b, tol, weight, wvar)
         return re + 1j * im
-    return _quad_real(g, a, b, tol, points, weight, wvar)
+    return _quad_real(g, a, b, tol, weight, wvar)
 
 
-def try_integrate(g, interval, tol=1e-10, points=None):
+def try_integrate(g, interval, tol=1e-10):
     """Like integrate_scaled but returns (value, diverged) instead of raising.
 
     Used by validation routines where divergence is an expected, reportable
     outcome rather than an error.
     """
     try:
-        return integrate_scaled(g, interval, tol, points), False
+        return integrate_scaled(g, interval, tol), False
     except QuadratureFailure as exc:
         return exc.value, True

@@ -3,7 +3,8 @@
     python tests/regenerate_golden.py            # rerun and rewrite
     python tests/regenerate_golden.py --check    # rerun and write nothing
 
-Each directory under ``tests/golden`` is rerun from its ``config.json``.
+Each directory under ``tests/golden`` is rerun from its ``config.json``, with
+that directory as the working directory.
 Every cell whose text changed is printed as ``case file row col: old → new``,
 with the key path in place of row and column for ``summary.json``, and
 marked ``PAST TOLERANCE`` where it moved past ``test_golden.py``'s tolerance
@@ -14,6 +15,7 @@ time, is not kept.
 """
 
 import json
+import os
 import shutil
 import sys
 import tempfile
@@ -22,7 +24,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).parents[1] / "src"))
 
 from levylab.cli import main  # noqa: E402
-from test_golden import GOLDEN, _close, _read_csv  # noqa: E402
+from test_golden import GOLDEN, _close, _inputs, _read_csv  # noqa: E402
 
 _NONE = "(none)"
 
@@ -46,14 +48,18 @@ def _cells(path):
 def regenerate(case: Path, write=True):
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "out"
-        rc = main(["--config", str(case / "config.json"), "--out", str(out)])
+        cwd = os.getcwd()
+        os.chdir(case)
+        try:
+            rc = main(["--config", str(case / "config.json"), "--out", str(out)])
+        finally:
+            os.chdir(cwd)
         code = case / "exit_code"
         old_rc = code.read_text().strip() if code.exists() else _NONE
         if old_rc != str(rc):
             print(f"{case.name} exit_code: {old_rc} → {rc}")
         new = {p.name: p for p in out.glob("*") if p.name != "run.log"}
-        old = {p.name: p for p in case.iterdir()
-               if p.name not in ("config.json", "exit_code")}
+        old = {p.name: p for p in case.iterdir() if p.name not in _inputs(case)}
         for name in sorted(set(new) | set(old)):
             if name not in new:
                 print(f"{case.name} {name}: no longer written")

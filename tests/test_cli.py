@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from scipy import integrate
 
 import levylab
 from levylab import (
@@ -36,7 +37,7 @@ from levylab.cli import load_config, main
 from levylab.errors import ConfigError, QuadratureFailure
 from levylab.fields import FAMILIES, _iter_fields
 
-from conftest import count_transforms, full_freqs, log_tail_table
+from conftest import count_transforms, full_freqs, log_tail_table, one_sided_table
 
 
 def write_config(path, **overrides):
@@ -874,6 +875,28 @@ def test_heat_lane_loads_no_quadpack(tmp_path):
     # kato's verdict fails on this coarse grid (exit 1); none may exit 2 or 3
     assert codes == ["0", "0", "1"]
     assert (integrate, special) == ("False", "False")
+
+
+@pytest.mark.parametrize("table, codes", [(log_tail_table, [0, 0, 0]),
+                                          (one_sided_table, [0, 0, 1])])
+def test_flows_on_a_table_make_no_quadpack_call(tmp_path, monkeypatch, table, codes):
+    # a table's radial integrals are its fixed rule; N_inf of an analytic
+    # density, which check-lsi reads, still goes to QUADPACK
+    calls = []
+    quad = integrate.quad
+    monkeypatch.setattr(integrate, "quad",
+                        lambda *a, **k: calls.append(a[1:3]) or quad(*a, **k))
+    triplet = {"d": 1, "sigma": 0.3, "b": 0.0, "nu": {
+        "kind": "tabulated", "table_path": str(table(tmp_path / "nu.csv"))}}
+    got = []
+    for name in ("fp", "steady", "decay"):
+        path = write_config(tmp_path / "c.json", experiment=name, triplet=triplet,
+                            grid={"d": 1, "L": 10.0, "M": 128})
+        got.append(main(["--config", str(path), "--out", str(tmp_path / name)]))
+    # decay on the one-sided table counts one entropy violation, as it did
+    # when QUADPACK integrated the table
+    assert got == codes
+    assert calls == []
 
 
 class TestOutputs:

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from scipy import integrate
+from scipy import special
 from scipy.special import exp1
 
 from levylab import (
@@ -38,9 +39,12 @@ from levylab.spectral import Grid
 from conftest import (
     box,
     gaussian,
+    knot_interval,
     log_divergent,
     log_t_limit_density,
     log_tail_table,
+    one_sided_table,
+    qagp,
     right_exponential,
 )
 
@@ -387,14 +391,8 @@ def nested_steady_exponent(nu, xi, tol=1e-10):
 
 
 def one_sided_triplet(tmp_path):
-    """The jumps of a 23-knot d=1 table: e^{-z} z^{-1.5} for z > 0,
-    0.3 e^{z} |z|^{-0.5} for z < 0, zero past z = 10 and z = -8."""
-    zp, zn = np.linspace(0.05, 10.0, 12), -np.linspace(0.05, 8.0, 12)[::-1]
-    n = np.concatenate([0.3 * np.exp(zn) * np.abs(zn) ** -0.5,
-                        np.exp(-zp) * zp**-1.5])
-    path = tmp_path / "one_sided.csv"
-    np.savetxt(path, np.column_stack([np.concatenate([zn, zp]), n]), delimiter=",",
-               fmt="%.17g")
+    """The jumps of ``one_sided_table``, a 23-knot d=1 table."""
+    path = one_sided_table(tmp_path / "one_sided.csv")
     return triplet_from_config(
         {"d": 1, "nu": {"kind": "tabulated", "table_path": str(path)}})
 
@@ -424,7 +422,7 @@ class TestSteadyAnchor:
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_table_matches_nested_quadrature(self, d, tmp_path):
-        # a table's anchor is one finite integral with the knots as breakpoints
+        # a table's anchor is its fixed rule on (0, r) over its own symbol
         z = np.linspace(0.05, 10.0, 40)
         path = tmp_path / "nu.csv"
         np.savetxt(path, np.column_stack([z, np.exp(-z) * z**-1.5]), delimiter=",")
@@ -437,8 +435,7 @@ class TestSteadyAnchor:
     @pytest.mark.parametrize("xi", [0.5, -0.5, 3.0, -3.0])
     def test_one_sided_table_matches_nested_quadrature(self, xi, tmp_path):
         # on the mesh {xi / 6, xi} both the Chebyshev table of a and the
-        # anchor at xi / 6 enter; every integral of a table ends at its last
-        # knot, with the knots as breakpoints
+        # anchor at xi / 6 enter
         tr = one_sided_triplet(tmp_path)
         assert not tr.nu.is_even and len(tr.nu.knots) <= 60
         got = steady_exponent(tr, [np.array([xi / 6.0, xi])])[1]
@@ -567,10 +564,8 @@ def _drift_nested(nu, tol=1e-8):
             (0.0, 1.0), tol * 1e-2,
         )
 
-    interval, points = nu.radial_interval(0.0, np.inf)
-    return integrate_scaled(
-        lambda z: z * tau_factor(z) * (nu(z) - nu(-z)), interval, tol, points
-    )
+    interval, points = knot_interval(nu, 0.0, np.inf)
+    return qagp(lambda z: z * tau_factor(z) * (nu(z) - nu(-z)), interval, tol, points)
 
 
 class TestDriftCorrection:
@@ -597,6 +592,13 @@ class TestDriftCorrection:
         nu = one_sided_triplet(tmp_path).nu
         assert drift_correction(nu)[0] == pytest.approx(_drift_nested(nu), rel=1e-9)
 
+    def test_a_failed_integral_raises(self):
+        # int z tau(z) dN diverges like (pi / 2) ln z for dN = 1 / z
+        nu = LevyDensity(kind="analytic", d=1, func=lambda z: (z > 0) / np.abs(z),
+                         is_even=False)
+        with pytest.raises(QuadratureFailure):
+            drift_correction(nu)
+
     def test_even_density(self):
         assert drift_correction(stable_density(1.3, 1)) == pytest.approx(0.0)
 
@@ -619,6 +621,66 @@ class TestDriftCorrection:
         assert drift_correction(nu, 1e-6)[0] != drift_correction(nu)[0]
         np.testing.assert_array_equal(steady.drift_correction,
                                       drift_correction(nu, 1e-6))
+
+
+class TestTableRule:
+    """A table's record, by its fixed Gauss-Legendre rule, against QUADPACK
+    with the knots as breakpoints (QAGP), to 1e-10 max(1, |value|)."""
+
+    @pytest.mark.parametrize("name, d", [("even", 1), ("even", 2), ("one-sided", 1)])
+    def test_matches_the_breakpoint_oracle(self, name, d, tmp_path, monkeypatch):
+        write = one_sided_table if name == "one-sided" else log_tail_table
+        nu = triplet_from_config({"d": d, "nu": {
+            "kind": "tabulated", "table_path": str(write(tmp_path / "nu.csv"))}}).nu
+        law = levy._law(nu, 1e-10)
+        assert type(law) is levy._TableLaw
+        # every radius at which a steady build samples the Chebyshev table of a
+        radii, chebyshev = [], levy._log_chebyshev_integral
+        monkeypatch.setattr(levy, "_log_chebyshev_integral", lambda f, *args: chebyshev(
+            lambda r: radii.append(r) or f(r), *args))
+        build_steady_state(LevyTriplet(sigma=0.3 * np.eye(d), b=np.zeros(d), nu=nu, d=d),
+                           Grid(d, 10.0, 128 if d == 1 else 32))
+        assert sum(map(len, radii)) >= 33
+        # and one radius whose 6 / k is shorter than the knot pieces, so that
+        # the rule splits every piece into panels
+        ks = np.append(np.concatenate(radii), 150.0)
+        whole, knots = knot_interval(nu, 0.0, np.inf)
+        rho, n_diff = nu.radial_density, nu.odd_difference
+
+        def oracle(f, odd=None, interval=whole, points=knots):
+            val = qagp(f, interval, 1e-12, points)
+            return val if nu.is_even or odd is None else val + 1j * qagp(
+                odd, interval, 1e-12, points)
+
+        mean = np.cos if d == 1 else special.j0
+        r_min = float(np.min(ks))
+        assert r_min == pytest.approx(np.pi / 10.0)
+        z = np.array([0.03, 0.5, 2.0, 7.5, 12.0])
+        z = z if nu.is_even else np.concatenate([z, -z])
+        pairs = {
+            "a": (law.symbol(ks), [oracle(
+                lambda r: (mean(k * r) - 1.0) * rho(r),
+                lambda r: (np.sin(k * r) - k * r / (1.0 + r * r)) * n_diff(r))
+                for k in ks]),
+            "G(r_min)": (law._anchor(r_min), oracle(
+                lambda s: -levy._kernel(d, r_min * s) * rho(s),
+                lambda s: (special.sici(r_min * s)[0] - r_min * s / (1.0 + s * s))
+                * n_diff(s))),
+            "moment": ([law.moment(eps)[0] for eps in (0.05, 1.0)], [oracle(
+                lambda r: r * r * rho(r), None, *knot_interval(nu, 0.0, eps))
+                for eps in (0.05, 1.0)]),
+            "mass": (law.mass()[0], oracle(rho, None, *knot_interval(nu, 1.0, np.inf))),
+            "log tail": (law.log_tail.value, oracle(
+                lambda r: np.log(r) * rho(r), None, *knot_interval(nu, 1.0, np.inf))),
+            "N_inf": (law.tail_average(z), [log_t_limit_density(nu, x) for x in z]),
+            "b_A": (drift_correction(nu)[0], 0.0 if nu.is_even else oracle(
+                lambda r: r * fokker_planck._tau_factor(r) * n_diff(r))),
+        }
+        assert not law.moment(1.0)[1] and not law.log_tail.diverged
+        for key, (got, want) in pairs.items():
+            got, want = np.asarray(got), np.asarray(want)
+            assert np.all(np.abs(got - want) <= 1e-10 * np.maximum(1.0, np.abs(want))), (
+                key, got, want)
 
 
 class TestLogTail:

@@ -6,7 +6,9 @@ runs are re-executed and every numeric cell compared at rtol 1e-12, with an
 absolute floor of 1e-15 for cells at round-off level; text cells must match
 exactly.  A reference that holds only ``config.json`` and ``exit_code``
 records a run that writes nothing, and the re-run must leave no ``--out``
-directory either.  ``tests/regenerate_golden.py`` rewrites the references.
+directory either.  A case on a tabulated density keeps its table next to its
+config, named relative to the case's directory, and each run is made from
+that directory.  ``tests/regenerate_golden.py`` rewrites the references.
 """
 
 import csv
@@ -68,6 +70,14 @@ def _assert_tree(got, want, where):
         _assert_cell(got, want, where)
 
 
+def _inputs(case):
+    """The names of the files in a case directory that the run reads, not
+    writes: the config, the exit code and a density table."""
+    nu = json.loads((case / "config.json").read_text()).get("triplet", {}).get("nu")
+    table = (nu or {}).get("table_path")
+    return {"config.json", "exit_code"} | ({table} if table else set())
+
+
 def _read_csv(path):
     with open(path, newline="") as fh:
         return list(csv.reader(fh))
@@ -76,9 +86,10 @@ def _read_csv(path):
 @pytest.mark.parametrize(
     "name", sorted(p.name for p in GOLDEN.iterdir() if p.is_dir())
 )
-def test_golden_cli_run(name, tmp_path):
+def test_golden_cli_run(name, tmp_path, monkeypatch):
     ref = GOLDEN / name
     out = tmp_path / "out"
+    monkeypatch.chdir(ref)
     warning = WARNS.get(name)
     with pytest.warns(warning) if warning else nullcontext():
         rc = main(["--config", str(ref / "config.json"), "--out", str(out)])
@@ -87,7 +98,7 @@ def test_golden_cli_run(name, tmp_path):
         assert not out.exists()
         return
 
-    for want in sorted(ref.glob("*.csv")):
+    for want in sorted(set(ref.glob("*.csv")) - {ref / f for f in _inputs(ref)}):
         got_rows = _read_csv(out / want.name)
         want_rows = _read_csv(want)
         assert got_rows[0] == want_rows[0], want.name

@@ -421,6 +421,13 @@ class TestQuadrature:
 
 
 class TestTabulatedDensity:
+    def test_a_table_needs_its_knots(self):
+        # the table's record integrates between the knots
+        for knots in (None, ()):
+            with pytest.raises(ValueError, match="knots"):
+                LevyDensity(kind="tabulated", func=box, knots=knots)
+        assert LevyDensity(kind="tabulated", func=box, knots=(1.0,)).knots == (1.0,)
+
     def test_radial_table_uses_euclidean_norm_in_2d(self, tmp_path):
         table = tmp_path / "nu.csv"
         table.write_text("z,N\n1,4\n5,2\n9,1\n")
