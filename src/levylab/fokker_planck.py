@@ -7,8 +7,9 @@ solved exactly by
     u^(t, xi) = u0^(exp(-t) xi) * exp( int_0^t psi(exp(-s) xi) ds ).
 
 u0^ at the contracted frequencies exp(-t) xi_k is the trigonometric
-interpolant of the grid coefficients, evaluated by a chirp-z transform per
-axis.
+interpolant of the grid coefficients, read from ``spectral``, which owns
+every transform of the grid (here a chirp-z transform per axis) and the
+test of u0's Nyquist edge.
 
 The flow's invariant measure is the infinitely divisible law whose exponent
 Psi(xi) = int_0^inf psi(exp(-s) xi) ds is the flow's exponent at t = inf,
@@ -25,21 +26,19 @@ G(r) = int_0^r a(rho) / rho drho, the substitution rho = exp(-s) |xi| gives
 
 which is G(|xi|) at t = inf, since G(0) = 0.  This holds because a depends
 on |xi| alone: in d=2 the symbol is radial, and in d=1 a(-xi) = conj a(xi).
-G, like every radial quantity of the jump law (the log tail, N_inf), is read
-from the law's record in ``levy``, so this module does not know how a law is
-given.  No time quadrature enters the flow.
+G, like every radial quantity of the jump law (the log tail, N_inf, the
+drift shift b_A), is read from the law's record in ``levy``, so this module
+knows neither how a law is given nor how it is integrated, and no time
+quadrature enters the flow.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import polynomial
 
-from .errors import (Con1Violation, InterpolationDegradation, NegativeDensity,
-                     QuadratureFailure)
+from .errors import Con1Violation, NegativeDensity
 from .levy import (
     LevyDensity,
     LevyTriplet,
@@ -49,7 +48,7 @@ from .levy import (
     _law,
     _radial_argument,
 )
-from .spectral import Grid, SpectralField
+from .spectral import Grid, SpectralField, _contracted
 
 __all__ = [
     "fp_evolve",
@@ -81,48 +80,6 @@ def _exponent(triplet: LevyTriplet, axes, t, tol):
     return gauss * (1.0 - np.exp(-2.0 * t)) / 2.0 + drift * (1.0 - scale) + G
 
 
-def _chirp(M: int, scale: float):
-    """exp(i pi scale m^2 / M) for m = 1 - M, ..., M - 1.
-
-    The phase reaches pi M, so a float64 product would carry an absolute
-    error of about pi M eps.  It is formed from the exact integer m^2 and
-    reduced mod 2 pi in np.longdouble before the exponential (on platforms
-    where that is float64, the transform's error grows to about 2e-14 of
-    max|coef| at M = 8192).
-    """
-    m = np.arange(1 - M, M)
-    half_turns = np.longdouble(scale) * (m * m) / M
-    half_turns -= 2 * np.rint(half_turns / 2)
-    return np.exp(1j * np.pi * half_turns.astype(float))
-
-
-def _nudft_coefficients(u0: SpectralField, scale: float):
-    """Continuum-transform values of u0 at the contracted frequencies scale*xi_k.
-
-    With centred indices k, n in [-M/2, M/2) per axis, x_n = n dx and
-    scale xi_k x_n = theta k n with theta = 2 pi scale / M, so the values are
-    dx^d sum_n exp(i theta k.n) u_n: the exact trigonometric interpolant of
-    the grid coefficients, valid because |scale| <= 1 keeps the targets
-    inside the resolved band.  The kernel factors over the axes, and on
-    each axis k n = (k^2 + n^2 - (k - n)^2) / 2 turns the sum into a
-    convolution with the chirp exp(-i theta m^2 / 2), computed by FFTs of
-    length 2M (Bluestein's chirp-z transform): O(M^d log M) per call.
-    """
-    g = u0.grid
-    M = g.M
-    w = _chirp(M, scale)
-    w_grid = w[M // 2 - 1:M // 2 - 1 + M]     # m = -M/2, ..., M/2 - 1
-    # conj(w_m) at m mod 2M; slot M lies outside |k - n| <= M - 1
-    kernel = np.fft.fft(np.concatenate([np.conj(w[M - 1:]), [0.0],
-                                        np.conj(w[:M - 1])]))
-    out = u0.values
-    for _ in range(g.d):
-        # transform the last axis, then move it to the front
-        conv = np.fft.ifft(np.fft.fft(out * w_grid, 2 * M) * kernel)
-        out = (conv[..., :M] * w_grid).T
-    return np.fft.ifftshift(out) * g.dx**g.d
-
-
 def fp_evolve(
     u0: SpectralField, triplet: LevyTriplet, t: float, tol: float = 1e-10
 ) -> SpectralField:
@@ -135,27 +92,8 @@ def fp_evolve(
         raise ValueError("time must be nonnegative")
     if t == 0:
         return u0
-    g, M = u0.grid, u0.grid.M
-    spec = np.abs(u0.half_spectrum)
-    cmax = np.max(spec) or 1.0
-    # the slabs k = -M/2 and M/2 - 1 of every axis; a full axis keeps
-    # the conjugate of slab M/2 - 1 at k = -(M/2 - 1), row M/2 + 1
-    edge_mass = max(float(np.max(spec[..., M // 2 - 1:])),
-                    float(np.max(spec[M // 2 - 1:M // 2 + 2])))
-    if edge_mass > 1e-12 * cmax:
-        warnings.warn(
-            f"coefficients at the Nyquist edge are {edge_mass / cmax:.2e} of max; "
-            "band-limited interpolation may degrade",
-            InterpolationDegradation,
-        )
-    scale = float(np.exp(-t))
-    full = _nudft_coefficients(u0, scale)
-    shifted = full[..., : M // 2 + 1]
-    if g.d == 2:
-        # the row +M/2 of freqs(): u0 is real, so its transform there is
-        # the conjugate of row -M/2 at -k2
-        shifted = np.vstack([shifted, np.conj(full[M // 2, -np.arange(M // 2 + 1)])])
-
+    g = u0.grid
+    shifted = _contracted(u0, float(np.exp(-t)))
     exponent = _exponent(triplet, g.freqs(), t, tol)
     return SpectralField(g, g.synthesize(shifted * np.exp(exponent)))
 
@@ -209,38 +147,11 @@ def limit_density(nu, tol) -> LevyDensity:
                        func=_law(nu, tol).tail_average)
 
 
-_TAU_SERIES = tuple((-1) ** (k + 1) * 2 * k / (2 * k + 1) for k in range(1, 11))
-
-
-def _tau_factor(z):
-    """int_0^1 (1 - tau^2) z^2 / ((1 + tau^2 z^2)(1 + z^2)) dtau, z >= 0.
-
-    Equal to arctan(z)/z - 1/(1 + z^2).  That difference cancels for small
-    z (1e-12 relative at z = 1e-2, 1e-14 at z = 0.1), so below z = 0.1 the
-    series sum_k (-1)^{k+1} 2k z^{2k} / (2k + 1) is summed to k = 10, where
-    its truncation error is below z^18 relative.  z is a float or an array.
-    """
-    z2 = z * z
-    # the series at min(z^2, 0.01) stays finite where it is not taken
-    series = z2 * polynomial.polyval(np.minimum(z2, 0.01), _TAU_SERIES)
-    return np.where(z < 0.1, series, np.arctan(z) / z - 1.0 / (1.0 + z2))
-
-
 def drift_correction(nu, tol: float = 1e-10) -> np.ndarray:
-    """b_A: the drift shift between the flow's exponent and its Levy form.
-
-    Vanishes identically for even densities (odd integrand in z).  One
-    integral of the law's record; raises QuadratureFailure if it fails.
-    """
-    if nu is None:
-        return np.zeros(1)
-    if nu.is_even:
-        return np.zeros(nu.d)
-    val, failed = _law(nu, tol)._integral(
-        lambda z: z * _tau_factor(z) * nu.odd_difference(z), 0.0, np.inf)
-    if failed:
-        raise QuadratureFailure(f"drift correction integral failed: {val!r}", value=val)
-    return np.array([val])
+    """b_A: the drift shift between the flow's exponent and its Levy form,
+    read from the law's record (read-only); zero without jumps.  Raises
+    QuadratureFailure if its integral fails."""
+    return np.zeros(1) if nu is None else _law(nu, tol).drift
 
 
 def build_steady_state(

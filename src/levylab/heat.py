@@ -5,7 +5,8 @@ multiplier exp(-t |xi|^alpha).  This module evaluates both sides of the
 sharp Euclidean logarithmic Sobolev inequality, the hypercontractivity and
 ultracontractivity bounds it implies, the pointwise Kato inequality for
 convex functions of the field, and the half-operator Dirichlet identity
-int u g_alpha[u] dx = int (g_{alpha/2}[u])^2 dx.
+int u g_alpha[u] dx = int (g_{alpha/2}[u])^2 dx.  Every transform, and the
+Parseval sum of a half spectrum, comes from ``spectral``.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ from itertools import product
 import numpy as np
 
 from .errors import DegenerateField, InvalidAlpha, InvalidExponents
-from .spectral import SpectralField, _inverse, _riemann_norm, apply_multiplier, lp_norm
+from .spectral import (SpectralField, _inverse, _parseval, _riemann_norm,
+                       apply_multiplier, lp_norm)
 
 __all__ = [
     "heat_evolve",
@@ -59,12 +61,9 @@ def fractional_laplacian(f: SpectralField, alpha: float) -> SpectralField:
 
 
 def half_operator_norm(f: SpectralField, alpha: float) -> float:
-    """int (g_{alpha/2}[f])^2 dx = sum |xi|^alpha |f^(xi)|^2 dxi^d / (2 pi)^d.
-
-    Summed over the half spectrum: |f^| is even for a real field, so the
-    columns k = 1, ..., M/2 - 1 of the last axis stand for two frequencies
-    each and the columns 0 and M/2 for one; |f^|^2 = dx^{2d} |rfftn f|^2.
-    """
+    """int (g_{alpha/2}[f])^2 dx = sum |xi|^alpha |f^(xi)|^2 dxi^d / (2 pi)^d,
+    by ``spectral``'s Parseval sum over the half spectrum (|f^| is even for a
+    real field)."""
     return next(_energies(f, [alpha]))
 
 
@@ -76,9 +75,7 @@ def _energies(f: SpectralField, alpha):
     p = np.empty_like(power)
     for a in alpha:
         _check_alpha(a)
-        np.multiply(g.symbol(a), power, out=p)
-        total = 2.0 * np.sum(p) - np.sum(p[..., 0]) - np.sum(p[..., -1])
-        yield float(total * g.dx ** (2 * g.d) * (g.dxi / (2.0 * np.pi)) ** g.d)
+        yield _parseval(g, np.multiply(g.symbol(a), power, out=p))
 
 
 def lsi_constant(n: int, alpha: float) -> float:

@@ -26,11 +26,11 @@ such integral in closed form.
 
 A law's radial quantities live on one record per (density, tolerance),
 made by ``_law``: the moment over |z| <= eps, the big-jump mass, the log
-tail, a on an array of radii, its radial antiderivative G and the invariant
-law's Levy density N_inf.  The stable family fills the record in closed
-form (Sato 1999, Thm 17.5), a table by one fixed Gauss-Legendre rule and any
-other density by quadrature; each xi-independent integral is computed on
-first use and kept.
+tail, a on an array of radii, its radial antiderivative G, the invariant
+law's Levy density N_inf and the flow's drift shift b_A.  The stable family
+fills the record in closed form (Sato 1999, Thm 17.5), a table by one fixed
+Gauss-Legendre rule and any other density by quadrature; each
+xi-independent integral is computed on first use and kept.
 
 The quadrature record's G(r) = int_0^r a(rho) / rho drho tabulates a once
 per call on Chebyshev points in log r and integrates the interpolant
@@ -406,6 +406,23 @@ class LogTailReport:
     diverged: bool
 
 
+_TAU_SERIES = tuple((-1) ** (k + 1) * 2 * k / (2 * k + 1) for k in range(1, 11))
+
+
+def _tau_factor(z):
+    """int_0^1 (1 - tau^2) z^2 / ((1 + tau^2 z^2)(1 + z^2)) dtau, z >= 0.
+
+    Equal to arctan(z)/z - 1/(1 + z^2).  That difference cancels for small
+    z (1e-12 relative at z = 1e-2, 1e-14 at z = 0.1), so below z = 0.1 the
+    series sum_k (-1)^{k+1} 2k z^{2k} / (2k + 1) is summed to k = 10, where
+    its truncation error is below z^18 relative.  z is a float or an array.
+    """
+    z2 = z * z
+    # the series at min(z^2, 0.01) stays finite where it is not taken
+    series = z2 * polynomial.polyval(np.minimum(z2, 0.01), _TAU_SERIES)
+    return np.where(z < 0.1, series, np.arctan(z) / z - 1.0 / (1.0 + z2))
+
+
 class _Law:
     """The radial quantities of one jump law at one tolerance, by quadrature.
 
@@ -447,6 +464,24 @@ class _Law:
         rho = self.nu.radial_density
         val, div = self._integral(lambda r: np.log(r) * rho(r), 1.0, np.inf)
         return LogTailReport(float(val) if val is not None else np.inf, div)
+
+    @cached_property
+    def drift(self):
+        """b_A = int_0^inf z tau(z) dN(z) dz, dN = n+ - n-, the drift shift
+        between the flow's exponent and its Levy form, as a read-only array;
+        zero for an even density (odd integrand in z).  Raises
+        QuadratureFailure if the integral fails."""
+        nu = self.nu
+        b = np.zeros(nu.d)
+        if not nu.is_even:
+            val, failed = self._integral(
+                lambda z: z * _tau_factor(z) * nu.odd_difference(z), 0.0, np.inf)
+            if failed:
+                raise QuadratureFailure(f"drift correction integral failed: {val!r}",
+                                        value=val)
+            b = np.array([val])
+        b.flags.writeable = False
+        return b
 
     def symbol(self, ks):
         """a at each nonzero k of ks (signed xi in d=1, |xi| in d=2), sharing
@@ -573,6 +608,9 @@ class _Law:
 # 6 / q where the integrand oscillates at frequency q, so that the error term
 # (q h / 2)^24 / 24! stays below 1e-12 (Davis & Rabinowitz 1984, 2.7)
 _GL_POINTS = 12
+# a table's a sums over blocks of this many radii, so that its (radii x nodes)
+# matrices stay a few MiB however many radii a grid asks for
+_SYMBOL_BLOCK = 64
 # the n-point nodes and weights on (-1, 1), built at first use: leggauss loads LAPACK
 _legendre = lru_cache(maxsize=None)(legendre.leggauss)
 
@@ -628,9 +666,9 @@ class _StableLaw(_Law):
 
 class _TableLaw(_Law):
     """A table's record, by the rule on the pieces between its knots, past the
-    last of which, R, it is zero; q = 1 where nothing oscillates.  a is one
-    array sum for all radii, of (m(k r) - 1) rho(r) and i (sin(k z) - k z h(z))
-    dN(z); the anchor G(r) is the rule on (0, r), where a oscillates at
+    last of which, R, it is zero; q = 1 where nothing oscillates.  a is an
+    array sum per block of radii, of (m(k r) - 1) rho(r) and i (sin(k z) -
+    k z h(z)) dN(z); the anchor G(r) is the rule on (0, r), where a oscillates at
     frequency at most R.  N_inf's pieces take the two-point rule, exact there."""
 
     def _integral(self, f, a, b):
@@ -638,12 +676,17 @@ class _TableLaw(_Law):
         return np.dot(w, f(x)), False
 
     def symbol(self, ks):
-        nu, ks = self.nu, np.asarray(ks, dtype=float)
+        nu, ks, B = self.nu, np.asarray(ks, dtype=float), _SYMBOL_BLOCK
         r, w = _rule(0.0, nu.knots[-1], np.max(np.abs(ks)), nu.knots)
-        kr = ks[:, None] * r
-        out = (_SPHERICAL_MEAN[nu.d][0](kr) - 1.0) @ (w * nu.radial_density(r))
-        return out if nu.is_even else out + 1j * (
-            (np.sin(kr) - kr * _h(r * r)) @ (w * nu.odd_difference(r)))
+        even, odd, h = (w * nu.radial_density(r),
+                        None if nu.is_even else w * nu.odd_difference(r), _h(r * r))
+
+        def block(k):
+            kr = k[:, None] * r
+            out = (_SPHERICAL_MEAN[nu.d][0](kr) - 1.0) @ even
+            return out if nu.is_even else out + 1j * ((np.sin(kr) - kr * h) @ odd)
+
+        return np.concatenate([block(ks[j:j + B]) for j in range(0, len(ks), B)])
 
     def _anchor(self, r):
         x, w = _rule(0.0, r, self.nu.knots[-1])

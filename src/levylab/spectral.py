@@ -2,21 +2,25 @@
 
 The forward transform approximates the continuum integral
 ``F(w)(xi) = int exp(+i x.xi) w(x) dx`` (probabilistic sign, + in the
-forward kernel) on the box [-L, L]^d with periodic wrap-around.  All other
-modules go through this one wrapper so the sign convention is fixed in a
-single place.
+forward kernel) on the box [-L, L]^d with periodic wrap-around.  Every
+transform of the package lives here, so the sign convention, the
+half-spectrum mesh of ``Grid.freqs`` with its d=2 alias row, and the dx, dxi
+scalings are fixed in a single place: the grid transforms, the Parseval sum
+of a half spectrum, and the flow's transform of a field at contracted
+frequencies scale * xi, which also tests the field's Nyquist edge.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import warnings
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
 
 import numpy as np
 
-from .errors import InvalidExponent
+from .errors import InterpolationDegradation, InvalidExponent
 
 __all__ = ["Grid", "SpectralField", "apply_multiplier", "lp_norm"]
 
@@ -243,6 +247,78 @@ def _inverse(spectrum, out):
     if out.ndim == 2:
         np.fft.ifft(spectrum, axis=0, out=spectrum)
     return np.fft.irfft(spectrum, n=out.shape[-1], out=out)
+
+
+def _parseval(grid, p):
+    """int p dxi / (2 pi)^d times dx^{2d}, p on the ``rfftn`` half-spectrum
+    mesh, taken as even: the half sums to the full mesh with weight 2 on
+    every column but the first and the last, which pair within themselves."""
+    total = 2.0 * np.sum(p) - np.sum(p[..., 0]) - np.sum(p[..., -1])
+    return float(total * grid.dx ** (2 * grid.d) * (grid.dxi / (2.0 * np.pi)) ** grid.d)
+
+
+def _chirp(M: int, scale: float):
+    """exp(i pi scale m^2 / M) for m = 1 - M, ..., M - 1.
+
+    The phase reaches pi M, so a float64 product would carry an absolute
+    error of about pi M eps.  It is formed from the exact integer m^2 and
+    reduced mod 2 pi in np.longdouble before the exponential (on platforms
+    where that is float64, the transform's error grows to about 2e-14 of
+    max|coef| at M = 8192).
+    """
+    m = np.arange(1 - M, M)
+    half_turns = np.longdouble(scale) * (m * m) / M
+    half_turns -= 2 * np.rint(half_turns / 2)
+    return np.exp(1j * np.pi * half_turns.astype(float))
+
+
+def _contracted(u0: SpectralField, scale: float):
+    """Continuum-transform values of the real field u0 at the contracted
+    frequencies scale * xi, on the mesh of ``Grid.freqs()``.
+
+    Warns with InterpolationDegradation when u0's coefficients have not
+    decayed below 1e-12 (relative) at the Nyquist edge.  With centred indices
+    k, n in [-M/2, M/2) per axis, x_n = n dx and scale xi_k x_n = theta k n
+    with theta = 2 pi scale / M, so the values are dx^d sum_n exp(i theta
+    k.n) u_n: the exact trigonometric interpolant of the grid coefficients,
+    valid because |scale| <= 1 keeps the targets inside the resolved band.
+    The kernel factors over the axes, and on each axis k n = (k^2 + n^2 -
+    (k - n)^2) / 2 turns the sum into a convolution with the chirp
+    exp(-i theta m^2 / 2), computed by FFTs of length 2M (Bluestein's
+    chirp-z transform; Rabiner, Schafer & Rader 1969): O(M^d log M) per call.
+    """
+    g, M = u0.grid, u0.grid.M
+    spec = np.abs(u0.half_spectrum)
+    cmax = np.max(spec) or 1.0
+    # the slabs k = -M/2 and M/2 - 1 of every axis; a full axis keeps
+    # the conjugate of slab M/2 - 1 at k = -(M/2 - 1), row M/2 + 1
+    edge_mass = max(float(np.max(spec[..., M // 2 - 1:])),
+                    float(np.max(spec[M // 2 - 1:M // 2 + 2])))
+    if edge_mass > 1e-12 * cmax:
+        warnings.warn(
+            f"coefficients at the Nyquist edge are {edge_mass / cmax:.2e} of max; "
+            "band-limited interpolation may degrade",
+            InterpolationDegradation,
+        )
+    w = _chirp(M, scale)
+    w_grid = w[M // 2 - 1:M // 2 - 1 + M]     # m = -M/2, ..., M/2 - 1
+    # conj(w_m) at m mod 2M; slot M lies outside |k - n| <= M - 1
+    kernel = np.fft.fft(np.concatenate([np.conj(w[M - 1:]), [0.0],
+                                        np.conj(w[:M - 1])]))
+    out = u0.values
+    for _ in range(g.d):
+        # transform the last axis, then move it to the front
+        conv = np.fft.ifft(np.fft.fft(out * w_grid, 2 * M) * kernel)
+        out = (conv[..., :M] * w_grid).T
+    # the centred index of each slot in FFT order; freqs()'s last axis is
+    # k = 0, ..., M/2 - 1, -M/2, the first slots of that order
+    order = np.fft.ifftshift(np.arange(M))
+    half = out[..., order[: M // 2 + 1]]
+    if g.d == 2:
+        # the alias row +M/2: u0 is real, so its transform there is the
+        # conjugate of row -M/2 (centred row 0) at -k2
+        half = np.vstack([half[order], np.conj(out[0, M // 2::-1])])
+    return half * g.dx**g.d
 
 
 def lp_norm(f: SpectralField, p) -> float:

@@ -1,5 +1,6 @@
 import itertools
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -98,6 +99,16 @@ def one_sided_table(path):
     np.savetxt(path, np.column_stack([np.concatenate([zn, zp]), n]), delimiter=",",
                fmt="%.17g")
     return path
+
+
+def traced_peak(call):
+    """The peak of traced memory, in bytes, while ``call`` runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 # Densities on the array contract: each maps a float, or an array of signed z

@@ -34,7 +34,7 @@ from levylab.errors import (
 )
 from levylab.levy import _stable_norm_constant
 from levylab.quadrature import integrate_scaled
-from levylab.spectral import Grid
+from levylab.spectral import Grid, _contracted
 
 from conftest import (
     box,
@@ -46,6 +46,7 @@ from conftest import (
     one_sided_table,
     qagp,
     right_exponential,
+    traced_peak,
 )
 
 
@@ -144,12 +145,24 @@ class TestFpEvolve:
 
 
 def dense_nudft(u0, scale):
-    """The dense O(M^2) / O(M^3) contracted-frequency kernel, as an oracle."""
+    """The dense O(M^2) / O(M^3) contracted-frequency kernel on the mesh of
+    ``Grid.freqs()``, alias row included, as an oracle."""
     g = u0.grid
-    E = np.exp(1j * np.outer(scale * g.xi1, g.x1)) * g.dx
+    *first, last = g.freqs()
+
+    def kernel(xi):
+        return np.exp(1j * np.outer(scale * xi, g.x1)) * g.dx
+
     if g.d == 1:
-        return E @ u0.values
-    return E @ u0.values @ E.T
+        return kernel(last) @ u0.values
+    return kernel(first[0][:, 0]) @ u0.values @ kernel(last[0]).T
+
+
+def integrate_parts(g, interval, tol=1e-10):
+    """int g over interval for a complex g, its real and imaginary parts
+    apart: ``integrate_scaled`` takes real integrands only."""
+    return (integrate_scaled(lambda s: np.real(g(s)), interval, tol)
+            + 1j * integrate_scaled(lambda s: np.imag(g(s)), interval, tol))
 
 
 def non_even_field(g):
@@ -160,12 +173,20 @@ def non_even_field(g):
 
 
 class TestContractedTransform:
+    # the coarse grids leave u0 unresolved at their Nyquist edge
+    @pytest.mark.filterwarnings("ignore::levylab.errors.InterpolationDegradation")
     @pytest.mark.parametrize("t", [0.01, 0.5, 2.0])
     @pytest.mark.parametrize("d, M", [(1, 16), (1, 512), (1, 1024), (2, 16), (2, 64)])
     def test_matches_dense_kernel(self, d, M, t):
         u0 = non_even_field(Grid(d, 20.0, M))
         want = dense_nudft(u0, np.exp(-t))
-        got = fokker_planck._nudft_coefficients(u0, np.exp(-t))
+        got = _contracted(u0, np.exp(-t))
+        if d == 2:
+            # no centred index reaches k2 = +M/2, so the alias row's corner
+            # holds the value at (M/2, M/2), the conjugate of that at
+            # (-M/2, -M/2); ``synthesize`` reads no corner of the alias row
+            want[-1, -1] = np.conj(want[M // 2, -1])
+        assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("t", [0.25, 1.0])
@@ -244,13 +265,14 @@ class TestQuadratureRoute:
         t = 0.5
         u0 = gaussian(g, var=0.3)
         out = fp_evolve(u0, tr, t)
-        shifted = fokker_planck._nudft_coefficients(u0, np.exp(-t))
-        exponent = np.log(out.coefficients / shifted)
-        for k in (5, -5):
-            oracle = integrate_scaled(
+        half = _contracted(u0, np.exp(-t))
+        # u0 is real: its contracted transform at -xi_5 is the conjugate of xi_5's
+        for k, shifted in ((5, half[5]), (-5, np.conj(half[5]))):
+            exponent = np.log(out.coefficients[k] / shifted)
+            oracle = integrate_parts(
                 lambda s: jump_symbol(nu, np.exp(-s) * g.xi1[k]), (0.0, t)
             )
-            assert abs(exponent[k] - oracle) < 1e-8
+            assert abs(exponent - oracle) < 1e-8
 
     def test_unconverged_table_raises(self, monkeypatch):
         # the unit-box density needs 129 nodes on this grid
@@ -386,8 +408,7 @@ class TestBuildSteadyState:
 def nested_steady_exponent(nu, xi, tol=1e-10):
     """Psi(xi) = int_0^1 a(s xi) ds / s by quadrature over jump_symbol: the
     nested route the kernel identity replaced, kept as an oracle."""
-    return integrate_scaled(lambda s: jump_symbol(nu, s * xi, tol) / s, (0.0, 1.0),
-                            tol)
+    return integrate_parts(lambda s: jump_symbol(nu, s * xi, tol) / s, (0.0, 1.0), tol)
 
 
 def one_sided_triplet(tmp_path):
@@ -578,7 +599,7 @@ class TestDriftCorrection:
             lambda tau: (1.0 - tau**2) * z2 / ((1.0 + tau**2 * z2) * (1.0 + z2)),
             0.0, 1.0, epsabs=0.0, epsrel=2e-14, limit=200,
         )
-        got = fokker_planck._tau_factor(float(z))
+        got = levy._tau_factor(float(z))
         assert got == pytest.approx(want, rel=1e-13, abs=0.0)
 
     def test_matches_nested_quadrature(self):
@@ -612,6 +633,8 @@ class TestDriftCorrection:
         )
         val = drift_correction(nu)
         assert val[0] > 0.0
+        # kept on the law's record, read-only
+        assert drift_correction(nu) is val and not val.flags.writeable
 
     def test_steady_state_integrates_at_its_tol(self):
         # at tol = 1e-6 the integral differs from its value at the default
@@ -674,13 +697,29 @@ class TestTableRule:
                 lambda r: np.log(r) * rho(r), None, *knot_interval(nu, 1.0, np.inf))),
             "N_inf": (law.tail_average(z), [log_t_limit_density(nu, x) for x in z]),
             "b_A": (drift_correction(nu)[0], 0.0 if nu.is_even else oracle(
-                lambda r: r * fokker_planck._tau_factor(r) * n_diff(r))),
+                lambda r: r * levy._tau_factor(r) * n_diff(r))),
         }
         assert not law.moment(1.0)[1] and not law.log_tail.diverged
         for key, (got, want) in pairs.items():
             got, want = np.asarray(got), np.asarray(want)
             assert np.all(np.abs(got - want) <= 1e-10 * np.maximum(1.0, np.abs(want))), (
                 key, got, want)
+
+
+    @pytest.mark.parametrize("name", ["even", "one-sided"])
+    def test_symbol_memory_does_not_grow_with_the_radii(self, name, tmp_path):
+        # a is summed over blocks of radii: four times the radii hold no
+        # larger (radii x nodes) matrix
+        write = one_sided_table if name == "one-sided" else log_tail_table
+        nu = triplet_from_config({"d": 1, "nu": {
+            "kind": "tabulated", "table_path": str(write(tmp_path / "nu.csv"))}}).nu
+        law = levy._law(nu, 1e-10)
+        law.symbol(np.linspace(0.1, 50.0, 128))      # the rule's nodes, built once
+
+        def peak(count):
+            return traced_peak(lambda: law.symbol(np.linspace(0.1, 50.0, count)))
+
+        assert peak(512) <= 1.1 * peak(128)
 
 
 class TestLogTail:

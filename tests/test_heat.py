@@ -1,7 +1,6 @@
 """Fractional heat flow, smoothing bounds, and pointwise convexity checks."""
 
 import math
-import tracemalloc
 from dataclasses import astuple
 from itertools import product
 
@@ -26,7 +25,7 @@ from levylab.fields import generate_test_fields
 from levylab.heat import HypercontractivityReport, fractional_laplacian
 from levylab.spectral import Grid, apply_multiplier
 
-from conftest import count_transforms, gaussian
+from conftest import count_transforms, gaussian, traced_peak
 
 ALPHAS = [0.5, 1.0, 1.5, 2.0]
 
@@ -217,16 +216,6 @@ def _by_parts(f, alpha, p, q, t):
                                     not (ratio <= 1.0 + 1e-6))
 
 
-def _peak(call):
-    """The peak of traced memory, in bytes, while ``call`` runs."""
-    tracemalloc.start()
-    try:
-        call()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 class TestHypercontractivitySweep:
     """A sweep equals its tuples checked one at a time: each alone, as a sweep
     of one, and by parts."""
@@ -304,8 +293,8 @@ class TestWorkingSet:
             return lambda: verify_hypercontractivity([field], alphas, [2.0], [4.0], ts)
 
         run(self.ALPHAS, [1.0])()
-        one = _peak(run(self.ALPHAS[:1], [0.25]))
-        twelve = _peak(run(self.ALPHAS, [0.25, 1.0, 4.0]))
+        one = traced_peak(run(self.ALPHAS[:1], [0.25]))
+        twelve = traced_peak(run(self.ALPHAS, [0.25, 1.0, 4.0]))
         assert twelve <= one + 0.5 * field.values.nbytes
 
     def test_hypercontractivity_battery(self, grid):
@@ -316,7 +305,7 @@ class TestWorkingSet:
                                                      [4.0], [0.25, 1.0, 4.0])
 
         run(6)()
-        one, six = _peak(run(1)), _peak(run(6))
+        one, six = traced_peak(run(1)), traced_peak(run(6))
         spectrum = 16 * int(np.prod(grid.half_shape))
         assert six <= one + 5 * spectrum + 0.5 * 8 * grid.M**grid.d
 
@@ -329,12 +318,12 @@ class TestWorkingSet:
 
         run(self.ALPHAS, 2)()
         grid_bytes = field.values.nbytes
-        four = _peak(run(self.ALPHAS, 2))
-        assert four <= _peak(run(self.ALPHAS[:1], 2)) + 0.5 * grid_bytes
+        four = traced_peak(run(self.ALPHAS, 2))
+        assert four <= traced_peak(run(self.ALPHAS[:1], 2)) + 0.5 * grid_bytes
         # each further function holds its transformed phi(u) and its phi'(u)
         # across the exponents, and nothing else
         held = field.half_spectrum.nbytes + grid_bytes
-        assert four <= _peak(run(self.ALPHAS[:1], 1)) + held + 0.5 * grid_bytes
+        assert four <= traced_peak(run(self.ALPHAS[:1], 1)) + held + 0.5 * grid_bytes
 
 
 class TestKato:

@@ -27,6 +27,7 @@ from conftest import (
     array_taylor_remainder,
     box,
     log_tail_table,
+    one_sided_table,
     right_exponential,
     two_call_radial_density,
 )
@@ -528,6 +529,24 @@ class TestDualTriplet:
             a = characteristic_exponent(tr, xi)
             b = characteristic_exponent(dual_triplet(tr), xi)
             assert b == pytest.approx(np.conj(a), abs=1e-10)
+
+    @pytest.mark.parametrize("name", ["right_exponential", "one-sided table"])
+    def test_non_even_density_is_mirrored(self, name, tmp_path):
+        if name == "one-sided table":
+            nu = triplet_from_config({"d": 1, "nu": {
+                "kind": "tabulated",
+                "table_path": str(one_sided_table(tmp_path / "nu.csv"))}}).nu
+        else:
+            nu = LevyDensity(kind="analytic", d=1, func=right_exponential, is_even=False)
+        tr = LevyTriplet(sigma=np.eye(1), b=np.array([0.4]), nu=nu, d=1)
+        dual = dual_triplet(tr)
+        assert dual.nu.kind == nu.kind and not dual.nu.is_even
+        np.testing.assert_array_equal(dual.b, -tr.b)
+        z = np.array([0.03, 0.5, 2.0, 7.5, 9.0, 12.0])
+        z = np.concatenate([z, -z])
+        np.testing.assert_array_equal(dual.nu.profile(z), nu.profile(-z))
+        for xi in (0.7, 3.0, -2.0):
+            assert jump_symbol(dual.nu, xi) == np.conj(jump_symbol(nu, xi))
 
 
 class TestStableSymbol:
