@@ -29,7 +29,10 @@ on |xi| alone: in d=2 the symbol is radial, and in d=1 a(-xi) = conj a(xi).
 G, like every radial quantity of the jump law (the log tail, N_inf, the
 drift shift b_A), is read from the law's record in ``levy``, so this module
 knows neither how a law is given nor how it is integrated, and no time
-quadrature enters the flow.
+quadrature enters the flow.  A ``SteadyState`` holds only what a grid adds
+to the law, the normalized density and its mass defect; the law's own
+figures are read from its record, through ``check_log_tail`` and
+``drift_correction``.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import Con1Violation, NegativeDensity
+from .errors import NegativeDensity
 from .levy import (
     LevyDensity,
     LevyTriplet,
@@ -111,12 +114,13 @@ def steady_exponent(triplet: LevyTriplet, xi, tol: float = 1e-10):
 
 @dataclass(frozen=True)
 class SteadyState:
-    """Invariant measure of the confined Levy flow."""
+    """Invariant measure of the confined Levy flow on a grid: its density,
+    normalized, and how far the synthesized mass was from 1.  The law's own
+    figures (the log tail, b_A) stay on its record; see ``check_log_tail``
+    and ``drift_correction``."""
 
     density: SpectralField
-    drift_correction: np.ndarray
     mass_defect: float
-    log_tail: float
 
 
 def check_log_tail(nu, tol: float = 1e-10) -> LogTailReport:
@@ -124,8 +128,8 @@ def check_log_tail(nu, tol: float = 1e-10) -> LogTailReport:
 
     One integral of the radial density, int_1^inf ln(r) rho(r) dr (C / alpha^2
     for the stable family); raises NonFiniteDensity if N returns NaN or
-    negative values.  Kept on the law's record, so that a steady build and
-    its anchor share the integral.
+    negative values.  Kept on the law's record, so that the steady build's
+    Con1 check and its anchor share the integral.
     """
     if nu is None:
         return LogTailReport(0.0, False)
@@ -160,14 +164,10 @@ def build_steady_state(
     """Construct the invariant measure on a grid.
 
     Raises Con1Violation when the logarithmic tail integral of the jump
-    density diverges, and NegativeDensity when the inverse transform dips
-    below -1e-6 of its maximum (an under-resolved grid).
+    density diverges (from the law's record, before its table is built), and
+    NegativeDensity when the inverse transform dips below -1e-6 of its
+    maximum (an under-resolved grid).
     """
-    tail = check_log_tail(triplet.nu, tol)
-    if tail.diverged:
-        raise Con1Violation(
-            "log-tail integral of the jump density diverges; no steady state"
-        )
     vals = grid.synthesize(np.exp(steady_exponent(triplet, grid.freqs(), tol)))
     vmax = float(np.max(vals))
     if float(np.min(vals)) < -1e-6 * vmax:
@@ -176,13 +176,9 @@ def build_steady_state(
             "the grid under-resolves the invariant measure"
         )
     mass = grid.integrate(vals)
-    nu = triplet.nu
-    b_A = np.zeros(triplet.d) if nu is None else drift_correction(nu, tol)
     return SteadyState(
         density=SpectralField(grid, values=np.clip(vals, 0.0, None) / mass),
-        drift_correction=b_A,
         mass_defect=abs(mass - 1.0),
-        log_tail=tail.value,
     )
 
 

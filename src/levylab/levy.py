@@ -25,18 +25,22 @@ the stable family rho(r) = |S^{d-1}| c(d, alpha) r^{-1-alpha} gives every
 such integral in closed form.
 
 A law's radial quantities live on one record per (density, tolerance),
-made by ``_law``: the moment over |z| <= eps, the big-jump mass, the log
-tail, a on an array of radii, its radial antiderivative G, the invariant
-law's Levy density N_inf and the flow's drift shift b_A.  The stable family
-fills the record in closed form (Sato 1999, Thm 17.5), a table by one fixed
-Gauss-Legendre rule and any other density by quadrature; each
-xi-independent integral is computed on first use and kept.
+made by ``_law``, and nowhere else: the moment over |z| <= eps, the
+big-jump mass, the log tail, a on an array of radii, its radial
+antiderivative G, the invariant law's Levy density N_inf and the flow's
+drift shift b_A.  The base ``_Law`` derives them from a few primitives of
+its leaf; ``_StableLaw`` fills the record in closed form (Sato 1999, Thm
+17.5), ``_TableLaw`` by one fixed Gauss-Legendre rule and ``_QuadLaw``, for
+an analytic density, by QUADPACK, which no other record reaches.  Each
+xi-independent integral is computed on first use and kept.  An anchored G
+reads the log tail first and raises Con1Violation when it diverges, the one
+place the package does.
 
-The quadrature record's G(r) = int_0^r a(rho) / rho drho tabulates a once
-per call on Chebyshev points in log r and integrates the interpolant
-exactly from the smallest radius r_min; a difference G(r) - G(r') needs no
-more, and G(r_min) itself, the anchor, is one integral of the radial
-density against a closed-form kernel.  In d=1 a(-xi) = conj a(xi), so
+A record's G(r) = int_0^r a(rho) / rho drho (in closed form for the stable
+law) tabulates a once per call on Chebyshev points in log r and integrates
+the interpolant exactly from the smallest radius r_min; a difference
+G(r) - G(r') needs no more, and G(r_min) itself, the anchor, is one
+integral of the radial density against a closed-form kernel.  In d=1 a(-xi) = conj a(xi), so
 G(-r) = conj G(r) covers non-even densities.  ``scipy.special`` is bound at
 the first use of each of its functions.
 """
@@ -424,20 +428,21 @@ def _tau_factor(z):
 
 
 class _Law:
-    """The radial quantities of one jump law at one tolerance, by quadrature.
+    """The radial quantities of one jump law at one tolerance, derived from
+    its record's primitives.
 
-    Made by ``_law``, once per (density, tolerance).  The unit-ball moment,
-    the big-jump mass B and the log tail are computed on first use and kept,
-    so that every table of a, every anchor and every steady build of the law
-    shares them.
+    Made by ``_law``, once per (density, tolerance), as one of three leaves:
+    ``_StableLaw`` in closed form, ``_TableLaw`` by a fixed rule and
+    ``_QuadLaw`` by QUADPACK.  A leaf gives ``_integral`` (for the moments,
+    the mass, the log tail and b_A), ``symbol`` and ``_anchor`` (for G) and
+    ``_pieces`` (for N_inf), or replaces a derivation by its closed form; so
+    each leaf reaches only its own way of integrating.  The log tail and b_A
+    are computed on first use and kept, so that every table of a, every
+    anchor and every steady build of the law shares them.
     """
 
     def __init__(self, nu, tol):
         self.nu, self.tol = nu, tol
-
-    def _integral(self, f, a, b):
-        """(int_a^b f(r) dr, diverged) for an integrand f of the radius."""
-        return try_integrate(f, (a, b), self.tol)
 
     def moment(self, eps):
         """(int_{|z| <= eps} |z|^2 N(z) dz, diverged)."""
@@ -447,16 +452,6 @@ class _Law:
     def mass(self):
         """(int_{|z| > 1} N(z) dz, diverged)."""
         return self._integral(self.nu.radial_density, 1.0, np.inf)
-
-    @cached_property
-    def unit_moment(self):
-        """int_0^1 r^2 rho dr, which restores the Taylor term of a."""
-        return self.nu.small_ball_second_moment(1.0)
-
-    @cached_property
-    def big(self):
-        """B = int_1^inf rho dr."""
-        return integrate_scaled(self.nu.radial_density, (1.0, np.inf), self.tol)
 
     @cached_property
     def log_tail(self):
@@ -482,6 +477,69 @@ class _Law:
             b = np.array([val])
         b.flags.writeable = False
         return b
+
+    def antiderivative(self, ks, anchored=False):
+        """G(k) = int_0^|k| a(rho) / rho drho at an array ks.
+
+        ``ks`` holds signed frequencies in d=1 (G(-r) = conj G(r)) and radii
+        in d=2.  A Chebyshev table of a gives G up to the constant G(r_min),
+        r_min the smallest nonzero radius of ks, which cancels in a
+        difference; ``anchored`` adds it, as one kernel integral.  G anchored
+        is the steady exponent, so it raises Con1Violation, before any table,
+        when the log tail diverges and the law has no steady state.
+        """
+        if anchored and self.log_tail.diverged:
+            raise Con1Violation("the log-tail integral of the jump density diverges; "
+                                "no steady state")
+        r = np.abs(ks)
+        G = np.zeros(ks.shape, dtype=complex)
+        pos = r > 0.0
+        if np.any(pos):
+            r_min, r_max = float(np.min(r[pos])), float(np.max(r[pos]))
+            if r_max > r_min:
+                G[pos] = _log_chebyshev_integral(self.symbol, r_min, r_max, r[pos],
+                                                 self.tol)
+            if anchored:
+                G[pos] += self._anchor(r_min)
+            G = np.where(ks < 0.0, np.conj(G), G)
+        return G
+
+    def tail_average(self, x):
+        """N_inf(z) = int_1^inf N(t z) t^{d-1} dt = |z|^{-d} int_{|z|}^inf n(rho)
+        rho^{d-1} drho (Sato 1999, Thm 17.5) at nonzero x, a float or an array of
+        signed z in d=1 (n- at x < 0) and radii in d=2: one reverse cumulative
+        sum of the pieces between the sorted radii, for n+ and n- apart."""
+        x, d = np.asarray(x, dtype=float), self.nu.d
+        out = np.zeros(x.shape)
+        for sign in (1.0, -1.0):
+            side = sign * x > 0.0
+            if np.any(side):
+                r = np.abs(x[side])
+                edges, pieces = self._pieces(
+                    lambda t: _checked(self.nu.profile, sign * t) * t ** (d - 1), r)
+                tails = np.append(np.cumsum(pieces[::-1])[::-1], 0.0)
+                out[side] = tails[np.searchsorted(edges, r)] / r**d
+        return out if out.ndim else float(out)
+
+
+class _QuadLaw(_Law):
+    """An analytic density's record, by QUADPACK: every integral of the law
+    is an adaptive one, and B and the unit-ball moment, which every value of
+    a shares, are computed on first use and kept."""
+
+    def _integral(self, f, a, b):
+        """(int_a^b f(r) dr, diverged) for an integrand f of the radius."""
+        return try_integrate(f, (a, b), self.tol)
+
+    @cached_property
+    def unit_moment(self):
+        """int_0^1 r^2 rho dr, which restores the Taylor term of a."""
+        return self.nu.small_ball_second_moment(1.0)
+
+    @cached_property
+    def big(self):
+        """B = int_1^inf rho dr."""
+        return integrate_scaled(self.nu.radial_density, (1.0, np.inf), self.tol)
 
     def symbol(self, ks):
         """a at each nonzero k of ks (signed xi in d=1, |xi| in d=2), sharing
@@ -533,9 +591,6 @@ class _Law:
         def odd(z):
             return (_special().sici(r * z)[0] - r * z / (1.0 + z * z)) * n_diff(z)
 
-        log_tail = self.log_tail
-        if log_tail.diverged:
-            raise Con1Violation("the log tail of the jump density diverges")
         if d == 1:
             osc = qawf(rho, 1, "cos") - qawf(rho, 0, "sin")
         else:
@@ -543,33 +598,12 @@ class _Law:
                 lambda s: (_kernel(2, r * s) - np.euler_gamma - np.log(0.5 * r * s))
                 * rho(s), _special().jn_zeros(1, 100 + int(r / np.pi)) / r, tol)
         G = -integrate_scaled(lambda s: _kernel(d, r * s) * rho(s), (0.0, 1.0), tol)
-        G -= (np.euler_gamma + np.log(r / d)) * big + log_tail.value + osc
+        G -= (np.euler_gamma + np.log(r / d)) * big + self.log_tail.value + osc
         if nu.is_even:
             return G
         im = integrate_scaled(odd, (0.0, 1.0), tol) + integrate_scaled(
             lambda z: (0.5 * np.pi - r * z / (1.0 + z * z)) * n_diff(z), (1.0, np.inf), tol)
         return G + 1j * (im - qawf(n_diff, 0, "cos") - qawf(n_diff, 1, "sin"))
-
-    def antiderivative(self, ks, anchored=False):
-        """G(k) = int_0^|k| a(rho) / rho drho at an array ks.
-
-        ``ks`` holds signed frequencies in d=1 (G(-r) = conj G(r)) and radii
-        in d=2.  A Chebyshev table of a gives G up to the constant G(r_min),
-        r_min the smallest nonzero radius of ks, which cancels in a
-        difference; ``anchored`` adds it, as one kernel integral.
-        """
-        r = np.abs(ks)
-        G = np.zeros(ks.shape, dtype=complex)
-        pos = r > 0.0
-        if np.any(pos):
-            r_min, r_max = float(np.min(r[pos])), float(np.max(r[pos]))
-            if r_max > r_min:
-                G[pos] = _log_chebyshev_integral(self.symbol, r_min, r_max, r[pos],
-                                                 self.tol)
-            if anchored:
-                G[pos] += self._anchor(r_min)
-            G = np.where(ks < 0.0, np.conj(G), G)
-        return G
 
     def _pieces(self, f, radii):
         """The edges of a tail integral at the radii, and int f over each piece:
@@ -585,23 +619,6 @@ class _Law:
             pieces.append(scale * integrate_scaled(lambda rho: f(rho) / scale,
                                                    (a, b), self.tol))
         return edges, np.asarray(pieces)
-
-    def tail_average(self, x):
-        """N_inf(z) = int_1^inf N(t z) t^{d-1} dt = |z|^{-d} int_{|z|}^inf n(rho)
-        rho^{d-1} drho (Sato 1999, Thm 17.5) at nonzero x, a float or an array of
-        signed z in d=1 (n- at x < 0) and radii in d=2: one reverse cumulative
-        sum of the pieces between the sorted radii, for n+ and n- apart."""
-        x, d = np.asarray(x, dtype=float), self.nu.d
-        out = np.zeros(x.shape)
-        for sign in (1.0, -1.0):
-            side = sign * x > 0.0
-            if np.any(side):
-                r = np.abs(x[side])
-                edges, pieces = self._pieces(
-                    lambda t: _checked(self.nu.profile, sign * t) * t ** (d - 1), r)
-                tails = np.append(np.cumsum(pieces[::-1])[::-1], 0.0)
-                out[side] = tails[np.searchsorted(edges, r)] / r**d
-        return out if out.ndim else float(out)
 
 
 # a table's rule: 12 Gauss-Legendre points on each panel, a panel no longer than
@@ -645,14 +662,13 @@ class _StableLaw(_Law):
         super().__init__(nu, tol)
         self.C = (2.0 if nu.d == 1 else 2.0 * np.pi) * _stable_norm_constant(
             nu.d, nu.alpha)
-        self.big = self.C / nu.alpha
         self.log_tail = LogTailReport(self.C / nu.alpha**2, False)
 
     def moment(self, eps):
         return self.C * eps ** (2.0 - self.nu.alpha) / (2.0 - self.nu.alpha), False
 
     def mass(self):
-        return self.big, False
+        return self.C / self.nu.alpha, False
 
     def symbol(self, ks):
         return -(np.abs(ks) ** self.nu.alpha)
@@ -702,7 +718,8 @@ class _TableLaw(_Law):
 @lru_cache(maxsize=16)
 def _law(nu: LevyDensity, tol) -> _Law:
     """The record of nu's radial quantities at tolerance tol, one per pair."""
-    return {"stable": _StableLaw, "tabulated": _TableLaw}.get(nu.kind, _Law)(nu, tol)
+    return {"stable": _StableLaw, "tabulated": _TableLaw,
+            "analytic": _QuadLaw}[nu.kind](nu, tol)
 
 
 @dataclass(frozen=True)

@@ -899,6 +899,21 @@ def test_flows_on_a_table_make_no_quadpack_call(tmp_path, monkeypatch, table, co
     assert calls == []
 
 
+# the coarse grid leaves the gaussians battery unresolved at its Nyquist edge
+@pytest.mark.filterwarnings("ignore::levylab.errors.InterpolationDegradation")
+@pytest.mark.parametrize("experiment", ["fp", "steady", "decay", "check-lsi", "all"])
+def test_one_steady_state_per_run(tmp_path, monkeypatch, experiment):
+    # the runners of one config share its steady state: all builds it once,
+    # for fp, decay and check-lsi together
+    builds = []
+    monkeypatch.setattr(cli, "build_steady_state", lambda *args: builds.append(
+        args) or build_steady_state(*args))
+    path = write_config(tmp_path / "c.json", experiment=experiment,
+                        grid={"d": 1, "L": 20.0, "M": 128})
+    assert main(["--config", str(path), "--out", str(tmp_path / "out")]) in (0, 1)
+    assert len(builds) == 1
+
+
 class TestOutputs:
     def test_reproducible_bytes(self, tmp_path):
         path = write_config(tmp_path / "c.json")

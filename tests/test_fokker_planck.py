@@ -324,10 +324,11 @@ class TestBuildSteadyState:
                             lambda *a, **k: calls.append(1) or quad(*a, **k))
         tr = opaque_cauchy_triplet()
         levy._law.cache_clear()
-        steady = build_steady_state(tr, Grid(1, 8.0, 16))
+        build_steady_state(tr, Grid(1, 8.0, 16))
+        # the QUADPACK value of int_1^inf ln(r) 2 / (pi r^2) dr = 2 / pi, to the
+        # bit, read from the law's record with no further call
+        assert check_log_tail(tr.nu).value == float.fromhex("0x1.45f306dc9c884p-1")
         assert len(calls) <= 40
-        # the QUADPACK value of int_1^inf ln(r) 2 / (pi r^2) dr = 2 / pi, to the bit
-        assert steady.log_tail == float.fromhex("0x1.45f306dc9c884p-1")
         calls.clear()
         levy._law.cache_clear()
         steady_exponent(tr, 0.7)
@@ -478,7 +479,7 @@ class TestSteadyAnchor:
     def test_one_frequency_makes_no_jump_symbol_call(self, monkeypatch):
         # with no table to build, only the anchor runs, and it never calls a
         calls = []
-        for owner, name in ((levy, "jump_symbol"), (levy._Law, "symbol"),
+        for owner, name in ((levy, "jump_symbol"), (levy._QuadLaw, "symbol"),
                             (fokker_planck, "jump_symbol")):
             original = getattr(owner, name, None)
             if original is not None:
@@ -637,13 +638,17 @@ class TestDriftCorrection:
         assert drift_correction(nu) is val and not val.flags.writeable
 
     def test_steady_state_integrates_at_its_tol(self):
-        # at tol = 1e-6 the integral differs from its value at the default
+        # at tol = 1e-6 b_A differs from its value at the default, and the
+        # steady density is the one of the exponent at 1e-6, to the bit
         nu = LevyDensity(kind="analytic", d=1, func=right_exponential, is_even=False)
         tr = LevyTriplet(sigma=np.eye(1), b=np.zeros(1), nu=nu, d=1)
-        steady = build_steady_state(tr, Grid(1, 20.0, 64), 1e-6)
         assert drift_correction(nu, 1e-6)[0] != drift_correction(nu)[0]
-        np.testing.assert_array_equal(steady.drift_correction,
-                                      drift_correction(nu, 1e-6))
+        g = Grid(1, 20.0, 64)
+        steady = build_steady_state(tr, g, 1e-6)
+        vals = g.synthesize(np.exp(steady_exponent(tr, g.freqs(), 1e-6)))
+        np.testing.assert_array_equal(steady.density.values,
+                                      np.clip(vals, 0.0, None) / g.integrate(vals))
+        assert np.any(steady.density.values != build_steady_state(tr, g).density.values)
 
 
 class TestTableRule:

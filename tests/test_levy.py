@@ -586,3 +586,55 @@ class TestSumSymbols:
 def test_triplet_rejects_indefinite_sigma():
     with pytest.raises(ValueError):
         LevyTriplet(sigma=-np.eye(1), b=np.zeros(1), nu=None, d=1)
+
+
+class _QuadpackRefused(Exception):
+    """Raised in place of a QUADPACK call; a record's own failures are other
+    classes, and ``try_integrate`` lets this one through."""
+
+
+# one call per member that any record has, so that a record's every member
+# runs; the QUADPACK record's own (big, unit_moment) are listed too, so that a
+# closed-form or table record that held one would run it
+_RECORD_CALLS = {
+    "moment": lambda law, ks: law.moment(0.5),
+    "mass": lambda law, ks: law.mass(),
+    "log_tail": lambda law, ks: law.log_tail,
+    "drift": lambda law, ks: law.drift,
+    "symbol": lambda law, ks: law.symbol(ks),
+    "antiderivative": lambda law, ks: (law.antiderivative(ks),
+                                       law.antiderivative(ks, anchored=True)),
+    "tail_average": lambda law, ks: law.tail_average(ks),
+    "big": lambda law, ks: law.big,
+    "unit_moment": lambda law, ks: law.unit_moment,
+    "_integral": lambda law, ks: law._integral(law.nu.radial_density, 0.5, 2.0),
+    "_anchor": lambda law, ks: law._anchor(0.5),
+    "_pieces": lambda law, ks: law._pieces(lambda r: r**-2.0, np.array([0.5, 2.0])),
+}
+
+
+@pytest.mark.parametrize("name, d", [("stable", 1), ("stable", 2), ("even table", 1),
+                                     ("even table", 2), ("one-sided table", 1)])
+def test_closed_form_and_table_records_make_no_quadpack_call(name, d, tmp_path,
+                                                              monkeypatch):
+    # a record reaches only its own way of integrating: with QUADPACK refused,
+    # every member of a stable or a table record runs
+    if name == "stable":
+        nu = stable_density(1.5 if d == 2 else 1.0, d)
+    else:
+        write = one_sided_table if name == "one-sided table" else log_tail_table
+        nu = triplet_from_config({"d": d, "nu": {
+            "kind": "tabulated", "table_path": str(write(tmp_path / "nu.csv"))}}).nu
+
+    def refused(*args, **kwargs):
+        raise _QuadpackRefused
+
+    monkeypatch.setattr(scipy.integrate, "quad", refused)
+    levy._law.cache_clear()
+    law = levy._law(nu, 1e-10)
+    members = {m for m in dir(type(law)) if not m.startswith("__")}
+    assert members <= set(_RECORD_CALLS), members - set(_RECORD_CALLS)
+    ks = np.array([-3.0, -0.4, 0.7, 5.0]) if d == 1 else np.array([0.4, 0.7, 3.0, 5.0])
+    for member in sorted(members):
+        _RECORD_CALLS[member](law, ks)
+    levy._law.cache_clear()

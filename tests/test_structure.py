@@ -4,7 +4,10 @@
 nowhere else but in ``levy._cheb_coefficients`` (a Chebyshev fit, not a grid
 transform).  ``levy`` owns every integral of a jump law and ``quadrature``
 the QUADPACK policy, so no other module names ``_integral``,
-``integrate_scaled`` or ``try_integrate``.  Read from the source tree.
+``integrate_scaled`` or ``try_integrate``.  Within ``levy``, only the
+QUADPACK record ``_QuadLaw`` reaches QUADPACK: the shared base ``_Law`` and
+the closed-form and table records name none of its entry points.  Read from
+the source tree.
 """
 
 import ast
@@ -12,6 +15,8 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "levylab"
 INTEGRALS = {"_integral", "integrate_scaled", "try_integrate"}
+QUADPACK = {"integrate_scaled", "try_integrate", "_segmented_tail", "_j0_tail",
+            "_cos_tail"}
 
 
 def _modules():
@@ -55,3 +60,11 @@ def test_only_the_law_record_integrates():
              if name not in ("levy.py", "quadrature.py")
              for _, spelled in _spelled(tree) if spelled in INTEGRALS]
     assert not found, f"a law integrated outside levy at {found}"
+
+
+def test_only_the_quadrature_record_reaches_quadpack():
+    classes = {node.name: node for node in ast.walk(_modules()["levy.py"])
+               if isinstance(node, ast.ClassDef)}
+    found = [(name, spelled, line) for name in ("_Law", "_TableLaw", "_StableLaw")
+             for line, spelled in _spelled(classes[name]) if spelled in QUADPACK]
+    assert not found, f"QUADPACK named by a record that must not run it: {found}"
