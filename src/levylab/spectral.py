@@ -257,19 +257,23 @@ def _parseval(grid, p):
     return float(total * grid.dx ** (2 * grid.d) * (grid.dxi / (2.0 * np.pi)) ** grid.d)
 
 
+def _unit_phase(half_turns):
+    """exp(i pi x) for an np.longdouble array x of half turns, reduced mod 2
+    before the exponential, so that a phase far past 2 pi keeps its
+    long-double accuracy (on platforms where that is float64, the
+    transform's error grows to about 2e-14 of max|coef| at M = 8192)."""
+    half_turns -= 2 * np.rint(half_turns / 2)
+    return np.exp(1j * np.pi * half_turns.astype(float))
+
+
 def _chirp(M: int, scale: float):
     """exp(i pi scale m^2 / M) for m = 1 - M, ..., M - 1.
 
     The phase reaches pi M, so a float64 product would carry an absolute
-    error of about pi M eps.  It is formed from the exact integer m^2 and
-    reduced mod 2 pi in np.longdouble before the exponential (on platforms
-    where that is float64, the transform's error grows to about 2e-14 of
-    max|coef| at M = 8192).
+    error of about pi M eps; it is formed from the exact integer m^2.
     """
     m = np.arange(1 - M, M)
-    half_turns = np.longdouble(scale) * (m * m) / M
-    half_turns -= 2 * np.rint(half_turns / 2)
-    return np.exp(1j * np.pi * half_turns.astype(float))
+    return _unit_phase(np.longdouble(scale) * (m * m) / M)
 
 
 def _contracted(u0: SpectralField, scale: float):
@@ -316,8 +320,12 @@ def _contracted(u0: SpectralField, scale: float):
     half = out[..., order[: M // 2 + 1]]
     if g.d == 2:
         # the alias row +M/2: u0 is real, so its transform there is the
-        # conjugate of row -M/2 (centred row 0) at -k2
+        # conjugate of row -M/2 (centred row 0) at -k2.  No centred index
+        # reaches k2 = +M/2, so its corner (+M/2, -M/2) is summed directly:
+        # theta k.n = pi scale (n1 - n2) there
         half = np.vstack([half[order], np.conj(out[0, M // 2::-1])])
+        e = _unit_phase(np.longdouble(scale) * np.arange(-(M // 2), M // 2))
+        half[-1, -1] = e @ u0.values @ np.conj(e)
     return half * g.dx**g.d
 
 

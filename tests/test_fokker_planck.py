@@ -181,11 +181,6 @@ class TestContractedTransform:
         u0 = non_even_field(Grid(d, 20.0, M))
         want = dense_nudft(u0, np.exp(-t))
         got = _contracted(u0, np.exp(-t))
-        if d == 2:
-            # no centred index reaches k2 = +M/2, so the alias row's corner
-            # holds the value at (M/2, M/2), the conjugate of that at
-            # (-M/2, -M/2); ``synthesize`` reads no corner of the alias row
-            want[-1, -1] = np.conj(want[M // 2, -1])
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
@@ -841,3 +836,15 @@ class TestRadialDecay:
         assert not rep.monotone_ok
         assert math.isnan(rep.max_monotone_violation)
         assert math.isnan(rep.max_identity_error)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: fp_evolve(gaussian_field(Grid(1, 10.0, 16), 1.0), diffusion_triplet(),
+                       -0.5), ValueError, "nonnegative"),
+    (lambda: limit_levy_density(stable_density(1.0, 1), 0.0), ValueError, "z = 0"),
+    (lambda: limit_levy_density(stable_density(1.0, 2), [0.0, 0.0]), ValueError,
+     "z = 0"),
+], ids=["fp_evolve-t-negative", "N_inf-at-0-d1", "N_inf-at-0-d2"])
+def test_refused_input(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
