@@ -23,7 +23,13 @@ import numpy as np
 
 from .errors import DomainError
 from .fokker_planck import SteadyState, fp_evolve
-from .levy import LevyDensity, LevyTriplet, _checked, _quadratic_form
+from .levy import (
+    LevyDensity,
+    LevyTriplet,
+    _checked,
+    _quadratic_form,
+    _radial_argument,
+)
 from .spectral import Grid, SpectralField, _forward, _inverse
 
 __all__ = [
@@ -219,7 +225,7 @@ def _jump_kernel(nu: LevyDensity, grid: Grid, z_extent: int):
     K = z_extent * M // 2
     k = np.indices((2 * K + 1,) * grid.d).reshape(grid.d, -1) - K
     k = k[:, np.any(k, axis=0)]
-    x = k[0] * dx if grid.d == 1 else np.sqrt(np.sum((k * dx) ** 2, axis=0))
+    x = _radial_argument(k * dx)
     W = np.zeros(grid.shape)
     np.add.at(W, tuple(k % M), _checked(nu.profile, x))
     W.flat[0] = 0.0

@@ -138,8 +138,7 @@ def check_log_tail(nu, tol: float = 1e-10) -> LogTailReport:
 
 def limit_levy_density(nu, z, tol: float = 1e-10) -> float:
     """N_inf(z) = int_1^inf N(t z) t^{d-1} dt at one point z, from the law's record."""
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    x = z[0] if nu.d == 1 else np.hypot.reduce(z)
+    x = _radial_argument(np.atleast_1d(np.asarray(z, dtype=float)))
     if x == 0.0:
         raise ValueError("N_inf is undefined at z = 0")
     return float(_law(nu, tol).tail_average(x))

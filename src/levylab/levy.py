@@ -40,9 +40,9 @@ A record's G(r) = int_0^r a(rho) / rho drho (in closed form for the stable
 law) tabulates a once per call on Chebyshev points in log r and integrates
 the interpolant exactly from the smallest radius r_min; a difference
 G(r) - G(r') needs no more, and G(r_min) itself, the anchor, is one
-integral of the radial density against a closed-form kernel.  In d=1 a(-xi) = conj a(xi), so
-G(-r) = conj G(r) covers non-even densities.  ``scipy.special`` is bound at
-the first use of each of its functions.
+integral of the radial density against a closed-form kernel.  In d=1
+a(-xi) = conj a(xi), so G(-r) = conj G(r) covers non-even densities.
+``scipy.special`` is bound at the first use of each of its functions.
 """
 
 from __future__ import annotations
@@ -233,7 +233,8 @@ class LevyDensity:
 
     def __call__(self, z):
         """N(z) = n(|z|), z signed in d=1 and a last axis of coordinates in d=2."""
-        return self.profile(z if self.d == 1 else np.linalg.norm(z, axis=-1))
+        return self.profile(
+            z if self.d == 1 else _radial_argument(np.moveaxis(z, -1, 0)))
 
     def radial_density(self, r):
         """rho(r) = |S^{d-1}| r^{d-1} n(r) at r > 0, a float or an array.
@@ -316,7 +317,7 @@ def jump_symbol(nu: LevyDensity, xi, tol: float = 1e-10):
     vanishes; the odd part of a non-even density is supported in d=1 only.
     """
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    k = float(xi[0]) if nu.d == 1 else float(np.hypot.reduce(xi))
+    k = float(_radial_argument(xi))
     if k == 0.0:
         return 0.0 if nu.is_even else 0.0 + 0.0j
     return _law(nu, tol).symbol([k])[0].item()
