@@ -285,11 +285,14 @@ class TestExitCodes:
         ({"experiment": "steady", "triplet": {"nu": {"kind": "tabulated",
                                                      "table_path": 3}}},
          [], "triplet.nu.table_path"),
+        ({"experiment": "steady", "triplet": {"nu": {"kind": "stable"}}},
+         [], "triplet.nu.alpha"),
         ({"experiment": "decay", "sweep": {"phi": ["xlogx", "xlogx"]}}, [], "sweep.phi"),
         ([1], ["heat"], "config must be an object"),
         ({"experiment": "heat", "sweep": [1]}, ["heat"], "sweep must be an object"),
     ], ids=["p-1.5", "q-below-p", "q-inf-p-4", "heat-t-0", "all-t-0", "phi-3",
-            "nu-alpha-true", "nu-alpha-string", "table-path-3", "phi-twice",
+            "nu-alpha-true", "nu-alpha-string", "table-path-3", "nu-alpha-missing",
+            "phi-twice",
             "config-list", "sweep-list"])
     def test_config_hole_exits_2_without_output(self, tmp_path, capsys, config, argv,
                                                 named):

@@ -555,3 +555,13 @@ class TestDecayTrack:
             gauss_steady,
         )
         assert len(rep.violations) > 0
+
+
+@pytest.mark.parametrize("weights, message", [
+    (np.full(16, 0.05) - np.eye(16)[3] * 0.1, "nonnegative"),
+    (np.full(16, 0.2), "mass"),
+], ids=["negative-weight", "mass-2"])
+def test_refused_input(weights, message):
+    # unit mass on Grid(1, 5, 16) is a weight sum of 1 / dx = 1.6
+    with pytest.raises(ValueError, match=message):
+        WeightedMeasure(Grid(1, 5.0, 16), weights)

@@ -143,7 +143,13 @@ class TestUltracontractivity:
         assert b.bound == pytest.approx(1.0 / math.sqrt(math.pi), abs=1e-12)
 
     def test_equal_exponents(self):
-        assert ultracontractivity_constant(1, 1.5, 3.0, 3.0, 0.5).bound == 1.0
+        # exactly 1 over (n, alpha, p, t); at alpha = 2e-4 the general
+        # formula's p^{n/(q alpha)} overflows a float before it cancels, so
+        # q = p keeps its own exact 1
+        for n, alpha, p, t in product((1, 2), (2e-4, 0.1, 1.0, 1.5, 2.0),
+                                      (2.0, 3.0, 1e300), (1e-300, 0.5, 1e300)):
+            assert ultracontractivity_constant(n, alpha, p, p, t).bound == 1.0, (
+                n, alpha, p, t)
 
     def test_bound_dominates_gaussian_kernel(self):
         # ||p_t||_2 = (8 pi t)^{-1/4} must sit below the L2 -> Linf bound
@@ -351,3 +357,19 @@ def test_heat_evolve_matches_direct_multiplier(grid1):
     out = heat_evolve(f, 1.3, 0.7)
     ref = apply_multiplier(f, np.exp(-0.7 * grid1.symbol(1.0) ** 1.3))
     np.testing.assert_allclose(out.values, ref.values, atol=1e-13)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: heat_evolve(gaussian_field(Grid(1, 10.0, 16), 1.0), 1.0, -0.5),
+     ValueError, "nonnegative"),
+    (lambda: ultracontractivity_constant(1, 1.0, 2.0, 4.0, 0.0), ValueError, "t > 0"),
+    (lambda: ultracontractivity_constant(2, 1.0, 2.0, np.inf, -1.0), ValueError,
+     "t > 0"),
+    # a constant field has only the zero frequency
+    (lambda: lsi_gap(SpectralField(Grid(2, 5.0, 16), np.full((16, 16), 0.7)), [1.0]),
+     DegenerateField, "Dirichlet energy"),
+], ids=["heat_evolve-t-negative", "bound-t-0", "bound-t-negative",
+        "lsi_gap-constant-field"])
+def test_refused_input(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

@@ -638,3 +638,15 @@ def test_closed_form_and_table_records_make_no_quadpack_call(name, d, tmp_path,
     for member in sorted(members):
         _RECORD_CALLS[member](law, ks)
     levy._law.cache_clear()
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: LevyTriplet(sigma=np.eye(2), b=np.zeros(1), d=1), "shapes"),
+    (lambda: LevyTriplet(sigma=np.eye(1), b=np.zeros(2), d=1), "shapes"),
+    (lambda: LevyTriplet(sigma=np.eye(1), b=np.zeros(1), nu=stable_density(1.0, 2),
+                         d=1), "dimension"),
+    (lambda: LevyDensity(kind="bogus"), "unknown density kind"),
+], ids=["sigma-shape", "b-shape", "density-dimension", "density-kind"])
+def test_refused_input(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -425,3 +425,12 @@ def test_battery_is_the_clipped_band_limit_bitwise(d, M):
         raw = gaussian_field(g, (0.25, 1.0, 4.0)[k // 3], (-2.0, 0.0, 2.0)[k % 3])
         want = np.clip(band_limit(raw).values, 0.0, None)
         assert f.values.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("grid, shape", [(Grid(1, 10.0, 16), (8,)),
+                                         (Grid(2, 10.0, 16), (16,)),
+                                         (Grid(2, 10.0, 16), (16, 9))],
+                         ids=["d1-short", "d2-flat", "d2-half-spectrum"])
+def test_refused_input(grid, shape):
+    with pytest.raises(ValueError, match="shape does not match"):
+        SpectralField(grid, np.zeros(shape))
