@@ -292,8 +292,7 @@ class TestExitCodes:
         ({"experiment": "heat", "sweep": [1]}, ["heat"], "sweep must be an object"),
     ], ids=["p-1.5", "q-below-p", "q-inf-p-4", "heat-t-0", "all-t-0", "phi-3",
             "nu-alpha-true", "nu-alpha-string", "table-path-3", "nu-alpha-missing",
-            "phi-twice",
-            "config-list", "sweep-list"])
+            "phi-twice", "config-list", "sweep-list"])
     def test_config_hole_exits_2_without_output(self, tmp_path, capsys, config, argv,
                                                 named):
         # each once got past load_config: to exit 3 or 1 after making the
