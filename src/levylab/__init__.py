@@ -40,7 +40,6 @@ from .levy import (
     dual_triplet,
     jump_symbol,
     stable_density,
-    validate_levy_density,
 )
 from .spectral import Grid, SpectralField, apply_multiplier, lp_norm
 

@@ -49,7 +49,7 @@ from .fokker_planck import (
     limit_density,
 )
 from .heat import kato_check, lsi_gap, verify_hypercontractivity
-from .levy import LevyTriplet, _tabulated_density, stable_density
+from .levy import LevyTriplet, _law, _tabulated_density, stable_density
 from .spectral import Grid, SpectralField
 
 _FMT = "%.17g"
@@ -148,14 +148,13 @@ def _run_fp(cfg: ExperimentConfig):
 def _run_steady(cfg: ExperimentConfig):
     nu, steady = cfg.triplet.nu, cfg.steady
     dom = check_domination(nu, tol=cfg.tol)
-    # the steady build raises Con1Violation when the log tail diverges
-    b_A = np.zeros(cfg.grid.d) if nu is None else drift_correction(nu, cfg.tol)
     report = {
         "con1": check_log_tail(nu, cfg.tol).value,
+        # the steady build raises Con1Violation when the log tail diverges
         "con1_diverged": False,
         "con2_C": dom.C_est,
         "con2_unbounded": dom.unbounded,
-        "bA": [float(b) for b in b_A],
+        "bA": [float(b) for b in drift_correction(nu, cfg.tol)],
         "normalization_defect": steady.mass_defect,
     }
     rows = [[k, json.dumps(v)] for k, v in sorted(report.items())]
@@ -202,9 +201,8 @@ def _run_decay(cfg: ExperimentConfig):
 
 def _run_check_lsi(cfg: ExperimentConfig):
     tr = cfg.triplet
-    nu_mu = None if tr.nu is None else limit_density(tr.nu, cfg.tol)
     mu_triplet = LevyTriplet(
-        sigma=tr.sigma / 2.0, b=np.zeros(tr.d), nu=nu_mu, d=tr.d
+        sigma=tr.sigma / 2.0, b=np.zeros(tr.d), nu=limit_density(tr.nu, cfg.tol), d=tr.d
     )
     mu = WeightedMeasure.from_field(cfg.steady.density)
     rng = np.random.default_rng(cfg.seed)
@@ -469,10 +467,10 @@ RULES = (
      ("heat", "euclidean-lsi", "kato", "all"),
      lambda c: c.sweep["family"] != "perturbed-steady"),
     ("check-conditions needs a triplet with a jump density nu", ("check-conditions",),
-     lambda c: c.triplet is None or c.triplet.nu is not None),
+     lambda c: c.triplet is None or _law(c.triplet.nu, c.tol).jumps),
     # with neither, the invariant law is a point mass, on which every entropy is 0
     ("check-lsi needs a diffusion sigma or a jump density nu", ("check-lsi", "all"),
-     lambda c: c.triplet is None or c.triplet.nu is not None
+     lambda c: c.triplet is None or _law(c.triplet.nu, c.tol).jumps
      or bool(np.any(c.triplet.sigma))),
     ("heat needs q >= p for every p and q, and p = 2 where q = inf", _HEAT,
      lambda c: all(q >= p and (q < math.inf or p == 2.0)
@@ -535,10 +533,10 @@ def load_config(raw: dict, io: dict | None = None) -> ExperimentConfig:
         # all's default, a unit diffusion, has its steady state and flow
         # resolved exactly at desk-scale grids, so the suite's verdicts are
         # honest; the others default to the stable density of alpha[0]
-        d = cfg.grid.d
-        nu = None if cfg.experiment == "all" else stable_density(cfg.sweep["alpha"][0], d)
+        d, gauss = cfg.grid.d, cfg.experiment == "all"
         cfg = replace(cfg, triplet=LevyTriplet(
-            sigma=np.eye(d) if nu is None else np.zeros((d, d)), b=np.zeros(d), nu=nu, d=d))
+            sigma=np.eye(d) if gauss else np.zeros((d, d)), b=np.zeros(d),
+            nu=None if gauss else stable_density(cfg.sweep["alpha"][0], d), d=d))
     if io.get("input_csv") is None:
         return cfg
     try:

@@ -27,6 +27,7 @@ from .levy import (
     LevyDensity,
     LevyTriplet,
     _checked,
+    _law,
     _quadratic_form,
     _radial_argument,
 )
@@ -271,12 +272,12 @@ def dissipation(
     quad = _quadratic_form(triplet.sigma, grads)
     gaussian = float(np.sum(phi.d2phi(vals) * quad * mu.weights) * cell)
 
-    nu = triplet.nu
-    if nu is None:
+    # the zero law's jump part is 0, with no field refused and no transform
+    if not _law(triplet.nu).jumps:
         return gaussian, 0.0
 
     phi._check_base(vals)
-    W, m2 = _jump_kernel(nu, g, z_extent)
+    W, m2 = _jump_kernel(triplet.nu, g, z_extent)
     wmu = mu.weights
     m = float(np.sum(vals * wmu) * cell)
     phi_v = phi.bregman(vals, m)

@@ -28,11 +28,12 @@ which is G(|xi|) at t = inf, since G(0) = 0.  This holds because a depends
 on |xi| alone: in d=2 the symbol is radial, and in d=1 a(-xi) = conj a(xi).
 G, like every radial quantity of the jump law (the log tail, N_inf, the
 drift shift b_A), is read from the law's record in ``levy``, so this module
-knows neither how a law is given nor how it is integrated, and no time
-quadrature enters the flow.  A ``SteadyState`` holds only what a grid adds
-to the law, the normalized density and its mass defect; the law's own
-figures are read from its record, through ``check_log_tail`` and
-``drift_correction``.
+knows neither how a law is given nor how it is integrated, nor whether it
+has jumps: a triplet without them holds the zero law, whose G, N_inf and b_A
+are zeros.  No time quadrature enters the flow.  A ``SteadyState`` holds
+only what a grid adds to the law, the normalized density and its mass
+defect; the law's own figures are read from its record, through
+``check_log_tail`` and ``drift_correction``.
 """
 
 from __future__ import annotations
@@ -77,8 +78,7 @@ def _exponent(triplet: LevyTriplet, axes, t, tol):
     # G(k) - G(scale k), or G(k) itself at scale = 0, where G(0) = 0
     k = np.asarray(_radial_argument(axes), dtype=float)
     ks = np.stack([k, scale * k]) if scale else k[None]
-    G = (np.zeros(ks.shape) if triplet.nu is None
-         else _law(triplet.nu, tol).antiderivative(ks, anchored=not scale))
+    G = _law(triplet.nu, tol).antiderivative(ks, anchored=not scale)
     G = G[0] - G[1] if scale else G[0]
     return gauss * (1.0 - np.exp(-2.0 * t)) / 2.0 + drift * (1.0 - scale) + G
 
@@ -127,12 +127,11 @@ def check_log_tail(nu, tol: float = 1e-10) -> LogTailReport:
     """int_{|z| > 1} ln|z| N(z) dz; divergence is a flag, not an error.
 
     One integral of the radial density, int_1^inf ln(r) rho(r) dr (C / alpha^2
-    for the stable family); raises NonFiniteDensity if N returns NaN or
-    negative values.  Kept on the law's record, so that the steady build's
-    Con1 check and its anchor share the integral.
+    for the stable family, 0 for the zero law of a triplet without jumps);
+    raises NonFiniteDensity if N returns NaN or negative values.  Kept on the
+    law's record, so that the steady build's Con1 check and its anchor share
+    the integral.
     """
-    if nu is None:
-        return LogTailReport(0.0, False)
     return _law(nu, tol).log_tail
 
 
@@ -145,16 +144,17 @@ def limit_levy_density(nu, z, tol: float = 1e-10) -> float:
 
 
 def limit_density(nu, tol) -> LevyDensity:
-    """N_inf as a density: the jump density of the invariant law."""
-    return LevyDensity(kind="analytic", d=nu.d, is_even=nu.is_even,
-                       func=_law(nu, tol).tail_average)
+    """N_inf as a density: the jump density of the invariant law, from the
+    law's record; the zero law's is the zero law itself."""
+    return _law(nu, tol).limit_density()
 
 
 def drift_correction(nu, tol: float = 1e-10) -> np.ndarray:
     """b_A: the drift shift between the flow's exponent and its Levy form,
-    read from the law's record (read-only); zero without jumps.  Raises
+    of shape (d,) for nu's dimension d, read from the law's record
+    (read-only); zero for an even density, the zero law's included.  Raises
     QuadratureFailure if its integral fails."""
-    return np.zeros(1) if nu is None else _law(nu, tol).drift
+    return _law(nu, tol).drift
 
 
 def build_steady_state(
@@ -196,9 +196,8 @@ def check_domination(nu, tol: float = 1e-10) -> DominationReport:
     grid.  The grid spans |z| in [1e-6, 1e3] at 3 samples per decade, on
     the ray z > 0 and, for a non-even d=1 density, on z < 0 after it, each
     ray judged alone; the profile and N_inf are evaluated on it as arrays.
+    The zero law's ratios are all 0.
     """
-    if nu is None:
-        return DominationReport(C_est=0.0, table=[], unbounded=False)
     rays = (1.0,) if nu.is_even else (1.0, -1.0)
     z = np.concatenate([sign * np.logspace(-6.0, 3.0, 28) for sign in rays])
     n_val = _checked(nu.profile, z)

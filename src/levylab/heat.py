@@ -12,12 +12,13 @@ Parseval sum of a half spectrum, comes from ``spectral``.
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
 
-from .errors import DegenerateField, InvalidAlpha, InvalidExponents
+from .errors import DegenerateField, InvalidAlpha, InvalidExponents, LevyLabError
 from .spectral import (SpectralField, _inverse, _parseval, _riemann_norm,
                        apply_multiplier, lp_norm)
 
@@ -128,6 +129,21 @@ def lsi_gap(f: SpectralField, alpha):
             for a, e in zip(alpha, energies)]
 
 
+def _closed_or_log(closed, log_value):
+    """A bound by its closed form ``closed()`` where that is not infinite (a
+    NaN t gives a NaN), else exp(log_value()), the same bound taken in logs,
+    where a power of the closed form passed the largest float.  Raises
+    LevyLabError where the bound itself is past it: no infinite bound reaches
+    a ratio, where it would read as 0, a pass."""
+    for bound in (closed, lambda: math.exp(log_value())):
+        with suppress(OverflowError):
+            value = bound()
+            if value != math.inf:
+                return value
+    raise LevyLabError(f"the smoothing bound e^{log_value():.6g} is past the "
+                       "largest float")
+
+
 @dataclass(frozen=True)
 class UltracontractivityBound:
     n: int
@@ -145,7 +161,9 @@ def ultracontractivity_constant(
     """The smoothing constant so that ||P_t f||_q <= bound * ||f||_p.
 
     q = inf dispatches to the closed ultracontractive form
-    (A n / (2 alpha t))^{n/(2 alpha)} with p = 2; q = p returns 1.
+    (A n / (2 alpha t))^{n/(2 alpha)} with p = 2; q = p returns 1.  Where a
+    power of the closed form overflows (alpha below about 1e-3) the bound is
+    taken in logs; a bound past the largest float raises LevyLabError.
     """
     _check_alpha(alpha)
     if t <= 0:
@@ -156,16 +174,17 @@ def ultracontractivity_constant(
     if q == np.inf:
         if p != 2:
             raise InvalidExponents("the q = inf form requires p = 2")
-        bound = (A * n / (2.0 * alpha * t)) ** (n / (2.0 * alpha))
+        base, expo = A * n / (2.0 * alpha * t), n / (2.0 * alpha)
+        bound = _closed_or_log(lambda: base ** expo, lambda: expo * math.log(base))
     elif q == p:
         bound = 1.0
     else:
-        expo = n * (q - p) / (alpha * p * q)
-        bound = (
-            (A * n * (q - p) / (2.0 * alpha * t)) ** expo
-            * p ** (n / (q * alpha))
-            / q ** (n / (p * alpha))
-        )
+        base, expo, gain, loss = (A * n * (q - p) / (2.0 * alpha * t),
+                                  n * (q - p) / (alpha * p * q), n / (q * alpha),
+                                  n / (p * alpha))
+        bound = _closed_or_log(
+            lambda: base ** expo * p ** gain / q ** loss,
+            lambda: expo * math.log(base) + gain * math.log(p) - loss * math.log(q))
     return UltracontractivityBound(n=n, alpha=alpha, p=p, q=q, t=t, A=A, bound=bound)
 
 
@@ -182,14 +201,16 @@ class HypercontractivityReport:
 
 
 def _report(alpha, p, q, t, lhs, rhs):
-    ratio = lhs / rhs if rhs else math.inf
+    # an rhs past the largest float would read as ratio 0, a pass
+    ratio = lhs / rhs if rhs not in (0.0, math.inf) else math.inf
     return HypercontractivityReport(alpha, p, q, t, lhs, rhs, ratio,
                                     violated=not (ratio <= 1.0 + 1e-6))
 
 
 def verify_hypercontractivity(fields, alpha, p, q, t):
     """||P_t f||_q / (||f||_p * bound), inf where the bound is 0 (as at a t
-    near the largest float); flags a violation above 1 + 1e-6.
+    near the largest float) or ||f||_p * bound is past the largest float;
+    flags a violation above 1 + 1e-6.
 
     ``fields`` is an iterable of fields on one grid (ValueError otherwise),
     such as a battery's generator; ``alpha``, ``p``, ``q`` and ``t`` are

@@ -30,11 +30,15 @@ big-jump mass, the log tail, a on an array of radii, its radial
 antiderivative G, the invariant law's Levy density N_inf and the flow's
 drift shift b_A.  The base ``_Law`` derives them from a few primitives of
 its leaf; ``_StableLaw`` fills the record in closed form (Sato 1999, Thm
-17.5), ``_TableLaw`` by one fixed Gauss-Legendre rule and ``_QuadLaw``, for
-an analytic density, by QUADPACK, which no other record reaches.  Each
-xi-independent integral is computed on first use and kept.  An anchored G
-reads the log tail first and raises Con1Violation when it diverges, the one
-place the package does.
+17.5), ``_TableLaw`` by one fixed Gauss-Legendre rule, ``_QuadLaw``, for
+an analytic density, by QUADPACK, which no other record reaches, and
+``_NoJumps`` with zeros.  No jumps is a law like the others: a triplet built
+with nu = None holds the zero density of its dimension, whose record is
+``_NoJumps``, so no reader of a triplet asks whether it has a density.  A
+moment or mass estimated negative reads as divergent, since its integrand
+is nonnegative.  Each xi-independent integral is computed on first use and
+kept.  An anchored G reads the log tail first and raises Con1Violation when
+it diverges, the one place the package does.
 
 A record's G(r) = int_0^r a(rho) / rho drho (in closed form for the stable
 law) tabulates a once per call on Chebyshev points in log r and integrates
@@ -62,9 +66,7 @@ from .quadrature import _SLACK, integrate_scaled, try_integrate
 __all__ = [
     "LevyDensity",
     "LevyTriplet",
-    "DensityReport",
     "stable_density",
-    "validate_levy_density",
     "jump_symbol",
     "characteristic_exponent",
     "dual_triplet",
@@ -117,8 +119,6 @@ def _segmented_tail(f, cuts, tol):
 def _j0_tail(g, q, tol):
     """int_1^inf J0(q r) g(r) dr for decaying g, cut at the zeros of J0(q r);
     at most int(q/pi) + 1 of them lie below r = 1, so 99 or more remain."""
-    if q <= 0.0:
-        raise ValueError("oscillation frequency must be positive")
     cuts = _special().jn_zeros(0, 100 + int(q / np.pi)) / q
     return _segmented_tail(lambda r: _special().j0(q * r) * g(r), cuts, tol)
 
@@ -167,18 +167,19 @@ def _stable_norm_constant(d: int, alpha: float) -> float:
 class LevyDensity:
     """Jump density N(z) >= 0 on R^d \\ {0}, held as a radial profile n.
 
-    ``kind`` is one of "stable", "analytic", "tabulated".  For the stable
-    kind n(r) = c(d, alpha) r^{-d-alpha} with the family constant fixed by
-    the symbol normalization.  Otherwise ``func`` is n: it maps a float, or
-    an array of signed z in d=1 (where n is N) and of radii in d=2, to values
-    of the same shape, and is refused when built if it maps no array so.  A
-    tabulated density keeps the sorted radii |z| of its table's ``knots``; it
-    is linear between them and zero beyond the last.  Only a d=1 density may
-    be non-even; a d=1 ``func`` left at ``is_even=True`` is probed at z =
-    +-0.5 and +-2 and refused unless N(-z) = N(z) there to rtol 1e-12 (NaN
-    matching NaN, for the quadrature to refuse as NonFiniteDensity).  A
-    ``func`` that cannot be hashed is refused too, since the law's record is
-    cached by density.
+    ``kind`` is one of "stable", "analytic", "tabulated", "zero".  For the
+    stable kind n(r) = c(d, alpha) r^{-d-alpha} with the family constant
+    fixed by the symbol normalization; the zero kind, the density of a
+    triplet without jumps, is n = 0 and reads nothing else.  Otherwise
+    ``func`` is n: it maps a float, or an array of signed z in d=1 (where n
+    is N) and of radii in d=2, to values of the same shape, and is refused
+    when built if it maps no array so.  A tabulated density keeps the sorted
+    radii |z| of its table's ``knots``; it is linear between them and zero
+    beyond the last.  Only a d=1 density may be non-even; a d=1 ``func``
+    left at ``is_even=True`` is probed at z = +-0.5 and +-2 and refused
+    unless N(-z) = N(z) there to rtol 1e-12 (NaN matching NaN, for the
+    quadrature to refuse as NonFiniteDensity).  A ``func`` that cannot be
+    hashed is refused too, since the law's record is cached by density.
     """
 
     kind: str
@@ -189,16 +190,17 @@ class LevyDensity:
     knots: Optional[tuple] = None
 
     def __post_init__(self):
-        if self.kind not in ("stable", "analytic", "tabulated"):
+        if self.kind not in ("stable", "analytic", "tabulated", "zero"):
             raise ValueError(f"unknown density kind {self.kind!r}")
         if self.kind == "stable":
             if self.alpha is None or not (0.0 < self.alpha < 2.0):
                 raise InvalidAlpha(
                     f"stable density needs alpha in (0, 2), got {self.alpha}"
                 )
-        elif self.func is None or self.kind == "tabulated" and not self.knots:
-            raise ValueError("a non-stable density needs a callable, a table its knots")
-        else:
+        elif self.kind != "zero":
+            if self.func is None or self.kind == "tabulated" and not self.knots:
+                raise ValueError("a non-stable density needs a callable, a table its "
+                                 "knots")
             try:
                 hash(self.func)
             except TypeError:
@@ -229,6 +231,8 @@ class LevyDensity:
         if self.kind == "stable":
             c = _stable_norm_constant(self.d, self.alpha)
             return c * abs(x) ** (-self.d - self.alpha)
+        if self.kind == "zero":
+            return np.zeros(np.shape(x))
         return self.func(x)
 
     def __call__(self, z):
@@ -256,7 +260,9 @@ class LevyDensity:
         return _checked(self.profile, z) - _checked(self.profile, -z)
 
     def small_ball_second_moment(self, eps, tol=1e-12):
-        """int_{|z| <= eps} |z|^2 N(z) dz (closed form for the stable kind)."""
+        """int_{|z| <= eps} |z|^2 N(z) dz (closed form for the stable kind),
+        read from the law's record; raises NonFiniteDensity where the record
+        finds it divergent, a negative estimate included."""
         val, div = _law(self, tol).moment(eps)
         if div:
             raise NonFiniteDensity("second moment diverges inside the unit ball")
@@ -265,36 +271,6 @@ class LevyDensity:
 
 def stable_density(alpha: float, d: int = 1) -> LevyDensity:
     return LevyDensity(kind="stable", d=d, alpha=alpha, is_even=True)
-
-
-@dataclass(frozen=True)
-class DensityReport:
-    small_jump: float
-    big_jump: float
-    small_jump_diverged: bool
-    big_jump_diverged: bool
-
-    @property
-    def ok(self):
-        return not (self.small_jump_diverged or self.big_jump_diverged)
-
-
-def validate_levy_density(nu: LevyDensity, tol: float = 1e-10) -> DensityReport:
-    """Estimate int_{|z|<=1} |z|^2 N dz and int_{|z|>1} N dz.
-
-    Divergent integrals are reported with a flag instead of raising;
-    NonFiniteDensity is raised if N returns NaN or negative values.
-    """
-    law = _law(nu, tol)
-    small, sdiv = law.moment(1.0)
-    big, bdiv = law.mass()
-    # the integrands are nonnegative, so a negative estimate can only be an
-    # extrapolation artifact of a divergent endpoint singularity
-    if small is not None and small < 0:
-        sdiv = True
-    if big is not None and big < 0:
-        bdiv = True
-    return DensityReport(small, big, sdiv, bdiv)
 
 
 def _h(z2):
@@ -432,27 +408,35 @@ class _Law:
     """The radial quantities of one jump law at one tolerance, derived from
     its record's primitives.
 
-    Made by ``_law``, once per (density, tolerance), as one of three leaves:
-    ``_StableLaw`` in closed form, ``_TableLaw`` by a fixed rule and
-    ``_QuadLaw`` by QUADPACK.  A leaf gives ``_integral`` (for the moments,
-    the mass, the log tail and b_A), ``symbol`` and ``_anchor`` (for G) and
-    ``_pieces`` (for N_inf), or replaces a derivation by its closed form; so
-    each leaf reaches only its own way of integrating.  The log tail and b_A
-    are computed on first use and kept, so that every table of a, every
-    anchor and every steady build of the law shares them.
+    Made by ``_law``, once per (density, tolerance), as one of four leaves:
+    ``_StableLaw`` in closed form, ``_TableLaw`` by a fixed rule,
+    ``_QuadLaw`` by QUADPACK and ``_NoJumps``, the zero law, with zeros.  A
+    leaf gives ``_integral`` (for the moments, the mass, the log tail and
+    b_A), ``symbol`` and ``_anchor`` (for G) and ``_pieces`` (for N_inf), or
+    replaces a derivation by its closed form; so each leaf reaches only its
+    own way of integrating.  The log tail and b_A are computed on first use
+    and kept, so that every table of a, every anchor and every steady build
+    of the law shares them.  ``jumps`` is False on the zero law alone.
     """
+
+    jumps = True
 
     def __init__(self, nu, tol):
         self.nu, self.tol = nu, tol
 
     def moment(self, eps):
-        """(int_{|z| <= eps} |z|^2 N(z) dz, diverged)."""
+        """(int_{|z| <= eps} |z|^2 N(z) dz, diverged).  The integrand is
+        nonnegative, so a negative estimate can only be an extrapolation
+        artifact of a divergent endpoint singularity: it reads as divergent,
+        here and in ``mass``."""
         rho = self.nu.radial_density
-        return self._integral(lambda r: r * r * rho(r), 0.0, eps)
+        val, div = self._integral(lambda r: r * r * rho(r), 0.0, eps)
+        return val, bool(div or val < 0)
 
     def mass(self):
-        """(int_{|z| > 1} N(z) dz, diverged)."""
-        return self._integral(self.nu.radial_density, 1.0, np.inf)
+        """(int_{|z| > 1} N(z) dz, diverged); a negative estimate is divergent."""
+        val, div = self._integral(self.nu.radial_density, 1.0, np.inf)
+        return val, bool(div or val < 0)
 
     @cached_property
     def log_tail(self):
@@ -521,6 +505,11 @@ class _Law:
                 tails = np.append(np.cumsum(pieces[::-1])[::-1], 0.0)
                 out[side] = tails[np.searchsorted(edges, r)] / r**d
         return out if out.ndim else float(out)
+
+    def limit_density(self):
+        """N_inf as a density: the jump density of the invariant law."""
+        return LevyDensity(kind="analytic", d=self.nu.d, is_even=self.nu.is_even,
+                           func=self.tail_average)
 
 
 class _QuadLaw(_Law):
@@ -716,16 +705,42 @@ class _TableLaw(_Law):
         return edges, np.sum(w * f(x), axis=1)
 
 
+class _NoJumps(_Law):
+    """The zero law's record, of a triplet without jumps: every integral is
+    0, and a, G and N_inf are real zeros, so nothing is integrated or
+    tabulated; its invariant law has no jumps either."""
+
+    jumps = False
+
+    def _integral(self, f, a, b):
+        return 0.0, False
+
+    def symbol(self, ks, anchored=False):
+        return np.zeros(np.shape(ks))
+
+    # a, G (anchored or not) and N_inf are the same real zeros
+    antiderivative = tail_average = symbol
+
+    def limit_density(self):
+        return self.nu
+
+
 @lru_cache(maxsize=16)
-def _law(nu: LevyDensity, tol) -> _Law:
-    """The record of nu's radial quantities at tolerance tol, one per pair."""
-    return {"stable": _StableLaw, "tabulated": _TableLaw,
-            "analytic": _QuadLaw}[nu.kind](nu, tol)
+def _law(nu: LevyDensity, tol=1e-10) -> _Law:
+    """The record of nu's radial quantities at tolerance tol, one per pair;
+    what holds at every tolerance, such as ``jumps``, may be read at the
+    default."""
+    return {"stable": _StableLaw, "tabulated": _TableLaw, "analytic": _QuadLaw,
+            "zero": _NoJumps}[nu.kind](nu, tol)
 
 
 @dataclass(frozen=True)
 class LevyTriplet:
-    """Parameters (sigma, b, nu) of a Levy operator."""
+    """Parameters (sigma, b, nu) of a Levy operator.
+
+    nu = None, no jumps, is held as the zero density of dimension d, so that
+    ``nu`` is always a LevyDensity and its record answers for it.
+    """
 
     sigma: np.ndarray
     b: np.ndarray
@@ -739,7 +754,9 @@ class LevyTriplet:
         object.__setattr__(self, "b", b)
         if sig.shape != (self.d, self.d) or b.shape != (self.d,):
             raise ValueError("sigma/b shapes inconsistent with dimension d")
-        if self.nu is not None and self.nu.d != self.d:
+        object.__setattr__(self, "nu", LevyDensity(kind="zero", d=self.d)
+                           if self.nu is None else self.nu)
+        if self.nu.d != self.d:
             raise ValueError("density dimension does not match triplet")
         eigs = np.linalg.eigvalsh(self.sigma)
         if np.min(eigs) < -1e-12:
@@ -780,15 +797,13 @@ def characteristic_exponent(triplet: LevyTriplet, xi, tol: float = 1e-10):
     """psi(xi) = -xi.sigma xi + i b.xi + a(xi) at one frequency xi."""
     axes = np.atleast_1d(np.asarray(xi, dtype=float))
     gauss, drift = _gauss_drift_exponent(triplet, axes)
-    nu = triplet.nu
-    jump = 0.0 if nu is None else jump_symbol(nu, _radial_argument(axes), tol)
-    return gauss + drift + jump
+    return gauss + drift + jump_symbol(triplet.nu, _radial_argument(axes), tol)
 
 
 def dual_triplet(triplet: LevyTriplet) -> LevyTriplet:
     """Adjoint parameters (-b, sigma, nu-check) with nu-check(z) = nu(-z)."""
     nu = triplet.nu
-    if nu is not None and not nu.is_even:
+    if not nu.is_even:
         # a non-even density is analytic or tabulated, never stable
         nu = replace(nu, func=lambda z, _n=nu: _n.profile(-z))
     return LevyTriplet(sigma=triplet.sigma, b=-triplet.b, nu=nu, d=triplet.d)

@@ -521,6 +521,44 @@ class TestExitCodes:
         assert main(["--config", str(path), "--out", str(out)]) == 3
         assert not out.exists()
 
+    @pytest.mark.parametrize("q", ["3", "inf"])
+    def test_heat_bound_past_the_largest_float_exits_3(self, tmp_path, capsys, q):
+        # at alpha = 2e-4 the smoothing bound is e^4929 for q = 3: no rhs cell
+        # can hold it, and an infinite one would read as ratio 0, a pass
+        out = tmp_path / "out"
+        rc = main(["--out", str(out), "heat", "--alpha", "0.0002", "--p", "2",
+                   "--q", q, "--t", "1"])
+        assert rc == 3
+        assert capsys.readouterr().err.startswith(
+            "numerical failure: the smoothing bound e^")
+        assert not out.exists()
+
+    def test_heat_bound_in_logs_is_finite(self, tmp_path):
+        # at alpha = 1.5e-3 a power of the closed form passes the largest
+        # float but the bound, 2.35e188, does not: it is taken in logs
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "heat", "--alpha", "0.0015", "--p", "2",
+                     "--q", "3", "--t", "1"]) == 0
+        with open(out / "results.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 9
+        for row in rows:
+            rhs, ratio = float(row["rhs"]), float(row["ratio"])
+            assert 1e180 < rhs < math.inf and ratio == float(row["lhs"]) / rhs
+
+    def test_steady_without_jumps_d2(self, tmp_path):
+        # the zero law of a d=2 triplet: b_A of its dimension, Con1 and Con2 0
+        path = write_config(tmp_path / "c.json", experiment="steady",
+                            grid={"d": 2, "L": 10.0, "M": 32},
+                            triplet={"d": 2, "sigma": 1.0, "b": [0.0, 0.0],
+                                     "nu": None})
+        out = tmp_path / "out"
+        assert main(["--config", str(path), "--out", str(out)]) == 0
+        summary = strict_json((out / "summary.json").read_text())["results"]
+        assert summary["bA"] == [0.0, 0.0]
+        assert summary["con1"] == 0.0 and summary["con2_C"] == 0.0
+        assert summary["con2_unbounded"] is False and summary["con1_diverged"] is False
+
     def test_non_finite_summary_exits_3_without_summary(self, tmp_path, monkeypatch):
         def runner(cfg):
             return ["x"], [[1.0]], {"worst_ratio": math.inf}, 0, {}

@@ -257,6 +257,22 @@ class TestDissipation:
         with np.errstate(all="ignore"), pytest.raises(DomainError):
             dissipation(vals, mu, jump_triplet(oracle_density("box", d)), XLOGX)
 
+    @pytest.mark.parametrize("d", [1, 2], ids=["d1", "d2"])
+    def test_no_jumps_accepts_a_field_touching_0(self, d, monkeypatch):
+        # the zero law's jump part is +0.0, decided before any transform or
+        # base check: a field that x log x refuses on the jump path is taken
+        v, mu = oracle_field(d)
+        vals = v.values.copy()
+        vals.flat[3] = 0.0
+
+        def refused(*args):
+            raise AssertionError("a transform for the zero law")
+
+        monkeypatch.setattr(entropy, "_forward", refused)
+        with np.errstate(all="ignore"):
+            _, jump = dissipation(vals, mu, diffusion_triplet(d), XLOGX)
+        assert jump == 0.0 and math.copysign(1.0, jump) == 1.0
+
     def test_even_density_shift_symmetry(self, cauchy_steady):
         # D(v(x), v(x+z)) integrates to the same value as D(v(x), v(x-z))
         mu = WeightedMeasure.from_field(cauchy_steady.density)

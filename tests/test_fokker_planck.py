@@ -620,7 +620,27 @@ class TestDriftCorrection:
         assert drift_correction(stable_density(1.3, 1)) == pytest.approx(0.0)
 
     def test_no_jumps(self):
-        assert drift_correction(None) == pytest.approx(0.0)
+        # the zero law of a triplet without jumps, in its own dimension
+        for d in (1, 2):
+            b_A = drift_correction(diffusion_triplet(d).nu)
+            assert b_A.shape == (d,) and not np.any(b_A)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("law", ["stable", "analytic", "table"])
+    def test_has_the_shape_of_the_dimension(self, law, d, tmp_path):
+        # the zero law's is test_no_jumps
+        nu = {"stable": lambda: stable_density(1.2, d),
+              "analytic": lambda: LevyDensity(kind="analytic", d=d,
+                                              func=right_exponential if d == 1
+                                              else lambda r: np.exp(-r) / r,
+                                              is_even=d != 1),
+              "table": lambda: triplet_from_config({"d": d, "nu": {
+                  "kind": "tabulated",
+                  "table_path": str((one_sided_table if d == 1 else log_tail_table)(
+                      tmp_path / "nu.csv"))}}).nu}[law]()
+        b_A = drift_correction(nu)
+        assert b_A.shape == (d,) and np.all(np.isfinite(b_A))
+        assert bool(np.any(b_A)) == (not nu.is_even)
 
     def test_half_line_density_positive(self):
         nu = LevyDensity(
@@ -787,8 +807,12 @@ class TestDomination:
         assert max(small) > 10.0
 
     def test_no_jumps(self):
-        rep = check_domination(None)
-        assert rep.C_est == 0.0 and rep.table == []
+        # the zero law's N_inf and N are 0 on the whole sample grid: every
+        # ratio is 0, and nothing is unbounded
+        rep = check_domination(diffusion_triplet(2).nu)
+        assert rep.C_est == 0.0 and not rep.unbounded
+        assert [r for _, r in rep.table] == [0.0] * 28
+        assert [z for z, _ in rep.table] == np.logspace(-6.0, 3.0, 28).tolist()
 
     def test_one_sided_mirrors_read_alike(self):
         # e^{-|z|}/|z| on one ray only: each mirror is sampled on both rays,

@@ -20,7 +20,7 @@ from levylab import (
     ultracontractivity_constant,
     verify_hypercontractivity,
 )
-from levylab.errors import DegenerateField, InvalidAlpha, InvalidExponents
+from levylab.errors import DegenerateField, InvalidAlpha, InvalidExponents, LevyLabError
 from levylab.fields import generate_test_fields
 from levylab.heat import HypercontractivityReport, fractional_laplacian
 from levylab.spectral import Grid, apply_multiplier
@@ -163,6 +163,28 @@ class TestUltracontractivity:
         ]
         assert all(b1 >= b2 for b1, b2 in zip(bounds, bounds[1:]))
 
+    @pytest.mark.parametrize("alpha, q", [(1.1e-3, 3.0), (1.5e-3, 3.0), (2e-3, 4.0)])
+    def test_taken_in_logs_where_a_power_overflows(self, alpha, q):
+        # base^expo, p^{n/(q alpha)} or their product passes the largest
+        # float where the bound does not: the bound is its log's exp
+        A = lsi_constant(1, alpha)
+        base, expo = A * (q - 2.0) / (2.0 * alpha), (q - 2.0) / (alpha * 2.0 * q)
+        try:
+            closed = base ** expo * 2.0 ** (1.0 / (q * alpha)) / q ** (1.0 / (2.0 * alpha))
+        except OverflowError:
+            closed = math.inf
+        assert closed == math.inf
+        log_bound = (expo * math.log(base) + math.log(2.0) / (q * alpha)
+                     - math.log(q) / (2.0 * alpha))
+        got = ultracontractivity_constant(1, alpha, 2.0, q, 1.0).bound
+        assert got == math.exp(log_bound) < math.inf
+
+    @pytest.mark.parametrize("alpha, q", [(2e-4, 3.0), (1e-3, 3.0), (2e-4, np.inf),
+                                          (1e-3, np.inf)])
+    def test_a_bound_past_the_largest_float_raises(self, alpha, q):
+        with pytest.raises(LevyLabError, match="past the largest float"):
+            ultracontractivity_constant(1, alpha, 2.0, q, 1.0)
+
     @pytest.mark.parametrize("p,q", [(1.5, 4.0), (4.0, 2.0)])
     def test_rejects_bad_exponents(self, p, q):
         with pytest.raises(InvalidExponents):
@@ -198,6 +220,13 @@ class TestVerifyHypercontractivity:
         assert rep.rhs == 0.0
         assert rep.ratio == math.inf
         assert rep.violated
+
+    def test_an_infinite_rhs_is_infinite_ratio(self, grid1):
+        # a finite bound of 4.2e293 times ||f||_2 of 1e20: read as ratio 0,
+        # the product would pass
+        f = SpectralField(grid1, 1e20 * gaussian(grid1).values)
+        [[rep]] = verify_hypercontractivity([f], [1.05e-3], [2.0], [3.0], [1.0])
+        assert rep.rhs == math.inf and rep.ratio == math.inf and rep.violated
 
 
 def _same(got, want):

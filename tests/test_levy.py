@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from levylab import (
+    Grid,
     LevyDensity,
     LevyTriplet,
     characteristic_exponent,
@@ -15,9 +16,8 @@ from levylab import (
     jump_symbol,
     stable_density,
     triplet_from_config,
-    validate_levy_density,
 )
-from levylab import levy
+from levylab import entropy, levy
 from levylab.errors import InvalidAlpha, NonFiniteDensity, QuadratureFailure
 from levylab.fokker_planck import limit_density
 from levylab.levy import _checked, _stable_norm_constant
@@ -41,6 +41,9 @@ def exp_over_abs(d=1):
 
 
 class TestValidateDensity:
+    """The law's record estimates int_{|z|<=1} |z|^2 N dz and int_{|z|>1} N dz
+    as (value, diverged); a negative estimate reads as divergent."""
+
     def test_stable_constant_closed_form_at_alpha_one(self):
         # the Cauchy densities 1/(pi z^2) in d=1 and 1/(2 pi |z|^3) in d=2
         assert _stable_norm_constant(1, 1.0) == pytest.approx(1 / np.pi, rel=1e-15)
@@ -49,32 +52,53 @@ class TestValidateDensity:
         )
 
     def test_stable_alpha_one(self):
-        rep = validate_levy_density(stable_density(1.0, 1))
+        law = levy._law(stable_density(1.0, 1), 1e-10)
         c = _stable_norm_constant(1, 1.0)
         # closed forms: 2c/(2-alpha) and 2c/alpha for c |z|^{-2}
-        assert rep.ok
-        assert rep.small_jump == pytest.approx(2.0 * c, rel=1e-12)
-        assert rep.big_jump == pytest.approx(2.0 * c, rel=1e-12)
+        (small, small_div), (big, big_div) = law.moment(1.0), law.mass()
+        assert not (small_div or big_div)
+        assert small == pytest.approx(2.0 * c, rel=1e-12)
+        assert big == pytest.approx(2.0 * c, rel=1e-12)
 
     def test_too_singular_density_flags_small_jumps(self):
+        # QUADPACK extrapolates the divergent int 2 r^{-1.5} dr to -4 and
+        # reports success: the record reads the negative estimate as divergent,
+        # so every reader of the moment refuses the density
         nu = LevyDensity(
             kind="analytic", d=1, func=lambda z: np.abs(z) ** -3.5, is_even=True
         )
-        rep = validate_levy_density(nu)
-        assert rep.small_jump_diverged
+        val, div = levy._law(nu, 1e-12).moment(1.0)
+        assert val < 0.0 and div
+        with pytest.raises(NonFiniteDensity, match="diverges"):
+            nu.small_ball_second_moment(1.0)
+        with pytest.raises(NonFiniteDensity, match="diverges"):
+            levy._law(nu, 1e-10).unit_moment
+        with pytest.raises(NonFiniteDensity, match="diverges"):
+            jump_symbol(nu, 1.0)
+        with pytest.raises(NonFiniteDensity, match="diverges"):
+            entropy._jump_kernel(nu, Grid(1, 10.0, 64), 2)
+
+    def test_a_negative_mass_is_divergent(self):
+        # a negative estimate of a nonnegative integrand, however it arose
+        law = levy._QuadLaw(exp_over_abs(), 1e-10)
+        law._integral = lambda f, a, b: (-1e-3, False)
+        assert law.moment(1.0) == (-1e-3, True)
+        assert law.mass() == (-1e-3, True)
 
     def test_exponential_density(self):
-        rep = validate_levy_density(exp_over_abs())
-        assert rep.ok
-        # int_0^1 z e^{-z} dz * 2 = 2 (1 - 2/e)
-        assert rep.small_jump == pytest.approx(2.0 * (1.0 - 2.0 / np.e), abs=1e-9)
+        law = levy._law(exp_over_abs(), 1e-10)
+        (small, small_div), (big, big_div) = law.moment(1.0), law.mass()
+        assert not (small_div or big_div)
+        # int_0^1 z e^{-z} dz * 2 = 2 (1 - 2/e), and 2 E1(1) past |z| = 1
+        assert small == pytest.approx(2.0 * (1.0 - 2.0 / np.e), abs=1e-9)
+        assert big == pytest.approx(2.0 * 0.21938393439552029, rel=1e-9)
 
     def test_nan_density_raises(self):
         nu = LevyDensity(
             kind="analytic", d=1, func=lambda z: np.abs(z) * np.nan, is_even=True
         )
         with pytest.raises(NonFiniteDensity):
-            validate_levy_density(nu)
+            levy._law(nu, 1e-10).moment(1.0)
 
 
 def opaque_stable(alpha, d):
@@ -107,11 +131,12 @@ class TestRadialRoute:
             "ball": C * 0.05 ** (2.0 - alpha) / (2.0 - alpha),
         }
         for nu in (stable_density(alpha, d), opaque_stable(alpha, d)):
-            rep = validate_levy_density(nu)
-            assert rep.ok
+            law = levy._law(nu, 1e-10)
+            (small, small_div), (big, big_div) = law.moment(1.0), law.mass()
+            assert not (small_div or big_div)
             got = {
-                "small": rep.small_jump,
-                "big": rep.big_jump,
+                "small": small,
+                "big": big,
                 "log_tail": check_log_tail(nu).value,
                 "ball": nu.small_ball_second_moment(0.05),
             }
@@ -583,6 +608,50 @@ class TestSumSymbols:
         assert characteristic_exponent(tr, 2.0) == pytest.approx(-6.0)
 
 
+class TestNoJumps:
+    """A triplet built with nu = None holds the zero density of its d, whose
+    record answers every reader with zeros and builds nothing."""
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_the_zero_law_record(self, d):
+        nu = LevyTriplet(sigma=np.eye(d), b=np.zeros(d), d=d).nu
+        assert nu == LevyDensity(kind="zero", d=d) and nu.is_even
+        law = levy._law(nu, 1e-10)
+        assert type(law) is levy._NoJumps and not law.jumps
+        assert law.moment(1.0) == (0.0, False) and law.mass() == (0.0, False)
+        assert law.log_tail == levy.LogTailReport(0.0, False)
+        assert law.drift.shape == (d,) and not np.any(law.drift)
+        assert not law.drift.flags.writeable
+        ks = np.array([[0.5, -2.0], [0.0, 3.0]])
+        for values in (law.symbol(ks), law.antiderivative(ks, anchored=True),
+                       law.tail_average(ks), nu.profile(ks)):
+            assert values.dtype == float and values.shape == ks.shape
+            assert not np.any(values) and not np.any(np.signbit(values))
+        assert law.limit_density() == nu
+        assert jump_symbol(nu, 2.0) == 0.0
+        assert nu.small_ball_second_moment(0.5) == 0.0
+
+    def test_other_laws_jump(self, tmp_path):
+        table = triplet_from_config({"d": 1, "nu": {
+            "kind": "tabulated", "table_path": str(one_sided_table(tmp_path / "nu.csv"))}})
+        for nu in (stable_density(1.0, 1), exp_over_abs(), table.nu):
+            assert levy._law(nu, 1e-10).jumps
+
+    @pytest.mark.parametrize("xi", [0.0, -1.5, 2.0])
+    def test_exponent_is_the_gaussian_and_drift_one(self, xi):
+        tr = LevyTriplet(sigma=np.array([[0.7]]), b=np.array([0.3]), d=1)
+        gauss, drift = levy._gauss_drift_exponent(tr, np.atleast_1d(xi))
+        assert characteristic_exponent(tr, xi) == gauss + drift
+
+    def test_dual_keeps_the_zero_density(self):
+        tr = LevyTriplet(sigma=np.eye(2), b=np.array([0.5, 1.0]), d=2)
+        assert dual_triplet(tr).nu == tr.nu
+
+    def test_a_density_of_another_dimension_is_refused(self):
+        with pytest.raises(ValueError, match="dimension"):
+            LevyTriplet(sigma=np.eye(2), b=np.zeros(2), nu=LevyDensity("zero", d=1), d=2)
+
+
 def test_triplet_rejects_indefinite_sigma():
     with pytest.raises(ValueError):
         LevyTriplet(sigma=-np.eye(1), b=np.zeros(1), nu=None, d=1)
@@ -605,6 +674,8 @@ _RECORD_CALLS = {
     "antiderivative": lambda law, ks: (law.antiderivative(ks),
                                        law.antiderivative(ks, anchored=True)),
     "tail_average": lambda law, ks: law.tail_average(ks),
+    "limit_density": lambda law, ks: law.limit_density(),
+    "jumps": lambda law, ks: law.jumps,
     "big": lambda law, ks: law.big,
     "unit_moment": lambda law, ks: law.unit_moment,
     "_integral": lambda law, ks: law._integral(law.nu.radial_density, 0.5, 2.0),
@@ -614,13 +685,16 @@ _RECORD_CALLS = {
 
 
 @pytest.mark.parametrize("name, d", [("stable", 1), ("stable", 2), ("even table", 1),
-                                     ("even table", 2), ("one-sided table", 1)])
+                                     ("even table", 2), ("one-sided table", 1),
+                                     ("zero", 1), ("zero", 2)])
 def test_closed_form_and_table_records_make_no_quadpack_call(name, d, tmp_path,
                                                               monkeypatch):
     # a record reaches only its own way of integrating: with QUADPACK refused,
-    # every member of a stable or a table record runs
+    # every member of a stable, a table or the zero record runs
     if name == "stable":
         nu = stable_density(1.5 if d == 2 else 1.0, d)
+    elif name == "zero":
+        nu = LevyTriplet(sigma=np.eye(d), b=np.zeros(d), d=d).nu
     else:
         write = one_sided_table if name == "one-sided table" else log_tail_table
         nu = triplet_from_config({"d": d, "nu": {

@@ -6,8 +6,11 @@ transform).  ``levy`` owns every integral of a jump law and ``quadrature``
 the QUADPACK policy, so no other module names ``_integral``,
 ``integrate_scaled`` or ``try_integrate``.  Within ``levy``, only the
 QUADPACK record ``_QuadLaw`` reaches QUADPACK: the shared base ``_Law`` and
-the closed-form and table records name none of its entry points.  Read from
-the source tree.
+the closed-form, table and zero records name none of its entry points.  No
+jumps is the zero law's record, not a case: only ``LevyTriplet`` (which
+holds the zero density for nu = None), ``_law``, the config rules and the
+config's reading of a JSON null test whether a nu is None.  Read from the
+source tree.
 """
 
 import ast
@@ -65,6 +68,40 @@ def test_only_the_law_record_integrates():
 def test_only_the_quadrature_record_reaches_quadpack():
     classes = {node.name: node for node in ast.walk(_modules()["levy.py"])
                if isinstance(node, ast.ClassDef)}
-    found = [(name, spelled, line) for name in ("_Law", "_TableLaw", "_StableLaw")
+    found = [(name, spelled, line)
+             for name in ("_Law", "_TableLaw", "_StableLaw", "_NoJumps")
              for line, spelled in _spelled(classes[name]) if spelled in QUADPACK]
     assert not found, f"QUADPACK named by a record that must not run it: {found}"
+
+
+# (module, top-level definition) where a nu may be tested against None
+NU_IS_NONE = {("levy.py", "LevyTriplet"), ("levy.py", "_law"), ("cli.py", "RULES"),
+              ("cli.py", "_triplet")}
+
+
+def _nu(node):
+    return (isinstance(node, ast.Name) and node.id == "nu"
+            or isinstance(node, ast.Attribute) and node.attr == "nu")
+
+
+def _top_level_name(node):
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return node.name
+    targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+    return ",".join(t.id for t in targets if isinstance(t, ast.Name))
+
+
+def test_only_the_triplet_and_the_config_ask_whether_nu_is_none():
+    found = []
+    for module, tree in _modules().items():
+        for top in tree.body:
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Compare)
+                        and all(isinstance(op, (ast.Is, ast.IsNot)) for op in node.ops)
+                        and any(_nu(x) for x in [node.left, *node.comparators])
+                        and any(isinstance(x, ast.Constant) and x.value is None
+                                for x in node.comparators)):
+                    found.append((module, _top_level_name(top), node.lineno))
+    stray = [f for f in found if f[:2] not in NU_IS_NONE]
+    assert not stray, f"a reader branches on nu is None at {stray}"
+    assert {f[:2] for f in found} >= {("levy.py", "LevyTriplet"), ("cli.py", "_triplet")}
