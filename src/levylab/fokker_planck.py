@@ -145,7 +145,9 @@ def limit_levy_density(nu, z, tol: float = 1e-10) -> float:
 
 def limit_density(nu, tol) -> LevyDensity:
     """N_inf as a density: the jump density of the invariant law, from the
-    law's record; the zero law's is the zero law itself."""
+    law's record.  A stable law's is the stable density N / alpha (its
+    divisor multiplied by alpha), the zero law's the zero law itself, and any
+    other's an analytic density whose radial integrals go to QUADPACK."""
     return _law(nu, tol).limit_density()
 
 

@@ -11,7 +11,8 @@ The alpha-stable family is normalized so that psi(xi) = -|xi|^alpha exactly
 (decaying sign: the heat multiplier is exp(t psi)); the density constant is
 the closed form c(d, alpha) = 2^alpha Gamma((d+alpha)/2) / (pi^{d/2}
 |Gamma(-alpha/2)|) (Kwasnicki, "Ten equivalent definitions of the fractional
-Laplace operator", Fract. Calc. Appl. Anal. 20, 2017).
+Laplace operator", Fract. Calc. Appl. Anal. 20, 2017), with Gamma from
+``math``.
 
 A density is a radial profile, evaluated on arrays: n(r) in d=2, so that
 N(z) = n(|z|) is isotropic by construction, and n+(r) = N(r), n-(r) = N(-r)
@@ -30,15 +31,16 @@ big-jump mass, the log tail, a on an array of radii, its radial
 antiderivative G, the invariant law's Levy density N_inf and the flow's
 drift shift b_A.  The base ``_Law`` derives them from a few primitives of
 its leaf; ``_StableLaw`` fills the record in closed form (Sato 1999, Thm
-17.5), ``_TableLaw`` by one fixed Gauss-Legendre rule, ``_QuadLaw``, for
-an analytic density, by QUADPACK, which no other record reaches, and
-``_NoJumps`` with zeros.  No jumps is a law like the others: a triplet built
-with nu = None holds the zero density of its dimension, whose record is
-``_NoJumps``, so no reader of a triplet asks whether it has a density.  A
-moment or mass estimated negative reads as divergent, since its integrand
-is nonnegative.  Each xi-independent integral is computed on first use and
-kept.  An anchored G reads the log tail first and raises Con1Violation when
-it diverges, the one place the package does.
+17.5), and its N_inf = N / alpha is a stable density again, with a stable
+record; ``_TableLaw`` fills it by one fixed Gauss-Legendre rule,
+``_QuadLaw``, for an analytic density, by QUADPACK, which no other record
+reaches, and ``_NoJumps`` with zeros.  No jumps is a law like the others: a
+triplet built with nu = None holds the zero density of its dimension, whose
+record is ``_NoJumps``, so no reader of a triplet asks whether it has a
+density.  A moment or mass estimated negative reads as divergent, since its
+integrand is nonnegative.  Each xi-independent integral is computed on first
+use and kept.  An anchored G reads the log tail first and raises
+Con1Violation when it diverges, the one place the package does.
 
 A record's G(r) = int_0^r a(rho) / rho drho (in closed form for the stable
 law) tabulates a once per call on Chebyshev points in log r and integrates
@@ -46,7 +48,9 @@ the interpolant exactly from the smallest radius r_min; a difference
 G(r) - G(r') needs no more, and G(r_min) itself, the anchor, is one
 integral of the radial density against a closed-form kernel.  In d=1
 a(-xi) = conj a(xi), so G(-r) = conj G(r) covers non-even densities.
-``scipy.special`` is bound at the first use of each of its functions.
+``scipy.special`` is bound at the first use of each of its functions, and
+serves only J0, ``jn_zeros``, ``sici`` and ``it2j0y0``: the stable and zero
+records call none of them, so a run on those laws loads no SciPy.
 """
 
 from __future__ import annotations
@@ -157,10 +161,8 @@ def _checked(density, z):
 @lru_cache(maxsize=None)
 def _stable_norm_constant(d: int, alpha: float) -> float:
     """c(d, alpha) such that the density c |z|^{-d-alpha} has symbol -|xi|^alpha."""
-    return float(
-        2.0**alpha * _special().gamma(0.5 * (d + alpha))
-        / (np.pi ** (0.5 * d) * abs(_special().gamma(-0.5 * alpha)))
-    )
+    return float(2.0**alpha * math.gamma(0.5 * (d + alpha)) / (
+        math.pi ** (0.5 * d) * abs(math.gamma(-0.5 * alpha))))
 
 
 @dataclass(frozen=True)
@@ -168,10 +170,12 @@ class LevyDensity:
     """Jump density N(z) >= 0 on R^d \\ {0}, held as a radial profile n.
 
     ``kind`` is one of "stable", "analytic", "tabulated", "zero".  For the
-    stable kind n(r) = c(d, alpha) r^{-d-alpha} with the family constant
-    fixed by the symbol normalization; the zero kind, the density of a
-    triplet without jumps, is n = 0 and reads nothing else.  Otherwise
-    ``func`` is n: it maps a float, or an array of signed z in d=1 (where n
+    stable kind n(r) = c(d, alpha) r^{-d-alpha} / divisor with the family
+    constant fixed by the symbol normalization, so that a = -|xi|^alpha /
+    divisor; the divisor, finite and positive, is 1 but on the N_inf of a
+    stable law (N / alpha) and is refused on any other kind.  The zero kind,
+    the density of a triplet without jumps, is n = 0 and reads nothing else.
+    Otherwise ``func`` is n: it maps a float, or an array of signed z in d=1 (where n
     is N) and of radii in d=2, to values of the same shape, and is refused
     when built if it maps no array so.  A tabulated density keeps the sorted
     radii |z| of its table's ``knots``; it is linear between them and zero
@@ -188,10 +192,16 @@ class LevyDensity:
     alpha: Optional[float] = None
     is_even: bool = True
     knots: Optional[tuple] = None
+    divisor: float = 1.0
 
     def __post_init__(self):
         if self.kind not in ("stable", "analytic", "tabulated", "zero"):
             raise ValueError(f"unknown density kind {self.kind!r}")
+        if not 0.0 < self.divisor < np.inf:
+            raise ValueError(f"a density's divisor must be finite and positive, got "
+                             f"{self.divisor!r}")
+        if self.divisor != 1.0 and self.kind != "stable":
+            raise ValueError("only a stable density takes a divisor")
         if self.kind == "stable":
             if self.alpha is None or not (0.0 < self.alpha < 2.0):
                 raise InvalidAlpha(
@@ -230,7 +240,7 @@ class LevyDensity:
         n-(-x) at x < 0, so that n is N itself), radii in d=2."""
         if self.kind == "stable":
             c = _stable_norm_constant(self.d, self.alpha)
-            return c * abs(x) ** (-self.d - self.alpha)
+            return c * abs(x) ** (-self.d - self.alpha) / self.divisor
         if self.kind == "zero":
             return np.zeros(np.shape(x))
         return self.func(x)
@@ -507,7 +517,9 @@ class _Law:
         return out if out.ndim else float(out)
 
     def limit_density(self):
-        """N_inf as a density: the jump density of the invariant law."""
+        """N_inf as a density: the jump density of the invariant law, an
+        analytic one whose profile is ``tail_average`` (the stable leaf gives
+        a stable density, the zero leaf the zero law)."""
         return LevyDensity(kind="analytic", d=self.nu.d, is_even=self.nu.is_even,
                            func=self.tail_average)
 
@@ -642,16 +654,17 @@ def _rule(a, b, q, cuts=()):
 class _StableLaw(_Law):
     """The stable law's record, in closed form.
 
-    Its radial density is C r^{-1-alpha}, C = |S^{d-1}| c(d, alpha) with
-    |S^0| = 2 and |S^1| = 2 pi, so the moment over |z| <= eps is
-    C eps^{2-alpha} / (2 - alpha), B = C / alpha, the log tail C / alpha^2,
-    a = -|k|^alpha, G = -|k|^alpha / alpha and N_inf = N / alpha.
+    Its radial density is C r^{-1-alpha}, C = |S^{d-1}| c(d, alpha) / D with
+    |S^0| = 2, |S^1| = 2 pi and D the density's divisor, so the moment over
+    |z| <= eps is C eps^{2-alpha} / (2 - alpha), B = C / alpha, the log tail
+    C / alpha^2, a = -|k|^alpha / D, G = -|k|^alpha / alpha / D and N_inf =
+    N / alpha, the stable density of divisor D alpha.
     """
 
     def __init__(self, nu, tol):
         super().__init__(nu, tol)
         self.C = (2.0 if nu.d == 1 else 2.0 * np.pi) * _stable_norm_constant(
-            nu.d, nu.alpha)
+            nu.d, nu.alpha) / nu.divisor
         self.log_tail = LogTailReport(self.C / nu.alpha**2, False)
 
     def moment(self, eps):
@@ -661,13 +674,16 @@ class _StableLaw(_Law):
         return self.C / self.nu.alpha, False
 
     def symbol(self, ks):
-        return -(np.abs(ks) ** self.nu.alpha)
+        return -(np.abs(ks) ** self.nu.alpha) / self.nu.divisor
 
     def antiderivative(self, ks, anchored=False):
-        return -(np.abs(ks) ** self.nu.alpha) / self.nu.alpha
+        return -(np.abs(ks) ** self.nu.alpha) / self.nu.alpha / self.nu.divisor
 
     def tail_average(self, x):
-        return _checked(self.nu.profile, x) / self.nu.alpha
+        return _checked(self.limit_density().profile, x)
+
+    def limit_density(self):
+        return replace(self.nu, divisor=self.nu.divisor * self.nu.alpha)
 
 
 class _TableLaw(_Law):

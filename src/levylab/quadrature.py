@@ -7,7 +7,10 @@ complex one apart), semi-infinite intervals are handled natively,
 oscillatory weights (QAWO/QAWF) are passed through, and failure to reach the
 requested tolerance raises instead of silently returning a bad estimate.
 ``scipy.integrate`` is imported on the first call, so a run that never
-integrates never loads it.
+integrates never loads it: no run on a stable law or without jumps, whose
+records are closed forms, and no ``fp`` or ``decay`` on a d=1 table, whose
+record is a fixed rule.  An analytic density, the N_inf of a table or of an
+analytic density, and a d=2 table's J0 still load SciPy.
 """
 
 import numpy as np

@@ -270,10 +270,12 @@ def _chirp(M: int, scale: float):
     """exp(i pi scale m^2 / M) for m = 1 - M, ..., M - 1.
 
     The phase reaches pi M, so a float64 product would carry an absolute
-    error of about pi M eps; it is formed from the exact integer m^2.
+    error of about pi M eps; it is formed from the exact integer m^2.  It is
+    even in m, so it is evaluated for m = 0, ..., M - 1 and mirrored.
     """
-    m = np.arange(1 - M, M)
-    return _unit_phase(np.longdouble(scale) * (m * m) / M)
+    m = np.arange(M)
+    half = _unit_phase(np.longdouble(scale) * (m * m) / M)
+    return np.concatenate([half[:0:-1], half])
 
 
 def _contracted(u0: SpectralField, scale: float):

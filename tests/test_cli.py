@@ -896,32 +896,58 @@ class TestFlowRunners:
         assert len(rows) == 2 * 5
 
 
-def test_heat_lane_loads_no_quadpack(tmp_path):
+def test_runs_that_integrate_nothing_load_no_scipy(tmp_path):
     # a fresh interpreter: pytest's IntegrationWarning filter has already
-    # imported scipy.integrate into this one
-    path = write_config(tmp_path / "c.json", grid={"d": 2, "L": 10.0, "M": 16})
-    runs = [["--config", str(path), "--out", str(tmp_path / name), name]
+    # imported scipy.integrate into this one.  The heat lane, every flow on
+    # a stable law (its radial quantities, N_inf's included, are closed
+    # forms and c(d, alpha) takes Gamma from math), every flow without jumps
+    # and fp and decay on a d=1 table (a fixed rule of cosines) load neither
+    # scipy.special nor scipy.integrate, and neither does the import of the
+    # package
+    heat = write_config(tmp_path / "heat.json", grid={"d": 2, "L": 10.0, "M": 16})
+    runs = [["--config", str(heat), "--out", str(tmp_path / name), name]
             for name in ("heat", "euclidean-lsi", "kato")]
+    table = {"d": 1, "sigma": 0.3, "b": 0.0, "nu": {
+        "kind": "tabulated", "table_path": str(one_sided_table(tmp_path / "nu.csv"))}}
+    no_jumps = {"d": 1, "sigma": 0.5, "b": 0.0, "nu": None}
+    laws = [("table", {"d": 1, "L": 10.0, "M": 64}, table, ("fp", "decay")),
+            ("no-jumps", {"d": 1, "L": 10.0, "M": 64}, no_jumps,
+             ("fp", "decay", "steady", "check-lsi", "all"))]
+    for d, alpha, M in [(1, 1.0, 64), (2, 1.5, 32)]:
+        stable = {"d": d, "sigma": 0.3, "b": [0.0] * d,
+                  "nu": {"kind": "stable", "alpha": alpha}}
+        laws.append((f"stable{d}", {"d": d, "L": 10.0, "M": M}, stable,
+                      ("fp", "decay", "steady", "check-conditions", "check-lsi", "all")))
+    for law, grid, triplet, names in laws:
+        path = write_config(tmp_path / f"{law}.json", grid=grid, triplet=triplet)
+        runs += [["--config", str(path), "--out", str(tmp_path / f"{law}-{name}"), name]
+                 for name in names]
     code = (
-        "import sys, levylab, levylab.cli\n"
+        "import sys, levylab\n"
+        "loaded = [m in sys.modules for m in ('scipy.integrate', 'scipy.special')]\n"
+        "import levylab.cli\n"
         f"codes = [levylab.cli.main(argv) for argv in {runs!r}]\n"
-        "print(*codes, *(m in sys.modules for m in "
+        "print(*codes, *loaded, *(m in sys.modules for m in "
         "('scipy.integrate', 'scipy.special')))\n"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(levylab.__file__).parents[1])}
     res = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, env=env, timeout=300, check=True)
-    *codes, integrate, special = res.stdout.split()
+    out = res.stdout.split()
+    codes, loaded = out[:-4], out[-4:]
+    assert len(codes) == len(runs)
     # kato's verdict fails on this coarse grid (exit 1); none may exit 2 or 3
-    assert codes == ["0", "0", "1"]
-    assert (integrate, special) == ("False", "False")
+    assert codes[:3] == ["0", "0", "1"]
+    assert set(codes) <= {"0", "1"}, list(zip(codes, (argv[-1] for argv in runs)))
+    assert loaded == ["False"] * 4
 
 
 @pytest.mark.parametrize("table, codes", [(log_tail_table, [0, 0, 0]),
                                           (one_sided_table, [0, 0, 1])])
 def test_flows_on_a_table_make_no_quadpack_call(tmp_path, monkeypatch, table, codes):
-    # a table's radial integrals are its fixed rule; N_inf of an analytic
-    # density, which check-lsi reads, still goes to QUADPACK
+    # a table's radial integrals are its fixed rule; its N_inf, which
+    # check-lsi reads, is an analytic density and still goes to QUADPACK
+    # (a stable law's N_inf is a stable density, in closed form)
     calls = []
     quad = integrate.quad
     monkeypatch.setattr(integrate, "quad",

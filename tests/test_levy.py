@@ -1,8 +1,11 @@
 """Levy triplets, densities, and characteristic exponents."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.integrate
+from scipy import special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -50,6 +53,14 @@ class TestValidateDensity:
         assert _stable_norm_constant(2, 1.0) == pytest.approx(
             1 / (2 * np.pi), rel=1e-15
         )
+
+    @pytest.mark.parametrize("alpha", [0.1, 0.25, 0.5, 1.0, 1.5, 1.9, 1.999])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_stable_constant_matches_the_special_gamma_formula(self, d, alpha):
+        # c(d, alpha) takes Gamma from math; its oracle is scipy.special's
+        want = 2.0**alpha * special.gamma(0.5 * (d + alpha)) / (
+            np.pi ** (0.5 * d) * abs(special.gamma(-0.5 * alpha)))
+        assert _stable_norm_constant(d, alpha) == pytest.approx(want, rel=4e-15, abs=0.0)
 
     def test_stable_alpha_one(self):
         law = levy._law(stable_density(1.0, 1), 1e-10)
@@ -168,6 +179,32 @@ class TestRadialRoute:
                 key, got, want)
         np.testing.assert_allclose(quad.tail_average(z), exact.tail_average(z),
                                    rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_the_limit_record_matches_quadrature(self, d, alpha):
+        # N_inf = N / alpha is the stable record of divisor alpha, in closed
+        # form; its oracle is the QUADPACK record of the same profile, given
+        # as an analytic density
+        nu = stable_density(alpha, d)
+        exact = levy._law(limit_density(nu, 1e-10), 1e-10)
+        quad = levy._law(LevyDensity(kind="analytic", d=d,
+                                     func=levy._law(nu, 1e-10).tail_average), 1e-10)
+        assert type(exact) is levy._StableLaw and type(quad) is levy._QuadLaw
+        pairs = [(exact.moment(eps), quad.moment(eps)) for eps in (0.05, 1.0)]
+        pairs += [(exact.mass(), quad.mass()),
+                  ((exact.log_tail.value, exact.log_tail.diverged),
+                   (quad.log_tail.value, quad.log_tail.diverged))]
+        for (got, got_div), (want, want_div) in pairs:
+            assert not (got_div or want_div)
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+        k = np.array([0.5, 2.0, 7.0])
+        np.testing.assert_allclose(exact.symbol(k), quad.symbol(k), rtol=1e-10, atol=0.0)
+
+    def test_the_limit_of_the_limit_divides_by_alpha_squared(self):
+        nu = stable_density(1.5, 2)
+        twice = limit_density(limit_density(nu, 1e-10), 1e-10)
+        assert twice == replace(nu, divisor=1.5 * 1.5)
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_nan_density_raises_in_log_tail(self, d):
@@ -719,7 +756,13 @@ def test_closed_form_and_table_records_make_no_quadpack_call(name, d, tmp_path,
     (lambda: LevyTriplet(sigma=np.eye(1), b=np.zeros(1), nu=stable_density(1.0, 2),
                          d=1), "dimension"),
     (lambda: LevyDensity(kind="bogus"), "unknown density kind"),
-], ids=["sigma-shape", "b-shape", "density-dimension", "density-kind"])
+    *[(lambda v=v: LevyDensity(kind="stable", alpha=1.0, divisor=v), "divisor")
+      for v in (0.0, -1.0, np.nan, np.inf)],
+    (lambda: LevyDensity(kind="zero", divisor=2.0), "divisor"),
+    (lambda: replace(exp_over_abs(), divisor=2.0), "divisor"),
+], ids=["sigma-shape", "b-shape", "density-dimension", "density-kind", "divisor-zero",
+        "divisor-negative", "divisor-nan", "divisor-inf", "divisor-of-zero-kind",
+        "divisor-of-analytic-kind"])
 def test_refused_input(call, message):
     with pytest.raises(ValueError, match=message):
         call()

@@ -304,6 +304,16 @@ def test_synthesize_is_the_real_part_of_the_full_inverse(d):
     np.testing.assert_allclose(g.synthesize(cases[0][0]), noise, rtol=0, atol=1e-14)
 
 
+@pytest.mark.parametrize("M", [16, 512, 4096, 8192])
+def test_the_mirrored_chirp_is_the_full_range_one(M):
+    # the chirp is even in m: its half m = 0, ..., M - 1 mirrored is bitwise
+    # the phase formed over the full range m = 1 - M, ..., M - 1
+    m = np.arange(1 - M, M)
+    for scale in (np.exp(-0.25), np.exp(-2.0), 0.999, 1.0):
+        want = spectral._unit_phase(np.longdouble(scale) * (m * m) / M)
+        assert np.array_equal(spectral._chirp(M, scale), want), scale
+
+
 class TestLpNorm:
     def test_gaussian_l2(self, grid1):
         f = SpectralField.from_function(grid1, lambda x: np.exp(-(x**2)))

@@ -6,11 +6,13 @@ transform).  ``levy`` owns every integral of a jump law and ``quadrature``
 the QUADPACK policy, so no other module names ``_integral``,
 ``integrate_scaled`` or ``try_integrate``.  Within ``levy``, only the
 QUADPACK record ``_QuadLaw`` reaches QUADPACK: the shared base ``_Law`` and
-the closed-form, table and zero records name none of its entry points.  No
-jumps is the zero law's record, not a case: only ``LevyTriplet`` (which
-holds the zero density for nu = None), ``_law``, the config rules and the
-config's reading of a JSON null test whether a nu is None.  Read from the
-source tree.
+the closed-form, table and zero records name none of its entry points.
+The closed forms, the stable and zero records, a density's profile and the
+stable constant c(d, alpha), call neither ``_special`` nor anything of
+``quadrature``, so a run on them loads no SciPy.  No jumps is the zero
+law's record, not a case: only ``LevyTriplet`` (which holds the zero density
+for nu = None), ``_law``, the config rules and the config's reading of a
+JSON null test whether a nu is None.  Read from the source tree.
 """
 
 import ast
@@ -72,6 +74,38 @@ def test_only_the_quadrature_record_reaches_quadpack():
              for name in ("_Law", "_TableLaw", "_StableLaw", "_NoJumps")
              for line, spelled in _spelled(classes[name]) if spelled in QUADPACK]
     assert not found, f"QUADPACK named by a record that must not run it: {found}"
+
+
+def _called(node):
+    """The names that the calls under node call: f(...) and x.f(...)."""
+    for n in ast.walk(node):
+        if isinstance(n, ast.Call):
+            yield getattr(n.func, "id", getattr(n.func, "attr", None))
+
+
+def test_closed_forms_reach_no_scipy():
+    tree = _modules()["levy.py"]
+    top = {n.name: n for n in tree.body if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
+    # _special, what levy takes from quadrature, and every top-level function
+    # of levy that calls one of them, however indirectly
+    scipy = {"_special"} | {a.asname or a.name for n in tree.body
+                            if isinstance(n, ast.ImportFrom) and n.module == "quadrature"
+                            for a in n.names}
+    while True:
+        wider = scipy | {name for name, n in top.items()
+                         if isinstance(n, ast.FunctionDef) and scipy & set(_called(n))}
+        if wider == scipy:
+            break
+        scipy = wider
+    assert {"_j0", "_kernel", "_aux_fg", "_j0_tail", "integrate_scaled"} <= scipy
+    [profile] = [n for n in top["LevyDensity"].body
+                 if isinstance(n, ast.FunctionDef) and n.name == "profile"]
+    found = [(name, called) for name, node in [
+        ("_StableLaw", top["_StableLaw"]), ("_NoJumps", top["_NoJumps"]),
+        ("LevyDensity.profile", profile),
+        ("_stable_norm_constant", top["_stable_norm_constant"])]
+        for called in _called(node) if called in scipy]
+    assert not found, f"a closed form calls into scipy: {found}"
 
 
 # (module, top-level definition) where a nu may be tested against None
