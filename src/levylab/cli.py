@@ -25,7 +25,7 @@ import math
 import sys
 import time
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import repeat
 from pathlib import Path
 from typing import Callable
@@ -601,10 +601,12 @@ def run_experiment(cfg: ExperimentConfig) -> int:
     return 1
 
 
+@lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
     """The main parser and one subparser per experiment; a flag that sets a
     key is declared on its row of ``TABLE`` and stores its text under the
-    row's path, for ``Key.read``."""
+    row's path, for ``Key.read``.  Built once per process: parsing leaves a
+    parser as it was, so every ``main`` call shares it."""
     parser = argparse.ArgumentParser(
         prog="levylab",
         description="Spectral laboratory for Levy semigroups, Fokker-Planck "

@@ -147,7 +147,7 @@ def limit_density(nu, tol) -> LevyDensity:
     """N_inf as a density: the jump density of the invariant law, from the
     law's record.  A stable law's is the stable density N / alpha (its
     divisor multiplied by alpha), the zero law's the zero law itself, and any
-    other's an analytic density whose radial integrals go to QUADPACK."""
+    other's an analytic density, whose record is the analytic one."""
     return _law(nu, tol).limit_density()
 
 

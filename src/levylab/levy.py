@@ -33,14 +33,16 @@ drift shift b_A.  The base ``_Law`` derives them from a few primitives of
 its leaf; ``_StableLaw`` fills the record in closed form (Sato 1999, Thm
 17.5), and its N_inf = N / alpha is a stable density again, with a stable
 record; ``_TableLaw`` fills it by one fixed Gauss-Legendre rule,
-``_QuadLaw``, for an analytic density, by QUADPACK, which no other record
-reaches, and ``_NoJumps`` with zeros.  No jumps is a law like the others: a
-triplet built with nu = None holds the zero density of its dimension, whose
-record is ``_NoJumps``, so no reader of a triplet asks whether it has a
-density.  A moment or mass estimated negative reads as divergent, since its
-integrand is nonnegative.  Each xi-independent integral is computed on first
-use and kept.  An anchored G reads the log tail first and raises
-Con1Violation when it diverges, the one place the package does.
+``_QuadLaw``, for an analytic density, by one fixed Gauss-Kronrod rule on
+arrays for a and G, with an error estimate per value, and by QUADPACK, which
+no other record reaches, for its constants and N_inf; and ``_NoJumps`` with
+zeros.  No jumps is a law like the others: a triplet built with nu = None
+holds the zero density of its dimension, whose record is ``_NoJumps``, so no
+reader of a triplet asks whether it has a density.  A moment or mass
+estimated negative reads as divergent, since its integrand is nonnegative.
+Each xi-independent integral is computed on first use and kept.  An
+anchored G reads the log tail first and raises Con1Violation when it
+diverges, the one place the package does.
 
 A record's G(r) = int_0^r a(rho) / rho drho (in closed form for the stable
 law) tabulates a once per call on Chebyshev points in log r and integrates
@@ -93,59 +95,145 @@ def _j0(x):
 
 
 def _taylor_remainder(mean, d, c4, c6, c8):
-    """x -> m(x) - 1 + x^2 / (2d) for the spherical mean m in dimension d,
-    evaluated without cancellation near x = 0: below |x| = 1e-2 by its series
-    x^4 / c4 (1 - x^2 / c6 (1 - x^2 / c8)).  Scalar nodes only: its one
-    caller is the QUADPACK head integrand, which passes one float per node."""
+    """x -> m(x) - 1 + x^2 / (2d) for the spherical mean m in dimension d, on
+    an array x, evaluated without cancellation near x = 0: below |x| = 1e-2 by
+    its series x^4 / c4 (1 - x^2 / c6 (1 - x^2 / c8))."""
 
     def remainder(x):
         x2 = x * x
-        if abs(x) < 1e-2:
-            return x2 * x2 / c4 * (1.0 - x2 / c6 * (1.0 - x2 / c8))
-        return mean(x) - 1.0 + x2 / (2 * d)
+        series = x2 * x2 / c4 * (1.0 - x2 / c6 * (1.0 - x2 / c8))
+        return np.where(np.abs(x) < 1e-2, series, mean(x) - 1.0 + x2 / (2 * d))
 
     return remainder
 
 
-def _segmented_tail(f, cuts, tol):
-    """int_1^inf f(r) dr, segmented at the cuts past r = 1, between which f
-    alternates in sign; the segment series is resummed by repeated averaging
-    of partial sums."""
-    edges = np.concatenate(([1.0], cuts[cuts > 1.0]))
-    terms = [integrate_scaled(f, (a, b), tol) for a, b in zip(edges[:-1], edges[1:])]
-    lead, rest = terms[0], np.asarray(terms[1:])
-    row = np.cumsum(rest)
-    for _ in range(min(12, len(row) - 1)):
-        row = 0.5 * (row[:-1] + row[1:])
-    return lead + float(row[-1])
-
-
-def _j0_tail(g, q, tol):
-    """int_1^inf J0(q r) g(r) dr for decaying g, cut at the zeros of J0(q r);
-    at most int(q/pi) + 1 of them lie below r = 1, so 99 or more remain."""
-    cuts = _special().jn_zeros(0, 100 + int(q / np.pi)) / q
-    return _segmented_tail(lambda r: _special().j0(q * r) * g(r), cuts, tol)
-
-
-def _cos_tail(g, q, tol):
-    """int_1^inf cos(q r) g(r) dr for decaying g, by QAWF."""
-    return integrate_scaled(g, (1.0, np.inf), tol, weight="cos", wvar=q)
-
-
 # per dimension d: the spherical mean m of exp(i r theta.xi) over |theta| = 1
 # as a function of x = r |xi|, m with its Taylor polynomial 1 - x^2 / (2d)
-# removed, and the tail int_1^inf m(q r) g(r) dr
+# removed, and the weight whose zeros cut a's oscillatory tail
 _SPHERICAL_MEAN = {
-    1: (np.cos, _taylor_remainder(np.cos, 1, 24.0, 30.0, 56.0), _cos_tail),
-    2: (_j0, _taylor_remainder(_j0, 2, 64.0, 36.0, 64.0), _j0_tail),
+    1: (np.cos, _taylor_remainder(np.cos, 1, 24.0, 30.0, 56.0), "cos"),
+    2: (_j0, _taylor_remainder(_j0, 2, 64.0, 36.0, 64.0), "j0"),
 }
+
+# the Gauss-Kronrod pair G10/K21 on (-1, 1) (Piessens et al., QUADPACK, 1983,
+# qk21; the digits of scipy.integrate._quad_vec): the 21 Kronrod nodes, whose
+# odd-indexed ten are the Gauss nodes, and the weights of both rules
+_GK_NODES = np.array([
+    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866, 0.148874338981631210884826001129720, 0.0,
+    -0.148874338981631210884826001129720, -0.294392862701460198131126603103866,
+    -0.433395394129247190799265943165784, -0.562757134668604683339000099272694,
+    -0.679409568299024406234327365114874, -0.780817726586416897063717578345042,
+    -0.865063366688984510732096688423493, -0.930157491355708226001207180059508,
+    -0.973906528517171720077964012084452, -0.995657163025808080735527280689003])
+_K21_WEIGHTS = np.array([
+    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+    0.123491976262065851077958109831074, 0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821, 0.147739104901338491374841515972068,
+    0.142775938577060080797094273138717, 0.134709217311473325928054001771707,
+    0.123491976262065851077958109831074, 0.109387158802297641899210590325805,
+    0.093125454583697605535065465083366, 0.075039674810919952767043140916190,
+    0.054755896574351996031381300244580, 0.032558162307964727478818972459390,
+    0.011694638867371874278064396062192])
+_G10_WEIGHTS = np.array([
+    0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338, 0.295524224714752870173892994651338,
+    0.269266719309996355091226921569469, 0.219086362515982043995534934228163,
+    0.149451349150580593145776339657697, 0.066671344308688137593568809893332])
+# an oscillatory tail: this many geometric panels up to the first zero of its
+# weight past r = 1, then this many segments between its zeros, whose partial
+# sums are averaged this many times
+_TAIL_PANELS, _TAIL_SEGMENTS, _TAIL_ROUNDS = 16, 100, 12
+
+
+def _gk_nodes(edges):
+    """The K21 nodes, shape (..., pieces, 21), of each piece between
+    consecutive edges along the last axis, and the pieces' half-lengths."""
+    half = 0.5 * np.diff(edges, axis=-1)[..., None]
+    return edges[..., :-1, None] + half * (1.0 + _GK_NODES), half[..., 0]
+
+
+def _gk_sum(values, half):
+    """The K21 integral of each piece from the values at its nodes, and its
+    error estimate |K21 - G10|."""
+    k21 = values @ _K21_WEIGHTS * half
+    return k21, np.abs(k21 - values[..., 1::2] @ _G10_WEIGHTS * half)
+
+
+def _on(f, x):
+    """f, which maps a flat array of radii to its values, at an array x."""
+    return f(x.ravel()).reshape(x.shape)
+
+
+def _head_edges(q_max):
+    """The panels of (eps, 1) for frequencies up to q_max: ratio 2 from 2^-26
+    up, where the radial density may be singular, and no longer than 6 / q_max,
+    on which G10 errs on cos(q r) by about 2e-15 of the panel's length."""
+    return np.union1d(np.append(_EPS_BALL, 2.0 ** np.arange(-26, 1)),
+                      np.arange(6.0 / q_max, 1.0, 6.0 / q_max))
+
+
+def _tail_zeros(kind, q):
+    """The first _TAIL_SEGMENTS + 1 zeros past r = 1 of w(q r), w = cos, sin,
+    J0 or J1 by ``kind``, one row per q > 0: in closed form for cos and sin,
+    and from one ``jn_zeros`` call for J0 and J1, of which at most q / pi + 1
+    lie below q."""
+    count = _TAIL_SEGMENTS + 1
+    if kind in ("cos", "sin"):
+        shift = 0.5 if kind == "cos" else 0.0
+        x = (np.floor(q / np.pi - shift)[:, None] + 1.0 + shift + np.arange(count)) * np.pi
+    else:
+        table = _special().jn_zeros(int(kind[1]), count + 1 + int(np.max(q) / np.pi))
+        x = table[np.searchsorted(table, q, side="right")[:, None] + np.arange(count)]
+    return x / q[:, None]
+
+
+def _oscillatory_tail(f, zeros):
+    """int_1^inf f(r) dr, one value per row of ``zeros`` (see ``_tail_zeros``),
+    with its error estimate, for an f that alternates in sign between them.
+
+    _TAIL_PANELS geometric panels reach the first zero; the integrals over the
+    segments between the others form an alternating series, whose partial sums
+    are resummed by repeated averaging.  The estimate is the rule's,
+    sum |K21 - G10|, plus the last averaging step.  f maps an array of radii,
+    shape (rows, pieces, 21), to its values.
+    """
+    lead = zeros[:, :1] ** (np.arange(_TAIL_PANELS + 1) / _TAIL_PANELS)
+    x, half = _gk_nodes(np.concatenate([lead, zeros[:, 1:]], axis=1))
+    pieces, err = _gk_sum(f(x), half)
+    row = np.cumsum(pieces[:, _TAIL_PANELS:], axis=1)
+    for _ in range(_TAIL_ROUNDS):
+        last, row = row[:, -1], 0.5 * (row[:, :-1] + row[:, 1:])
+    return (pieces[:, :_TAIL_PANELS].sum(axis=1) + row[:, -1],
+            err.sum(axis=1) + np.abs(row[:, -1] - last))
+
+
+def _gated(value, err, tol, what):
+    """value, an array, unless it is not finite or its error estimate exceeds
+    _SLACK tol max(1, |value|) somewhere: then QuadratureFailure, as a QUADPACK
+    integral raises past its tolerance."""
+    bad = ~(np.isfinite(value) & (err <= _SLACK * tol * np.maximum(1.0, np.abs(value))))
+    if np.any(bad):
+        j = int(np.argmax(bad))
+        raise QuadratureFailure(f"{what} reached error {err[j]!r} > tol {tol!r}: "
+                                f"estimate {value[j]!r}", achieved_error=float(err[j]),
+                                value=value[j])
+    return value
 
 
 def _checked(density, z):
     """density(z), raising NonFiniteDensity unless every value lies in [0, inf).
 
-    QUADPACK evaluates integrands one float node at a time, so a float value
-    (np.float64 included) is checked by comparison; NaN fails it too.
+    QUADPACK, for an analytic law's constants, evaluates integrands one float
+    node at a time, so a float value (np.float64 included) is checked by
+    comparison; NaN fails it too.
     """
     v = density(z)
     if isinstance(v, float):
@@ -298,9 +386,10 @@ def jump_symbol(nu: LevyDensity, xi, tol: float = 1e-10):
     around z = 0 is excluded; on (eps, 1) the Taylor term -(r |xi|)^2 / (2d)
     of m - 1 is subtracted so the integrand stays bounded at the origin, and
     restored in closed form through the unit-ball second moment.  The
-    oscillatory tail goes to QAWF with a cosine weight in d=1 and to a J0
-    zero-segmented series in d=2.  For even densities the imaginary part
-    vanishes; the odd part of a non-even density is supported in d=1 only.
+    oscillatory tail past r = 1 is a series over the segments between the
+    zeros of cos(r |xi|) in d=1 and of J0(r |xi|) in d=2, resummed by repeated
+    averaging.  For even densities the imaginary part vanishes; the odd part
+    of a non-even density is supported in d=1 only.
     """
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     k = float(_radial_argument(xi))
@@ -370,17 +459,21 @@ _KERNEL_SERIES = {
 }
 
 
-def _kernel(d, x):
-    """K_d(x) = int_0^x (1 - m(t)) dt / t, m = cos in d=1 and J0 in d=2.
+def _kernel(d, x, taylor=False):
+    """K_d(x) = int_0^x (1 - m(t)) dt / t at x > 0, a float or an array, m =
+    cos in d=1 and J0 in d=2; with ``taylor``, less its first Taylor term
+    x^2 / (4d), which the series below x = 1 drops without cancellation.
 
     Cin(x) = gamma + ln x - Ci(x) in d=1 (DLMF 6.2.3), it2j0y0(x)[0] in d=2,
     and the power series below x = 1.
     """
-    if x < 1.0:
-        return x * x * polynomial.polyval(x * x, _KERNEL_SERIES[d])
-    if d == 1:
-        return np.euler_gamma + np.log(x) - _special().sici(x)[1]
-    return _special().it2j0y0(x)[0]
+    x = np.asarray(x, dtype=float)
+    x2 = np.minimum(x * x, 1.0)
+    series = x2 ** (1 + taylor) * polynomial.polyval(x2, _KERNEL_SERIES[d][taylor:])
+    with np.errstate(divide="ignore"):
+        far = (np.euler_gamma + np.log(x) - _special().sici(x)[1] if d == 1
+               else _special().it2j0y0(x)[0])
+    return np.where(x < 1.0, series, far - taylor * x * x / (4 * d))
 
 
 def _aux_fg(x):
@@ -420,11 +513,11 @@ class _Law:
 
     Made by ``_law``, once per (density, tolerance), as one of four leaves:
     ``_StableLaw`` in closed form, ``_TableLaw`` by a fixed rule,
-    ``_QuadLaw`` by QUADPACK and ``_NoJumps``, the zero law, with zeros.  A
-    leaf gives ``_integral`` (for the moments, the mass, the log tail and
-    b_A), ``symbol`` and ``_anchor`` (for G) and ``_pieces`` (for N_inf), or
-    replaces a derivation by its closed form; so each leaf reaches only its
-    own way of integrating.  The log tail and b_A are computed on first use
+    ``_QuadLaw`` by a fixed rule and QUADPACK and ``_NoJumps``, the zero law,
+    with zeros.  A leaf gives ``_integral`` (for the moments, the mass, the
+    log tail and b_A), ``symbol`` and ``_anchor`` (for G) and ``_pieces``
+    (for N_inf), or replaces a derivation by its closed form; so each leaf
+    reaches only its own way of integrating.  The log tail and b_A are computed on first use
     and kept, so that every table of a, every anchor and every steady build
     of the law shares them.  ``jumps`` is False on the zero law alone.
     """
@@ -525,9 +618,14 @@ class _Law:
 
 
 class _QuadLaw(_Law):
-    """An analytic density's record, by QUADPACK: every integral of the law
-    is an adaptive one, and B and the unit-ball moment, which every value of
-    a shares, are computed on first use and kept."""
+    """An analytic density's record.  a and G are sums of one fixed composite
+    Gauss-Kronrod rule, G10/K21, on arrays: the head (eps, 1) on panels of
+    ratio 2 and length at most 6 / q, each oscillatory tail on [1, inf) cut at
+    the zeros of its weight (see ``_oscillatory_tail``); each value carries the
+    rule's error estimate and raises QuadratureFailure past its tolerance.  The
+    constants that a and G share, B, the unit-ball moment and an odd part's big
+    jumps, and the moments, the mass, the log tail, b_A and N_inf's pieces are
+    adaptive QUADPACK integrals, each computed on first use and kept."""
 
     def _integral(self, f, a, b):
         """(int_a^b f(r) dr, diverged) for an integrand f of the radius."""
@@ -535,7 +633,7 @@ class _QuadLaw(_Law):
 
     @cached_property
     def unit_moment(self):
-        """int_0^1 r^2 rho dr, which restores the Taylor term of a."""
+        """int_0^1 r^2 rho dr, which restores the Taylor terms of a and G."""
         return self.nu.small_ball_second_moment(1.0)
 
     @cached_property
@@ -543,69 +641,90 @@ class _QuadLaw(_Law):
         """B = int_1^inf rho dr."""
         return integrate_scaled(self.nu.radial_density, (1.0, np.inf), self.tol)
 
+    @cached_property
+    def odd_big(self):
+        """(int_1^inf dN, int_1^inf z h(z) dN), dN = n+ - n-, through which the
+        big jumps of a non-even density enter a and G linearly."""
+        n_diff, tol = self.nu.odd_difference, self.tol
+        return (integrate_scaled(n_diff, (1.0, np.inf), tol),
+                integrate_scaled(lambda z: z * _h(z * z) * n_diff(z), (1.0, np.inf), tol))
+
     def symbol(self, ks):
-        """a at each nonzero k of ks (signed xi in d=1, |xi| in d=2), sharing
-        the unit-ball moment and B; see ``jump_symbol``."""
-        nu, tol, m2, big = self.nu, self.tol, self.unit_moment, self.big
-        mean, kernel, tail = _SPHERICAL_MEAN[nu.d]
-        rho, n_diff, near = nu.radial_density, nu.odd_difference, (_EPS_BALL, 1.0)
-        out = np.empty(len(ks), dtype=float if nu.is_even else complex)
-        for j, s in enumerate(ks):
-            q = abs(s)
-            head = integrate_scaled(lambda r: kernel(r * q) * rho(r), near, tol)
-            moment = -0.5 / nu.d * q * q * m2
-            out[j] = head + moment + (tail(rho, q, tol) - big)
-            if nu.is_even:
-                continue
-            # imaginary part: int sin(zs) dN - s int z h(z) dN with dN = n_diff
+        """a at each nonzero k of ks (signed xi in d=1, |xi| in d=2), one block
+        of _SYMBOL_BLOCK radii at a time; see ``jump_symbol``."""
+        nu, ks = self.nu, np.asarray(ks, dtype=float)
+        mean, remainder, weight = _SPHERICAL_MEAN[nu.d]
+        rho, n_diff = nu.radial_density, nu.odd_difference
+        x, half = _gk_nodes(_head_edges(np.max(np.abs(ks))))
+        rho_x, m2, big = _on(rho, x), self.unit_moment, self.big
 
-            def imag_integrand(z):
-                dn = n_diff(z)
-                return np.sin(z * s) * dn - s * z * _h(z * z) * dn
+        def block(s):
+            q = np.abs(s)
+            qc = q[:, None, None]
+            head, err = _gk_sum(remainder(qc * x) * rho_x, half)
+            tail, tail_err = _oscillatory_tail(lambda r: mean(qc * r) * _on(rho, r),
+                                               _tail_zeros(weight, q))
+            out = head.sum(axis=1) - 0.5 / nu.d * q * q * m2 + (tail - big)
+            err = err.sum(axis=1) + tail_err
+            if not nu.is_even:
+                # imaginary part: int sin(zs) dN - s int z h(z) dN with dN = n_diff
+                sz = s[:, None, None] * x
+                im, im_err = _gk_sum((np.sin(sz) - sz * _h(x * x)) * _on(n_diff, x), half)
+                sin_tail, sin_err = _oscillatory_tail(
+                    lambda z: np.sin(qc * z) * _on(n_diff, z), _tail_zeros("sin", q))
+                out = out + 1j * (im.sum(axis=1) + np.sign(s) * sin_tail
+                                  - s * self.odd_big[1])
+                err = err + im_err.sum(axis=1) + sin_err
+            return _gated(out, err, self.tol, "the jump symbol")
 
-            imag_head = integrate_scaled(imag_integrand, (_EPS_BALL, 1.0), tol)
-            sgn = 1.0 if s > 0 else -1.0
-            tail_sin = integrate_scaled(n_diff, (1.0, np.inf), tol, weight="sin", wvar=q)
-            tail_h = integrate_scaled(
-                lambda z: s * z * _h(z * z) * n_diff(z), (1.0, np.inf), tol
-            )
-            out[j] += 1j * (imag_head + sgn * tail_sin - tail_h)
-        return out
+        B = _SYMBOL_BLOCK
+        return np.concatenate([block(ks[j:j + B]) for j in range(0, len(ks), B)])
 
     def _anchor(self, r):
         """G(r) at one radius r > 0, as one integral against a closed-form kernel.
 
         Swapping the order of integration gives G(r) = -int_0^inf rho_N(s)
-        K_d(r s) ds (Sato 1999, Thm 17.5).  Past s = 1, K_d(x) = gamma + ln(x/d)
-        + R_d(x) gives (gamma + ln(r/d)) B + T (the log tail) + int rho(s)
-        R_d(r s) ds: R_1 = -Ci = g cos - f sin takes two QAWF calls, and
-        R_2(x) = int_x^inf J0(t) dt / t ~ -J1(x)/x is cut at the zeros of
-        J1(r s).  A non-even d=1 density adds i int_0^inf dN(z) (Si(r z) - r z
-        h(z)) dz, dN = N(z) - N(-z), with Si = pi/2 - f cos - g sin past z = 1.
+        K_d(r s) ds (Sato 1999, Thm 17.5).  On (eps, 1) the Taylor term
+        (r s)^2 / (4d) of K_d is restored through the unit-ball moment.  Past
+        s = 1, K_d(x) = gamma + ln(x/d) + R_d(x) gives (gamma + ln(r/d)) B + T
+        (the log tail) + int rho(s) R_d(r s) ds: R_1 = -Ci = g cos - f sin is
+        two tails cut at the zeros of cos and sin, and R_2(x) = int_x^inf J0(t)
+        dt / t ~ -J1(x)/x one cut at the zeros of J1(r s).  A non-even d=1
+        density adds i int_0^inf dN(z) (Si(r z) - r z h(z)) dz, dN = N(z) -
+        N(-z), with Si = pi/2 - f cos - g sin past z = 1.
         """
-        nu, tol, big = self.nu, self.tol, self.big
-        d, rho, n_diff = nu.d, nu.radial_density, nu.odd_difference
+        nu, d, q = self.nu, self.nu.d, np.array([float(r)])
+        rho, n_diff = nu.radial_density, nu.odd_difference
+        x, half = _gk_nodes(_head_edges(r))
+        head, err = _gk_sum(_kernel(d, r * x, taylor=True) * _on(rho, x), half)
+        errs = [err.sum()]
 
-        def qawf(w, fg, trig):
-            return integrate_scaled(lambda z: w(z) * _aux_fg(r * z)[fg], (1.0, np.inf),
-                                    tol, weight=trig, wvar=r)
+        def tail(weight, f):
+            val, err = _oscillatory_tail(f, _tail_zeros(weight, q))
+            errs.append(err[0])
+            return val[0]
 
-        def odd(z):
-            return (_special().sici(r * z)[0] - r * z / (1.0 + z * z)) * n_diff(z)
+        def fg_tail(weight, aux, density):
+            """int_1^inf (f or g by aux)(r s) weight(r s) density(s) ds."""
+            trig = np.cos if weight == "cos" else np.sin
+            return tail(weight, lambda s: (_aux_fg(r * s)[aux] * trig(r * s)
+                                           * _on(density, s)))
 
         if d == 1:
-            osc = qawf(rho, 1, "cos") - qawf(rho, 0, "sin")
+            osc = fg_tail("cos", 1, rho) - fg_tail("sin", 0, rho)
         else:
-            osc = _segmented_tail(
-                lambda s: (_kernel(2, r * s) - np.euler_gamma - np.log(0.5 * r * s))
-                * rho(s), _special().jn_zeros(1, 100 + int(r / np.pi)) / r, tol)
-        G = -integrate_scaled(lambda s: _kernel(d, r * s) * rho(s), (0.0, 1.0), tol)
-        G -= (np.euler_gamma + np.log(r / d)) * big + self.log_tail.value + osc
-        if nu.is_even:
-            return G
-        im = integrate_scaled(odd, (0.0, 1.0), tol) + integrate_scaled(
-            lambda z: (0.5 * np.pi - r * z / (1.0 + z * z)) * n_diff(z), (1.0, np.inf), tol)
-        return G + 1j * (im - qawf(n_diff, 0, "cos") - qawf(n_diff, 1, "sin"))
+            osc = tail("j1", lambda s: (_kernel(2, r * s) - np.euler_gamma
+                                        - np.log(0.5 * r * s)) * _on(rho, s))
+        G = -(head.sum() + r * r / (4 * d) * self.unit_moment)
+        G -= (np.euler_gamma + np.log(r / d)) * self.big + self.log_tail.value + osc
+        if not nu.is_even:
+            dn = _on(n_diff, x)
+            im, im_err = _gk_sum((_special().sici(r * x)[0] - r * x * _h(x * x)) * dn, half)
+            errs.append(im_err.sum())
+            ones, moment = self.odd_big
+            G = G + 1j * (im.sum() + 0.5 * np.pi * ones - r * moment
+                          - fg_tail("cos", 0, n_diff) - fg_tail("sin", 1, n_diff))
+        return _gated(np.array([G]), np.array([sum(errs)]), self.tol, "the anchor")[0]
 
     def _pieces(self, f, radii):
         """The edges of a tail integral at the radii, and int f over each piece:

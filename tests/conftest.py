@@ -4,9 +4,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special
 
 from levylab import Grid, SpectralField
+from levylab import levy
 from levylab.levy import _checked
 
 # populated by tests/test_acceptance.py; printed once at the end of the run
@@ -160,13 +161,15 @@ def knot_interval(nu, a, b):
     return (a, b), r[(r > a) & (r < b)]
 
 
-def qagp(g, interval, tol, points):
+def qagp(g, interval, tol, points=None, weight=None, wvar=None):
     """int g over the interval by QUADPACK to abs and rel tol, with the
     breakpoints (QAGP) where there are any: the route a table's integrals
-    took before its fixed rule."""
+    took before its fixed rule; or with scipy's oscillatory weight (QAWF on
+    [a, inf)), the route of an analytic law's tails before its fixed rule."""
     val, err, *_ = integrate.quad(g, *interval, epsabs=tol, epsrel=tol,
                                   limit=400 + (0 if points is None else len(points)),
-                                  points=points, full_output=1)
+                                  points=points, weight=weight, wvar=wvar,
+                                  full_output=1)
     assert np.isfinite(val) and err <= 50.0 * max(tol, tol * abs(val)), (interval, err)
     return val
 
@@ -200,17 +203,92 @@ def two_call_radial_density(nu, r):
     return 2.0 * np.pi * r * _checked(nu.profile, r)
 
 
-def array_taylor_remainder(mean, d, c4, c6, c8):
-    """``levy._taylor_remainder`` on arrays: both branches everywhere, the
-    series chosen below |x| = 1e-2 by ``np.where``; a float for a float."""
+def scalar_taylor_remainder(mean, d, c4, c6, c8):
+    """The Taylor remainder x -> m(x) - 1 + x^2 / (2d) one float at a time,
+    by the series below |x| = 1e-2: the kernel of a's head when QUADPACK
+    evaluated it node by node."""
 
     def remainder(x):
-        x = np.asarray(x, dtype=float)
         x2 = x * x
-        series = x2 * x2 / c4 * (1.0 - x2 / c6 * (1.0 - x2 / c8))
-        with np.errstate(invalid="ignore"):
-            direct = mean(x) - 1.0 + x2 / (2 * d)
-        out = np.where(np.abs(x) < 1e-2, series, direct)
-        return out if out.ndim else float(out)
+        if abs(x) < 1e-2:
+            return x2 * x2 / c4 * (1.0 - x2 / c6 * (1.0 - x2 / c8))
+        return mean(x) - 1.0 + x2 / (2 * d)
 
     return remainder
+
+
+def segmented_tail(f, cuts, tol):
+    """int_1^inf f by QUADPACK between the cuts past 1, the segment series
+    resummed by 12 rounds of repeated averaging of its partial sums."""
+    edges = np.concatenate(([1.0], cuts[cuts > 1.0]))
+    terms = [qagp(f, (a, b), tol) for a, b in zip(edges[:-1], edges[1:])]
+    row = np.cumsum(terms[1:])
+    for _ in range(min(12, len(row) - 1)):
+        row = 0.5 * (row[:-1] + row[1:])
+    return terms[0] + float(row[-1])
+
+
+_ORACLE_MEAN = {1: (np.cos, scalar_taylor_remainder(np.cos, 1, 24.0, 30.0, 56.0)),
+                2: (special.j0, scalar_taylor_remainder(special.j0, 2, 64.0, 36.0, 64.0))}
+
+
+def quadpack_symbol(nu, ks, tol=1e-10):
+    """a at each nonzero k of ks by QUADPACK, k by k: the route of the analytic
+    record before its fixed rule.  A head on (1e-8, 1) with the Taylor term
+    restored through the unit-ball moment, and a tail by QAWF in d=1 and by
+    segments between the zeros of J0(k r) in d=2; a non-even density adds its
+    odd part, with a QAWF sine tail."""
+    rho, n_diff = nu.radial_density, nu.odd_difference
+    m2 = nu.small_ball_second_moment(1.0)
+    big = qagp(rho, (1.0, np.inf), tol)
+    mean, remainder = _ORACLE_MEAN[nu.d]
+    out = []
+    for s in ks:
+        q = abs(s)
+        if nu.d == 1:
+            tail = qagp(rho, (1.0, np.inf), tol, weight="cos", wvar=q)
+        else:
+            tail = segmented_tail(lambda r: special.j0(q * r) * rho(r),
+                                  special.jn_zeros(0, 100 + int(q / np.pi)) / q, tol)
+        a = qagp(lambda r: remainder(r * q) * rho(r), (1e-8, 1.0), tol)
+        a += -0.5 / nu.d * q * q * m2 + tail - big
+        if not nu.is_even:
+            def szh(z):
+                return s * z / (1.0 + z * z)
+
+            head = qagp(lambda z: (np.sin(z * s) - szh(z)) * n_diff(z), (1e-8, 1.0), tol)
+            a += 1j * (head
+                       + np.sign(s) * qagp(n_diff, (1.0, np.inf), tol, weight="sin", wvar=q)
+                       - qagp(lambda z: szh(z) * n_diff(z), (1.0, np.inf), tol))
+        out.append(a)
+    return np.array(out)
+
+
+def quadpack_anchor(nu, r, tol=1e-10):
+    """G(r) = -int_0^inf rho(s) K_d(r s) ds by QUADPACK: the route of the
+    analytic record before its fixed rule.  The head on (0, 1) against K_d
+    itself; past s = 1 the log terms through B and the log tail, and R_d by
+    two QAWF calls in d=1 and by segments between the zeros of J1(r s) in
+    d=2; a non-even density adds its Si part."""
+    d, rho, n_diff = nu.d, nu.radial_density, nu.odd_difference
+    big = qagp(rho, (1.0, np.inf), tol)
+
+    def qawf(w, fg, trig):
+        return qagp(lambda z: w(z) * levy._aux_fg(r * z)[fg], (1.0, np.inf), tol,
+                    weight=trig, wvar=r)
+
+    if d == 1:
+        osc = qawf(rho, 1, "cos") - qawf(rho, 0, "sin")
+    else:
+        osc = segmented_tail(
+            lambda s: (levy._kernel(2, r * s) - np.euler_gamma - np.log(0.5 * r * s))
+            * rho(s), special.jn_zeros(1, 100 + int(r / np.pi)) / r, tol)
+    G = -qagp(lambda s: levy._kernel(d, r * s) * rho(s), (0.0, 1.0), tol)
+    G -= (np.euler_gamma + np.log(r / d)) * big + levy._law(nu, tol).log_tail.value + osc
+    if nu.is_even:
+        return G
+    im = (qagp(lambda z: (special.sici(r * z)[0] - r * z / (1.0 + z * z)) * n_diff(z),
+               (0.0, 1.0), tol)
+          + qagp(lambda z: (0.5 * np.pi - r * z / (1.0 + z * z)) * n_diff(z),
+                 (1.0, np.inf), tol))
+    return G + 1j * (im - qawf(n_diff, 0, "cos") - qawf(n_diff, 1, "sin"))

@@ -980,6 +980,26 @@ def test_one_steady_state_per_run(tmp_path, monkeypatch, experiment):
     assert len(builds) == 1
 
 
+def test_one_parser_for_every_main_call(tmp_path):
+    # the parser is built at the first main call of a process and shared: a
+    # flag of one call's experiment does not reach the next call's
+    cli._build_parser.cache_clear()
+    path = write_config(tmp_path / "c.json")
+    trip = tmp_path / "trip.json"
+    trip.write_text(json.dumps({"d": 1, "sigma": 1.0, "b": 0.0}))
+    assert main(["--config", str(path), "--out", str(tmp_path / "heat"), "heat",
+                 "--alpha", "1.5"]) == 0
+    assert main(["--config", str(path), "--out", str(tmp_path / "steady"), "steady",
+                 "--triplet-config", str(trip)]) == 0
+    info = cli._build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    with open(tmp_path / "heat" / "results.csv", newline="") as fh:
+        assert {row["alpha"] for row in csv.DictReader(fh)} == {"1.5"}
+    summary = json.loads((tmp_path / "steady" / "summary.json").read_text())
+    assert summary["experiment"] == "steady"
+    assert (tmp_path / "steady" / "steady_density.csv").exists()
+
+
 class TestOutputs:
     def test_reproducible_bytes(self, tmp_path):
         path = write_config(tmp_path / "c.json")

@@ -311,8 +311,9 @@ class TestBuildSteadyState:
             )
 
     def test_one_log_tail_and_no_unused_moment(self, monkeypatch):
-        # 41 QUADPACK calls per build integrate the log tail twice, and 6 per
-        # one-frequency exponent integrate the unit-ball moment with no table
+        # a build and a one-frequency exponent each integrate three constants
+        # by QUADPACK, the log tail, the unit-ball moment and B; a fourth call
+        # would integrate one of them twice
         calls = []
         quad = integrate.quad
         monkeypatch.setattr(integrate, "quad",
@@ -324,17 +325,17 @@ class TestBuildSteadyState:
         # bit (1 ulp below the correctly rounded 2 / pi, with c(1, 1) the
         # correctly rounded 1 / pi), read from the law's record with no further call
         assert check_log_tail(tr.nu).value == float.fromhex("0x1.45f306dc9c882p-1")
-        assert len(calls) <= 40
+        assert len(calls) <= 3
         calls.clear()
         levy._law.cache_clear()
         steady_exponent(tr, 0.7)
-        assert len(calls) <= 5
+        assert len(calls) <= 3
 
     @pytest.mark.filterwarnings("ignore::levylab.errors.InterpolationDegradation")
     def test_one_integral_per_law(self, monkeypatch):
         # a steady build and two flows share the law's record: B and the log
-        # tail are its only unweighted QUADPACK integrals over (1, inf), and
-        # the unit-ball moment and the anchor's head its only ones over (0, 1)
+        # tail are its only QUADPACK integrals over (1, inf), and the unit-ball
+        # moment its only one over (0, 1); a and the anchor are its fixed rule
         calls = []
         quad = integrate.quad
         monkeypatch.setattr(integrate, "quad", lambda f, a, b, **k: calls.append(
@@ -345,7 +346,31 @@ class TestBuildSteadyState:
         for t in (0.5, 1.0):
             fp_evolve(steady.density, tr, t)
         assert calls.count((1.0, np.inf, None)) == 2
-        assert calls.count((0.0, 1.0, None)) == 2
+        assert calls.count((0.0, 1.0, None)) == 1
+        assert len(calls) == 3
+
+    @pytest.mark.filterwarnings("ignore::levylab.errors.InterpolationDegradation")
+    @pytest.mark.parametrize("name", ["cauchy-d1", "cauchy-d2", "one-sided"])
+    def test_a_warm_law_makes_no_quadpack_call(self, name, monkeypatch):
+        # after one build and flow, the law's constants are kept on its
+        # record, and a and G are its fixed rule: a second build and flow on
+        # the same law call QUADPACK not once
+        tr = {"cauchy-d1": lambda: opaque_cauchy_triplet(1),
+              "cauchy-d2": lambda: opaque_cauchy_triplet(2),
+              "one-sided": lambda: LevyTriplet(
+                  sigma=np.eye(1), b=np.zeros(1), d=1, nu=LevyDensity(
+                      kind="analytic", d=1, func=right_exponential, is_even=False))}[name]()
+        g = Grid(tr.d, 20.0, 64) if name == "one-sided" else Grid(tr.d, 8.0, 16)
+        levy._law.cache_clear()
+        steady = build_steady_state(tr, g)
+        fp_evolve(steady.density, tr, 0.5)
+        calls = []
+        quad = integrate.quad
+        monkeypatch.setattr(integrate, "quad",
+                            lambda *a, **k: calls.append(a[1:3]) or quad(*a, **k))
+        steady = build_steady_state(tr, g)
+        fp_evolve(steady.density, tr, 0.5)
+        assert calls == []
 
     def test_cauchy_density_coarse(self, cauchy_steady, grid1):
         cauchy = 1.0 / (np.pi * (1.0 + grid1.x1**2))

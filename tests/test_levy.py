@@ -27,11 +27,13 @@ from levylab.levy import _checked, _stable_norm_constant
 from levylab.quadrature import integrate_scaled
 
 from conftest import (
-    array_taylor_remainder,
     box,
     log_tail_table,
     one_sided_table,
+    quadpack_anchor,
+    quadpack_symbol,
     right_exponential,
+    scalar_taylor_remainder,
     two_call_radial_density,
 )
 
@@ -345,8 +347,8 @@ def _oracle_densities(tmp_path):
 
 class TestOneEvaluationPerNode:
     """An even d=1 density evaluates n once per radius, as 2 n(r); checked
-    against both rays evaluated, n+(r) + n-(r), and against the array
-    remainder kernel that the scalar one replaced."""
+    against both rays evaluated, n+(r) + n-(r), and the array remainder
+    kernel against the scalar one it replaced."""
 
     @pytest.mark.parametrize("name", ["stable-analytic", "stable-analytic-2d",
                                       "exp-over-abs", "exp-over-abs-2d", "table",
@@ -364,11 +366,13 @@ class TestOneEvaluationPerNode:
                                            (2, (64.0, 36.0, 64.0))])
     def test_remainder_matches_the_array_kernel_bitwise(self, d, consts):
         mean, remainder, _ = levy._SPHERICAL_MEAN[d]
-        oracle = array_taylor_remainder(mean, d, *consts)
+        oracle = scalar_taylor_remainder(mean, d, *consts)
         edge = [np.nextafter(1e-2, 0.0), 1e-2, np.nextafter(1e-2, 1.0)]
         x = np.concatenate([np.logspace(-4.0, 2.0, 241), edge])
         for v in x.tolist():
             assert remainder(v) == oracle(v), (d, v)
+        np.testing.assert_allclose(remainder(x), [oracle(v) for v in x.tolist()],
+                                   rtol=1e-15, atol=0.0)
 
     def test_one_profile_call_per_radius(self, monkeypatch):
         calls = []
@@ -397,7 +401,8 @@ class TestOneEvaluationPerNode:
         monkeypatch.setattr(LevyDensity, "radial_density", counting_radial)
         calls.clear()
         jump_symbol(even, 1.3)
-        assert len(calls) == len(radial_calls) > 100
+        assert len(calls) == len(radial_calls)
+        assert sum(np.size(r) for r in radial_calls) > 100
 
 
 class TestCheckedDensity:
@@ -445,18 +450,18 @@ class TestJumpSymbol:
         val = jump_symbol(nu, xi, tol=1e-10)
         assert val == pytest.approx(-np.linalg.norm(xi) ** alpha, abs=1e-9)
 
-    def test_oscillatory_tail_escalates(self, monkeypatch):
-        # the QAWF cosine tail goes through the shared tolerance policy, so
-        # an error estimate far above tol raises instead of being dropped
-        real_quad = scipy.integrate.quad
-
-        def inaccurate(*args, **kwargs):
-            val, err, *info = real_quad(*args, **kwargs)
-            return (val, 1.0 if kwargs.get("weight") == "cos" else err, *info)
-
-        monkeypatch.setattr(scipy.integrate, "quad", inaccurate)
-        with pytest.raises(QuadratureFailure):
-            jump_symbol(exp_over_abs(), 1.0)
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("member", ["symbol", "anchor"])
+    def test_the_rule_escalates_past_its_tolerance(self, d, member):
+        # a jump at |z| = 2.5 falls inside a panel of every tail at k = 1, where
+        # G10 and K21 disagree by far more than tol: the value raises instead
+        # of being used
+        nu = LevyDensity(kind="analytic", d=d,
+                         func=lambda z: np.exp(-np.abs(z)) * (np.abs(z) < 2.5))
+        law = levy._law(nu, 1e-10)
+        with pytest.raises(QuadratureFailure, match="reached error") as info:
+            law.symbol(np.array([0.5, 1.0])) if member == "symbol" else law._anchor(1.0)
+        assert info.value.achieved_error > 5e-9
 
     def test_non_even_symbol_is_conjugate_symmetric(self):
         # a(-xi) = conj a(xi) bitwise: the flow tabulates only xi > 0
@@ -466,6 +471,31 @@ class TestJumpSymbol:
         )
         for xi in (0.3, 1.7, 2.9):
             assert jump_symbol(nu, -xi) == np.conj(jump_symbol(nu, xi))
+
+
+_RULE_CASES = {
+    **{f"stable-{alpha}-d{d}": (lambda alpha=alpha, d=d: opaque_stable(alpha, d))
+       for alpha in (0.3, 1.0, 1.9) for d in (1, 2)},
+    "exp-over-abs-d1": lambda: exp_over_abs(1),
+    "exp-over-abs-d2": lambda: exp_over_abs(2),
+    "right-exponential": lambda: LevyDensity(kind="analytic", d=1,
+                                             func=right_exponential, is_even=False),
+}
+
+
+@pytest.mark.parametrize("name", list(_RULE_CASES))
+def test_the_rule_matches_the_quadpack_oracle(name):
+    # the analytic record's a and G(r) by its fixed G10/K21 rule, against
+    # QUADPACK node by node, the route it replaced, to the tolerances of the
+    # flow and steady tests
+    nu = _RULE_CASES[name]()
+    law = levy._law(nu, 1e-10)
+    ks = np.array([0.05, 0.8, 6.0] + ([-0.8, -6.0] if not nu.is_even else []))
+    np.testing.assert_allclose(law.symbol(ks), quadpack_symbol(nu, ks),
+                               rtol=1e-10, atol=1e-9)
+    for r in (0.05, 2.0):
+        np.testing.assert_allclose(law._anchor(r), quadpack_anchor(nu, r),
+                                   rtol=1e-10, atol=1e-9)
 
 
 class TestQuadrature:

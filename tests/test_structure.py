@@ -5,8 +5,9 @@ nowhere else but in ``levy._cheb_coefficients`` (a Chebyshev fit, not a grid
 transform).  ``levy`` owns every integral of a jump law and ``quadrature``
 the QUADPACK policy, so no other module names ``_integral``,
 ``integrate_scaled`` or ``try_integrate``.  Within ``levy``, only the
-QUADPACK record ``_QuadLaw`` reaches QUADPACK: the shared base ``_Law`` and
-the closed-form, table and zero records name none of its entry points.
+QUADPACK record ``_QuadLaw`` reaches QUADPACK or the oscillatory tails of
+its fixed rule: the shared base ``_Law`` and the closed-form, table and zero
+records name none of their entry points.
 The closed forms, the stable and zero records, a density's profile and the
 stable constant c(d, alpha), call neither ``_special`` nor anything of
 ``quadrature``, so a run on them loads no SciPy.  No jumps is the zero
@@ -20,8 +21,8 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "levylab"
 INTEGRALS = {"_integral", "integrate_scaled", "try_integrate"}
-QUADPACK = {"integrate_scaled", "try_integrate", "_segmented_tail", "_j0_tail",
-            "_cos_tail"}
+QUADPACK = {"integrate_scaled", "try_integrate", "_oscillatory_tail", "_tail_zeros",
+            "_head_edges"}
 
 
 def _modules():
@@ -97,7 +98,7 @@ def test_closed_forms_reach_no_scipy():
         if wider == scipy:
             break
         scipy = wider
-    assert {"_j0", "_kernel", "_aux_fg", "_j0_tail", "integrate_scaled"} <= scipy
+    assert {"_j0", "_kernel", "_aux_fg", "_tail_zeros", "integrate_scaled"} <= scipy
     [profile] = [n for n in top["LevyDensity"].body
                  if isinstance(n, ast.FunctionDef) and n.name == "profile"]
     found = [(name, called) for name, node in [
