@@ -195,21 +195,22 @@ def _fd_gradient(vals, grid):
 
     Local stencils avoid the global Gibbs pollution a spectral derivative
     picks up from non-periodic ratio fields; the wrap-around rows at each
-    boundary are overwritten with one-sided second-order values.
+    boundary are overwritten with one-sided second-order values.  The
+    shifted copies are slices of one copy that wraps 4 cells each side.
     """
     out = []
+    n = len(_FD8)
     for axis in range(grid.d):
+        v = np.moveaxis(vals, axis, 0)
+        m = v.shape[0]
+        wrapped = np.concatenate([v[-n:], v, v[:n]])
         der = np.zeros_like(vals)
+        view = np.moveaxis(der, axis, 0)
         for k, c in enumerate(_FD8, start=1):
-            der += c * (np.roll(vals, -k, axis=axis) - np.roll(vals, k, axis=axis))
+            view += c * (wrapped[n + k:n + k + m] - wrapped[n - k:n - k + m])
         der /= grid.dx
-        edge = np.gradient(vals, grid.dx, axis=axis)
-        sl_lo = [slice(None)] * vals.ndim
-        sl_lo[axis] = slice(0, 4)
-        sl_hi = [slice(None)] * vals.ndim
-        sl_hi[axis] = slice(-4, None)
-        der[tuple(sl_lo)] = edge[tuple(sl_lo)]
-        der[tuple(sl_hi)] = edge[tuple(sl_hi)]
+        edge = np.moveaxis(np.gradient(vals, grid.dx, axis=axis), axis, 0)
+        view[:n], view[-n:] = edge[:n], edge[-n:]
         out.append(der)
     return out
 

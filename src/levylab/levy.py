@@ -33,13 +33,14 @@ drift shift b_A.  The base ``_Law`` derives them from a few primitives of
 its leaf; ``_StableLaw`` fills the record in closed form (Sato 1999, Thm
 17.5), and its N_inf = N / alpha is a stable density again, with a stable
 record; ``_TableLaw`` fills it by one fixed Gauss-Legendre rule,
-``_QuadLaw``, for an analytic density, by one fixed Gauss-Kronrod rule on
-arrays for a and G, with an error estimate per value, and by QUADPACK, which
-no other record reaches, for its constants and N_inf; and ``_NoJumps`` with
-zeros.  No jumps is a law like the others: a triplet built with nu = None
-holds the zero density of its dimension, whose record is ``_NoJumps``, so no
-reader of a triplet asks whether it has a density.  A moment or mass
-estimated negative reads as divergent, since its integrand is nonnegative.
+``_QuadLaw``, for an analytic density, by the Gauss-Kronrod rule of
+``quadrature``, which no other record reaches: on fixed panels for a and G
+and adaptively for its constants and N_inf, each value with its error
+estimate; and ``_NoJumps`` with zeros.  No jumps is a law like the others:
+a triplet built with nu = None holds the zero density of its dimension,
+whose record is ``_NoJumps``, so no reader of a triplet asks whether it has
+a density.  A moment or mass reads as divergent where the adaptive rule
+finds it so, or estimates it negative, since its integrand is nonnegative.
 Each xi-independent integral is computed on first use and kept.  An
 anchored G reads the log tail first and raises Con1Violation when it
 diverges, the one place the package does.
@@ -51,8 +52,10 @@ G(r) - G(r') needs no more, and G(r_min) itself, the anchor, is one
 integral of the radial density against a closed-form kernel.  In d=1
 a(-xi) = conj a(xi), so G(-r) = conj G(r) covers non-even densities.
 ``scipy.special`` is bound at the first use of each of its functions, and
-serves only J0, ``jn_zeros``, ``sici`` and ``it2j0y0``: the stable and zero
-records call none of them, so a run on those laws loads no SciPy.
+serves only J0, ``jn_zeros`` (one table of zeros per order, grown on
+demand), ``sici`` and ``it2j0y0``: the stable and zero records call none of
+them, so a run on those laws loads no SciPy, and no run loads
+``scipy.integrate``.
 """
 
 from __future__ import annotations
@@ -67,7 +70,8 @@ import numpy as np
 from numpy.polynomial import chebyshev, legendre, polynomial
 
 from .errors import Con1Violation, InvalidAlpha, NonFiniteDensity, QuadratureFailure
-from .quadrature import _SLACK, integrate_scaled, try_integrate
+from .quadrature import (_SLACK, _gated, _gk_nodes, _gk_sum, integrate_pieces,
+                         integrate_scaled, try_integrate)
 
 __all__ = [
     "LevyDensity",
@@ -115,56 +119,10 @@ _SPHERICAL_MEAN = {
     2: (_j0, _taylor_remainder(_j0, 2, 64.0, 36.0, 64.0), "j0"),
 }
 
-# the Gauss-Kronrod pair G10/K21 on (-1, 1) (Piessens et al., QUADPACK, 1983,
-# qk21; the digits of scipy.integrate._quad_vec): the 21 Kronrod nodes, whose
-# odd-indexed ten are the Gauss nodes, and the weights of both rules
-_GK_NODES = np.array([
-    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
-    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
-    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
-    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
-    0.294392862701460198131126603103866, 0.148874338981631210884826001129720, 0.0,
-    -0.148874338981631210884826001129720, -0.294392862701460198131126603103866,
-    -0.433395394129247190799265943165784, -0.562757134668604683339000099272694,
-    -0.679409568299024406234327365114874, -0.780817726586416897063717578345042,
-    -0.865063366688984510732096688423493, -0.930157491355708226001207180059508,
-    -0.973906528517171720077964012084452, -0.995657163025808080735527280689003])
-_K21_WEIGHTS = np.array([
-    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
-    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
-    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
-    0.123491976262065851077958109831074, 0.134709217311473325928054001771707,
-    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
-    0.149445554002916905664936468389821, 0.147739104901338491374841515972068,
-    0.142775938577060080797094273138717, 0.134709217311473325928054001771707,
-    0.123491976262065851077958109831074, 0.109387158802297641899210590325805,
-    0.093125454583697605535065465083366, 0.075039674810919952767043140916190,
-    0.054755896574351996031381300244580, 0.032558162307964727478818972459390,
-    0.011694638867371874278064396062192])
-_G10_WEIGHTS = np.array([
-    0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
-    0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
-    0.295524224714752870173892994651338, 0.295524224714752870173892994651338,
-    0.269266719309996355091226921569469, 0.219086362515982043995534934228163,
-    0.149451349150580593145776339657697, 0.066671344308688137593568809893332])
 # an oscillatory tail: this many geometric panels up to the first zero of its
 # weight past r = 1, then this many segments between its zeros, whose partial
 # sums are averaged this many times
 _TAIL_PANELS, _TAIL_SEGMENTS, _TAIL_ROUNDS = 16, 100, 12
-
-
-def _gk_nodes(edges):
-    """The K21 nodes, shape (..., pieces, 21), of each piece between
-    consecutive edges along the last axis, and the pieces' half-lengths."""
-    half = 0.5 * np.diff(edges, axis=-1)[..., None]
-    return edges[..., :-1, None] + half * (1.0 + _GK_NODES), half[..., 0]
-
-
-def _gk_sum(values, half):
-    """The K21 integral of each piece from the values at its nodes, and its
-    error estimate |K21 - G10|."""
-    k21 = values @ _K21_WEIGHTS * half
-    return k21, np.abs(k21 - values[..., 1::2] @ _G10_WEIGHTS * half)
 
 
 def _on(f, x):
@@ -180,17 +138,32 @@ def _head_edges(q_max):
                       np.arange(6.0 / q_max, 1.0, 6.0 / q_max))
 
 
+# the zeros of J0 and J1 found so far, one table per order
+_BESSEL_ZEROS = {}
+
+
+def _bessel_zeros(order, count):
+    """The first ``count`` zeros of J_order, from one ``jn_zeros`` table per
+    order that a call grows only when it asks for more zeros than the table
+    holds; jn_zeros(n, K)[:k] is jn_zeros(n, k) bit for bit, so the table
+    changes no value."""
+    table = _BESSEL_ZEROS.get(order)
+    if table is None or table.size < count:
+        table = _BESSEL_ZEROS[order] = _special().jn_zeros(order, count)
+    return table[:count]
+
+
 def _tail_zeros(kind, q):
     """The first _TAIL_SEGMENTS + 1 zeros past r = 1 of w(q r), w = cos, sin,
     J0 or J1 by ``kind``, one row per q > 0: in closed form for cos and sin,
-    and from one ``jn_zeros`` call for J0 and J1, of which at most q / pi + 1
-    lie below q."""
+    and from the table of zeros of J0 or J1, of which at most q / pi + 1 lie
+    below q."""
     count = _TAIL_SEGMENTS + 1
     if kind in ("cos", "sin"):
         shift = 0.5 if kind == "cos" else 0.0
         x = (np.floor(q / np.pi - shift)[:, None] + 1.0 + shift + np.arange(count)) * np.pi
     else:
-        table = _special().jn_zeros(int(kind[1]), count + 1 + int(np.max(q) / np.pi))
+        table = _bessel_zeros(int(kind[1]), count + 1 + int(np.max(q) / np.pi))
         x = table[np.searchsorted(table, q, side="right")[:, None] + np.arange(count)]
     return x / q[:, None]
 
@@ -215,25 +188,11 @@ def _oscillatory_tail(f, zeros):
             err.sum(axis=1) + np.abs(row[:, -1] - last))
 
 
-def _gated(value, err, tol, what):
-    """value, an array, unless it is not finite or its error estimate exceeds
-    _SLACK tol max(1, |value|) somewhere: then QuadratureFailure, as a QUADPACK
-    integral raises past its tolerance."""
-    bad = ~(np.isfinite(value) & (err <= _SLACK * tol * np.maximum(1.0, np.abs(value))))
-    if np.any(bad):
-        j = int(np.argmax(bad))
-        raise QuadratureFailure(f"{what} reached error {err[j]!r} > tol {tol!r}: "
-                                f"estimate {value[j]!r}", achieved_error=float(err[j]),
-                                value=value[j])
-    return value
-
-
 def _checked(density, z):
     """density(z), raising NonFiniteDensity unless every value lies in [0, inf).
 
-    QUADPACK, for an analytic law's constants, evaluates integrands one float
-    node at a time, so a float value (np.float64 included) is checked by
-    comparison; NaN fails it too.
+    A float value (np.float64 included), as a profile gives at a float z, is
+    checked by comparison; NaN fails it too.
     """
     v = density(z)
     if isinstance(v, float):
@@ -513,7 +472,7 @@ class _Law:
 
     Made by ``_law``, once per (density, tolerance), as one of four leaves:
     ``_StableLaw`` in closed form, ``_TableLaw`` by a fixed rule,
-    ``_QuadLaw`` by a fixed rule and QUADPACK and ``_NoJumps``, the zero law,
+    ``_QuadLaw`` by the Gauss-Kronrod rule and ``_NoJumps``, the zero law,
     with zeros.  A leaf gives ``_integral`` (for the moments, the mass, the
     log tail and b_A), ``symbol`` and ``_anchor`` (for G) and ``_pieces``
     (for N_inf), or replaces a derivation by its closed form; so each leaf
@@ -529,9 +488,9 @@ class _Law:
 
     def moment(self, eps):
         """(int_{|z| <= eps} |z|^2 N(z) dz, diverged).  The integrand is
-        nonnegative, so a negative estimate can only be an extrapolation
-        artifact of a divergent endpoint singularity: it reads as divergent,
-        here and in ``mass``."""
+        nonnegative, so a negative estimate can only be an artifact of a
+        divergent endpoint singularity: it reads as divergent, here and in
+        ``mass``."""
         rho = self.nu.radial_density
         val, div = self._integral(lambda r: r * r * rho(r), 0.0, eps)
         return val, bool(div or val < 0)
@@ -546,7 +505,7 @@ class _Law:
         """int_1^inf ln(r) rho(r) dr as a LogTailReport; see ``check_log_tail``."""
         rho = self.nu.radial_density
         val, div = self._integral(lambda r: np.log(r) * rho(r), 1.0, np.inf)
-        return LogTailReport(float(val) if val is not None else np.inf, div)
+        return LogTailReport(float(val), div)
 
     @cached_property
     def drift(self):
@@ -618,14 +577,17 @@ class _Law:
 
 
 class _QuadLaw(_Law):
-    """An analytic density's record.  a and G are sums of one fixed composite
-    Gauss-Kronrod rule, G10/K21, on arrays: the head (eps, 1) on panels of
-    ratio 2 and length at most 6 / q, each oscillatory tail on [1, inf) cut at
-    the zeros of its weight (see ``_oscillatory_tail``); each value carries the
-    rule's error estimate and raises QuadratureFailure past its tolerance.  The
-    constants that a and G share, B, the unit-ball moment and an odd part's big
-    jumps, and the moments, the mass, the log tail, b_A and N_inf's pieces are
-    adaptive QUADPACK integrals, each computed on first use and kept."""
+    """An analytic density's record, by one rule: the Gauss-Kronrod pair
+    G10/K21 of ``quadrature``, on arrays.  a and G are sums of it on fixed
+    panels: the head (eps, 1) on panels of ratio 2 and length at most 6 / q,
+    each oscillatory tail on [1, inf) cut at the zeros of its weight (see
+    ``_oscillatory_tail``); each value carries the rule's error estimate and
+    raises QuadratureFailure past its tolerance.  The constants that a and G
+    share, B, the unit-ball moment and an odd part's big jumps, and the
+    moments, the mass, the log tail and b_A are the rule laid out adaptively
+    (``integrate_scaled``, ``try_integrate``), each computed on first use and
+    kept; N_inf's pieces are one adaptive call over all of them
+    (``integrate_pieces``)."""
 
     def _integral(self, f, a, b):
         """(int_a^b f(r) dr, diverged) for an integrand f of the radius."""
@@ -729,17 +691,17 @@ class _QuadLaw(_Law):
     def _pieces(self, f, radii):
         """The edges of a tail integral at the radii, and int f over each piece:
         the radii, infinity and the powers of ten in (r, 1], so that no finite
-        piece spans a decade; a piece (a, b) is one QUADPACK integral relative
-        to f(a) min(b - a, a), so that the tolerance is relative where n is tiny."""
+        piece spans a decade.  Every piece is one interval of one adaptive
+        rule; a piece (a, b) is integrated to tol max(s, |value|), s = f(a)
+        min(b - a, a) (1 where that is 0), so that the tolerance is relative
+        where n is tiny."""
         r0 = np.min(radii)
         decades = 10.0 ** np.arange(np.floor(np.log10(r0)) + 1.0, 1.0)
         edges = np.append(np.union1d(radii, decades[decades > r0]), np.inf)
-        pieces = []
-        for a, b in zip(edges[:-1], edges[1:]):
-            scale = f(a) * min(b - a, a) or 1.0
-            pieces.append(scale * integrate_scaled(lambda rho: f(rho) / scale,
-                                                   (a, b), self.tol))
-        return edges, np.asarray(pieces)
+        a, b = edges[:-1], edges[1:]
+        scale = f(a) * np.minimum(b - a, a)
+        return edges, integrate_pieces(f, a, b, np.where(scale == 0.0, 1.0, scale),
+                                       self.tol)
 
 
 # a table's rule: 12 Gauss-Legendre points on each panel, a panel no longer than

@@ -7,7 +7,7 @@ import pytest
 from scipy import integrate, special
 
 from levylab import Grid, SpectralField
-from levylab import levy
+from levylab import entropy, levy
 from levylab.levy import _checked
 
 # populated by tests/test_acceptance.py; printed once at the end of the run
@@ -73,6 +73,24 @@ def count_transforms(monkeypatch):
 
         monkeypatch.setattr(owner, name, counting)
     return counts
+
+
+def count_integrals(monkeypatch):
+    """Record the interval (a, b) of every integral of the adaptive rule that
+    ``levy`` asks ``quadrature`` for, one per piece of an ``integrate_pieces``
+    call; returns the list, which the calls keep up to date."""
+    calls = []
+
+    def one(real):
+        return lambda g, interval, tol=1e-10: calls.append(tuple(interval)) or real(
+            g, interval, tol)
+
+    pieces = levy.integrate_pieces
+    monkeypatch.setattr(levy, "integrate_scaled", one(levy.integrate_scaled))
+    monkeypatch.setattr(levy, "try_integrate", one(levy.try_integrate))
+    monkeypatch.setattr(levy, "integrate_pieces", lambda g, a, b, scale, tol=1e-10: (
+        calls.extend(zip(a.tolist(), b.tolist())) or pieces(g, a, b, scale, tol)))
+    return calls
 
 
 def full_freqs(grid):
@@ -145,6 +163,26 @@ def loop_jump_kernel(nu, grid, z_extent=2):
             W[tuple(i % M for i in k)] += float(nu(z))
     W.flat[0] = 0.0
     return W
+
+
+def roll_fd_gradient(vals, grid):
+    """``entropy._fd_gradient`` by 16 ``np.roll`` copies per axis: the form
+    before its shifts became slices of one wrapped copy."""
+    out = []
+    for axis in range(grid.d):
+        der = np.zeros_like(vals)
+        for k, c in enumerate(entropy._FD8, start=1):
+            der += c * (np.roll(vals, -k, axis=axis) - np.roll(vals, k, axis=axis))
+        der /= grid.dx
+        edge = np.gradient(vals, grid.dx, axis=axis)
+        sl_lo = [slice(None)] * vals.ndim
+        sl_lo[axis] = slice(0, 4)
+        sl_hi = [slice(None)] * vals.ndim
+        sl_hi[axis] = slice(-4, None)
+        der[tuple(sl_lo)] = edge[tuple(sl_lo)]
+        der[tuple(sl_hi)] = edge[tuple(sl_hi)]
+        out.append(der)
+    return out
 
 
 def knot_interval(nu, a, b):

@@ -16,7 +16,6 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from scipy import integrate
 
 import levylab
 from levylab import (
@@ -37,7 +36,8 @@ from levylab.cli import load_config, main
 from levylab.errors import ConfigError, QuadratureFailure
 from levylab.fields import FAMILIES, _iter_fields
 
-from conftest import count_transforms, full_freqs, log_tail_table, one_sided_table
+from conftest import (count_integrals, count_transforms, full_freqs, log_tail_table,
+                      one_sided_table)
 
 
 def write_config(path, **overrides):
@@ -896,14 +896,25 @@ class TestFlowRunners:
         assert len(rows) == 2 * 5
 
 
+def _fresh(code, tmp_path):
+    """The words that ``code`` prints, run in a fresh interpreter on this
+    checkout: pytest's IntegrationWarning filter has already imported
+    scipy.integrate into this one."""
+    env = {**os.environ, "PYTHONPATH": str(Path(levylab.__file__).parents[1])}
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, timeout=300, check=True, cwd=tmp_path)
+    return res.stdout.split()
+
+
+LOADED = "print(*(m in sys.modules for m in ('scipy.integrate', 'scipy.special')))\n"
+
+
 def test_runs_that_integrate_nothing_load_no_scipy(tmp_path):
-    # a fresh interpreter: pytest's IntegrationWarning filter has already
-    # imported scipy.integrate into this one.  The heat lane, every flow on
-    # a stable law (its radial quantities, N_inf's included, are closed
-    # forms and c(d, alpha) takes Gamma from math), every flow without jumps
-    # and fp and decay on a d=1 table (a fixed rule of cosines) load neither
-    # scipy.special nor scipy.integrate, and neither does the import of the
-    # package
+    # the heat lane, every flow on a stable law (its radial quantities,
+    # N_inf's included, are closed forms and c(d, alpha) takes Gamma from
+    # math), every flow without jumps and fp and decay on a d=1 table (a fixed
+    # rule of cosines) load neither scipy.special nor scipy.integrate, and
+    # neither does the import of the package
     heat = write_config(tmp_path / "heat.json", grid={"d": 2, "L": 10.0, "M": 16})
     runs = [["--config", str(heat), "--out", str(tmp_path / name), name]
             for name in ("heat", "euclidean-lsi", "kato")]
@@ -930,10 +941,7 @@ def test_runs_that_integrate_nothing_load_no_scipy(tmp_path):
         "print(*codes, *loaded, *(m in sys.modules for m in "
         "('scipy.integrate', 'scipy.special')))\n"
     )
-    env = {**os.environ, "PYTHONPATH": str(Path(levylab.__file__).parents[1])}
-    res = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, env=env, timeout=300, check=True)
-    out = res.stdout.split()
+    out = _fresh(code, tmp_path)
     codes, loaded = out[:-4], out[-4:]
     assert len(codes) == len(runs)
     # kato's verdict fails on this coarse grid (exit 1); none may exit 2 or 3
@@ -942,16 +950,37 @@ def test_runs_that_integrate_nothing_load_no_scipy(tmp_path):
     assert loaded == ["False"] * 4
 
 
+def test_runs_on_an_analytic_law_load_no_scipy_integrate(tmp_path):
+    # every integral of an analytic law is the G10/K21 rule on arrays.  A
+    # steady build and a flow on the opaque d=1 Cauchy density read Si and Ci
+    # from scipy.special for the anchor, and nothing from scipy.integrate;
+    # check-lsi on the one-sided table, whose N_inf is an analytic density,
+    # loads neither
+    library = (
+        "import sys, numpy as np, levylab\n"
+        "nu = levylab.LevyDensity(kind='analytic', d=1, is_even=True,\n"
+        "                         func=levylab.stable_density(1.0, 1))\n"
+        "tr = levylab.LevyTriplet(sigma=np.zeros((1, 1)), b=np.zeros(1), nu=nu, d=1)\n"
+        "steady = levylab.build_steady_state(tr, levylab.Grid(1, 8.0, 16))\n"
+        "levylab.fp_evolve(steady.density, tr, 0.5)\n" + LOADED)
+    assert _fresh(library, tmp_path) == ["False", "True"]
+    table = {"d": 1, "sigma": 0.3, "b": 0.0, "nu": {
+        "kind": "tabulated", "table_path": str(one_sided_table(tmp_path / "nu.csv"))}}
+    path = write_config(tmp_path / "c.json", experiment="check-lsi", triplet=table,
+                        grid={"d": 1, "L": 10.0, "M": 64})
+    cli_run = (f"import sys, levylab.cli\n"
+               f"print(levylab.cli.main(['--config', {str(path)!r}, '--out', 'out']))\n"
+               + LOADED)
+    assert _fresh(cli_run, tmp_path) == ["0", "False", "False"]
+
+
 @pytest.mark.parametrize("table, codes", [(log_tail_table, [0, 0, 0]),
                                           (one_sided_table, [0, 0, 1])])
 def test_flows_on_a_table_make_no_quadpack_call(tmp_path, monkeypatch, table, codes):
     # a table's radial integrals are its fixed rule; its N_inf, which
-    # check-lsi reads, is an analytic density and still goes to QUADPACK
+    # check-lsi reads, is an analytic density and goes to the adaptive rule
     # (a stable law's N_inf is a stable density, in closed form)
-    calls = []
-    quad = integrate.quad
-    monkeypatch.setattr(integrate, "quad",
-                        lambda *a, **k: calls.append(a[1:3]) or quad(*a, **k))
+    calls = count_integrals(monkeypatch)
     triplet = {"d": 1, "sigma": 0.3, "b": 0.0, "nu": {
         "kind": "tabulated", "table_path": str(table(tmp_path / "nu.csv"))}}
     got = []

@@ -33,7 +33,7 @@ from levylab.entropy import (
 from levylab.errors import DomainError, NonFiniteDensity
 from levylab.spectral import Grid
 
-from conftest import box, gaussian, loop_jump_kernel, right_exponential
+from conftest import box, gaussian, loop_jump_kernel, right_exponential, roll_fd_gradient
 
 XLOGX = PhiFunction.xlogx()
 QUAD = PhiFunction.quadratic()
@@ -193,6 +193,15 @@ def loop_jump_part(v, mu, nu, phi, z_extent=2):
         np.sum(phi.d2phi(vals) * sum(gr**2 for gr in grads) * mu.weights)
     ) * cell
     return jump
+
+
+@pytest.mark.parametrize("d, M", [(1, 8), (1, 4096), (2, 32), (2, 64)])
+def test_gradient_matches_the_roll_form_bitwise(d, M):
+    # the shifts are slices of one wrapped copy, the same sums in the same order
+    g = Grid(d, 10.0, M)
+    vals = np.random.default_rng(M + d).standard_normal(g.shape)
+    for got, want in zip(_fd_gradient(vals, g), roll_fd_gradient(vals, g), strict=True):
+        np.testing.assert_array_equal(got, want)
 
 
 class TestDissipation:

@@ -33,11 +33,11 @@ from levylab.errors import (
     QuadratureFailure,
 )
 from levylab.levy import _stable_norm_constant
-from levylab.quadrature import integrate_scaled
 from levylab.spectral import Grid, _contracted
 
 from conftest import (
     box,
+    count_integrals,
     gaussian,
     knot_interval,
     log_divergent,
@@ -159,10 +159,10 @@ def dense_nudft(u0, scale):
 
 
 def integrate_parts(g, interval, tol=1e-10):
-    """int g over interval for a complex g, its real and imaginary parts
-    apart: ``integrate_scaled`` takes real integrands only."""
-    return (integrate_scaled(lambda s: np.real(g(s)), interval, tol)
-            + 1j * integrate_scaled(lambda s: np.imag(g(s)), interval, tol))
+    """int g over interval by QUADPACK for a complex g, its real and
+    imaginary parts apart: QUADPACK takes real integrands only."""
+    return (qagp(lambda s: np.real(g(s)), interval, tol)
+            + 1j * qagp(lambda s: np.imag(g(s)), interval, tol))
 
 
 def non_even_field(g):
@@ -312,19 +312,16 @@ class TestBuildSteadyState:
 
     def test_one_log_tail_and_no_unused_moment(self, monkeypatch):
         # a build and a one-frequency exponent each integrate three constants
-        # by QUADPACK, the log tail, the unit-ball moment and B; a fourth call
-        # would integrate one of them twice
-        calls = []
-        quad = integrate.quad
-        monkeypatch.setattr(integrate, "quad",
-                            lambda *a, **k: calls.append(1) or quad(*a, **k))
+        # by the adaptive rule, the log tail, the unit-ball moment and B; a
+        # fourth call would integrate one of them twice
+        calls = count_integrals(monkeypatch)
         tr = opaque_cauchy_triplet()
         levy._law.cache_clear()
         build_steady_state(tr, Grid(1, 8.0, 16))
-        # the QUADPACK value of int_1^inf ln(r) 2 / (pi r^2) dr = 2 / pi, to the
-        # bit (1 ulp below the correctly rounded 2 / pi, with c(1, 1) the
-        # correctly rounded 1 / pi), read from the law's record with no further call
-        assert check_log_tail(tr.nu).value == float.fromhex("0x1.45f306dc9c882p-1")
+        assert len(calls) <= 3
+        # int_1^inf ln(r) 2 / (pi r^2) dr = 2 / pi, at the closed-form tests'
+        # tolerance, read from the law's record with no further integral
+        assert check_log_tail(tr.nu).value == pytest.approx(2.0 / np.pi, rel=1e-12, abs=0.0)
         assert len(calls) <= 3
         calls.clear()
         levy._law.cache_clear()
@@ -334,19 +331,16 @@ class TestBuildSteadyState:
     @pytest.mark.filterwarnings("ignore::levylab.errors.InterpolationDegradation")
     def test_one_integral_per_law(self, monkeypatch):
         # a steady build and two flows share the law's record: B and the log
-        # tail are its only QUADPACK integrals over (1, inf), and the unit-ball
+        # tail are its only adaptive integrals over (1, inf), and the unit-ball
         # moment its only one over (0, 1); a and the anchor are its fixed rule
-        calls = []
-        quad = integrate.quad
-        monkeypatch.setattr(integrate, "quad", lambda f, a, b, **k: calls.append(
-            (a, b, k.get("weight"))) or quad(f, a, b, **k))
+        calls = count_integrals(monkeypatch)
         tr = opaque_cauchy_triplet()
         levy._law.cache_clear()
         steady = build_steady_state(tr, Grid(1, 8.0, 16))
         for t in (0.5, 1.0):
             fp_evolve(steady.density, tr, t)
-        assert calls.count((1.0, np.inf, None)) == 2
-        assert calls.count((0.0, 1.0, None)) == 1
+        assert calls.count((1.0, np.inf)) == 2
+        assert calls.count((0.0, 1.0)) == 1
         assert len(calls) == 3
 
     @pytest.mark.filterwarnings("ignore::levylab.errors.InterpolationDegradation")
@@ -354,7 +348,7 @@ class TestBuildSteadyState:
     def test_a_warm_law_makes_no_quadpack_call(self, name, monkeypatch):
         # after one build and flow, the law's constants are kept on its
         # record, and a and G are its fixed rule: a second build and flow on
-        # the same law call QUADPACK not once
+        # the same law call the adaptive rule not once
         tr = {"cauchy-d1": lambda: opaque_cauchy_triplet(1),
               "cauchy-d2": lambda: opaque_cauchy_triplet(2),
               "one-sided": lambda: LevyTriplet(
@@ -364,13 +358,35 @@ class TestBuildSteadyState:
         levy._law.cache_clear()
         steady = build_steady_state(tr, g)
         fp_evolve(steady.density, tr, 0.5)
-        calls = []
-        quad = integrate.quad
-        monkeypatch.setattr(integrate, "quad",
-                            lambda *a, **k: calls.append(a[1:3]) or quad(*a, **k))
+        calls = count_integrals(monkeypatch)
         steady = build_steady_state(tr, g)
         fp_evolve(steady.density, tr, 0.5)
         assert calls == []
+
+    @pytest.mark.filterwarnings("ignore::levylab.errors.InterpolationDegradation")
+    def test_bessel_zeros_are_found_once_per_order(self, monkeypatch):
+        # a d=2 law's tails read the zeros of J0 (a) and J1 (the anchor) from
+        # one table per order: over a cold and five warm build-plus-flow pairs
+        # each jn_zeros call grows its order's table, and the warm pairs make none
+        special = levy._special()
+        calls = []
+        real = special.jn_zeros
+        monkeypatch.setattr(special, "jn_zeros", lambda n, k: calls.append((n, k)) or real(
+            n, k))
+        monkeypatch.setattr(levy, "_BESSEL_ZEROS", {})
+        tr, g = opaque_cauchy_triplet(2), Grid(2, 8.0, 32)
+        levy._law.cache_clear()
+        for pair in range(6):
+            steady = build_steady_state(tr, g)
+            fp_evolve(steady.density, tr, 0.5)
+            if pair == 0:
+                cold = len(calls)
+        assert 0 < cold == len(calls)
+        held = {}
+        for n, k in calls:
+            assert k > held.get(n, 0), calls
+            held[n] = k
+        assert set(held) == {0, 1}
 
     def test_cauchy_density_coarse(self, cauchy_steady, grid1):
         cauchy = 1.0 / (np.pi * (1.0 + grid1.x1**2))
@@ -602,7 +618,7 @@ def _drift_nested(nu, tol=1e-8):
 
     def tau_factor(z):
         z2 = z * z
-        return integrate_scaled(
+        return qagp(
             lambda tau: (1.0 - tau**2) * z2 / ((1.0 + tau**2 * z2) * (1.0 + z2)),
             (0.0, 1.0), tol * 1e-2,
         )
@@ -678,14 +694,22 @@ class TestDriftCorrection:
         # kept on the law's record, read-only
         assert drift_correction(nu) is val and not val.flags.writeable
 
-    def test_steady_state_integrates_at_its_tol(self):
-        # at tol = 1e-6 b_A differs from its value at the default, and the
-        # steady density is the one of the exponent at 1e-6, to the bit
+    def test_steady_state_integrates_at_its_tol(self, monkeypatch):
+        # a build at tol = 1e-6 integrates its law's log tail at 1e-6, b_A is
+        # integrated at the tol it is asked for, and the steady density is the
+        # one of the exponent at 1e-6, to the bit
         nu = LevyDensity(kind="analytic", d=1, func=right_exponential, is_even=False)
         tr = LevyTriplet(sigma=np.eye(1), b=np.zeros(1), nu=nu, d=1)
-        assert drift_correction(nu, 1e-6)[0] != drift_correction(nu)[0]
         g = Grid(1, 20.0, 64)
+        tols = []
+        real = levy.try_integrate
+        monkeypatch.setattr(levy, "try_integrate", lambda f, interval, tol: tols.append(
+            (interval, tol)) or real(f, interval, tol))
+        levy._law.cache_clear()
         steady = build_steady_state(tr, g, 1e-6)
+        assert ((1.0, np.inf), 1e-6) in tols
+        drift_correction(nu, 1e-6)
+        assert tols[-1] == ((0.0, np.inf), 1e-6)
         vals = g.synthesize(np.exp(steady_exponent(tr, g.freqs(), 1e-6)))
         np.testing.assert_array_equal(steady.density.values,
                                       np.clip(vals, 0.0, None) / g.integrate(vals))

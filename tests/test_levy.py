@@ -4,7 +4,6 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-import scipy.integrate
 from scipy import special
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,7 +23,7 @@ from levylab import entropy, levy
 from levylab.errors import InvalidAlpha, NonFiniteDensity, QuadratureFailure
 from levylab.fokker_planck import limit_density
 from levylab.levy import _checked, _stable_norm_constant
-from levylab.quadrature import integrate_scaled
+from levylab.quadrature import integrate_pieces, integrate_scaled, try_integrate
 
 from conftest import (
     box,
@@ -74,14 +73,19 @@ class TestValidateDensity:
         assert big == pytest.approx(2.0 * c, rel=1e-12)
 
     def test_too_singular_density_flags_small_jumps(self):
-        # QUADPACK extrapolates the divergent int 2 r^{-1.5} dr to -4 and
-        # reports success: the record reads the negative estimate as divergent,
-        # so every reader of the moment refuses the density
-        nu = LevyDensity(
-            kind="analytic", d=1, func=lambda z: np.abs(z) ** -3.5, is_even=True
-        )
-        val, div = levy._law(nu, 1e-12).moment(1.0)
-        assert val < 0.0 and div
+        # the panel sums of the divergent int 2 r^{-1.5} dr grow toward r = 0:
+        # the record reads the moment as divergent, before the density is read
+        # near its overflow, so every reader of the moment refuses the density
+        radii = []
+
+        def density(z):
+            radii.append(np.min(np.abs(z)))
+            return np.abs(z) ** -3.5
+
+        nu = LevyDensity(kind="analytic", d=1, func=density, is_even=True)
+        radii.clear()
+        _, div = levy._law(nu, 1e-12).moment(1.0)
+        assert div and min(radii) > 1e-10
         with pytest.raises(NonFiniteDensity, match="diverges"):
             nu.small_ball_second_moment(1.0)
         with pytest.raises(NonFiniteDensity, match="diverges"):
@@ -186,7 +190,7 @@ class TestRadialRoute:
     @pytest.mark.parametrize("d", [1, 2])
     def test_the_limit_record_matches_quadrature(self, d, alpha):
         # N_inf = N / alpha is the stable record of divisor alpha, in closed
-        # form; its oracle is the QUADPACK record of the same profile, given
+        # form; its oracle is the quadrature record of the same profile, given
         # as an analytic density
         nu = stable_density(alpha, d)
         exact = levy._law(limit_density(nu, 1e-10), 1e-10)
@@ -499,18 +503,58 @@ def test_the_rule_matches_the_quadpack_oracle(name):
 
 
 class TestQuadrature:
-    def test_warned_integrand_is_integrated_once(self, monkeypatch):
-        # QUADPACK's warning comes back with the result: the integral is not
-        # computed again, and the failure still quotes QUADPACK
-        real_quad = scipy.integrate.quad
-        calls = []
-        monkeypatch.setattr(scipy.integrate, "quad",
-                            lambda *a, **k: calls.append(1) or real_quad(*a, **k))
-        with pytest.raises(QuadratureFailure) as info:
+    def test_divergent_integrand_raises_its_error(self):
+        # int_0^1 dx / x: its panel sums toward 0 do not shrink, so the rule
+        # stops and raises, quoting the error it reached
+        with pytest.raises(QuadratureFailure, match="diverges") as info:
             integrate_scaled(lambda x: 1.0 / x, (0.0, 1.0), 1e-10)
-        assert len(calls) == 1
-        assert "maximum number of subdivisions (400)" in str(info.value)
         assert info.value.achieved_error > 1e-10
+        assert try_integrate(lambda x: 1.0 / x, (0.0, 1.0), 1e-10)[1]
+
+    @pytest.mark.parametrize("beta", [-0.95, -0.5, 0.0, 0.5, 3.0])
+    def test_a_power_at_either_end_is_summed_exactly(self, beta):
+        # the end panels continue the geometric series of a power of r, times
+        # ln r too, at 0 and at infinity (where r = 1 / t); 1e-13 is a
+        # thousand times the tolerance
+        assert integrate_scaled(lambda x: x**beta, (0.0, 1.0)) == pytest.approx(
+            1.0 / (1.0 + beta), rel=1e-13, abs=0.0)
+        for alpha in (0.3, 1.0, 1.9):
+            assert integrate_scaled(lambda r: r ** (-1.0 - alpha) * np.log(r),
+                                    (1.0, np.inf)) == pytest.approx(alpha**-2, rel=1e-13,
+                                                                    abs=0.0)
+
+    @pytest.mark.parametrize("where", [0.3, 1.3, 2.9])
+    def test_kinks_and_jumps_are_bisected_to_the_tolerance(self, where):
+        # a kink and a jump inside the interval, and an exponential tail past
+        # it, each to the tolerance 1e-10 max(1, |value|)
+        kink = integrate_scaled(lambda x: np.abs(x - where), (0.0, 3.0))
+        assert kink == pytest.approx(0.5 * (where**2 + (3.0 - where) ** 2), rel=1e-10)
+        jump = integrate_scaled(lambda x: (x > where) * np.exp(-x), (0.0, np.inf))
+        assert jump == pytest.approx(np.exp(-where), abs=1e-10)
+
+    def test_pieces_are_integrated_each_at_its_scale(self):
+        # one rule over many intervals, each to tol max(scale, |value|): the
+        # tiny tail of e^{-r} past r = 30 is relative to its scale
+        edges = np.array([0.1, 0.5, 2.0, 7.0, 30.0, np.inf])
+        a, b = edges[:-1], edges[1:]
+        scale = np.exp(-a) * np.minimum(b - a, a)
+        got = integrate_pieces(lambda r: np.exp(-r), a, b, scale)
+        np.testing.assert_allclose(got, np.exp(-a) - np.exp(-b), rtol=1e-12, atol=0.0)
+        with pytest.raises(QuadratureFailure, match=r"\[1.0, inf\] diverges"):
+            integrate_pieces(lambda r: 1.0 / r, np.array([0.5, 1.0]),
+                             np.array([1.0, np.inf]), np.ones(2))
+
+    def test_a_divergent_tail_stops_before_reading_far(self):
+        # the panel sums of int_1^inf r^{-0.5} dr grow toward t = 0, r = 1 / t:
+        # the rule stops at the first end panel, its nodes below r = 1e8
+        nodes = []
+
+        def f(r):
+            nodes.append(np.max(r))
+            return r**-0.5
+
+        value, diverged = try_integrate(f, (1.0, np.inf))
+        assert diverged and max(nodes) < 1e8 and np.isfinite(value)
 
 
 class TestTabulatedDensity:
@@ -725,12 +769,12 @@ def test_triplet_rejects_indefinite_sigma():
 
 
 class _QuadpackRefused(Exception):
-    """Raised in place of a QUADPACK call; a record's own failures are other
-    classes, and ``try_integrate`` lets this one through."""
+    """Raised in place of a call of the analytic record's rules; a record's
+    own failures are other classes."""
 
 
 # one call per member that any record has, so that a record's every member
-# runs; the QUADPACK record's own (big, unit_moment) are listed too, so that a
+# runs; the quadrature record's own (big, unit_moment) are listed too, so that a
 # closed-form or table record that held one would run it
 _RECORD_CALLS = {
     "moment": lambda law, ks: law.moment(0.5),
@@ -756,8 +800,9 @@ _RECORD_CALLS = {
                                      ("zero", 1), ("zero", 2)])
 def test_closed_form_and_table_records_make_no_quadpack_call(name, d, tmp_path,
                                                               monkeypatch):
-    # a record reaches only its own way of integrating: with QUADPACK refused,
-    # every member of a stable, a table or the zero record runs
+    # a record reaches only its own way of integrating: with the analytic
+    # record's rules refused, every member of a stable, a table or the zero
+    # record runs
     if name == "stable":
         nu = stable_density(1.5 if d == 2 else 1.0, d)
     elif name == "zero":
@@ -770,7 +815,9 @@ def test_closed_form_and_table_records_make_no_quadpack_call(name, d, tmp_path,
     def refused(*args, **kwargs):
         raise _QuadpackRefused
 
-    monkeypatch.setattr(scipy.integrate, "quad", refused)
+    # the adaptive rule's entry points and the fixed rule's sum, as levy holds them
+    for name in ("integrate_scaled", "try_integrate", "integrate_pieces", "_gk_sum"):
+        monkeypatch.setattr(levy, name, refused)
     levy._law.cache_clear()
     law = levy._law(nu, 1e-10)
     members = {m for m in dir(type(law)) if not m.startswith("__")}

@@ -3,26 +3,28 @@
 ``spectral`` owns every transform of the grid, so numpy's FFT appears
 nowhere else but in ``levy._cheb_coefficients`` (a Chebyshev fit, not a grid
 transform).  ``levy`` owns every integral of a jump law and ``quadrature``
-the QUADPACK policy, so no other module names ``_integral``,
-``integrate_scaled`` or ``try_integrate``.  Within ``levy``, only the
-QUADPACK record ``_QuadLaw`` reaches QUADPACK or the oscillatory tails of
-its fixed rule: the shared base ``_Law`` and the closed-form, table and zero
-records name none of their entry points.
+the Gauss-Kronrod rule and its policy, so no other module names
+``_integral``, ``integrate_scaled``, ``try_integrate`` or
+``integrate_pieces``, and no module of the package names
+``scipy.integrate``.  Within ``levy``, only the quadrature record
+``_QuadLaw`` reaches the rule, adaptive or on its fixed panels and
+oscillatory tails: the shared base ``_Law`` and the closed-form, table and
+zero records name none of their entry points.
 The closed forms, the stable and zero records, a density's profile and the
 stable constant c(d, alpha), call neither ``_special`` nor anything of
-``quadrature``, so a run on them loads no SciPy.  No jumps is the zero
-law's record, not a case: only ``LevyTriplet`` (which holds the zero density
-for nu = None), ``_law``, the config rules and the config's reading of a
-JSON null test whether a nu is None.  Read from the source tree.
+``quadrature``, so a run on them loads no SciPy and integrates nothing.  No
+jumps is the zero law's record, not a case: only ``LevyTriplet`` (which holds
+the zero density for nu = None), ``_law``, the config rules and the config's
+reading of a JSON null test whether a nu is None.  Read from the source tree.
 """
 
 import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "levylab"
-INTEGRALS = {"_integral", "integrate_scaled", "try_integrate"}
-QUADPACK = {"integrate_scaled", "try_integrate", "_oscillatory_tail", "_tail_zeros",
-            "_head_edges"}
+INTEGRALS = {"_integral", "integrate_scaled", "try_integrate", "integrate_pieces"}
+QUADRATURE_RULE = {"integrate_scaled", "try_integrate", "integrate_pieces", "_gk_nodes",
+                   "_gk_sum", "_gated", "_oscillatory_tail", "_tail_zeros", "_head_edges"}
 
 
 def _modules():
@@ -73,8 +75,28 @@ def test_only_the_quadrature_record_reaches_quadpack():
                if isinstance(node, ast.ClassDef)}
     found = [(name, spelled, line)
              for name in ("_Law", "_TableLaw", "_StableLaw", "_NoJumps")
-             for line, spelled in _spelled(classes[name]) if spelled in QUADPACK]
-    assert not found, f"QUADPACK named by a record that must not run it: {found}"
+             for line, spelled in _spelled(classes[name]) if spelled in QUADRATURE_RULE]
+    assert not found, f"the quadrature rule named by a record that must not run it: {found}"
+
+
+def _imported(tree):
+    """The dotted module of every import, with each name it imports."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            yield from (f"{node.module}.{a.name}" for a in node.names)
+
+
+def test_no_module_names_scipy_integrate():
+    # QUADPACK is a test oracle only: the package's one quadrature rule is
+    # its own, so no module imports scipy.integrate, nor spells it
+    found = [(name, dotted) for name, tree in _modules().items()
+             for dotted in _imported(tree) if dotted.startswith("scipy.integrate")]
+    found += [(name, node.lineno) for name, tree in _modules().items()
+              for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+              and node.attr == "integrate" and getattr(node.value, "id", None) == "scipy"]
+    assert not found, f"scipy.integrate named at {found}"
 
 
 def _called(node):
@@ -88,7 +110,8 @@ def test_closed_forms_reach_no_scipy():
     tree = _modules()["levy.py"]
     top = {n.name: n for n in tree.body if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
     # _special, what levy takes from quadrature, and every top-level function
-    # of levy that calls one of them, however indirectly
+    # of levy that calls one of them, however indirectly: the closed forms
+    # neither load SciPy nor integrate
     scipy = {"_special"} | {a.asname or a.name for n in tree.body
                             if isinstance(n, ast.ImportFrom) and n.module == "quadrature"
                             for a in n.names}
