@@ -26,7 +26,6 @@ from .fokker_planck import (
 )
 from .heat import (
     heat_evolve,
-    half_operator_norm,
     kato_check,
     lsi_constant,
     lsi_gap,
@@ -36,8 +35,6 @@ from .heat import (
 from .levy import (
     LevyDensity,
     LevyTriplet,
-    characteristic_exponent,
-    dual_triplet,
     jump_symbol,
     stable_density,
 )

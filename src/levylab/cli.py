@@ -10,8 +10,9 @@ between keys (``RULES``) before anything runs.
 
 Exit codes: 0 success, 1 assertion failure (an inequality violated),
 2 malformed configuration, 3 numerical failure (any other library error, such
-as a quadrature breakdown, or a non-finite number bound for ``summary.json``,
-which is strict JSON; decay's undefined fitted rate is written as null).
+as a quadrature breakdown, an arithmetic or linear-algebra error, or a
+non-finite number bound for ``summary.json``, which is strict JSON; decay's
+undefined fitted rate is written as null).
 Nothing is written before the summary is known; a run that exits 2 or 3
 leaves no ``--out`` directory.
 """
@@ -235,7 +236,7 @@ def _run_all(cfg: ExperimentConfig):
     for name in ("heat", "euclidean-lsi", "kato", "fp", "check-conditions",
                  "decay", "check-lsi"):
         config = jump_sub if name == "check-conditions" else sub
-        header, sub_rows, summary[name], sub_failures, _ = _RUNNERS[name](config)
+        header, sub_rows, summary[name], sub_failures, _ = _run(name, config)
         failures += sub_failures
         for r in sub_rows:
             rows.append([name] + [f"{h}={_cell(v)}" for h, v in zip(header, r)])
@@ -254,6 +255,19 @@ _RUNNERS = {
     "all": _run_all,
 }
 EXPERIMENTS = tuple(_RUNNERS)
+
+
+def _run(name, cfg: ExperimentConfig):
+    """``_RUNNERS[name](cfg)``; raises LevyLabError (exit 3) where a run
+    without failures holds a number that is not finite, which would read as a
+    pass.  Heat's exponent q is exempt: it may be the accepted inf."""
+    header, rows, _, failures, _ = out = _RUNNERS[name](cfg)
+    if not failures and not all(math.isfinite(v) for row in rows
+                                for h, v in zip(header, row)
+                                if isinstance(v, float) and h != "q"):
+        raise LevyLabError(f"{name}: a value that is not finite in a run without "
+                           "failures")
+    return out
 
 # ---------------------------------------------------------------------------
 # the config: one table of keys, walked by load_config, and the rules between them
@@ -566,7 +580,7 @@ def run_experiment(cfg: ExperimentConfig) -> int:
     exit status, 0 or 1.  The ``--out`` directory is created only once the
     summary is known to be strict JSON."""
     start = time.time()
-    header, rows, summary, failures, files = _RUNNERS[cfg.experiment](cfg)
+    header, rows, summary, failures, files = _run(cfg.experiment, cfg)
     summary_doc = {
         "experiment": cfg.experiment,
         "failures": failures,
@@ -678,7 +692,10 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except LevyLabError as exc:
+    except (LevyLabError, ArithmeticError, np.linalg.LinAlgError) as exc:
+        # so is a float that over- or underflows at an edge of the accepted
+        # ranges (alpha or t near 0, L near the largest float), and a
+        # least-squares fit that does not converge on such numbers
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

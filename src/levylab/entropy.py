@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -94,30 +94,6 @@ class PhiFunction:
     def _check_base(self, b):
         if self.name == "xlogx" and np.any(b <= 0):
             raise DomainError("x log x Bregman distance needs b > 0")
-
-    def check_admissible(self, h=1e-5):
-        """Numerical convexity of (a, b) -> D(a+b, b) on a sampled quadrant.
-
-        Returns the smallest Hessian eigenvalue seen; admissibility requires
-        it to exceed -1e-10.
-        """
-        worst = np.inf
-
-        def g(a, b):
-            return float(self.bregman(a + b, b))
-
-        for a in (-0.4, -0.1, 0.0, 0.2, 0.7, 1.5):
-            for b in (0.3, 0.8, 1.0, 2.5):
-                if a + b <= h or b <= h:
-                    continue
-                faa = (g(a + h, b) - 2 * g(a, b) + g(a - h, b)) / h**2
-                fbb = (g(a, b + h) - 2 * g(a, b) + g(a, b - h)) / h**2
-                fab = (
-                    g(a + h, b + h) - g(a + h, b - h) - g(a - h, b + h) + g(a - h, b - h)
-                ) / (4 * h**2)
-                hess = np.array([[faa, fab], [fab, fbb]])
-                worst = min(worst, float(np.min(np.linalg.eigvalsh(hess))))
-        return worst
 
 
 @dataclass(frozen=True)

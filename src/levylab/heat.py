@@ -2,11 +2,11 @@
 
 The flow of du/dt + g_alpha[u] = 0 is exact in Fourier space: P_t is the
 multiplier exp(-t |xi|^alpha).  This module evaluates both sides of the
-sharp Euclidean logarithmic Sobolev inequality, the hypercontractivity and
-ultracontractivity bounds it implies, the pointwise Kato inequality for
-convex functions of the field, and the half-operator Dirichlet identity
-int u g_alpha[u] dx = int (g_{alpha/2}[u])^2 dx.  Every transform, and the
-Parseval sum of a half spectrum, comes from ``spectral``.
+sharp Euclidean logarithmic Sobolev inequality, whose Dirichlet energy
+int (g_{alpha/2}[u])^2 dx is a Parseval sum over the half spectrum, the
+hypercontractivity and ultracontractivity bounds it implies, and the
+pointwise Kato inequality for convex functions of the field.  Every
+transform, and the Parseval sum, comes from ``spectral``.
 """
 
 from __future__ import annotations
@@ -24,8 +24,6 @@ from .spectral import (SpectralField, _inverse, _parseval, _riemann_norm,
 
 __all__ = [
     "heat_evolve",
-    "half_operator_norm",
-    "fractional_laplacian",
     "lsi_gap",
     "lsi_constant",
     "ultracontractivity_constant",
@@ -53,30 +51,6 @@ def heat_evolve(f: SpectralField, alpha: float, t: float) -> SpectralField:
     with np.errstate(over="ignore"):
         exponent = -t * f.grid.symbol(alpha)
     return apply_multiplier(f, np.exp(exponent))
-
-
-def fractional_laplacian(f: SpectralField, alpha: float) -> SpectralField:
-    """g_alpha[f], the multiplier |xi|^alpha (so that -g_alpha generates P_t)."""
-    _check_alpha(alpha)
-    return apply_multiplier(f, f.grid.symbol(alpha))
-
-
-def half_operator_norm(f: SpectralField, alpha: float) -> float:
-    """int (g_{alpha/2}[f])^2 dx = sum |xi|^alpha |f^(xi)|^2 dxi^d / (2 pi)^d,
-    by ``spectral``'s Parseval sum over the half spectrum (|f^| is even for a
-    real field)."""
-    return next(_energies(f, [alpha]))
-
-
-def _energies(f: SpectralField, alpha):
-    """Yield ``half_operator_norm`` per exponent, |rfftn f|^2 taken once."""
-    g = f.grid
-    power = np.abs(f.half_spectrum)
-    np.square(power, out=power)
-    p = np.empty_like(power)
-    for a in alpha:
-        _check_alpha(a)
-        yield _parseval(g, np.multiply(g.symbol(a), power, out=p))
 
 
 def lsi_constant(n: int, alpha: float) -> float:
@@ -109,7 +83,7 @@ def lsi_gap(f: SpectralField, alpha):
     lhs <= rhs.  The field is renormalized to unit L2 norm if needed, and
     transformed, squared in modulus and its lhs taken once for the sequence.
     """
-    n = f.grid.d
+    g, n = f.grid, f.grid.d
     nrm = lp_norm(f, 2)
     if nrm == 0.0:
         raise DegenerateField("cannot renormalize the zero field")
@@ -120,9 +94,16 @@ def lsi_gap(f: SpectralField, alpha):
     ent = np.where(v2 > 1e-300, v2, 1.0)
     np.log(ent, out=ent)
     ent *= v2
-    lhs = float(np.sum(ent) * f.grid.dx**n)
+    lhs = float(np.sum(ent) * g.dx**n)
     del v2, ent  # before the transform, whose arrays then reuse their pages
-    energies = list(_energies(f, alpha))
+    # int (g_{a/2}[f])^2 dx = sum |xi|^a |f^|^2 dxi^d / (2 pi)^d per exponent,
+    # by the Parseval sum over the half spectrum (|f^| is even for a real f)
+    power = np.abs(f.half_spectrum)
+    np.square(power, out=power)
+    p = np.empty_like(power)
+    for a in alpha:
+        _check_alpha(a)
+    energies = [_parseval(g, np.multiply(g.symbol(a), power, out=p)) for a in alpha]
     if any(e <= 0.0 for e in energies):
         raise DegenerateField("field has no Dirichlet energy")
     return [(lhs, (n / a) * math.log(lsi_constant(n, a) * e))

@@ -27,7 +27,7 @@ such integral in closed form.
 
 A law's radial quantities live on one record per (density, tolerance),
 made by ``_law``, and nowhere else: the moment over |z| <= eps, the
-big-jump mass, the log tail, a on an array of radii, its radial
+log tail, a on an array of radii, its radial
 antiderivative G, the invariant law's Levy density N_inf and the flow's
 drift shift b_A.  The base ``_Law`` derives them from a few primitives of
 its leaf; ``_StableLaw`` fills the record in closed form (Sato 1999, Thm
@@ -39,7 +39,7 @@ and adaptively for its constants and N_inf, each value with its error
 estimate; and ``_NoJumps`` with zeros.  No jumps is a law like the others:
 a triplet built with nu = None holds the zero density of its dimension,
 whose record is ``_NoJumps``, so no reader of a triplet asks whether it has
-a density.  A moment or mass reads as divergent where the adaptive rule
+a density.  A moment reads as divergent where the adaptive rule
 finds it so, or estimates it negative, since its integrand is nonnegative.
 Each xi-independent integral is computed on first use and kept.  An
 anchored G reads the log tail first and raises Con1Violation when it
@@ -78,8 +78,6 @@ __all__ = [
     "LevyTriplet",
     "stable_density",
     "jump_symbol",
-    "characteristic_exponent",
-    "dual_triplet",
 ]
 
 # small-jump exclusion radius; the excluded ball is compensated with the
@@ -207,9 +205,12 @@ def _checked(density, z):
 
 @lru_cache(maxsize=None)
 def _stable_norm_constant(d: int, alpha: float) -> float:
-    """c(d, alpha) such that the density c |z|^{-d-alpha} has symbol -|xi|^alpha."""
+    """c(d, alpha) such that the density c |z|^{-d-alpha} has symbol -|xi|^alpha;
+    OverflowError where |Gamma(-alpha/2)| ~ 2 / alpha is past the largest float.
+    -alpha/2 is kept off Gamma's pole at -0.0, where it rounds for the least
+    subnormal alpha."""
     return float(2.0**alpha * math.gamma(0.5 * (d + alpha)) / (
-        math.pi ** (0.5 * d) * abs(math.gamma(-0.5 * alpha))))
+        math.pi ** (0.5 * d) * abs(math.gamma(min(-0.5 * alpha, -math.ulp(0.0))))))
 
 
 @dataclass(frozen=True)
@@ -316,11 +317,11 @@ class LevyDensity:
         ``radial_density``; zero for an even density."""
         return _checked(self.profile, z) - _checked(self.profile, -z)
 
-    def small_ball_second_moment(self, eps, tol=1e-12):
+    def small_ball_second_moment(self, eps):
         """int_{|z| <= eps} |z|^2 N(z) dz (closed form for the stable kind),
-        read from the law's record; raises NonFiniteDensity where the record
-        finds it divergent, a negative estimate included."""
-        val, div = _law(self, tol).moment(eps)
+        read from the law's record at tolerance 1e-12; raises NonFiniteDensity
+        where the record finds it divergent, a negative estimate included."""
+        val, div = _law(self, 1e-12).moment(eps)
         if div:
             raise NonFiniteDensity("second moment diverges inside the unit ball")
         return val
@@ -337,7 +338,9 @@ def _h(z2):
 def jump_symbol(nu: LevyDensity, xi, tol: float = 1e-10):
     """a(xi) = int (e^{iz.xi} - 1 - i z.xi h(z)) N(z) dz, read from the law's
     record: -|xi|^alpha in closed form for the stable kind, by quadrature
-    otherwise.
+    otherwise.  One frequency per call: no run calls it (the record's
+    ``symbol`` takes arrays), but the benchmark (``perfbench``) wraps it, so
+    it leaves only with the benchmark's next change.
 
     The quadrature value's real part is one integral against the radial
     density rho of |z|, int_0^inf (m(r |xi|) - 1) rho(r) dr, where m is the
@@ -473,8 +476,8 @@ class _Law:
     Made by ``_law``, once per (density, tolerance), as one of four leaves:
     ``_StableLaw`` in closed form, ``_TableLaw`` by a fixed rule,
     ``_QuadLaw`` by the Gauss-Kronrod rule and ``_NoJumps``, the zero law,
-    with zeros.  A leaf gives ``_integral`` (for the moments, the mass, the
-    log tail and b_A), ``symbol`` and ``_anchor`` (for G) and ``_pieces``
+    with zeros.  A leaf gives ``_integral`` (for the moments, the log tail
+    and b_A), ``symbol`` and ``_anchor`` (for G) and ``_pieces``
     (for N_inf), or replaces a derivation by its closed form; so each leaf
     reaches only its own way of integrating.  The log tail and b_A are computed on first use
     and kept, so that every table of a, every anchor and every steady build
@@ -489,15 +492,9 @@ class _Law:
     def moment(self, eps):
         """(int_{|z| <= eps} |z|^2 N(z) dz, diverged).  The integrand is
         nonnegative, so a negative estimate can only be an artifact of a
-        divergent endpoint singularity: it reads as divergent, here and in
-        ``mass``."""
+        divergent endpoint singularity: it reads as divergent."""
         rho = self.nu.radial_density
         val, div = self._integral(lambda r: r * r * rho(r), 0.0, eps)
-        return val, bool(div or val < 0)
-
-    def mass(self):
-        """(int_{|z| > 1} N(z) dz, diverged); a negative estimate is divergent."""
-        val, div = self._integral(self.nu.radial_density, 1.0, np.inf)
         return val, bool(div or val < 0)
 
     @cached_property
@@ -583,8 +580,8 @@ class _QuadLaw(_Law):
     each oscillatory tail on [1, inf) cut at the zeros of its weight (see
     ``_oscillatory_tail``); each value carries the rule's error estimate and
     raises QuadratureFailure past its tolerance.  The constants that a and G
-    share, B, the unit-ball moment and an odd part's big jumps, and the
-    moments, the mass, the log tail and b_A are the rule laid out adaptively
+    share, the big-jump mass B, the unit-ball moment and an odd part's big
+    jumps, and the moments, the log tail and b_A are the rule laid out adaptively
     (``integrate_scaled``, ``try_integrate``), each computed on first use and
     kept; N_inf's pieces are one adaptive call over all of them
     (``integrate_pieces``)."""
@@ -737,8 +734,7 @@ class _StableLaw(_Law):
 
     Its radial density is C r^{-1-alpha}, C = |S^{d-1}| c(d, alpha) / D with
     |S^0| = 2, |S^1| = 2 pi and D the density's divisor, so the moment over
-    |z| <= eps is C eps^{2-alpha} / (2 - alpha), B = C / alpha, the log tail
-    C / alpha^2, a = -|k|^alpha / D, G = -|k|^alpha / alpha / D and N_inf =
+    |z| <= eps is C eps^{2-alpha} / (2 - alpha), the log tail C / alpha^2, a = -|k|^alpha / D, G = -|k|^alpha / alpha / D and N_inf =
     N / alpha, the stable density of divisor D alpha.
     """
 
@@ -750,9 +746,6 @@ class _StableLaw(_Law):
 
     def moment(self, eps):
         return self.C * eps ** (2.0 - self.nu.alpha) / (2.0 - self.nu.alpha), False
-
-    def mass(self):
-        return self.C / self.nu.alpha, False
 
     def symbol(self, ks):
         return -(np.abs(ks) ** self.nu.alpha) / self.nu.divisor
@@ -888,22 +881,6 @@ def _gauss_drift_exponent(triplet: LevyTriplet, axes):
     """-xi.sigma xi and i b.xi, over one array (or number) per axis."""
     drift = sum(bi * a for bi, a in zip(triplet.b, axes))
     return -_quadratic_form(triplet.sigma, axes), 1j * drift
-
-
-def characteristic_exponent(triplet: LevyTriplet, xi, tol: float = 1e-10):
-    """psi(xi) = -xi.sigma xi + i b.xi + a(xi) at one frequency xi."""
-    axes = np.atleast_1d(np.asarray(xi, dtype=float))
-    gauss, drift = _gauss_drift_exponent(triplet, axes)
-    return gauss + drift + jump_symbol(triplet.nu, _radial_argument(axes), tol)
-
-
-def dual_triplet(triplet: LevyTriplet) -> LevyTriplet:
-    """Adjoint parameters (-b, sigma, nu-check) with nu-check(z) = nu(-z)."""
-    nu = triplet.nu
-    if not nu.is_even:
-        # a non-even density is analytic or tabulated, never stable
-        nu = replace(nu, func=lambda z, _n=nu: _n.profile(-z))
-    return LevyTriplet(sigma=triplet.sigma, b=-triplet.b, nu=nu, d=triplet.d)
 
 
 def _tabulated_density(path, d):

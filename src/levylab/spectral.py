@@ -155,8 +155,10 @@ class SpectralField:
 
     ``half_spectrum``, the unscaled ``rfftn`` that every Fourier multiplier
     and the flow read, is cached read-only on first use.  ``coefficients`` is
-    ``Grid.forward`` of the values on the full mesh, recomputed per call: a
-    view for tests and diagnostics that no code path of the package reads.
+    ``Grid.forward`` of the values on the full mesh, recomputed per call.  No
+    run reads it, nor ``Grid.forward`` and ``Grid.inverse``: they stay because
+    the benchmark (``perfbench``) checks and wraps them, and leave with its
+    next change.
     """
 
     def __init__(self, grid: Grid, values):

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 from scipy import integrate, special
 
-from levylab import Grid, SpectralField
+from levylab import Grid, SpectralField, apply_multiplier
 from levylab import entropy, levy
 from levylab.levy import _checked
+from levylab.spectral import _parseval
 
 # populated by tests/test_acceptance.py; printed once at the end of the run
 ACCEPTANCE_RESULTS = []
@@ -52,6 +53,28 @@ def radial_gaussian(grid, variance, center):
     c = np.broadcast_to(np.asarray(center, dtype=float), (grid.d,))
     r2 = sum((x - ci) ** 2 for x, ci in zip(grid.coords(), c))
     return np.exp(-r2 / (2.0 * variance)) / np.sqrt((2.0 * np.pi * variance) ** grid.d)
+
+
+def fractional_laplacian(f, alpha):
+    """g_alpha[f], the multiplier |xi|^alpha of ``Grid.symbol`` (so that
+    -g_alpha generates the heat semigroup)."""
+    return apply_multiplier(f, f.grid.symbol(alpha))
+
+
+def half_operator_norm(f, alpha):
+    """int (g_{alpha/2}[f])^2 dx = sum |xi|^alpha |f^(xi)|^2 dxi^d / (2 pi)^d,
+    by ``spectral``'s Parseval sum over the half spectrum, as ``lsi_gap``
+    takes the Dirichlet energy of each exponent (bitwise)."""
+    g = f.grid
+    return _parseval(g, g.symbol(alpha) * np.abs(f.half_spectrum) ** 2)
+
+
+def characteristic_exponent(triplet, xi):
+    """psi(xi) = -xi.sigma xi + i b.xi + a(xi) at one frequency xi, from the
+    Gaussian and drift form the flow's exponent uses and ``jump_symbol``."""
+    axes = np.atleast_1d(np.asarray(xi, dtype=float))
+    gauss, drift = levy._gauss_drift_exponent(triplet, axes)
+    return gauss + drift + levy.jump_symbol(triplet.nu, levy._radial_argument(axes))
 
 
 def count_transforms(monkeypatch):

@@ -23,7 +23,7 @@ from levylab import (
     phi_entropy,
     stable_density,
 )
-from levylab import entropy
+from levylab import cli, entropy
 from levylab.entropy import (
     ProductionReport,
     _fd_gradient,
@@ -88,10 +88,27 @@ class TestBregman:
             a, b = rng.uniform(0.01, 5.0, 2)
             assert phi.bregman(a, b) >= -1e-14
 
-    @pytest.mark.parametrize("phi", [XLOGX, QUAD])
+    @pytest.mark.parametrize("phi", [make() for make in cli.PHIS.values()])
     def test_admissible(self, phi):
-        # a zero Hessian eigenvalue limits the finite-difference certificate
-        assert phi.check_admissible(h=1e-4) > -1e-6
+        # (a, b) -> D(a + b, b) is convex on a sampled quadrant: the smallest
+        # eigenvalue of its finite-difference Hessian, where a zero eigenvalue
+        # limits the certificate
+        bregman, h = phi.bregman, 1e-4
+
+        def g(a, b):
+            return float(bregman(a + b, b))
+
+        worst = np.inf
+        quadrant = itertools.product((-0.4, -0.1, 0.0, 0.2, 0.7, 1.5), (0.3, 0.8, 1.0, 2.5))
+        for a, b in quadrant:
+            if a + b <= h or b <= h:
+                continue
+            faa = (g(a + h, b) - 2 * g(a, b) + g(a - h, b)) / h**2
+            fbb = (g(a, b + h) - 2 * g(a, b) + g(a, b - h)) / h**2
+            fab = (g(a + h, b + h) - g(a + h, b - h) - g(a - h, b + h)
+                   + g(a - h, b - h)) / (4 * h**2)
+            worst = min(worst, float(np.min(np.linalg.eigvalsh([[faa, fab], [fab, fbb]]))))
+        assert worst > -1e-6
 
 
 class TestPhiEntropy:

@@ -12,7 +12,6 @@ from levylab import (
     cli,
     gaussian_field,
     heat_evolve,
-    half_operator_norm,
     kato_check,
     lsi_constant,
     lsi_gap,
@@ -22,10 +21,11 @@ from levylab import (
 )
 from levylab.errors import DegenerateField, InvalidAlpha, InvalidExponents, LevyLabError
 from levylab.fields import generate_test_fields
-from levylab.heat import HypercontractivityReport, fractional_laplacian
+from levylab.heat import HypercontractivityReport
 from levylab.spectral import Grid, apply_multiplier
 
-from conftest import count_transforms, gaussian, traced_peak
+from conftest import (count_transforms, fractional_laplacian, gaussian,
+                      half_operator_norm, traced_peak)
 
 ALPHAS = [0.5, 1.0, 1.5, 2.0]
 

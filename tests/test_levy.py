@@ -12,9 +12,7 @@ from levylab import (
     Grid,
     LevyDensity,
     LevyTriplet,
-    characteristic_exponent,
     check_log_tail,
-    dual_triplet,
     jump_symbol,
     stable_density,
     triplet_from_config,
@@ -27,6 +25,7 @@ from levylab.quadrature import integrate_pieces, integrate_scaled, try_integrate
 
 from conftest import (
     box,
+    characteristic_exponent,
     log_tail_table,
     one_sided_table,
     quadpack_anchor,
@@ -66,11 +65,11 @@ class TestValidateDensity:
     def test_stable_alpha_one(self):
         law = levy._law(stable_density(1.0, 1), 1e-10)
         c = _stable_norm_constant(1, 1.0)
-        # closed forms: 2c/(2-alpha) and 2c/alpha for c |z|^{-2}
-        (small, small_div), (big, big_div) = law.moment(1.0), law.mass()
-        assert not (small_div or big_div)
+        # closed forms: 2c/(2-alpha) and 2c/alpha^2 for c |z|^{-2}
+        (small, small_div), tail = law.moment(1.0), law.log_tail
+        assert not (small_div or tail.diverged)
         assert small == pytest.approx(2.0 * c, rel=1e-12)
-        assert big == pytest.approx(2.0 * c, rel=1e-12)
+        assert tail.value == pytest.approx(2.0 * c, rel=1e-12)
 
     def test_too_singular_density_flags_small_jumps(self):
         # the panel sums of the divergent int 2 r^{-1.5} dr grow toward r = 0:
@@ -100,12 +99,11 @@ class TestValidateDensity:
         law = levy._QuadLaw(exp_over_abs(), 1e-10)
         law._integral = lambda f, a, b: (-1e-3, False)
         assert law.moment(1.0) == (-1e-3, True)
-        assert law.mass() == (-1e-3, True)
 
     def test_exponential_density(self):
         law = levy._law(exp_over_abs(), 1e-10)
-        (small, small_div), (big, big_div) = law.moment(1.0), law.mass()
-        assert not (small_div or big_div)
+        (small, small_div), big = law.moment(1.0), law.big
+        assert not small_div
         # int_0^1 z e^{-z} dz * 2 = 2 (1 - 2/e), and 2 E1(1) past |z| = 1
         assert small == pytest.approx(2.0 * (1.0 - 2.0 / np.e), abs=1e-9)
         assert big == pytest.approx(2.0 * 0.21938393439552029, rel=1e-9)
@@ -149,15 +147,17 @@ class TestRadialRoute:
         }
         for nu in (stable_density(alpha, d), opaque_stable(alpha, d)):
             law = levy._law(nu, 1e-10)
-            (small, small_div), (big, big_div) = law.moment(1.0), law.mass()
-            assert not (small_div or big_div)
+            small, small_div = law.moment(1.0)
+            assert not small_div
             got = {
                 "small": small,
-                "big": big,
                 "log_tail": check_log_tail(nu).value,
                 "ball": nu.small_ball_second_moment(0.05),
             }
-            for key in want:
+            if nu.kind == "analytic":
+                # B is a constant of the quadrature record alone
+                got["big"] = law.big
+            for key in got:
                 assert got[key] == pytest.approx(want[key], rel=1e-12, abs=0.0), (
                     nu.kind, key
                 )
@@ -198,7 +198,7 @@ class TestRadialRoute:
                                      func=levy._law(nu, 1e-10).tail_average), 1e-10)
         assert type(exact) is levy._StableLaw and type(quad) is levy._QuadLaw
         pairs = [(exact.moment(eps), quad.moment(eps)) for eps in (0.05, 1.0)]
-        pairs += [(exact.mass(), quad.mass()),
+        pairs += [((exact.C / exact.nu.alpha, False), (quad.big, False)),
                   ((exact.log_tail.value, exact.log_tail.diverged),
                    (quad.log_tail.value, quad.log_tail.diverged))]
         for (got, got_div), (want, want_div) in pairs:
@@ -641,50 +641,6 @@ class TestCharacteristicExponent:
         assert characteristic_exponent(tr, xi).real <= 1e-10
 
 
-class TestDualTriplet:
-    def test_negates_drift(self):
-        tr = LevyTriplet(
-            sigma=np.eye(2), b=np.array([1.0, 0.0]), nu=stable_density(1.0, 2), d=2
-        )
-        dual = dual_triplet(tr)
-        np.testing.assert_array_equal(dual.b, [-1.0, 0.0])
-        np.testing.assert_array_equal(dual.sigma, tr.sigma)
-
-    def test_involution(self):
-        tr = LevyTriplet(sigma=2 * np.eye(1), b=np.array([0.7]), nu=None, d=1)
-        dd = dual_triplet(dual_triplet(tr))
-        np.testing.assert_array_equal(dd.b, tr.b)
-        np.testing.assert_array_equal(dd.sigma, tr.sigma)
-
-    def test_conjugate_exponent_for_even_density(self):
-        tr = LevyTriplet(
-            sigma=np.eye(1), b=np.array([0.4]), nu=stable_density(1.5, 1), d=1
-        )
-        rng = np.random.default_rng(2)
-        for xi in rng.uniform(-5, 5, 5):
-            a = characteristic_exponent(tr, xi)
-            b = characteristic_exponent(dual_triplet(tr), xi)
-            assert b == pytest.approx(np.conj(a), abs=1e-10)
-
-    @pytest.mark.parametrize("name", ["right_exponential", "one-sided table"])
-    def test_non_even_density_is_mirrored(self, name, tmp_path):
-        if name == "one-sided table":
-            nu = triplet_from_config({"d": 1, "nu": {
-                "kind": "tabulated",
-                "table_path": str(one_sided_table(tmp_path / "nu.csv"))}}).nu
-        else:
-            nu = LevyDensity(kind="analytic", d=1, func=right_exponential, is_even=False)
-        tr = LevyTriplet(sigma=np.eye(1), b=np.array([0.4]), nu=nu, d=1)
-        dual = dual_triplet(tr)
-        assert dual.nu.kind == nu.kind and not dual.nu.is_even
-        np.testing.assert_array_equal(dual.b, -tr.b)
-        z = np.array([0.03, 0.5, 2.0, 7.5, 9.0, 12.0])
-        z = np.concatenate([z, -z])
-        np.testing.assert_array_equal(dual.nu.profile(z), nu.profile(-z))
-        for xi in (0.7, 3.0, -2.0):
-            assert jump_symbol(dual.nu, xi) == np.conj(jump_symbol(nu, xi))
-
-
 class TestStableSymbol:
     """The stable psi = -|xi|^alpha is characteristic_exponent's stable case."""
 
@@ -729,7 +685,7 @@ class TestNoJumps:
         assert nu == LevyDensity(kind="zero", d=d) and nu.is_even
         law = levy._law(nu, 1e-10)
         assert type(law) is levy._NoJumps and not law.jumps
-        assert law.moment(1.0) == (0.0, False) and law.mass() == (0.0, False)
+        assert law.moment(1.0) == (0.0, False)
         assert law.log_tail == levy.LogTailReport(0.0, False)
         assert law.drift.shape == (d,) and not np.any(law.drift)
         assert not law.drift.flags.writeable
@@ -754,10 +710,6 @@ class TestNoJumps:
         gauss, drift = levy._gauss_drift_exponent(tr, np.atleast_1d(xi))
         assert characteristic_exponent(tr, xi) == gauss + drift
 
-    def test_dual_keeps_the_zero_density(self):
-        tr = LevyTriplet(sigma=np.eye(2), b=np.array([0.5, 1.0]), d=2)
-        assert dual_triplet(tr).nu == tr.nu
-
     def test_a_density_of_another_dimension_is_refused(self):
         with pytest.raises(ValueError, match="dimension"):
             LevyTriplet(sigma=np.eye(2), b=np.zeros(2), nu=LevyDensity("zero", d=1), d=2)
@@ -778,7 +730,6 @@ class _QuadpackRefused(Exception):
 # closed-form or table record that held one would run it
 _RECORD_CALLS = {
     "moment": lambda law, ks: law.moment(0.5),
-    "mass": lambda law, ks: law.mass(),
     "log_tail": lambda law, ks: law.log_tail,
     "drift": lambda law, ks: law.drift,
     "symbol": lambda law, ks: law.symbol(ks),

@@ -20,11 +20,12 @@ from levylab import (
 )
 from levylab.errors import InvalidExponent, QuadratureFailure
 from levylab.fields import band_limit, generate_test_fields
-from levylab.heat import fractional_laplacian, half_operator_norm, heat_evolve
+from levylab.heat import heat_evolve
 from levylab.quadrature import integrate_scaled
 from levylab.spectral import _riemann_norm
 
-from conftest import full_freqs, gaussian, radial_gaussian
+from conftest import (fractional_laplacian, full_freqs, gaussian, half_operator_norm,
+                      radial_gaussian)
 
 
 class TestGrid:

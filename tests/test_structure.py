@@ -15,13 +15,18 @@ stable constant c(d, alpha), call neither ``_special`` nor anything of
 ``quadrature``, so a run on them loads no SciPy and integrates nothing.  No
 jumps is the zero law's record, not a case: only ``LevyTriplet`` (which holds
 the zero density for nu = None), ``_law``, the config rules and the config's
-reading of a JSON null test whether a nu is None.  Read from the source tree.
+reading of a JSON null test whether a nu is None.  And the package holds
+only what something reaches: a runner or other package code, an acceptance
+criterion, the benchmark or one of the two entry points.  Read from the
+source tree.
 """
 
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "levylab"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "levylab"
+PERFBENCH = TESTS.parent / "perfbench"
 INTEGRALS = {"_integral", "integrate_scaled", "try_integrate", "integrate_pieces"}
 QUADRATURE_RULE = {"integrate_scaled", "try_integrate", "integrate_pieces", "_gk_nodes",
                    "_gk_sum", "_gated", "_oscillatory_tail", "_tail_zeros", "_head_edges"}
@@ -163,3 +168,58 @@ def test_only_the_triplet_and_the_config_ask_whether_nu_is_none():
     stray = [f for f in found if f[:2] not in NU_IS_NONE]
     assert not stray, f"a reader branches on nu is None at {stray}"
     assert {f[:2] for f in found} >= {("levy.py", "LevyTriplet"), ("cli.py", "_triplet")}
+
+
+# the console script of pyproject.toml, and README's documented triplet reader
+ENTRY_POINTS = {"cli.main", "cli.triplet_from_config"}
+
+
+def _definitions(tree):
+    """(qualified name, node) for every top-level function and class, and
+    every public method of a top-level class."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            yield from ((f"{node.name}.{m.name}", m) for m in node.body
+                        if isinstance(m, ast.FunctionDef) and not m.name.startswith("_"))
+
+
+def _used(tree):
+    """(line, name) for every variable and attribute the code spells; a
+    definition or an import alone (such as ``__init__``'s re-exports) is no
+    use, and docstrings are not code."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.lineno, node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.lineno, node.attr
+
+
+def test_every_definition_is_reached():
+    # reached: spelled by package code outside the definition itself or by an
+    # acceptance criterion, or spelled or named as a string by the benchmark,
+    # which looks its targets up by name; Grid.forward, Grid.inverse,
+    # SpectralField.coefficients and jump_symbol stay for the benchmark alone
+    uses = {}
+    for module, tree in _modules().items():
+        for line, name in _used(tree):
+            uses.setdefault(name, []).append((module, line))
+    criteria = {name for _, name in _used(ast.parse(
+        (TESTS / "test_acceptance.py").read_text()))}
+    bench = set()
+    for path in sorted(PERFBENCH.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        bench |= {name for _, name in _spelled(tree)}
+        bench |= {n.value for n in ast.walk(tree)
+                  if isinstance(n, ast.Constant) and isinstance(n.value, str)}
+    unreached = []
+    for module, tree in _modules().items():
+        for qualified, node in _definitions(tree):
+            name = qualified.rpartition(".")[2]
+            own = range(node.lineno, node.end_lineno + 1)
+            if not (any(m != module or line not in own for m, line in uses.get(name, ()))
+                    or name in criteria or name in bench
+                    or f"{module[:-3]}.{qualified}" in ENTRY_POINTS):
+                unreached.append(f"{module[:-3]}.{qualified}")
+    assert not unreached, f"reached by no run, criterion or benchmark: {unreached}"
